@@ -60,9 +60,11 @@ referees, see docs/BENCHMARKS.md.
 
 ``--serve`` (default 1M users) is the serving rung: the micro-epoch
 serving layer under ``MCSS_SERVE_EPOCHS`` epochs of steady churn, with
-exact p50/p95/p99 micro-epoch latency and throughput recorded as a
-``"mode": "serving"`` trajectory entry plus ``serve_metrics.json``,
-gated by ``MCSS_SERVE_TARGET`` (p99 seconds; 0 disables).
+exact p50/p95/p99 micro-epoch latency (timed with ``tracemalloc`` off)
+and throughput recorded as a ``"mode": "serving"`` trajectory entry
+plus ``serve_metrics.json``, gated by ``MCSS_SERVE_TARGET`` (p99
+seconds; 0 disables); a second, traced pass of the same run checks the
+3 GB memory bound.
 
 Pass a smaller ``num_users`` (e.g. 2000, as the CI smoke job does) for
 a quick run; the speedup factors are printed either way.  Set
@@ -478,12 +480,15 @@ def _serve(num_users: int) -> int:
     :class:`~repro.serving.MicroEpochService` around it, and serves
     ``MCSS_SERVE_EPOCHS`` micro-epochs of subscribe/unsubscribe churn
     (no rate drift: the steady-churn regime where the incremental
-    group index amortizes the per-epoch sorts away).  Records exact
-    p50/p95/p99 micro-epoch latency and throughput as a
-    ``"mode": "serving"`` entry in ``BENCH_stage2.json``, writes the
-    full metrics snapshot to ``serve_metrics.json`` (the CI artifact),
-    and asserts the 3 GB traced-memory bound.  ``MCSS_SERVE_TARGET``
-    gates the exit code on the p99 bound (seconds; 0 disables).
+    group index amortizes the per-epoch sorts away).  The run happens
+    twice: a timing pass with ``tracemalloc`` off, whose exact
+    p50/p95/p99 micro-epoch latency and throughput are recorded as a
+    ``"mode": "serving"`` entry in ``BENCH_stage2.json`` and written to
+    ``serve_metrics.json`` (the CI artifact), then an identical memory
+    pass under ``tracemalloc`` that asserts the 3 GB traced-memory
+    bound (tracing inflates NumPy-heavy Python 2-3x, so it must not
+    touch the latencies).  ``MCSS_SERVE_TARGET`` gates the exit code on
+    the p99 bound (seconds; 0 disables).
 
     The broker-runtime traffic replay runs only below 250k subscribers:
     :class:`~repro.broker.cluster.BrokerCluster` materializes per-pair
@@ -500,15 +505,8 @@ def _serve(num_users: int) -> int:
     micro_epochs = env_int("MCSS_SERVE_EPOCHS", 8, minimum=1)
     p99_target = env_float("MCSS_SERVE_TARGET", 0.0, minimum=0.0)
 
-    tracemalloc.start()
-    try:
-        print(
-            f"building zipf workload: {num_users} subscribers, "
-            f"{num_topics} topics ..."
-        )
-        t0 = time.perf_counter()
+    def serve_once():
         workload = zipf_workload(num_topics, num_users, mean_interest=8.0, seed=7)
-        print(f"  built in {time.perf_counter() - t0:.2f}s: {workload!r}")
         capacity = (
             max(
                 2.5 * float(workload.event_rates.max()),
@@ -523,9 +521,6 @@ def _serve(num_users: int) -> int:
             vm_cost=LinearVMCost(10.0),
             capacity_bytes_override=float(capacity),
         )
-
-        print(f"serving {micro_epochs} micro-epochs of steady churn ...")
-        t0 = time.perf_counter()
         result = run_serving_experiment(
             workload,
             plan,
@@ -541,13 +536,30 @@ def _serve(num_users: int) -> int:
                 traffic_every=micro_epochs if num_users <= 250_000 else 0,
             ),
         )
-        serve_s = time.perf_counter() - t0
+        result.service = None  # free this pass's fleet before the next one
+        return result
+
+    print(
+        f"timing pass (untraced): zipf workload, {num_users} subscribers, "
+        f"{num_topics} topics, {micro_epochs} micro-epochs of steady churn ..."
+    )
+    t0 = time.perf_counter()
+    result = serve_once()
+    serve_s = time.perf_counter() - t0
+    print(result.render())
+    print(f"  served in {serve_s:.1f}s wall (includes build + epoch-0 solve)")
+
+    print("memory pass (tracemalloc): the same run again ...")
+    tracemalloc.start()
+    try:
+        traced = serve_once()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-    print(result.render())
-    print(f"  served in {serve_s:.1f}s wall (includes the epoch-0 solve)")
+    costs = [r.report.cost.total_usd for r in result.reports]
+    assert [r.report.cost.total_usd for r in traced.reports] == costs, (
+        "memory pass diverged from the timing pass"
+    )
     print(f"  peak traced memory: {peak / 1e9:.2f} GB")
     assert peak < 3e9, (
         f"serving rung exceeded the 3 GB traced-memory bound: {peak} B"
@@ -565,6 +577,7 @@ def _serve(num_users: int) -> int:
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "mode": "serving",
+            "latency_traced": False,
             "num_users": num_users,
             "num_topics": num_topics,
             "tau": tau,
@@ -577,7 +590,7 @@ def _serve(num_users: int) -> int:
             "epoch_mean_s": round(metrics["serve.epoch_latency.mean_s"], 6),
             "ops_per_s": round(metrics["serve.ops_per_s"], 1),
             "moves_per_s": round(metrics["serve.moves_per_s"], 1),
-            "queue_depth": int(metrics["serve.queue_depth"]),
+            "batch_ops": int(metrics["serve.batch_ops"]),
             "cost_drift": round(metrics["serve.drift"], 6),
             "num_vms": int(metrics["serve.num_vms"]),
             "total_cost_usd": round(metrics["serve.cost_usd"], 4),

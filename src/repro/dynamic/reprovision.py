@@ -33,9 +33,10 @@ sorted subscriber-major -- and runs each epoch as whole-array passes:
   and added/removed pairs fall out of two sorted-key set differences;
 * per-VM used bytes are one ``np.bincount`` over the (vm, topic)
   groups; eviction walks only the overloaded VMs;
-* added pairs are placed grouped by topic: per pair one ``argmax``
-  over a maintained score vector (``free + capacity * hosts``) instead
-  of a Python rescan of every VM that re-sums its table;
+* added pairs are placed grouped by topic, each in O(log VMs) with two
+  lazily updated ``heapq`` heaps -- the topic's hosts by score
+  (``free + capacity``) and the whole fleet by free bytes -- instead of
+  a Python rescan of every VM that re-sums its table;
 * the placement is materialized on demand via
   :meth:`Placement.from_pair_arrays`;
 * both sort orders -- the canonical ``(subscriber, topic)`` table and
@@ -70,6 +71,7 @@ fresh solve).
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -490,7 +492,7 @@ class IncrementalReprovisioner:
         place_t = np.concatenate([at, mt])
         place_v = np.concatenate([av, mv])
         placed_vm, used = self._place_stream(
-            place_t, place_v, used, capacity, rates, msg,
+            place_t, used, capacity, rates, msg,
             g_vm, g_t, g_cnt_after, group_alive,
         )
 
@@ -573,7 +575,6 @@ class IncrementalReprovisioner:
     def _place_stream(
         self,
         place_t: np.ndarray,
-        place_v: np.ndarray,
         used: np.ndarray,
         capacity: float,
         rates: np.ndarray,
@@ -587,61 +588,100 @@ class IncrementalReprovisioner:
 
         Per pair, the referee scores every VM as ``free + capacity *
         hosts(t)`` among those with room (``topic_bytes`` if hosting,
-        twice that otherwise) and takes the first maximum; here that
-        scan is a handful of whole-array ops plus one masked
-        ``np.argmax`` per pair over the maintained used-bytes vector --
-        still O(VMs) per pair like the referee, but without the Python
-        rescan that re-sums every VM's table per candidate (see ROADMAP
-        for the within-topic waterfall batching that would amortize the
-        argmax if this ever profiles hot).  Runs of equal topics (the
-        canonical grouped-by-topic order) share the hosting mask.
-        Returns ``(vm per pair, per-VM used bytes)``; ``self._num_vms``
-        is updated to include freshly opened VMs.
-        """
-        placed_vm = np.empty(place_t.size, dtype=np.int64)
-        if place_t.size == 0:
-            return placed_vm, used
-        num_vms = self._num_vms
-        cap_vms = num_vms + place_t.size  # worst case: one fresh VM per pair
-        used_buf = np.zeros(cap_vms, dtype=np.float64)
-        used_buf[:num_vms] = used
-        # Host sets survive across runs of the same topic (an added run
-        # now, an evicted move later must see the VMs it just filled).
-        host_sets: Dict[int, Set[int]] = {}
-        hosted = group_alive & (g_cnt > 0)
-        # repolint: allow(VL01): host-set index build feeding the sequential placement below
-        for g in np.flatnonzero(hosted).tolist():
-            host_sets.setdefault(int(g_t[g]), set()).add(int(g_vm[g]))
+        twice that otherwise) and takes the first maximum.  Within one
+        call used bytes only grow, so two ``heapq`` heaps give that
+        choice in O(log VMs) per pair (the max-structure placement of
+        Johnson, "Fast algorithms for bin packing", JCSS 1974):
 
+        * the **host heap**, rebuilt at each run of equal topics, holds
+          ``(-(free + capacity), misfit, vm)`` over the topic's hosts,
+          where ``misfit`` says the host has no room for
+          ``topic_bytes``.  Only the VM a pair lands on changes within
+          a run, and it is re-pushed, so the heap stays exact.  Rates
+          are positive, so a fitting host outranks every non-host, and
+          the top entry is the referee's choice if it fits; if it does
+          not, no host fits (ordering fits before misfits on equal
+          scores covers hosts whose extra free bytes the rounding of
+          ``free + capacity`` hides);
+        * the **fleet heap** holds one ``(-free, vm)`` entry per VM.
+          An entry goes stale when its VM fills and is refreshed only
+          when it reaches the top, so the valid top is the most-free
+          VM.  When no host fits, a host there cannot fit either, so
+          the top is taken if it has room for ``2 * topic_bytes`` and a
+          fresh VM opens otherwise.
+
+        The keys are the float scores the referee compares and tuple
+        order breaks ties by the lowest VM index, as ``argmax`` does, so
+        every choice is identical.  Returns ``(vm per pair, per-VM used
+        bytes)``; ``self._num_vms`` is updated to include freshly opened
+        VMs.
+        """
+        if place_t.size == 0:
+            return np.empty(0, dtype=np.int64), used
+        # Hosts per streamed topic, from one sort of the hosted groups.
+        # The lists outlive their run: an evicted move later in the
+        # stream must see the VMs an earlier run of its topic filled.
+        hosted = np.flatnonzero(group_alive & (g_cnt > 0))
+        by_topic = hosted[np.argsort(g_t[hosted])]
+        h_t, h_vm = g_t[by_topic], g_vm[by_topic]
+        topics = np.unique(place_t)
+        lo = np.searchsorted(h_t, topics)
+        hi = np.searchsorted(h_t, topics, side="right")
+        hosts_of = {
+            t: h_vm[a:b].tolist()
+            for t, a, b in zip(topics.tolist(), lo.tolist(), hi.tolist())
+        }
+
+        used_l = used.tolist()
+        fleet = [(-(capacity - u), b) for b, u in enumerate(used_l)]
+        heapq.heapify(fleet)
+
+        def host_entry(b: int, tb: float):
+            free = capacity - used_l[b]
+            return (-(free + capacity), tb > free + 1e-9, b)
+
+        num_vms = self._num_vms
+        placed: List[int] = []
         run_topic = -1
-        host_mask = np.zeros(cap_vms, dtype=bool)
-        # repolint: allow(VL01): one masked argmax per added pair -- batching is ROADMAP item 5
-        for i in range(place_t.size):
-            t = int(place_t[i])
+        # repolint: allow(VL01): one heap step per placed pair -- sequential, each choice changes the next
+        for t in place_t.tolist():
             if t != run_topic:
                 run_topic = t
-                host_mask[:] = False
-                hosts = host_sets.get(t)
-                if hosts:
-                    host_mask[list(hosts)] = True
-            tb = float(rates[t]) * msg
-            free = capacity - used_buf[:num_vms]
-            mask = host_mask[:num_vms]
-            need = np.where(mask, tb, 2.0 * tb)
-            fits = need <= free + 1e-9
-            if fits.any():
-                score = np.where(fits, free + np.where(mask, capacity, 0.0), -np.inf)
-                b = int(np.argmax(score))
-                used_buf[b] += need[b]
+                tb = float(rates[t]) * msg
+                hosts = hosts_of[t]
+                heap = [host_entry(b, tb) for b in hosts]
+                heapq.heapify(heap)
+            if heap and not heap[0][1]:
+                b = heap[0][2]
+                used_l[b] += tb
+                heapq.heapreplace(heap, host_entry(b, tb))
             else:
-                b = num_vms
-                num_vms += 1
-                used_buf[b] = 2.0 * tb
-            placed_vm[i] = b
-            host_mask[b] = True
-            host_sets.setdefault(t, set()).add(b)
+                # No host fits: the most-free VM if it has room for a
+                # second copy of the topic, else a fresh VM.
+                top = -1
+                # repolint: allow(VL01): lazy refresh -- each pass retires one entry an earlier placement made stale
+                while fleet:
+                    key, vm = fleet[0]
+                    if key == -(capacity - used_l[vm]):
+                        top = vm
+                        break
+                    heapq.heapreplace(fleet, (-(capacity - used_l[vm]), vm))
+                if top >= 0 and 2.0 * tb <= (capacity - used_l[top]) + 1e-9:
+                    b = top
+                    used_l[b] += 2.0 * tb
+                else:
+                    b = num_vms
+                    num_vms += 1
+                    used_l.append(2.0 * tb)
+                    heapq.heappush(fleet, (-(capacity - used_l[b]), b))
+                hosts.append(b)
+                heapq.heappush(heap, host_entry(b, tb))
+            placed.append(b)
         self._num_vms = num_vms
-        return placed_vm, used_buf[:num_vms]
+        return (
+            np.array(placed, dtype=np.int64),
+            np.array(used_l, dtype=np.float64),
+        )
 
     def _adopt(self, placement: Placement) -> None:
         """Replace internal state with a fresh solve's placement."""

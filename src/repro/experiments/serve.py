@@ -6,8 +6,8 @@
 :class:`~repro.dynamic.ChurnModel` for a fixed number of micro-epochs,
 checkpointing on cadence and resuming bit-exactly, and returns the
 per-micro-epoch reports plus the SLO metrics snapshot (exact
-p50/p95/p99 micro-epoch latency, ops/s, moves/s, queue depth, cost
-drift).
+p50/p95/p99 micro-epoch latency, ops/s, moves/s, sealed batch size,
+queue backlog, cost drift).
 
 Exposed on the CLI as ``mcss serve``.
 """

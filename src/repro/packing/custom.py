@@ -344,7 +344,7 @@ class CustomBinPacking(PackingAlgorithm):
         order = self._topic_order(problem, topics, indptr)
 
         current = placement.new_vm()
-        # repolint: allow(VL01): per-topic CBP main loop -- inherent current-VM dependence (ROADMAP item 5)
+        # repolint: allow(VL01): per-topic CBP main loop -- inherent current-VM dependence (ROADMAP item 1)
         for g in order.tolist():
             t = int(topics[g])
             subs = flat_subs[indptr[g]:indptr[g + 1]]
@@ -647,7 +647,7 @@ class CustomBinPacking(PackingAlgorithm):
         verdict_cb = verdicts.append if track_verdicts else None
         allocate = self._allocate_topic
         ev_len = len(events)
-        # repolint: allow(VL01): per-topic CBP iteration -- inherent current-VM dependence (ROADMAP item 5)
+        # repolint: allow(VL01): per-topic CBP iteration -- inherent current-VM dependence (ROADMAP item 1)
         for g in order[start:].tolist():
             t = int(topics[g])
             subs = flat_subs[indptr[g]:indptr[g + 1]]

@@ -15,8 +15,8 @@ long-running service:
   ``fresh_solve_every=1``, to the ``reprovision-loop`` referee)
   however the stream was fragmented;
 * every micro-epoch feeds the :class:`~repro.serving.slo.ServingMetrics`
-  SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, queue
-  depth, cost drift);
+  SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, sealed
+  batch size, queue backlog, cost drift);
 * on cadence the service checkpoints through
   :mod:`repro.resilience.checkpoint` and :meth:`resume` continues a
   killed run bit-exactly -- the same guarantee the epoch experiments
@@ -90,11 +90,18 @@ class TrafficReport:
 
 @dataclass(frozen=True)
 class MicroEpochReport:
-    """One micro-epoch's outcome, as seen by the serving layer."""
+    """One micro-epoch's outcome, as seen by the serving layer.
+
+    ``batch_ops`` is the number of churn operations the seal drained
+    from the queue; ``queue_depth`` is the backlog left behind it --
+    operations offered after the seal, still buffered when the
+    micro-epoch ends (always 0 under :meth:`MicroEpochService.serve`).
+    """
 
     micro_epoch: int
     report: EpochReport
     ops: int
+    batch_ops: int
     queue_depth: int
     seconds: float
     traffic: Optional[TrafficReport] = None
@@ -196,7 +203,7 @@ class MicroEpochService:
         ``changed_topics`` its re-priced topics (both from the churn
         source; rate drift applies at the seal, not per fragment).
         """
-        depth_before = self._queue.depth
+        batch_ops = self._queue.depth
         delta = self._queue.seal_epoch(workload, changed_topics)
         t0 = self._clock()
         report = self._reprovisioner.step(delta)
@@ -207,10 +214,12 @@ class MicroEpochService:
             + delta.unsubscribed_topics.size
             + delta.changed_topics.size
         )
+        queue_depth = self._queue.depth
         self._metrics.record_epoch(
             report,
             ops=ops,
-            queue_depth=depth_before,
+            batch_ops=batch_ops,
+            queue_depth=queue_depth,
             seconds=seconds,
             num_vms=self._reprovisioner.num_vms,
         )
@@ -224,7 +233,8 @@ class MicroEpochService:
             micro_epoch=self._micro_epochs,
             report=report,
             ops=ops,
-            queue_depth=depth_before,
+            batch_ops=batch_ops,
+            queue_depth=queue_depth,
             seconds=seconds,
             traffic=traffic,
         )

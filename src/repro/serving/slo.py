@@ -12,7 +12,8 @@ view:
 * **throughput** -- monotonic counters for micro-epochs, churn
   operations, pair moves, adds, removals and rebuilds, plus derived
   ``ops_per_s`` / ``moves_per_s`` over the summed epoch time;
-* **state** -- gauges for queue depth at seal time, fleet cost,
+* **state** -- gauges for the sealed batch size (``batch_ops``), the
+  queue backlog left behind the seal (``queue_depth``), fleet cost,
   cost drift vs the fresh-solve reference and fleet size.
 
 The clock is injected end-to-end so tier-1 tests assert exact numbers
@@ -47,6 +48,7 @@ class ServingMetrics:
         ):
             self.registry.counter(name)
         for name in (
+            "serve.batch_ops",
             "serve.queue_depth",
             "serve.cost_usd",
             "serve.drift",
@@ -59,6 +61,7 @@ class ServingMetrics:
         report: EpochReport,
         *,
         ops: int,
+        batch_ops: int,
         queue_depth: int,
         seconds: float,
         num_vms: int,
@@ -73,6 +76,7 @@ class ServingMetrics:
         reg.counter("serve.pairs_removed").inc(report.pairs_removed)
         if report.rebuilt:
             reg.counter("serve.rebuilds").inc()
+        reg.gauge("serve.batch_ops").set(float(batch_ops))
         reg.gauge("serve.queue_depth").set(float(queue_depth))
         reg.gauge("serve.cost_usd").set(report.cost.total_usd)
         reg.gauge("serve.drift").set(report.drift)

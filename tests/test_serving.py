@@ -276,7 +276,12 @@ class TestServingMetrics:
                 seconds=s,
             )
             metrics.record_epoch(
-                report, ops=10, queue_depth=7 + i, seconds=s, num_vms=3
+                report,
+                ops=10,
+                batch_ops=7 + i,
+                queue_depth=i % 2,
+                seconds=s,
+                num_vms=3,
             )
         snap = metrics.snapshot()
         assert snap["serve.micro_epochs"] == 4.0
@@ -284,7 +289,8 @@ class TestServingMetrics:
         assert snap["serve.moves"] == 4.0
         assert snap["serve.pairs_added"] == 20.0
         assert snap["serve.rebuilds"] == 1.0
-        assert snap["serve.queue_depth"] == 10.0  # last seal's depth
+        assert snap["serve.batch_ops"] == 10.0  # last seal's batch size
+        assert snap["serve.queue_depth"] == 1.0  # last seal's backlog
         assert snap["serve.epoch_latency.p50_s"] == 0.2
         assert snap["serve.epoch_latency.p99_s"] == 0.4
         assert snap["serve.epoch_latency.max_s"] == 0.4
@@ -311,17 +317,28 @@ class TestMicroEpochService:
         return workload, churn_problem(workload, rng)
 
     def test_fake_clock_drives_epoch_latency(self):
-        workload, problem = self._problem(42)
+        workload, problem = self._problem(41)  # 12 and 14 churn ops
         clock = FakeClock()
         service = MicroEpochService(problem, clock=clock)
         model = ChurnModel(workload, CHURN, seed=1)
         for start, stop in [(100.0, 100.5), (200.0, 200.25)]:
             delta = model.step()
-            service.ingest_delta(delta)
+            batch = int(
+                delta.subscribed_topics.size + delta.unsubscribed_topics.size
+            )
+            assert batch > 1  # two non-empty fragments
+            service.ingest_delta(delta, cuts=[batch // 2])
+            assert service.queue_depth == batch
             clock.extend(start, stop)
             micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
             assert micro.seconds == pytest.approx(stop - start)
+            # The seal drains the whole buffer: the batch is what was
+            # queued, and no backlog is left behind it.
+            assert micro.batch_ops == batch
+            assert micro.queue_depth == service.queue_depth == 0
         snap = service.metrics_snapshot()
+        assert snap["serve.batch_ops"] == float(batch)
+        assert snap["serve.queue_depth"] == 0.0
         assert snap["serve.epoch_latency.p99_s"] == pytest.approx(0.5)
         assert snap["serve.epoch_latency.p50_s"] == pytest.approx(0.25)
         assert service.micro_epochs == 2

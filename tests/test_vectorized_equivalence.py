@@ -34,7 +34,7 @@ as executable specifications:
   workloads on shared seeds, epoch after epoch (both resolve the same
   rng draws against the same canonical pair enumeration);
 * ``IncrementalReprovisioner`` (array state, batched GSP reselect,
-  argmax placement; run with ``fresh_solve_every=1`` to match the
+  heap-driven placement; run with ``fresh_solve_every=1`` to match the
   referee's every-epoch fresh solve)  ==
   ``LoopIncrementalReprovisioner`` (the retained ``reprovision-loop``
   referee) -- *identical epoch placements*, costs, EpochReport move
@@ -98,6 +98,7 @@ from repro.workloads import (
     build_social_graph_loop,
     generate_social_workload,
     generate_social_workload_loop,
+    zipf_workload,
 )
 from tests.conftest import make_unit_plan
 
@@ -708,10 +709,14 @@ class TestChurnEquivalence:
                 assert int(evolved.interest_sizes().min()) >= 1
 
 
+#: VM capacity over the most expensive pair: room for rate drift.
+CHURN_HEADROOM = 8.0
+
+
 def churn_problem(workload, rng):
     """A dynamic-friendly problem: multiple VMs, drift headroom."""
     max_pair = 2.0 * float(workload.event_rates.max())
-    capacity = max(8.0 * max_pair, float(rng.integers(20, 80)))
+    capacity = max(CHURN_HEADROOM * max_pair, float(rng.integers(20, 80)))
     tau = float(rng.integers(1, 14))
     return MCSSProblem(workload, tau, make_unit_plan(capacity))
 
@@ -789,6 +794,45 @@ class TestReprovisionEquivalence:
             self._assert_same_epoch(
                 vec.step(evolved), loop.step(evolved), vec, loop, problem
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_placement_stress_streams(self, seed):
+        # Hundreds of zipf subscribers: dozens of VMs, hot topics hosted
+        # on several of them, and rate drift that evicts groups whose
+        # pairs re-enter the placer after the added ones.  That drives
+        # every placement branch -- a host, the most-free non-host, a
+        # fresh VM -- and topics placed in several runs of one stream.
+        workload = zipf_workload(
+            40,
+            300,
+            mean_interest=6.0,
+            rate_exponent=0.8,
+            max_rate=1000.0,
+            message_size_bytes=1.0,
+            seed=seed,
+        )
+        max_pair = 2.0 * float(workload.event_rates.max())
+        problem = MCSSProblem(
+            workload, 1500.0, make_unit_plan(CHURN_HEADROOM * max_pair)
+        )
+        vec = IncrementalReprovisioner(problem, fresh_solve_every=1)
+        loop = LoopIncrementalReprovisioner(problem)
+        assert vec.num_vms >= 20
+        _, group_topics, _, _ = vec.placement().assignment_arrays()
+        assert np.bincount(group_topics).max() >= 3  # a hot topic spans VMs
+        model = ChurnModel(workload, ChurnConfig(0.05, 0.05, 0.2), seed=seed)
+        moved = opened = 0
+        for _ in range(5):
+            delta = model.step()
+            vec_report = vec.step(delta)
+            self._assert_same_epoch(
+                vec_report, loop.step(delta), vec, loop, problem
+            )
+            assert validate_placement(vec.problem, vec.placement()).ok
+            moved += vec_report.pairs_moved
+            opened += vec_report.vms_opened
+        # The case must keep exercising evictions and fresh VMs.
+        assert moved > 0 and opened > 0
 
     def test_initial_state_matches_referee(self, tiny_problem):
         vec = IncrementalReprovisioner(tiny_problem)
