@@ -20,17 +20,7 @@ criteria:
   reprovision, run with ``fresh_solve_every=1`` so the work and the
   placements match the referee epoch for epoch) must be >= 10x faster
   than the retained ``reprovision-loop`` + ``churn-loop`` referees
-  (``MCSS_EPOCH_TARGET``), with identical per-epoch placements, and
-* the *warm-started cost ladder* (rung (c) packed once with a recorded
-  trace, rungs (d)/(e) seeded from it via ``pack_from``; the chain
-  ``run_cost_ladder(warm_start=True)`` runs) must produce placements
-  bit-identical to four cold packs and stay within
-  ``MCSS_LADDER_TARGET`` of the cold ladder's pack time.  The target
-  defaults to 0.9: the identity is the hard guarantee, while the
-  speedup is workload-dependent -- seeding pays when rungs coincide
-  (real traces at loose taus) and costs a few percent of bounded
-  overhead when they diverge, as the zipf profile workload makes them
-  do from the first expensive topics on (see docs/BENCHMARKS.md).
+  (``MCSS_EPOCH_TARGET``), with identical per-epoch placements.
 
 Each run also appends one trajectory entry to ``BENCH_stage2.json`` at
 the repo root (a JSON list, one dict per run) so successive PRs can
@@ -41,8 +31,8 @@ The sharded solve path (``MCSSSolver.solve_sharded``: sharded Stage 1
 + topic-sharded validation) is asserted bit-identical to the in-RAM
 solve -- including under forced multi-shard configurations, forked
 workers, and an mmap-backed reload of the same workload -- and timed
-against ``MCSS_SHARD_TARGET`` (a 0.9 parity band, same rationale as
-the ladder's).
+against ``MCSS_SHARD_TARGET`` (a 0.9 parity band: bit-exactness is the
+hard guarantee, the band only bounds dispatch overhead).
 
 Usage::
 
@@ -69,8 +59,8 @@ seconds; 0 disables); a second, traced pass of the same run checks the
 Pass a smaller ``num_users`` (e.g. 2000, as the CI smoke job does) for
 a quick run; the speedup factors are printed either way.  Set
 ``MCSS_PROFILE_TARGET=0`` / ``MCSS_PACK_TARGET=1`` /
-``MCSS_GEN_TARGET=1`` / ``MCSS_EPOCH_TARGET=1`` /
-``MCSS_LADDER_TARGET=0.9`` to relax the speedup bars at tiny scales
+``MCSS_GEN_TARGET=1`` / ``MCSS_EPOCH_TARGET=1`` to relax the speedup
+bars at tiny scales
 (equivalence and validity are always enforced).  Every recorded
 ``BENCH_stage2.json`` field and each environment knob is documented in
 ``docs/BENCHMARKS.md``.
@@ -284,54 +274,6 @@ def _time_epochs(problem, epochs: int = 2):
         gated.step(delta)
     gated_s = (time.perf_counter() - t0) / epochs
     return vec_s / epochs, loop_s / epochs, gated_s
-
-
-def _time_ladder(problem, selection, rounds: int = 7):
-    """Time the four-rung CBP pack ladder, cold vs warm-started.
-
-    The warm side mirrors ``run_cost_ladder(warm_start=True)``: rung
-    (b) packs cold (its selection-order packing shares no prefix with
-    the expensive-first rungs), rung (c) packs cold with a recorded
-    trace, and rungs (d)/(e) are seeded from it through ``pack_from``.
-    Every warm placement is asserted bit-identical to its cold
-    counterpart (``diff_placements``) before any timing -- the
-    warm-start acceptance contract.  Timing runs as paired rounds
-    (cold and warm back-to-back, order alternating, best-of) so both
-    sides see the same allocator and cache state.
-    """
-    rungs = ("b", "c", "d", "e")
-    packers = {r: CustomBinPacking(CBPOptions.ladder(r)) for r in rungs}
-
-    def cold():
-        return [packers[r].pack(problem, selection) for r in rungs]
-
-    def warm():
-        placements = [packers["b"].pack(problem, selection)]
-        traced, handle = packers["c"].pack_traced(problem, selection)
-        placements.append(traced)
-        for r in ("d", "e"):
-            placement, _ = packers[r].pack_from(
-                problem, selection, handle, emit_trace=False
-            )
-            placements.append(placement)
-        return placements
-
-    for rung, cold_p, warm_p in zip(rungs, cold(), warm()):
-        mismatch = diff_placements(warm_p, cold_p)
-        assert mismatch is None, f"warm rung ({rung}) diverged from cold: {mismatch}"
-
-    cold_s = warm_s = float("inf")
-    for i in range(rounds):
-        first, second = (cold, warm) if i % 2 == 0 else (warm, cold)
-        for fn in (first, second):
-            t0 = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - t0
-            if fn is cold:
-                cold_s = min(cold_s, elapsed)
-            else:
-                warm_s = min(warm_s, elapsed)
-    return cold_s, warm_s
 
 
 def _sharded_equivalence(problem, selection, placement) -> None:
@@ -695,8 +637,8 @@ def main(argv) -> int:
     # Baseline and sharded leg are both full MCSSSolver runs (cost +
     # validation + report assembly included) so the parity band
     # compares like for like even at tiny smoke scales; paired rounds
-    # with alternating order (as in _time_ladder) so both sides see the
-    # same allocator and cache state.
+    # with alternating order so both sides see the same allocator and
+    # cache state.
     ref = lambda: MCSSSolver.paper().solve(problem)  # noqa: E731
     shard = lambda: MCSSSolver.paper().solve_sharded(problem)  # noqa: E731
     sharded_solution = shard()
@@ -719,14 +661,6 @@ def main(argv) -> int:
     print(
         f"  supervised / raw wall-time ratio on identical sleep pieces: "
         f"{supervised_overhead:.3f}x"
-    )
-
-    print("timing the cost-ladder pack sequence (cold vs warm-started) ...")
-    ladder_cold_s, ladder_warm_s = _time_ladder(problem, selection)
-    ladder_speedup = ladder_cold_s / ladder_warm_s if ladder_warm_s else float("inf")
-    print(
-        f"  four cold packs {ladder_cold_s:.3f}s vs warm-started chain "
-        f"{ladder_warm_s:.3f}s ({ladder_speedup:.2f}x, identical placements)"
     )
 
     print("timing dynamic epoch step (churn -> incremental reprovision) ...")
@@ -785,9 +719,6 @@ def main(argv) -> int:
             "epoch_loop_s": round(epoch_loop_s, 6),
             "epoch_speedup": round(epoch_speedup, 2),
             "epoch_gated_s": round(epoch_gated_s, 6),
-            "ladder_cold_s": round(ladder_cold_s, 6),
-            "ladder_warm_s": round(ladder_warm_s, 6),
-            "ladder_speedup": round(ladder_speedup, 3),
             "sharded_solve_s": round(sharded_s, 6),
             "sharded_speedup": round(sharded_speedup, 3),
             "supervised_overhead": round(supervised_overhead, 3),
@@ -805,14 +736,9 @@ def main(argv) -> int:
     pack_target = float(os.environ.get("MCSS_PACK_TARGET", "5"))
     gen_target = float(os.environ.get("MCSS_GEN_TARGET", "10"))
     epoch_target = float(os.environ.get("MCSS_EPOCH_TARGET", "10"))
-    # The ladder bar is a parity band, not a speedup bar: the warm
-    # chain is bit-exact by construction (asserted above) and must
-    # never cost materially more than cold packing even on workloads
-    # whose rungs diverge at the first expensive topics.
-    ladder_target = float(os.environ.get("MCSS_LADDER_TARGET", "0.9"))
-    # Same story for the sharded band: bit-exactness is asserted above;
-    # at the default one-shard configuration the gate guards bounded
-    # dispatch overhead, not a speedup claim.
+    # The sharded bar is a parity band, not a speedup bar: bit-exactness
+    # is asserted above; at the default one-shard configuration the gate
+    # guards bounded dispatch overhead, not a speedup claim.
     shard_target = float(os.environ.get("MCSS_SHARD_TARGET", "0.9"))
     # Supervision is gated the other way around: it is pure overhead on
     # the happy path and must stay within a few percent of raw fork_map.
@@ -822,7 +748,6 @@ def main(argv) -> int:
         and pack_speedup >= pack_target
         and gen_speedup >= gen_target
         and epoch_speedup >= epoch_target
-        and ladder_speedup >= ladder_target
         and sharded_speedup >= shard_target
         and supervised_overhead <= sup_target
     )
@@ -832,7 +757,6 @@ def main(argv) -> int:
         f"pack >= {pack_target:.1f}x: {pack_speedup:.1f}x, "
         f"construction >= {gen_target:.1f}x: {gen_speedup:.1f}x, "
         f"epoch >= {epoch_target:.1f}x: {epoch_speedup:.1f}x, "
-        f"warm ladder >= {ladder_target:.2f}x: {ladder_speedup:.2f}x, "
         f"sharded >= {shard_target:.2f}x: {sharded_speedup:.2f}x, "
         f"supervised <= {sup_target:.2f}x: {supervised_overhead:.2f}x): "
         f"{verdict}"

@@ -39,15 +39,10 @@ The arrays may live on any storage backend (read-only RAM arrays or
 ``np.memmap`` views -- see :mod:`repro.core.backend`); the class only
 ever slices them, so an mmap-backed selection is consumed lazily by
 Stage 2 without materializing the pair data in RAM.
-
-The retired constructor names ``from_trusted_arrays`` and
-``from_pair_arrays`` remain as thin shims that emit one
-``DeprecationWarning`` per process and forward to the surface above.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,19 +50,6 @@ import numpy as np
 from .workload import Pair, Workload
 
 __all__ = ["PairSelection"]
-
-#: Deprecation shims that have already warned this process (warn once).
-_WARNED_SHIMS: set = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    if old not in _WARNED_SHIMS:
-        _WARNED_SHIMS.add(old)
-        warnings.warn(
-            f"PairSelection.{old} is deprecated; use {new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -209,24 +191,6 @@ class PairSelection:
         starts = np.flatnonzero(np.concatenate(([True], s_t[1:] != s_t[:-1])))
         indptr = np.append(starts, s_t.size).astype(np.int64)
         return cls.from_csr(s_t[starts], indptr, v[order], trusted=trusted)
-
-    @classmethod
-    def from_trusted_arrays(
-        cls, by_topic: Mapping[int, np.ndarray]
-    ) -> "PairSelection":
-        """Deprecated: use ``PairSelection(by_topic, trusted=True)``."""
-        _warn_deprecated("from_trusted_arrays", "PairSelection(by_topic, trusted=True)")
-        return cls(by_topic, trusted=True)
-
-    @classmethod
-    def from_pair_arrays(
-        cls, topics: np.ndarray, subscribers: np.ndarray
-    ) -> "PairSelection":
-        """Deprecated: use ``from_csr(topics, None, subscribers, trusted=True)``."""
-        _warn_deprecated(
-            "from_pair_arrays", "from_csr(topics, None, subscribers, trusted=True)"
-        )
-        return cls.from_csr(topics, None, subscribers, trusted=True)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Pair]) -> "PairSelection":

@@ -35,10 +35,7 @@ packers never loop over VMs in Python:
 * :meth:`Placement.from_pair_arrays` -- batch-materialize a whole
   placement from flat per-pair ``(vm, topic, subscriber)`` arrays
   (one lexsort, one ``assign_range`` per group);
-* :meth:`Placement.new_vms` -- deploy a batch of VMs at once;
-* :meth:`Placement.copy` -- an O(VMs + groups) snapshot sharing the
-  immutable subscriber chunks, used by the warm-started Stage-2
-  packers to adopt a prior pack's state without rebuilding it.
+* :meth:`Placement.new_vms` -- deploy a batch of VMs at once.
 
 Per-(vm, topic) subscriber identities are retained as lists of array
 chunks (appended, never extended element-wise) so the placement can be
@@ -171,14 +168,6 @@ class VirtualMachine:
         if new_topic:
             self._in_bytes += topic_bytes
 
-    def copy(self) -> "VirtualMachine":
-        """An independent clone with identical counts and byte rates."""
-        clone = VirtualMachine(self.capacity_bytes)
-        clone._pair_counts = dict(self._pair_counts)
-        clone._out_bytes = self._out_bytes
-        clone._in_bytes = self._in_bytes
-        return clone
-
     def remove_pairs(self, topic: int, topic_bytes: float, count: int) -> None:
         """Remove ``count`` pairs of ``topic`` from this VM.
 
@@ -234,11 +223,6 @@ class Placement:
         # Flat-array view cache (see assignment_arrays).
         self._mutations = 0
         self._flat_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
-        # Optional mutation event log (None = off).  The traced Stage-2
-        # packers (repro.packing.warmstart) point this at a list to
-        # capture (deploy, assign) events without a subclass dispatch
-        # on the hot path; everyone else pays one None check.
-        self._event_log: Optional[List[tuple]] = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -294,29 +278,6 @@ class Placement:
             placement.assign_range(int(s_vm[lo]), int(s_t[lo]), s_v[lo:int(ends[g])])
         return placement
 
-    def copy(self) -> "Placement":
-        """A cheap independent snapshot of the whole placement.
-
-        Clones the array-backed core (the per-VM used-bytes vector, the
-        per-topic hosting index, the per-VM accounting objects) and
-        shallow-copies the per-group chunk lists -- the subscriber
-        chunks themselves are immutable (read-only arrays appended,
-        never edited in place), so they are shared, making the copy
-        O(VMs + assignment groups) regardless of how many pairs are
-        placed.  Dict insertion orders (and therefore
-        :meth:`iter_assignments` order, part of the referee pinning
-        contract) are preserved.  Mutating either side never affects
-        the other.  The snapshot is always a plain :class:`Placement`,
-        whatever subclass it was taken from.
-        """
-        clone = Placement(self.workload, self.capacity_bytes)
-        clone._vms = [vm.copy() for vm in self._vms]
-        clone._used = self._used.copy()
-        clone._topic_vms = {t: list(vms) for t, vms in self._topic_vms.items()}
-        clone._members = {key: list(chunks) for key, chunks in self._members.items()}
-        clone._num_pairs = self._num_pairs
-        return clone
-
     def new_vm(self) -> int:
         """Deploy a new empty VM; returns its index."""
         return self.new_vms(1)
@@ -335,8 +296,6 @@ class Placement:
             self._used[first:total] = 0.0
         for _ in range(count):
             self._vms.append(VirtualMachine(self.capacity_bytes))
-        if self._event_log is not None:
-            self._event_log.append((0, count))  # (EV_NEWVMS, count)
         return first
 
     def assign(self, vm_index: int, topic: int, subscribers: Sequence[int]) -> None:
@@ -372,10 +331,6 @@ class Placement:
         self._members.setdefault((vm_index, topic), []).append(subs)
         self._num_pairs += int(subs.size)
         self._mutations += 1
-        if self._event_log is not None:
-            # (EV_ASSIGN, vm, topic, chunk); the adopted (read-only)
-            # chunk, so replaying the log re-adopts it zero-copy.
-            self._event_log.append((1, vm_index, topic, subs))
 
     def remove_range(
         self, vm_index: int, topic: int, subscribers: np.ndarray

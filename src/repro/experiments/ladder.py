@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bounds import lower_bound
 from ..core import MCSSProblem, Workload
-from ..packing import CBPOptions
 from ..resilience.supervise import supervised_map
 from ..pricing import PricingPlan
 from ..selection import GreedySelectPairs
@@ -117,30 +116,19 @@ def _solvers() -> Dict[str, MCSSSolver]:
     }
 
 
-#: Variants whose Stage 2 is CBP and therefore warm-startable; maps
-#: the variant name to its :meth:`CBPOptions.ladder` rung.
-_CBP_RUNGS: Dict[str, str] = {
-    "(b) +grouping": "b",
-    "(c) +expensive-first": "c",
-    "(d) +free-vm-first": "d",
-    "(e) +cost-decision": "e",
-}
-
-
 def _ladder_tau_cells(
-    args: "Tuple[Workload, PricingPlan, float, frozenset, bool]",
+    args: "Tuple[Workload, PricingPlan, float, frozenset]",
 ) -> Dict[str, LadderCell]:
     """All wanted variants' cells for one tau (one fan-out work item).
 
     Every tau is fully independent -- its own problem, its own shared
-    GSP selection, its own warm-start chain (handles never crossed taus
-    even in the sequential ladder) -- which is what makes the tau axis
-    the natural process fan-out for Stage 2: CBP itself is sequential,
-    but the ladder's taus never were.  Module-level so
+    GSP selection -- which is what makes the tau axis the natural
+    process fan-out for Stage 2: CBP itself is sequential, but the
+    ladder's taus never were.  Module-level so
     :func:`repro.resilience.supervise.supervised_map` can dispatch it
     to forked workers.
     """
-    workload, plan, tau, wanted, warm_start = args
+    workload, plan, tau, wanted = args
     solvers = {
         name: solver for name, solver in _solvers().items() if name in wanted
     }
@@ -150,16 +138,6 @@ def _ladder_tau_cells(
         for name in LADDER_VARIANTS
         if name in wanted and name not in ("rsp+ffbp", "lower-bound")
     ]
-    # Per ordering class (expensive_topic_first flag), how many wanted
-    # CBP rungs exist: a rung records a trace only when a later rung of
-    # its class will consume it.
-    wanted_cbp = [
-        name for name in LADDER_VARIANTS if name in wanted and name in _CBP_RUNGS
-    ]
-    class_of = {
-        name: CBPOptions.ladder(_CBP_RUNGS[name]).expensive_topic_first
-        for name in wanted_cbp
-    }
 
     problem = MCSSProblem(workload, tau, plan)
     shared_selection = None
@@ -168,7 +146,6 @@ def _ladder_tau_cells(
         t0 = time.perf_counter()
         shared_selection = gsp.select(problem)
         selection_seconds = time.perf_counter() - t0
-    handles: Dict[bool, object] = {}
     cells: Dict[str, LadderCell] = {}
     for name in LADDER_VARIANTS:
         if name not in wanted:
@@ -177,23 +154,6 @@ def _ladder_tau_cells(
             cost = lower_bound(problem)
         elif name == "rsp+ffbp":
             cost = solvers[name].solve(problem).cost
-        elif warm_start and name in _CBP_RUNGS:
-            key = class_of[name]
-            handle = handles.get(key)
-            emit = handle is None and any(
-                class_of[later] == key
-                for later in wanted_cbp[wanted_cbp.index(name) + 1:]
-            )
-            solution = solvers[name].solve_with_selection(
-                problem,
-                shared_selection,
-                selection_seconds,
-                warm_start=handle,
-                emit_warm_start=emit,
-            )
-            if emit and solution.warm_start is not None:
-                handles[key] = solution.warm_start
-            cost = solution.cost
         else:
             cost = solvers[name].solve_with_selection(
                 problem, shared_selection, selection_seconds
@@ -212,7 +172,6 @@ def run_cost_ladder(
     taus: Sequence[float],
     trace_name: str = "trace",
     variants: Optional[Sequence[str]] = None,
-    warm_start: bool = True,
     workers: Optional[int] = None,
 ) -> LadderResult:
     """Run the ladder; ``variants`` may restrict to a subset (tests).
@@ -223,19 +182,6 @@ def run_cost_ladder(
     :meth:`~repro.solver.MCSSSolver.solve_with_selection` -- the ladder
     re-packs six ways but never re-selects.  Only the naive baseline
     keeps its own (random) Stage 1.
-
-    With ``warm_start=True`` (the default) Stage 2 is warm-started
-    too: per tau, the first CBP rung whose topic order later rungs
-    share is packed once with a recorded trace, and every later CBP
-    rung is seeded from it through
-    :meth:`~repro.packing.CustomBinPacking.pack_from` -- re-running
-    only the decisions its options change (and falling back to a cold
-    pack at the first genuine divergence), so every cell is bit-exact
-    with the cold ladder.  Rung (b) orders topics by selection order,
-    unlike (c)-(e)'s shared expensive-first order, so (b) neither
-    consumes nor profitably provides a seed; the chain is therefore
-    (c) traced -> (d), (e) seeded.  ``warm_start=False`` packs every
-    rung cold (the toggle keeps that path exercised).
 
     ``workers > 1`` (default: the ``MCSS_SHARD_WORKERS`` knob) fans the
     *taus* out across forked worker processes -- each tau's cells are
@@ -261,7 +207,7 @@ def run_cost_ladder(
 
     per_tau = supervised_map(
         _ladder_tau_cells,
-        [(workload, plan, tau, wanted, warm_start) for tau in taus],
+        [(workload, plan, tau, wanted) for tau in taus],
         workers,
     )
     for tau, cells in zip(taus, per_tau):

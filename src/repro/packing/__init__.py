@@ -13,11 +13,6 @@ Algorithms (Section III-B / Appendix B of the paper):
 * :class:`BestFitBinPacking` (``"bfbp"``) and
   :class:`FirstFitDecreasingBinPacking` (``"ffdbp"``) -- extra generic
   baselines for the ablation study.
-
-Warm starts: ``pack_traced`` / ``pack_from`` on every packer let one
-traced pack seed another over the same selection (bit-exact with a
-cold pack by construction); :class:`CustomBinPacking` implements real
-reuse across the ladder rungs via :mod:`repro.packing.warmstart`.
 """
 
 from .base import (
@@ -33,7 +28,6 @@ from .baselines import BestFitBinPacking, FirstFitDecreasingBinPacking
 from .custom import CBPOptions, CustomBinPacking, cheaper_to_distribute
 from .custom_loop import LoopCustomBinPacking, cheaper_to_distribute_loop
 from .first_fit import FFBinPacking, LoopFFBinPacking, iter_pairs_subscriber_major
-from .warmstart import PackTrace, WarmStart
 
 __all__ = [
     "PackingAlgorithm",
@@ -53,6 +47,4 @@ __all__ = [
     "FFBinPacking",
     "LoopFFBinPacking",
     "iter_pairs_subscriber_major",
-    "PackTrace",
-    "WarmStart",
 ]

@@ -38,37 +38,6 @@ class PackingAlgorithm(ABC):
     def pack(self, problem: MCSSProblem, selection: PairSelection) -> Placement:
         """Return a capacity-feasible placement covering every pair."""
 
-    def pack_traced(self, problem: MCSSProblem, selection: PairSelection):
-        """Cold pack plus a warm-start handle for later :meth:`pack_from`.
-
-        Returns ``(placement, warm_start)``.  The default packs cold
-        and returns ``None`` for the handle -- packers that support
-        warm starts (:class:`repro.packing.CustomBinPacking`) override
-        both traced entry points.  The placement is always bit-exact
-        with :meth:`pack`.
-        """
-        return self.pack(problem, selection), None
-
-    def pack_from(
-        self,
-        problem: MCSSProblem,
-        selection: PairSelection,
-        warm_start,
-        emit_trace: bool = True,
-    ):
-        """Pack seeded from a prior traced pack of the same selection.
-
-        Returns ``(placement, warm_start)`` like :meth:`pack_traced`.
-        The seed is advisory: the result must be bit-exact with a cold
-        :meth:`pack`, so the default simply ignores it (and returns no
-        handle).  Accepts ``None`` (or a handle with no trace)
-        everywhere, which is the caller-friendly "no base yet"
-        spelling; ``emit_trace=False`` skips recording a handle for
-        terminal sweeps.
-        """
-        del warm_start, emit_trace
-        return self.pack(problem, selection), None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 

@@ -57,28 +57,13 @@ honest capacity accounting, so every produced placement passes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection, Placement
 from ..pricing import PricingPlan
 from .base import PackingAlgorithm, register_packer
-from .warmstart import (
-    EV_ASSIGN,
-    EV_NEWVMS,
-    KIND_FIT,
-    KIND_MULTI,
-    KIND_SPILL,
-    PackTrace,
-    WarmStart,
-    classify_events,
-    replay_events,
-    same_event_run,
-    start_recording,
-    stop_recording,
-)
 
 __all__ = ["CBPOptions", "CustomBinPacking", "cheaper_to_distribute"]
 
@@ -128,86 +113,6 @@ def _pairs_per_fresh_vm(capacity_bytes: float, topic_bytes: float) -> int:
 #: the equivalence suite exercises each (see
 #: ``tests/test_vectorized_equivalence.py``).
 _SMALL_FLEET = 64
-
-
-#: pack_from position handling (see CustomBinPacking._position_modes):
-#: 0 = replay from the base trace, 1 = run the real allocation and
-#: compare, 2 = evaluate the Algorithm-7 verdict first.
-_MODE_EXEC = 1
-_MODE_EVAL = 2
-
-
-def _confirm_fit(
-    kind: int, n_ev: int, topic_bytes: float, count: int, entry_free: float
-) -> int:
-    """Demote a FIT classification the event shape cannot prove.
-
-    A single assign-to-current event is *usually* the fast path, but a
-    spill whose current-VM fill absorbed the whole group produces the
-    identical event -- reachable when ``fits()`` (multiply-compare) and
-    ``max_new_pairs()`` (subtract-floor-divide) disagree at a float
-    boundary, which integer-valued rates exclude but user workloads do
-    not.  Re-running the fast-path inequality exactly (each topic is
-    packed at one position, so no VM hosts it on entry and the
-    new-topic ingest copy is always charged) keeps the trace's FIT =
-    "consulted no options" invariant unconditional.
-    """
-    if kind == KIND_FIT and n_ev == 1:
-        if not topic_bytes * (count + 1) <= entry_free + 1e-9:
-            return KIND_SPILL  # overflow absorbed by current: no-taker spill
-    return kind
-
-
-class _TraceColumns:
-    """Per-position trace columns under construction (see PackTrace).
-
-    Plain Python lists, appended strictly in position order by every
-    writer (replay runs extend with base slices, executed positions and
-    the cold tail append) -- list appends beat NumPy scalar writes on
-    the per-topic hot path, and :meth:`finish` freezes them into the
-    arrays :class:`PackTrace` serves.
-    """
-
-    __slots__ = ("kinds", "distribute", "current_after", "event_ptr")
-
-    def __init__(self) -> None:
-        self.kinds: list = []
-        self.distribute: list = []
-        self.current_after: list = []
-        self.event_ptr: list = []
-
-    def adopt(self, base: PackTrace, p0: int, p1: int) -> None:
-        """Copy the base trace's columns for replayed positions [p0, p1)."""
-        self.kinds.extend(base.kinds[p0:p1].tolist())
-        self.distribute.extend(base.distribute[p0:p1].tolist())
-        self.current_after.extend(base.current_after[p0:p1].tolist())
-        self.event_ptr.extend(base.event_ptr[p0:p1].tolist())
-
-    def finish(
-        self,
-        packer: "CustomBinPacking",
-        problem: MCSSProblem,
-        topics: np.ndarray,
-        indptr: np.ndarray,
-        flat_subs: np.ndarray,
-        order: np.ndarray,
-        events: list,
-    ) -> PackTrace:
-        """Freeze the columns into an immutable :class:`PackTrace`."""
-        self.event_ptr.append(len(events))
-        return PackTrace(
-            options=packer.options,
-            problem=problem,
-            sel_topics=topics,
-            sel_indptr=indptr,
-            sel_flat=flat_subs,
-            order=order,
-            kinds=np.array(self.kinds, dtype=np.int8),
-            distribute=np.array(self.distribute, dtype=bool),
-            current_after=np.array(self.current_after, dtype=np.int64),
-            events=events,
-            event_ptr=np.array(self.event_ptr, dtype=np.int64),
-        )
 
 
 def _fleet_fits(
@@ -366,324 +271,6 @@ class CustomBinPacking(PackingAlgorithm):
         sel_rates = problem.workload.event_rates[topics]
         return np.lexsort((topics, -sel_rates, -sel_rates * counts))
 
-    # ------------------------------------------------------------------
-    # Traced / warm-started packing (see repro.packing.warmstart)
-    # ------------------------------------------------------------------
-    def pack_traced(
-        self, problem: MCSSProblem, selection: PairSelection
-    ) -> Tuple[Placement, WarmStart]:
-        """Cold pack that also records a reusable :class:`WarmStart`.
-
-        The placement is bit-identical to :meth:`pack`'s (recording
-        only logs the mutations; every decision is unchanged); the
-        handle seeds :meth:`pack_from` for other rungs over the same
-        selection.
-        """
-        topics, indptr, flat_subs = selection.csr_arrays()
-        placement = problem.empty_placement()
-        events = start_recording(placement)
-        n = int(topics.size)
-        order = (
-            self._topic_order(problem, topics, indptr)
-            if n
-            else np.empty(0, dtype=np.int64)
-        )
-        rec = _TraceColumns()
-        if n:
-            current = placement.new_vm()
-            self._run_traced(
-                problem, placement, current, topics, indptr, flat_subs, order, 0, rec
-            )
-        stop_recording(placement)
-        trace = rec.finish(self, problem, topics, indptr, flat_subs, order, events)
-        return placement, WarmStart(placement=placement, trace=trace)
-
-    def pack_from(
-        self,
-        problem: MCSSProblem,
-        selection: PairSelection,
-        warm_start: Optional[WarmStart],
-        emit_trace: bool = True,
-    ) -> Tuple[Placement, Optional[WarmStart]]:
-        """Pack seeded from a prior traced pack of the *same* instance.
-
-        Bit-exact with :meth:`pack` by construction: topic positions
-        are replayed from the base trace only while provably
-        option-independent given identical state (see
-        :meth:`_position_modes`), option-sensitive positions run the
-        real allocation and must reproduce the base's exact mutations
-        for replay to resume, and the first genuine divergence switches
-        to a cold pack of the remainder.  The returned handle allows
-        chaining; any rung may seed any other (the ladder traces (c)
-        and seeds (d)/(e) from it, since those three share the
-        expensive-first topic order where provable reuse lives).  Pass
-        ``emit_trace=False`` for a terminal rung to skip recording
-        (the handle is then ``None``).
-
-        Raises ``ValueError`` if the trace was recorded over a
-        different selection or problem; ``warm_start=None`` (or a
-        handle without a trace, e.g. from a packer that does not
-        support warm starts) falls back to a cold pack.
-        """
-        if warm_start is None or warm_start.trace is None:
-            if emit_trace:
-                return self.pack_traced(problem, selection)
-            return self.pack(problem, selection), None
-        base = warm_start.trace
-        topics, indptr, flat_subs = selection.csr_arrays()
-        if not base.matches_selection(topics, indptr, flat_subs):
-            raise ValueError(
-                "warm start was traced over a different selection; "
-                "pack cold (or re-trace) instead"
-            )
-        if not base.matches_problem(problem):
-            raise ValueError(
-                "warm start was traced over a different problem "
-                "(workload rates, message size, or pricing plan); "
-                "pack cold (or re-trace) instead"
-            )
-        n = int(topics.size)
-        if n == 0:
-            if emit_trace:
-                return self.pack_traced(problem, selection)
-            return self.pack(problem, selection), None
-
-        if self.options.expensive_topic_first == base.options.expensive_topic_first:
-            # Same ordering rule over the same selection and rates:
-            # the orders are identical by determinism, no need to
-            # recompute (or compare) the lexsort.
-            order = base.order
-            order_sync = n
-        else:
-            order = self._topic_order(problem, topics, indptr)
-            mismatched = order != base.order
-            order_sync = int(np.argmax(mismatched)) if mismatched.any() else n
-
-        mode = self._position_modes(base, order_sync)
-        stops = np.flatnonzero(mode).tolist()
-
-        if order_sync == n and not stops and warm_start.placement is not None:
-            # Full-replay fast path: no position consults a differing
-            # option, so the cold pack IS the base pack -- snapshot it.
-            clone = warm_start.placement.copy()
-            if not emit_trace:
-                return clone, None
-            trace = replace(base, options=self.options)
-            return clone, WarmStart(placement=clone, trace=trace)
-
-        topic_bytes_all = problem.topic_bytes_array()
-        placement = problem.empty_placement()
-        events = start_recording(placement)
-        base_events = base.events
-        eptr_b = base.event_ptr
-        cur_after_b = base.current_after
-        rec = _TraceColumns() if emit_trace else None
-        verdicts: list = []
-        current = placement.new_vm()  # mirrors the base preamble
-
-        def replay_run(p0: int, p1: int) -> None:
-            """Adopt positions [p0, p1) verbatim from the base.
-
-            Sound only while in sync: every event run so far was
-            identical, so ``len(events) == eptr_b[p0]`` and the copied
-            event-pointer column stays consistent.
-            """
-            lo, hi = int(eptr_b[p0]), int(eptr_b[p1])
-            if emit_trace:
-                events.extend(base_events[lo:hi])
-                rec.adopt(base, p0, p1)
-            replay_events(placement, base_events, lo, hi)
-
-        pos = 0
-        stop_i = 0
-        # repolint: allow(VL01): warm-start replay -- one step per replay run, not per pair
-        while pos < order_sync:
-            run_end = stops[stop_i] if stop_i < len(stops) else order_sync
-            if run_end > pos:
-                replay_run(pos, run_end)
-                current = int(cur_after_b[run_end - 1])
-                pos = run_end
-            if pos >= order_sync:
-                break
-            stop_i += 1
-            g = int(order[pos])
-            t = int(topics[g])
-            topic_bytes = float(topic_bytes_all[t])
-            subs = flat_subs[indptr[g]:indptr[g + 1]]
-            if mode[pos] == _MODE_EVAL:
-                # Only this rung runs Algorithm 7 here; a True verdict
-                # makes it behave exactly like the (always-distribute)
-                # base, so the base's spill/deploy events still apply.
-                if cheaper_to_distribute(
-                    placement, problem.plan, t, topic_bytes, int(subs.size)
-                ):
-                    replay_run(pos, pos + 1)
-                    current = int(cur_after_b[pos])
-                    pos += 1
-                    continue
-            # Option-sensitive position: run the real allocation and
-            # keep replaying only if it reproduced the base exactly.
-            start_ev = len(events)
-            entry_current = current
-            entry_free = placement.vm(current).free_bytes
-            del verdicts[:]
-            current = self._allocate_topic(
-                problem, placement, current, t, topic_bytes, subs,
-                verdicts.append,
-            )
-            if emit_trace:
-                kind = _confirm_fit(
-                    classify_events(events, start_ev, entry_current),
-                    len(events) - start_ev, topic_bytes, int(subs.size),
-                    entry_free,
-                )
-                rec.event_ptr.append(start_ev)
-                rec.kinds.append(kind)
-                rec.distribute.append(verdicts[0] if verdicts else True)
-                rec.current_after.append(current)
-            lo, hi = int(eptr_b[pos]), int(eptr_b[pos + 1])
-            pos += 1
-            if current != int(cur_after_b[pos - 1]) or not same_event_run(
-                events, start_ev, base_events, lo, hi
-            ):
-                break  # genuinely diverged: the rest packs cold
-
-        if pos < n:
-            if emit_trace:
-                self._run_traced(
-                    problem, placement, current, topics, indptr, flat_subs,
-                    order, pos, rec,
-                )
-            else:
-                stop_recording(placement)  # no more event comparisons
-                # repolint: allow(VL01): per-topic cold pack of the post-divergence remainder
-                for g in order[pos:].tolist():
-                    t = int(topics[g])
-                    subs = flat_subs[indptr[g]:indptr[g + 1]]
-                    current = self._allocate_topic(
-                        problem, placement, current, t,
-                        float(topic_bytes_all[t]), subs,
-                    )
-        stop_recording(placement)
-        if not emit_trace:
-            return placement, None
-        trace = rec.finish(self, problem, topics, indptr, flat_subs, order, events)
-        return placement, WarmStart(placement=placement, trace=trace)
-
-    def _position_modes(self, base: PackTrace, order_sync: int) -> np.ndarray:
-        """Replay / evaluate / execute classification per synced position.
-
-        ``0`` (replay): given identical placement state, the base's
-        decisions provably carry over --
-
-        * FIT positions consult no options at all;
-        * equal option subsets decide identically on equal state (the
-          Algorithm-7 verdict is a pure function of the placement, and
-          the spill/deploy procedures are deterministic);
-        * a SPILL position placed nothing beyond the current VM, and
-          "no other VM can take a pair" holds under first-fit iff it
-          holds under most-free-first, so a ``most_free_vm_first``
-          difference is moot there (and a ``False`` verdict skips the
-          spill entirely, making the deploy option-free).
-
-        ``2`` (:data:`_MODE_EVAL`): only this rung runs the cost
-        decision; the verdict must be computed against the live state
-        -- exactly what the cold pack would do -- after which a True
-        verdict reduces to the always-distribute base.
-
-        ``1`` (:data:`_MODE_EXEC`): the differing options could
-        genuinely decide differently (most-free vs first-fit order on
-        a multi-VM spill; a base ``False`` verdict this rung would not
-        take), so the real allocation must run and prove it matched.
-        """
-        kinds = base.kinds[:order_sync]
-        dist = base.distribute[:order_sync]
-        diff_cost = (
-            self.options.cost_based_decision != base.options.cost_based_decision
-        )
-        diff_free = (
-            self.options.most_free_vm_first != base.options.most_free_vm_first
-        )
-        mode = np.zeros(order_sync, dtype=np.int8)
-        nonfit = kinds != KIND_FIT
-        if diff_cost and self.options.cost_based_decision:
-            mode[nonfit] = _MODE_EVAL
-            if diff_free:
-                mode[nonfit & (kinds == KIND_MULTI)] = _MODE_EXEC
-        elif diff_cost:
-            mode[nonfit & ~dist] = _MODE_EXEC
-            if diff_free:
-                mode[nonfit & dist & (kinds == KIND_MULTI)] = _MODE_EXEC
-        elif diff_free:
-            mode[(kinds == KIND_MULTI) & dist] = _MODE_EXEC
-        return mode
-
-    def _run_traced(
-        self,
-        problem: MCSSProblem,
-        placement: Placement,
-        current: int,
-        topics: np.ndarray,
-        indptr: np.ndarray,
-        flat_subs: np.ndarray,
-        order: np.ndarray,
-        start: int,
-        rec: "_TraceColumns",
-    ) -> int:
-        """The cold per-topic loop, recording the trace as it goes.
-
-        The placement must be recording (see
-        :func:`repro.packing.warmstart.start_recording`).  Identical
-        allocation decisions to :meth:`pack`'s plain loop -- the only
-        extra work per position is the trace-column bookkeeping, kept
-        lean because the traced pack is the warm ladder's overhead.
-        """
-        topic_bytes_all = problem.topic_bytes_array()
-        events = placement._event_log
-        add_kind, add_dist = rec.kinds.append, rec.distribute.append
-        add_cur, add_eptr = rec.current_after.append, rec.event_ptr.append
-        track_verdicts = self.options.cost_based_decision
-        verdicts: list = []
-        verdict_cb = verdicts.append if track_verdicts else None
-        allocate = self._allocate_topic
-        ev_len = len(events)
-        # repolint: allow(VL01): per-topic CBP iteration -- inherent current-VM dependence (ROADMAP item 1)
-        for g in order[start:].tolist():
-            t = int(topics[g])
-            subs = flat_subs[indptr[g]:indptr[g + 1]]
-            start_ev = ev_len
-            add_eptr(start_ev)
-            entry_current = current
-            entry_free = placement.vm(current).free_bytes
-            topic_bytes = float(topic_bytes_all[t])
-            if track_verdicts:
-                del verdicts[:]
-            current = allocate(
-                problem, placement, current, t, topic_bytes, subs,
-                verdict_cb,
-            )
-            ev_len = len(events)
-            n_ev = ev_len - start_ev
-            if n_ev == 1:  # inline the overwhelmingly common fast path
-                ev = events[start_ev]
-                kind = (
-                    KIND_FIT
-                    if ev[0] == EV_ASSIGN and ev[1] == entry_current
-                    else (KIND_SPILL if ev[0] == EV_NEWVMS else KIND_MULTI)
-                )
-                kind = _confirm_fit(
-                    kind, n_ev, topic_bytes, int(subs.size), entry_free
-                )
-            elif n_ev == 0:
-                kind = KIND_FIT
-            else:
-                kind = classify_events(events, start_ev, entry_current)
-            add_kind(kind)
-            add_dist(verdicts[0] if verdicts else True)
-            add_cur(current)
-        return current
-
-    # ------------------------------------------------------------------
     def _allocate_topic(
         self,
         problem: MCSSProblem,
@@ -692,15 +279,8 @@ class CustomBinPacking(PackingAlgorithm):
         topic: int,
         topic_bytes: float,
         subscribers: np.ndarray,
-        verdict_cb: Optional[Callable[[bool], None]] = None,
     ) -> int:
-        """Place all pairs of one topic; returns the new "current" VM.
-
-        ``verdict_cb``, when given, observes the Algorithm-7 verdict if
-        one is consulted -- the traced packers record it so warm starts
-        can tell a "deploy fresh by verdict" position from a "spill
-        found no takers" one (their event streams look alike).
-        """
+        """Place all pairs of one topic; returns the new "current" VM."""
         opts = self.options
 
         # Fast path: the whole group fits on the current VM.
@@ -714,8 +294,6 @@ class CustomBinPacking(PackingAlgorithm):
             distribute = cheaper_to_distribute(
                 placement, problem.plan, topic, topic_bytes, int(subscribers.size)
             )
-            if verdict_cb is not None:
-                verdict_cb(distribute)
 
         remaining = subscribers
         if distribute:

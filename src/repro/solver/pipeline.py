@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..core import (
     MCSSProblem,
@@ -32,7 +33,6 @@ from ..packing import (
     FFBinPacking,
     LoopCustomBinPacking,
     PackingAlgorithm,
-    WarmStart,
     get_packer,
 )
 from ..selection import GreedySelectPairs, RandomSelectPairs, SelectionAlgorithm, get_selector
@@ -53,10 +53,6 @@ class MCSSSolution:
     selector_name: str
     packer_name: str
     validation: ValidationReport
-    #: Warm-start handle for re-packing this selection under other
-    #: packer options (set only when the solve was asked to emit one;
-    #: see :meth:`MCSSSolver.solve_with_selection`).
-    warm_start: Optional[WarmStart] = None
 
     @property
     def total_seconds(self) -> float:
@@ -172,23 +168,9 @@ class MCSSSolver:
         t0 = time.perf_counter()
         selection = selector.select(problem)
         t1 = time.perf_counter()
-        placement = self.packer.pack(problem, selection)
-        t2 = time.perf_counter()
-
-        report = sharded_validate(problem, placement, workers=workers)
-        if self.validate:
-            report.raise_if_invalid()
-
-        return MCSSSolution(
-            problem=problem,
-            selection=selection,
-            placement=placement,
-            cost=problem.cost_of(placement),
-            selection_seconds=t1 - t0,
-            packing_seconds=t2 - t1,
-            selector_name=selector.name,
-            packer_name=self.packer.name,
-            validation=report,
+        return self._pack_and_audit(
+            problem, selection, t1 - t0,
+            partial(sharded_validate, workers=workers), selector.name,
         )
 
     def solve_with_selection(
@@ -196,8 +178,6 @@ class MCSSSolver:
         problem: MCSSProblem,
         selection: PairSelection,
         selection_seconds: float = 0.0,
-        warm_start: Optional[WarmStart] = None,
-        emit_warm_start: bool = False,
     ) -> MCSSSolution:
         """Run Stage 2 (and validation) on a precomputed Stage-1 selection.
 
@@ -209,26 +189,30 @@ class MCSSSolver:
         (validation will reject an insufficient one).
         ``selection_seconds`` is recorded in the returned solution so
         shared-selection sweeps still report a Stage-1 time.
+        """
+        return self._pack_and_audit(
+            problem, selection, selection_seconds, validate_placement,
+            self.selector.name,
+        )
 
-        ``warm_start`` seeds Stage 2 from a prior traced pack of the
-        same (problem, selection) -- bit-exact with a cold pack, see
-        :meth:`repro.packing.PackingAlgorithm.pack_from` -- and
-        ``emit_warm_start=True`` asks for a handle back on
-        ``solution.warm_start``, so packer sweeps can chain.  Packers
-        without warm-start support accept both and pack cold.
+    def _pack_and_audit(
+        self,
+        problem: MCSSProblem,
+        selection: PairSelection,
+        selection_seconds: float,
+        audit: Callable[[MCSSProblem, Placement], ValidationReport],
+        selector_name: str,
+    ) -> MCSSSolution:
+        """Stage 2, the ``audit`` of its placement, and the solution record.
+
+        Callers pass the audit at call time (never as a default), so a
+        patched ``validate_placement`` in this module sees every solve.
         """
         t1 = time.perf_counter()
-        if warm_start is not None:
-            placement, handle = self.packer.pack_from(
-                problem, selection, warm_start, emit_trace=emit_warm_start
-            )
-        elif emit_warm_start:
-            placement, handle = self.packer.pack_traced(problem, selection)
-        else:
-            placement, handle = self.packer.pack(problem, selection), None
+        placement = self.packer.pack(problem, selection)
         t2 = time.perf_counter()
 
-        report = validate_placement(problem, placement)
+        report = audit(problem, placement)
         if self.validate:
             report.raise_if_invalid()
 
@@ -239,10 +223,9 @@ class MCSSSolver:
             cost=problem.cost_of(placement),
             selection_seconds=selection_seconds,
             packing_seconds=t2 - t1,
-            selector_name=self.selector.name,
+            selector_name=selector_name,
             packer_name=self.packer.name,
             validation=report,
-            warm_start=handle if emit_warm_start else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,6 +9,7 @@ from repro.experiments import (
     FIGURES,
     ExperimentScale,
     LADDER_VARIANTS,
+    LadderCell,
     PAPER_TAUS,
     calibrate_fraction,
     describe_figures,
@@ -21,8 +22,11 @@ from repro.experiments import (
     run_summary,
     run_trace_figure,
 )
+from repro.bounds import lower_bound
+from repro.core import MCSSProblem
 from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
+from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload
 
 # At 1200 users the paper's savings-vs-tau trend is seed-sensitive;
@@ -123,36 +127,44 @@ class TestLadder:
         )
         assert set(result.cells) == {"rsp+ffbp", "lower-bound"}
 
-    def test_warm_start_toggle_is_observationally_identical(self, small_trace):
-        # The warm-started ladder (rung (c) traced, (d)/(e) seeded) must
-        # produce exactly the cold ladder's cells for every
-        # deterministic variant; only rsp+ffbp draws its own random
-        # Stage 1 and is excluded.
+    def test_cells_equal_standalone_solves(self, small_trace, small_ladder):
+        # The ladder shares one GSP selection per tau across (a)-(e);
+        # every cell must still be exactly what that variant's own
+        # end-to-end solve gives (RSP without a seed is deterministic).
         plan = make_plan("c3.large", small_trace.workload, SMALL)
-        deterministic = tuple(v for v in LADDER_VARIANTS if v != "rsp+ffbp")
-        warm = run_cost_ladder(
-            small_trace.workload, plan, taus=(10, 100),
-            variants=deterministic, warm_start=True,
-        )
-        cold = run_cost_ladder(
-            small_trace.workload, plan, taus=(10, 100),
-            variants=deterministic, warm_start=False,
-        )
-        assert warm.cells == cold.cells
+        solvers = {"rsp+ffbp": MCSSSolver.naive()}
+        for name, rung in zip(LADDER_VARIANTS[1:6], "abcde"):
+            solvers[name] = MCSSSolver.ladder(rung)
+        for tau in (10, 100):
+            problem = MCSSProblem(small_trace.workload, tau, plan)
+            costs = {name: s.solve(problem).cost for name, s in solvers.items()}
+            costs["lower-bound"] = lower_bound(problem)
+            for name, cost in costs.items():
+                expected = LadderCell(cost.total_usd, cost.num_vms, cost.total_gb)
+                assert small_ladder.cell(name, tau) == expected, (name, tau)
 
-    def test_warm_start_subset_without_traced_rung(self, small_trace):
-        # A subset starting mid-ladder still warm-starts: the first
-        # wanted expensive-first rung records the trace for the rest.
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            ("(d) +free-vm-first", "(e) +cost-decision"),
+            ("(b) +grouping",),
+            ("(a) gsp+ffbp", "(c) +expensive-first", "lower-bound"),
+        ],
+        ids=["mid-ladder", "single-rung", "mixed"],
+    )
+    def test_subset_cells_match_full_ladder(self, small_trace, small_ladder, subset):
+        # Each rung packs the shared selection cold, so which other
+        # variants run beside it cannot change its cells.
         plan = make_plan("c3.large", small_trace.workload, SMALL)
-        subset = ("(d) +free-vm-first", "(e) +cost-decision")
-        warm = run_cost_ladder(
-            small_trace.workload, plan, taus=(10,), variants=subset,
+        result = run_cost_ladder(
+            small_trace.workload, plan, taus=(10, 100), variants=subset
         )
-        cold = run_cost_ladder(
-            small_trace.workload, plan, taus=(10,), variants=subset,
-            warm_start=False,
-        )
-        assert warm.cells == cold.cells
+        assert set(result.cells) == set(subset)
+        for name in subset:
+            for tau in (10, 100):
+                assert result.cell(name, tau) == small_ladder.cell(name, tau), (
+                    name, tau,
+                )
 
     def test_unknown_variant_rejected(self, small_trace):
         plan = make_plan("c3.large", small_trace.workload, SMALL)

@@ -160,37 +160,3 @@ class TestCheaperToDistribute:
 
     def test_registry(self):
         assert isinstance(get_packer("cbp"), CustomBinPacking)
-
-
-class TestConfirmFit:
-    """The trace classifier's FIT demotion guard (warm-start safety).
-
-    A single assign-to-current event is the fast path *unless* a spill's
-    current-VM fill absorbed the whole group -- reachable only when
-    ``fits()`` and ``max_new_pairs()`` disagree at a float boundary
-    (impossible for integer-valued rates, possible for user workloads).
-    ``_confirm_fit`` re-runs the exact fast-path inequality so such a
-    position is recorded as SPILL (options were consulted), never FIT.
-    """
-
-    def test_true_fit_confirmed(self):
-        from repro.packing.custom import _confirm_fit
-        from repro.packing.warmstart import KIND_FIT
-
-        # 3 pairs + 1 ingest copy at 10 B/copy into 100 B free: fits.
-        assert _confirm_fit(KIND_FIT, 1, 10.0, 3, 100.0) == KIND_FIT
-
-    def test_overflow_absorbed_by_current_demoted(self):
-        from repro.packing.custom import _confirm_fit
-        from repro.packing.warmstart import KIND_FIT, KIND_SPILL
-
-        # The same event shape, but the group did NOT pass the
-        # fast-path check (4 copies > 35 B free): must record SPILL.
-        assert _confirm_fit(KIND_FIT, 1, 10.0, 3, 35.0) == KIND_SPILL
-
-    def test_non_fit_kinds_untouched(self):
-        from repro.packing.custom import _confirm_fit
-        from repro.packing.warmstart import KIND_MULTI, KIND_SPILL
-
-        assert _confirm_fit(KIND_SPILL, 3, 10.0, 3, 0.0) == KIND_SPILL
-        assert _confirm_fit(KIND_MULTI, 2, 10.0, 3, 1e9) == KIND_MULTI

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.core import PairSelection, Workload
-from repro.core import pairs as pairs_module
 
 
 class TestFromCsr:
@@ -95,39 +92,6 @@ class TestFromCsr:
                 np.array([0, 2], dtype=np.int64),
                 np.array([3, 3], dtype=np.int64),
             )
-
-
-class TestDeprecatedShims:
-    """The retired constructors forward, and warn exactly once."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_warn_once(self):
-        saved = set(pairs_module._WARNED_SHIMS)
-        pairs_module._WARNED_SHIMS.clear()
-        yield
-        pairs_module._WARNED_SHIMS.clear()
-        pairs_module._WARNED_SHIMS.update(saved)
-
-    def test_from_trusted_arrays_forwards_and_warns_once(self):
-        by_topic = {2: np.asarray([0, 3], dtype=np.int64)}
-        with pytest.deprecated_call(match="trusted=True"):
-            sel = PairSelection.from_trusted_arrays(by_topic)
-        assert sel == PairSelection({2: [0, 3]})
-        with warnings.catch_warnings(record=True) as record:  # second call is silent
-            warnings.simplefilter("always")
-            PairSelection.from_trusted_arrays(by_topic)
-        assert not [w for w in record if w.category is DeprecationWarning]
-
-    def test_from_pair_arrays_forwards_and_warns_once(self):
-        t = np.array([1, 0], dtype=np.int64)
-        v = np.array([2, 3], dtype=np.int64)
-        with pytest.deprecated_call(match="from_csr"):
-            sel = PairSelection.from_pair_arrays(t, v)
-        assert sel == PairSelection.from_csr(t, None, v)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            PairSelection.from_pair_arrays(t, v)
-        assert not [w for w in record if w.category is DeprecationWarning]
 
 
 class TestConstruction:

@@ -269,69 +269,105 @@ class TestFromPairArrays:
             )
 
 
-class TestCopy:
-    """Placement.copy(): cheap snapshots shared by the warm-start path."""
+class TestBatchAssignment:
+    """new_vms / assign_range: the batch core the vectorized packers drive."""
 
-    def _packed(self, tiny_workload):
-        p = Placement(tiny_workload, 200.0)
-        a, b = p.new_vm(), p.new_vm()
-        p.assign(a, 0, [0, 1])
-        p.assign(a, 1, [0])
-        p.assign(b, 1, [1, 2])
-        return p, a, b
-
-    def test_snapshot_is_identical(self, tiny_workload):
-        p, _a, _b = self._packed(tiny_workload)
-        clone = p.copy()
-        assert clone is not p
-        assert clone.num_vms == p.num_vms
-        assert clone.num_pairs == p.num_pairs
-        assert clone.total_bytes == pytest.approx(p.total_bytes)
-        # Group iteration order (part of the referee pinning contract)
-        # and per-group member lists survive the copy.
-        assert list(clone.iter_assignments()) == list(p.iter_assignments())
-        np.testing.assert_array_equal(
-            clone.used_bytes_array(), p.used_bytes_array()
-        )
-        for topic in (0, 1):
-            assert clone.hosting_vms(topic) == p.hosting_vms(topic)
-
-    def test_mutating_either_side_leaves_the_other(self, tiny_workload):
-        p, a, b = self._packed(tiny_workload)
-        clone = p.copy()
-        clone.assign(b, 0, [2])
-        clone.remove_topic(a, 1)
-        assert p.members(b, 0) == []  # original unchanged
-        assert sorted(p.members(a, 1)) == [0]
-        assert sorted(clone.members(b, 0)) == [2]
-        p.assign_range(a, 0, np.asarray([2]))
-        assert sorted(clone.members(a, 0)) == [0, 1]  # clone unchanged
-        clone.new_vm()
-        assert p.num_vms == 2
-
-    def test_copy_of_empty_placement(self, tiny_workload):
+    def test_new_vms_returns_first_index(self, tiny_workload):
         p = Placement(tiny_workload, 100.0)
-        clone = p.copy()
-        assert clone.num_vms == 0 and clone.num_pairs == 0
-        clone.new_vm()
+        assert p.new_vms(3) == 0
+        assert p.new_vms(2) == 3
+        assert p.new_vm() == 5
+        assert p.num_vms == 6
+        np.testing.assert_array_equal(p.used_bytes_array(), np.zeros(6))
+
+    def test_new_vms_rejects_non_positive_count(self, tiny_workload):
+        p = Placement(tiny_workload, 100.0)
+        for count in (0, -2):
+            with pytest.raises(ValueError):
+                p.new_vms(count)
         assert p.num_vms == 0
 
-    def test_copy_does_not_inherit_event_log(self, tiny_workload):
-        from repro.packing.warmstart import start_recording
+    def test_growth_keeps_used_bytes(self, tiny_workload):
+        # The per-VM used-bytes buffer starts at 8 slots; deploying past
+        # it must carry the existing fleet's accounting over.
+        p = Placement(tiny_workload, 100.0)
+        a = p.new_vm()
+        p.assign(a, 0, [0, 1])  # 2*20 out + 20 in
+        assert p.new_vms(20) == 1
+        assert p.num_vms == 21
+        used = p.used_bytes_array()
+        assert used[0] == 60.0
+        assert not used[1:].any()
+        p.assign(20, 1, [2])  # 10 out + 10 in on the last VM
+        assert p.used_bytes_array()[20] == 20.0
+        assert p.vm(20).used_bytes == 20.0
 
-        p, a, _b = self._packed(tiny_workload)
-        events = start_recording(p)
-        clone = p.copy()
-        clone.assign(a, 0, [2])
-        assert events == []  # the clone never writes the source's log
+    def test_assign_range_accounting(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        a = p.new_vms(2)
+        b = a + 1
+        p.assign_range(b, 1, np.asarray([0, 1]))  # 2*10 out + 10 in
+        p.assign_range(a, 1, np.asarray([2]))  # 10 out + 10 in
+        p.assign_range(b, 0, np.asarray([0]))  # 20 out + 20 in
+        p.assign_range(b, 0, np.asarray([1]))  # hosted already: 20 out
+        assert p.used_bytes_array().tolist() == [20.0, 90.0]
+        assert p.hosting_vms(1) == [b, a]  # first-host order
+        assert p.hosts_mask(0).tolist() == [False, True]
+        assert p.hosts_mask(1).tolist() == [True, True]
+        assert p.topic_replicas(1) == 2
+        assert p.members(b, 0) == [0, 1]
+        assert p.num_pairs == 5
 
-    def test_vm_copy_is_independent(self):
-        vm = VirtualMachine(100.0)
-        vm.add_pairs(3, 10.0, 2)
-        twin = vm.copy()
-        assert twin.used_bytes == vm.used_bytes
-        assert twin.pair_count(3) == 2
-        twin.add_pairs(3, 10.0, 1)
-        assert vm.pair_count(3) == 2
-        vm.remove_pairs(3, 10.0, 2)
-        assert twin.pair_count(3) == 3
+    def test_assign_range_copies_writeable_input(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        subs = np.asarray([0, 1], dtype=np.int64)
+        p.assign_range(b, 0, subs)
+        subs[:] = 2
+        assert p.members(b, 0) == [0, 1]
+
+    def test_assign_range_adopts_read_only_input(self, tiny_workload):
+        # The CSR slices the packers pass are read-only: adopted, not copied.
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        subs = np.asarray([0, 1], dtype=np.int64)
+        subs.setflags(write=False)
+        p.assign_range(b, 0, subs)
+        assert np.shares_memory(p.remove_topic(b, 0), subs)
+
+    def test_capacity_error_leaves_placement_unchanged(self, tiny_workload):
+        p = Placement(tiny_workload, 50.0)
+        b = p.new_vm()
+        p.assign_range(b, 1, np.asarray([0, 1]))  # 30 of 50 B used
+        groups = list(p.iter_assignments())
+        with pytest.raises(CapacityError):
+            p.assign_range(b, 0, np.asarray([0]))  # needs 40 B more
+        assert p.num_pairs == 2
+        assert p.used_bytes_array().tolist() == [30.0]
+        assert list(p.iter_assignments()) == groups
+        assert p.hosting_vms(0) == []
+        assert not p.vm(b).hosts_topic(0)
+
+    def test_assignment_arrays_refresh_after_assign(self, tiny_workload):
+        p = Placement(tiny_workload, 200.0)
+        b = p.new_vm()
+        p.assign_range(b, 1, np.asarray([0, 1]))
+        cached = p.assignment_arrays()
+        assert p.assignment_arrays() is cached  # until the next mutation
+        p.assign_range(b, 0, np.asarray([1]))
+        vm_ids, topics, sizes, subscribers = p.assignment_arrays()
+        assert vm_ids.tolist() == [b, b]
+        assert topics.tolist() == [1, 0]
+        assert sizes.tolist() == [2, 1]
+        assert subscribers.tolist() == [0, 1, 1]
+
+    def test_used_view_read_only_free_array_snapshot(self, tiny_workload):
+        p = Placement(tiny_workload, 100.0)
+        b = p.new_vm()
+        p.assign(b, 1, [2])
+        assert not p.used_bytes_array().flags.writeable
+        free = p.free_bytes_array()
+        assert free.tolist() == [80.0]
+        free[0] = 0.0
+        assert p.free_bytes_array().tolist() == [80.0]
+        assert p.vm(b).free_bytes == 80.0

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MCSSProblem, validate_placement
-from repro.packing import CustomBinPacking, FFBinPacking
+from repro.core import MCSSProblem, PairSelection, Placement, validate_placement
+from repro.packing import (
+    CustomBinPacking,
+    FFBinPacking,
+    PackingAlgorithm,
+    diff_placements,
+)
 from repro.selection import GreedySelectPairs, RandomSelectPairs
 from repro.solver import MCSSSolver
 from tests.conftest import make_unit_plan
@@ -114,44 +119,99 @@ class TestSolveWithSelection:
             assert solution.validation.ok
 
     def test_insufficient_selection_rejected(self, problem):
-        from repro.core import PairSelection
-
         with pytest.raises(ValueError):
             MCSSSolver.paper().solve_with_selection(problem, PairSelection({}))
 
-    def test_warm_start_threading(self, problem):
-        # emit_warm_start returns a handle; passing it to another rung
-        # must reproduce that rung's cold solve bit for bit.
-        shared = GreedySelectPairs().select(problem)
-        base = MCSSSolver.ladder("c").solve_with_selection(
-            problem, shared, emit_warm_start=True
-        )
-        assert base.warm_start is not None and base.warm_start.trace is not None
-        for rung in ("d", "e"):
-            solver = MCSSSolver.ladder(rung)
-            cold = solver.solve_with_selection(problem, shared)
-            warm = solver.solve_with_selection(
-                problem, shared, warm_start=base.warm_start
-            )
-            assert warm.warm_start is None  # not asked to emit
-            assert warm.cost.num_vms == cold.cost.num_vms
-            assert warm.cost.total_usd == pytest.approx(cold.cost.total_usd)
-            assert sorted(warm.placement.iter_assignments()) == sorted(
-                cold.placement.iter_assignments()
-            )
-            assert warm.validation.ok
+    def test_validation_off_reports_without_raising(self, problem):
+        solver = MCSSSolver(GreedySelectPairs(), CustomBinPacking(), validate=False)
+        solution = solver.solve_with_selection(problem, PairSelection({}))
+        assert not solution.validation.ok
+        assert solution.placement.num_vms == 0
 
-    def test_warm_start_ignored_by_ffbp(self, problem):
-        # Packers without warm-start support accept the kwargs and
-        # pack cold; no handle comes back.
+    @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
+    def test_each_rung_reproduces_its_own_solve(self, problem, rung):
+        # Every rung packs the shared selection cold: after all five
+        # rungs have packed it, this rung's result is still exactly its
+        # own end-to-end solve.
         shared = GreedySelectPairs().select(problem)
-        base = MCSSSolver.ladder("c").solve_with_selection(
-            problem, shared, emit_warm_start=True
-        )
-        ffbp = MCSSSolver.ladder("a")
-        solution = ffbp.solve_with_selection(
-            problem, shared, warm_start=base.warm_start, emit_warm_start=True
-        )
-        assert solution.warm_start is None
-        cold = ffbp.solve_with_selection(problem, shared)
-        assert solution.cost.total_usd == pytest.approx(cold.cost.total_usd)
+        for other in "abcde":
+            MCSSSolver.ladder(other).solve_with_selection(problem, shared)
+        solver = MCSSSolver.ladder(rung)
+        reused = solver.solve_with_selection(problem, shared)
+        own = solver.solve(problem)
+        assert diff_placements(reused.placement, own.placement) is None
+        assert reused.cost == own.cost
+
+
+class _EmptyPacker(PackingAlgorithm):
+    """Deploys nothing, so any problem with pairs fails the audit."""
+
+    name = "empty"
+
+    def pack(self, problem, selection):
+        return Placement(problem.workload, problem.capacity_bytes)
+
+
+class TestPackAndAudit:
+    """solve_with_selection and solve_sharded share one Stage-2 + audit
+    body; they differ only in the audit function and the selector name."""
+
+    def test_validate_placement_looked_up_per_call(self, problem, monkeypatch):
+        # The audit is resolved in the pipeline module at call time, so
+        # a patched validate_placement (a tracing probe) sees every solve.
+        from repro.solver import pipeline
+
+        audited = []
+        real = pipeline.validate_placement
+
+        def counting(prob, placement):
+            audited.append(placement)
+            return real(prob, placement)
+
+        monkeypatch.setattr(pipeline, "validate_placement", counting)
+        solved = MCSSSolver.paper().solve(problem)
+        reused = MCSSSolver.ladder("a").solve_with_selection(problem, solved.selection)
+        assert len(audited) == 2
+        assert audited[0] is solved.placement
+        assert audited[1] is reused.placement
+
+    def test_sharded_path_audits_with_sharded_validate(self, problem, monkeypatch):
+        from repro.solver import pipeline, sharded
+
+        calls = []
+        real = sharded.sharded_validate
+
+        def recording(prob, placement, **kwargs):
+            calls.append(kwargs)
+            return real(prob, placement, **kwargs)
+
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("solve_sharded audited with validate_placement")
+
+        monkeypatch.setattr(sharded, "sharded_validate", recording)
+        monkeypatch.setattr(pipeline, "validate_placement", unexpected)
+        solution = MCSSSolver.paper().solve_sharded(problem, shard_size=50, workers=1)
+        assert calls == [{"workers": 1}]
+        assert solution.validation.ok
+
+    @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
+    def test_sharded_path_packs_with_configured_packer(self, problem, rung):
+        solver = MCSSSolver.ladder(rung)
+        plain = solver.solve(problem)
+        sharded = solver.solve_sharded(problem, shard_size=50, workers=1)
+        assert sharded.selector_name == "gsp-sharded"
+        assert sharded.packer_name == solver.packer.name
+        assert diff_placements(sharded.placement, plain.placement) is None
+        assert sharded.cost == plain.cost
+
+    def test_sharded_path_rejects_invalid_placement(self, problem):
+        solver = MCSSSolver(GreedySelectPairs(), _EmptyPacker())
+        with pytest.raises(ValueError, match="invalid placement"):
+            solver.solve_sharded(problem, shard_size=50, workers=1)
+
+    def test_sharded_path_reports_when_validation_off(self, problem):
+        solver = MCSSSolver(GreedySelectPairs(), _EmptyPacker(), validate=False)
+        solution = solver.solve_sharded(problem, shard_size=50, workers=1)
+        assert not solution.validation.ok
+        assert solution.packer_name == "empty"
+        assert solution.selection.num_pairs > 0

@@ -21,6 +21,9 @@ as executable specifications:
   decision (Algorithm 7) exercises both verdicts;
 * ``FFBinPacking`` (CSR pair enumeration + batch assigns)  ==
   ``LoopFFBinPacking`` (the ``ffbp-loop`` referee);
+* one shared GSP selection packed cold on every ladder rung (a)-(e),
+  in either rung order  ==  each rung's own pack  ==  its loop referee,
+  with the selection left unchanged;
 * ``build_social_graph`` (whole-array CSR construction,
   multinomial-and-shuffle draws)  ~=  ``build_social_graph_loop`` (the
   retained per-user referee) -- *distributional* equivalence (KS-style
@@ -356,118 +359,76 @@ class TestCBPEquivalence:
         assert fast.num_vms == 6  # 4 pairs per VM (40 out + 10 in), 23 pairs
 
 
-class TestWarmStartEquivalence:
-    """Warm-started CBP packs == cold packs, bit for bit.
+LADDER_RUNGS = ("a", "b", "c", "d", "e")
 
-    ``pack_from`` replays a base trace only where provably
-    option-independent and re-runs every decision the target rung's
-    options could change, so the result must equal a cold ``pack`` --
-    and, transitively, the ``cbp-loop`` referee -- whatever rung the
-    seed came from.  The ``fleet_kernel`` fixture runs every case on
-    both the scalar (default ``_SMALL_FLEET`` -- the small-fleet
-    branch these edgy workloads exercise natively) and the forced
-    whole-array kernels.
+
+def rung_packers(rung):
+    """A rung's packer and its loop referee: FFBP for (a), CBP above."""
+    if rung == "a":
+        return FFBinPacking(), LoopFFBinPacking()
+    opts = CBPOptions.ladder(rung)
+    return CustomBinPacking(opts), LoopCustomBinPacking(opts)
+
+
+class TestSharedSelectionPacking:
+    """The cost ladder packs one shared GSP selection five ways, cold.
+
+    No pack may write to the selection it is handed or leave state for
+    the next: each rung's placement must be the one that rung packs on
+    its own, in any rung order, and two placements of one selection
+    must stay independent of each other.
     """
 
+    @pytest.mark.parametrize("rung", LADDER_RUNGS)
+    def test_pack_leaves_selection_unchanged(self, rung):
+        packer, _ = rung_packers(rung)
+        for seed in range(8):
+            rng = np.random.default_rng(8000 + seed)
+            workload = edgy_workload(rng)
+            problem = packing_problem(workload, rng)
+            selection = GreedySelectPairs().select(problem)
+            before = [arr.copy() for arr in selection.csr_arrays()]
+            packer.pack(problem, selection)
+            for arr, kept in zip(selection.csr_arrays(), before):
+                np.testing.assert_array_equal(arr, kept)
+            assert selection == GreedySelectPairs().select(problem)
+
     @pytest.mark.parametrize("seed", (3, 11))
-    def test_chained_ladder_bit_exact(self, seed, fleet_kernel):
-        # The ladder's configuration: (c) traced, later rungs seeded
-        # from the handle the previous warm pack emitted.
+    def test_any_rung_order_bit_exact(self, seed, fleet_kernel):
+        # Top-down after bottom-up on one selection: every pack still
+        # equals its loop referee and the same rung's earlier pack.
         rng = np.random.default_rng(20_000 + seed)
         workload = edgy_workload(rng)
         problem = packing_problem(workload, rng)
         selection = GreedySelectPairs().select(problem)
-        handle = None
-        for rung in ("b", "c", "d", "e"):
-            opts = CBPOptions.ladder(rung)
-            packer = CustomBinPacking(opts)
-            cold = packer.pack(problem, selection)
-            warm, handle = packer.pack_from(problem, selection, handle)
-            assert_identical_placements(warm, cold, problem)
-            loop = LoopCustomBinPacking(opts).pack(problem, selection)
-            assert_identical_placements(warm, loop, problem)
-            assert validate_placement(problem, warm).ok, f"rung {rung}"
+        forward = {}
+        for rung in LADDER_RUNGS:
+            packer, referee = rung_packers(rung)
+            forward[rung] = packer.pack(problem, selection)
+            loop = referee.pack(problem, selection)
+            assert_identical_placements(forward[rung], loop, problem)
+            assert validate_placement(problem, forward[rung]).ok, f"rung {rung}"
+        for rung in reversed(LADDER_RUNGS):
+            packer, _ = rung_packers(rung)
+            again = packer.pack(problem, selection)
+            assert_identical_placements(again, forward[rung], problem)
 
-    @pytest.mark.parametrize("seed", (3, 11))
-    def test_seeded_from_rung_b_bit_exact(self, seed, fleet_kernel):
-        # Seeding from rung (b) must stay bit-exact even though its
-        # selection-order packing shares no prefix with (c)-(e).
-        rng = np.random.default_rng(21_000 + seed)
-        workload = edgy_workload(rng)
-        problem = packing_problem(workload, rng)
-        selection = GreedySelectPairs().select(problem)
-        _, base = CustomBinPacking(CBPOptions.ladder("b")).pack_traced(
-            problem, selection
-        )
-        for rung in ("c", "d", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            cold = packer.pack(problem, selection)
-            for emit in (True, False):
-                warm, _ = packer.pack_from(
-                    problem, selection, base, emit_trace=emit
-                )
-                assert_identical_placements(warm, cold, problem)
-
-    def test_small_fleet_scalar_kernel_warm_start(self):
-        # Default _SMALL_FLEET threshold, a fleet of a handful of VMs:
-        # the scalar per-VM kernels must warm-start bit-exactly too.
-        rng = np.random.default_rng(4242)
-        workload = edgy_workload(rng)
-        problem = packing_problem(workload, rng)
-        selection = GreedySelectPairs().select(problem)
-        _, base = CustomBinPacking(CBPOptions.ladder("c")).pack_traced(
-            problem, selection
-        )
-        for rung in ("d", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            warm, _ = packer.pack_from(problem, selection, base)
-            assert_identical_placements(
-                warm, packer.pack(problem, selection), problem
-            )
-
-    def test_same_options_snapshots_base(self, tiny_problem):
-        # Identical options replay everything: the full-sync fast path
-        # returns a Placement.copy() of the base, still bit-exact.
+    @pytest.mark.parametrize("rung", LADDER_RUNGS)
+    def test_placements_of_one_selection_independent(self, rung, tiny_problem):
+        packer, _ = rung_packers(rung)
         selection = GreedySelectPairs().select(tiny_problem)
-        packer = CustomBinPacking(CBPOptions.ladder("e"))
-        traced, handle = packer.pack_traced(tiny_problem, selection)
-        warm, chained = packer.pack_from(tiny_problem, selection, handle)
-        assert warm is not traced
-        assert_identical_placements(warm, traced, tiny_problem)
-        assert chained is not None and chained.trace is not None
-
-    def test_traced_pack_matches_cold_pack(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        for rung in ("b", "e"):
-            packer = CustomBinPacking(CBPOptions.ladder(rung))
-            traced, handle = packer.pack_traced(tiny_problem, selection)
-            assert handle.trace is not None
-            assert_identical_placements(
-                traced, packer.pack(tiny_problem, selection), tiny_problem
-            )
-
-    def test_none_seed_falls_back(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        packer = CustomBinPacking(CBPOptions.ladder("d"))
-        warm, handle = packer.pack_from(tiny_problem, selection, None)
-        assert handle is not None  # fell back to a traced cold pack
-        assert_identical_placements(
-            warm, packer.pack(tiny_problem, selection), tiny_problem
-        )
-
-    def test_foreign_selection_rejected(self, tiny_problem):
-        selection = GreedySelectPairs().select(tiny_problem)
-        _, base = CustomBinPacking().pack_traced(tiny_problem, selection)
-        other = PairSelection({0: [0, 1]})
-        with pytest.raises(ValueError, match="different selection"):
-            CustomBinPacking().pack_from(tiny_problem, other, base)
-
-    def test_foreign_problem_rejected(self, tiny_problem, tiny_workload):
-        selection = GreedySelectPairs().select(tiny_problem)
-        _, base = CustomBinPacking().pack_traced(tiny_problem, selection)
-        other = MCSSProblem(tiny_workload, 30.0, make_unit_plan(75.0))
-        with pytest.raises(ValueError, match="different problem"):
-            CustomBinPacking().pack_from(other, selection, base)
+        first = packer.pack(tiny_problem, selection)
+        second = packer.pack(tiny_problem, selection)
+        assert first is not second
+        assert_identical_placements(first, second, tiny_problem)
+        groups = list(second.iter_assignments())
+        # Move one group of the first placement onto a fresh VM.
+        b, t, subs = groups[0]
+        first.remove_topic(b, t)
+        first.assign_range(first.new_vm(), t, np.asarray(subs))
+        assert list(second.iter_assignments()) == groups
+        assert second.num_vms == first.num_vms - 1
+        assert selection == GreedySelectPairs().select(tiny_problem)
 
 
 class TestFFBPEquivalence:
