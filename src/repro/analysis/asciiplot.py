@@ -19,13 +19,6 @@ __all__ = ["loglog_plot"]
 _GLYPHS = "ox+*#@%"
 
 
-def _decades(lo: float, hi: float) -> List[float]:
-    """Powers of ten spanning [lo, hi]."""
-    start = math.floor(math.log10(lo))
-    stop = math.ceil(math.log10(hi))
-    return [10.0**e for e in range(start, stop + 1)]
-
-
 def loglog_plot(
     series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
     width: int = 64,

@@ -265,10 +265,6 @@ class PairSelection:
             return 0
         return int(self._indptr[i + 1] - self._indptr[i])
 
-    def group_sizes(self) -> np.ndarray:
-        """Pairs per topic group, aligned with :attr:`topics` order."""
-        return np.diff(self._indptr)
-
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The selection as flat parallel ``(topics, subscribers)`` arrays.
 

@@ -187,7 +187,9 @@ def run_cost_ladder(
     *taus* out across forked worker processes -- each tau's cells are
     computed by :func:`_ladder_tau_cells` exactly as the sequential
     ladder computes them, so the result is identical whichever way the
-    work is scheduled.
+    work is scheduled.  A workload wider than one ``MCSS_SHARD_SIZE``
+    still shards its GSP inside each tau's worker, serially there:
+    nested fan-outs do not fork.
     """
     wanted = frozenset(variants) if variants is not None else frozenset(LADDER_VARIANTS)
     unknown = wanted - set(LADDER_VARIANTS)

@@ -5,10 +5,11 @@ Four small substrates, threaded through the sharded solve end to end:
 * :mod:`~repro.resilience.knobs` — validated ``MCSS_*`` env parsing
   with errors that name the variable.
 * :mod:`~repro.resilience.supervise` — :func:`supervised_map`, the
-  fault-tolerant envelope around ``parallel.fork_map`` (dead-child
-  detection, per-piece timeout, digest-checked results, seeded-backoff
-  retries, degrade-to-serial) plus the :class:`FaultPlan` injection
-  seam the chaos suite drives.
+  one process fan-out (fork-inherited work, dead-child detection,
+  per-piece timeout, digest-checked results, seeded-backoff retries,
+  degrade-to-serial), the :class:`FaultPlan` injection seam the chaos
+  suite drives, and the shard knobs: :func:`subscriber_shards` decides
+  when a workload is solved out of core.
 * :mod:`~repro.resilience.integrity` — atomic writes and per-member
   content digests for every on-disk artifact.
 * :mod:`~repro.resilience.checkpoint` — atomic checkpoint/restore so
@@ -37,6 +38,10 @@ from .supervise import (
     SupervisedStats,
     default_max_retries,
     default_piece_timeout,
+    default_shard_size,
+    default_workers,
+    shard_bounds,
+    subscriber_shards,
     supervised_map,
 )
 
@@ -52,6 +57,8 @@ __all__ = [
     "atomic_write",
     "default_max_retries",
     "default_piece_timeout",
+    "default_shard_size",
+    "default_workers",
     "env_float",
     "env_int",
     "env_str",
@@ -59,6 +66,8 @@ __all__ = [
     "load_serving_state",
     "member_digest",
     "save_checkpoint",
+    "shard_bounds",
+    "subscriber_shards",
     "supervised_map",
     "verified_member",
     "write_npz_atomic",

@@ -8,8 +8,9 @@ inside a fan-out.  The registry itself lives in docs/BENCHMARKS.md and
 is cross-checked both ways by repolint's EK01 rule, which recognizes
 these helpers as knob reads.
 
-Deliberately stdlib-only: this module sits below ``repro.parallel`` in
-the import graph, so it must not import numpy-adjacent repro modules.
+Deliberately stdlib-only: every layer that reads a knob imports this
+module, so it sits at the bottom of the import graph and must not
+import numpy-adjacent repro modules.
 """
 
 from __future__ import annotations

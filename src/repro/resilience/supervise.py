@@ -1,9 +1,16 @@
-"""Supervised fan-out: ``fork_map`` with a fault-tolerance envelope.
+"""Process fan-out: ``supervised_map``, the one primitive, and its knobs.
 
-:func:`supervised_map` keeps :func:`repro.parallel.fork_map`'s
-contract (module-level ``fn``, work inherited by forked children, one
-result per item, order preserved) and adds the supervision a
-long-running sharded solve needs:
+Subscriber-sharded GSP, topic-sharded validation and the ladder's taus
+split work into independent pieces and optionally run them across
+worker processes.  :func:`supervised_map` is the one primitive they
+share.  It uses the ``fork`` start method and passes work *by index*
+through a module-level table set before the children fork: children
+inherit the parent's address space, so mmap-backed workloads cross the
+process boundary as shared pages -- pickling them would densify every
+``np.memmap`` into a private copy, defeating the point of the mmap
+backend.  Only the (small) per-piece results travel back through
+pickles.  On top of that it adds the supervision a long-running
+sharded solve needs:
 
 * **dead children** are detected via exit codes, not hangs — a worker
   that dies without reporting is retried, never waited on forever;
@@ -28,6 +35,10 @@ Exceptions *raised by fn itself* are transported back and re-raised in
 the parent immediately — a typed task error (bad input, corrupt trace)
 is an answer, not an infrastructure failure, and retrying it would
 only repeat it.
+
+The out-of-core decision lives here too, next to the knobs it reads:
+a workload spanning more than one :func:`subscriber_shards` range is
+solved out of core.
 """
 
 from __future__ import annotations
@@ -51,6 +62,10 @@ __all__ = [
     "SupervisedStats",
     "default_max_retries",
     "default_piece_timeout",
+    "default_shard_size",
+    "default_workers",
+    "shard_bounds",
+    "subscriber_shards",
     "supervised_map",
 ]
 
@@ -59,9 +74,40 @@ _FAULT_KILL_EXIT = 43
 # Supervision tick: upper bound on how stale deadline/exit checks get.
 _TICK_S = 0.05
 
-# Work table inherited by forked children (mirrors parallel._SHARED):
-# holds fn/items/plan by reference so nothing is pickled per piece.
+# Work table inherited by forked children: holds fn/items/plan by
+# reference so nothing is pickled per piece.
 _SHARED: Dict[str, Any] = {}
+
+
+def default_shard_size() -> int:
+    """Subscribers per shard (``MCSS_SHARD_SIZE``, default 1,000,000)."""
+    return env_int("MCSS_SHARD_SIZE", 1_000_000, minimum=1)
+
+
+def default_workers() -> int:
+    """Worker processes for fan-out (``MCSS_SHARD_WORKERS``, default 1)."""
+    return env_int("MCSS_SHARD_WORKERS", 1, minimum=0)
+
+
+def shard_bounds(n: int, shard_size: int) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` ranges covering ``range(n)``.
+
+    Every shard has ``shard_size`` items except possibly the last.
+    ``n == 0`` yields no shards.
+    """
+    if shard_size <= 0:
+        raise ValueError("shard_size must be positive")
+    return [(lo, min(lo + shard_size, n)) for lo in range(0, n, shard_size)]
+
+
+def subscriber_shards(num_subscribers: int) -> List[Tuple[int, int]]:
+    """The ``MCSS_SHARD_SIZE`` subscriber ranges of a workload.
+
+    More than one range means the workload is solved out of core:
+    Stage 1 runs per shard and merges, and the final audit runs over
+    topic shards (forked when ``MCSS_SHARD_WORKERS > 1``).
+    """
+    return shard_bounds(num_subscribers, default_shard_size())
 
 
 def default_piece_timeout() -> float:
@@ -168,20 +214,22 @@ def supervised_map(
     seed: int = 0,
     stats: Optional[SupervisedStats] = None,
 ) -> List[Any]:
-    """Map ``fn`` over ``items`` with supervision, retry, and degrade.
+    """``[fn(item) for item in items]`` with supervision, retry, and degrade.
 
-    Drop-in for :func:`repro.parallel.fork_map`: same serial fallback
-    (workers <= 1, a single item, or no fork start method — fault
-    injection only applies to forked attempts), same inherit-not-
-    pickle work passing, results in item order.  ``timeout`` <= 0
-    disables the deadline.  A piece still failing after ``1 +
-    max_retries`` forked attempts is recomputed serially in-process,
-    so infrastructure faults can delay a solve but never change it.
+    ``fn`` and ``items`` reach forked children through the inherited
+    work table, never pickled; results come back pickled, in item
+    order, so the serial and forked paths return the same list.
+    ``workers`` defaults to ``MCSS_SHARD_WORKERS``.  The map runs
+    serially in-process when ``workers <= 1``, for a single item,
+    where ``fork`` is unavailable, and inside a supervised child:
+    children are daemonic and may not fork children of their own, so
+    a nested fan-out (e.g. a forked ladder tau whose GSP shards)
+    computes its pieces in the child that asked.  Fault injection only
+    applies to forked attempts.  ``timeout`` <= 0 disables the
+    deadline.  A piece still failing after ``1 + max_retries`` forked
+    attempts is recomputed serially in-process, so infrastructure
+    faults can delay a solve but never change it.
     """
-    # Local import: parallel imports resilience.knobs at module level,
-    # so importing parallel here at module level would be a cycle.
-    from ..parallel import default_workers
-
     items = list(items)
     workers = default_workers() if workers is None else int(workers)
     timeout = default_piece_timeout() if timeout is None else float(timeout)
@@ -198,6 +246,7 @@ def supervised_map(
         workers > 1
         and len(items) > 1
         and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
     )
     if not use_fork:
         stats.mode = "serial"

@@ -3,14 +3,13 @@
 Algorithms (Section III-A / Appendix A of the paper):
 
 * :class:`GreedySelectPairs` (``"gsp"``) -- the paper's benefit-cost
-  greedy, fully vectorized over the workload's CSR interests;
+  greedy, fully vectorized over the workload's CSR interests; past one
+  ``MCSS_SHARD_SIZE`` of subscribers it runs per shard and merges
+  bit-exactly (:func:`merge_shard_groups`);
 * :class:`LoopGreedySelectPairs` (``"gsp-loop"``) -- the equivalent
   O(k log k)-per-subscriber loop form, kept as a referee;
 * :class:`ReferenceGreedySelectPairs` (``"gsp-reference"``) -- literal
   Algorithm 2, used as the executable specification in tests;
-* :class:`ShardedGreedySelectPairs` (``"gsp-sharded"``) -- GSP over
-  subscriber shards (optionally forked workers), bit-exact with
-  ``"gsp"``; the out-of-core entry point;
 * :class:`RandomSelectPairs` (``"rsp"``) -- the naive baseline;
 * :class:`KnapsackSelectPairs` (``"knapsack"``) -- per-subscriber
   optimal DP (the "optimal but too costly" option the paper mentions).
@@ -30,7 +29,7 @@ from .greedy import (
 )
 from .knapsack import KnapsackSelectPairs, min_cover_subset
 from .random_ import RandomSelectPairs
-from .sharded import ShardedGreedySelectPairs, merge_shard_groups
+from .sharded import merge_shard_groups
 
 __all__ = [
     "SelectionAlgorithm",
@@ -44,6 +43,5 @@ __all__ = [
     "KnapsackSelectPairs",
     "min_cover_subset",
     "RandomSelectPairs",
-    "ShardedGreedySelectPairs",
     "merge_shard_groups",
 ]

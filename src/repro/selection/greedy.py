@@ -13,7 +13,10 @@ Three implementations are provided:
 
 * :class:`GreedySelectPairs` (``"gsp"``) -- the default: a fully
   vectorized whole-array rewrite over the workload's CSR interest
-  representation (see below).  No Python loop over subscribers.
+  representation (see below).  No Python loop over subscribers.  A
+  workload wider than one ``MCSS_SHARD_SIZE`` runs the same sweep per
+  subscriber shard and merges the groups exactly
+  (:mod:`repro.selection.sharded`).
 * :class:`LoopGreedySelectPairs` (``"gsp-loop"``) -- the
   O(k log k)-per-subscriber loop rewrite (the previous default),
   retained as an intermediate referee.
@@ -79,7 +82,9 @@ import numpy as np
 
 from ..core import MCSSProblem, PairSelection
 from ..core.segsearch import segmented_left_search
+from ..resilience.supervise import subscriber_shards, supervised_map
 from .base import SelectionAlgorithm, register_selector
+from .sharded import merge_shard_groups
 
 __all__ = [
     "GreedySelectPairs",
@@ -160,10 +165,37 @@ class GreedySelectPairs(SelectionAlgorithm):
     """Vectorized GSP: whole-array passes over the CSR interests."""
 
     def select(self, problem: MCSSProblem) -> PairSelection:
-        grouped = self.select_grouped(problem)
+        """The whole-array sweep, or -- for a workload spanning more than
+        one :func:`~repro.resilience.supervise.subscriber_shards` range --
+        one sweep per shard, merged exactly (:mod:`repro.selection.sharded`).
+        """
+        shards = subscriber_shards(problem.workload.num_subscribers)
+        if len(shards) <= 1:
+            grouped = self.select_grouped(problem)
+        else:
+            pieces = supervised_map(
+                self._select_shard, [(problem, lo, hi) for lo, hi in shards]
+            )
+            groups = [g for g in pieces if g is not None]
+            grouped = merge_shard_groups(groups) if groups else None
         if grouped is None:
             return PairSelection({})
         return self._finalize_groups(*grouped)
+
+    def _select_shard(
+        self, args: "Tuple[MCSSProblem, int, int]"
+    ) -> "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
+        """Grouped GSP on subscribers ``[lo, hi)``, rebased to global ids."""
+        problem, lo, hi = args
+        workload = problem.workload
+        grouped = self.select_grouped(
+            MCSSProblem(workload.subscriber_range(lo, hi), problem.tau, problem.plan)
+        )
+        if grouped is None:
+            return None
+        topics, sizes, first_seen, subscribers = grouped
+        rank_offset = 2 * int(workload.interest_indptr[lo])
+        return topics, sizes, first_seen + rank_offset, subscribers + lo
 
     def select_grouped(
         self, problem: MCSSProblem

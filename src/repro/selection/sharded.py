@@ -1,15 +1,16 @@
-"""Sharded GSP: Stage-1 selection over subscriber shards, bit-exact.
+"""Sharded GSP: the exact merge behind out-of-core Stage 1.
 
-:class:`ShardedGreedySelectPairs` (``"gsp-sharded"``) splits the
-subscriber axis into contiguous shards, runs the vectorized sweep of
-:class:`~repro.selection.greedy.GreedySelectPairs` on each shard's
-zero-copy sub-view (:meth:`repro.core.Workload.subscriber_range`), and
-merges the per-shard topic groups into exactly the selection the
-whole-array sweep emits.  With an mmap-backed workload no shard ever
-materializes pair-sized arrays beyond its own slice, which is what
-makes 100M-pair solves fit a small RAM budget; with
-``MCSS_SHARD_WORKERS > 1`` shards additionally run across forked,
-supervised worker processes
+When a workload spans more than one ``MCSS_SHARD_SIZE`` subscriber
+range (:func:`repro.resilience.supervise.subscriber_shards`),
+:meth:`repro.selection.greedy.GreedySelectPairs.select` splits the
+subscriber axis into contiguous shards, runs the vectorized sweep on
+each shard's zero-copy sub-view
+(:meth:`repro.core.Workload.subscriber_range`), and merges the
+per-shard topic groups here into exactly the selection the whole-array
+sweep emits.  With an mmap-backed workload no shard ever materializes
+pair-sized arrays beyond its own slice, which is what makes 100M-pair
+solves fit a small RAM budget; with ``MCSS_SHARD_WORKERS > 1`` shards
+additionally run across forked, supervised worker processes
 (:func:`repro.resilience.supervise.supervised_map`: dead-child
 detection, per-piece timeouts, seeded-backoff retries, and a
 degrade-to-serial fallback -- all result-neutral because the merge
@@ -37,46 +38,26 @@ the equivalence holds exactly, not just to tolerance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..core import MCSSProblem, PairSelection
-from ..parallel import default_shard_size, default_workers, shard_bounds
-from ..resilience.supervise import supervised_map
-from .base import SelectionAlgorithm, register_selector
-from .greedy import GreedySelectPairs
-
-__all__ = ["ShardedGreedySelectPairs", "merge_shard_groups"]
+__all__ = ["merge_shard_groups"]
 
 _Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _select_shard(args: Tuple[MCSSProblem, int, int]) -> Optional[_Groups]:
-    """Run grouped GSP on subscribers ``[lo, hi)`` and rebase to global ids."""
-    problem, lo, hi = args
-    workload = problem.workload
-    sub = workload.subscriber_range(lo, hi)
-    grouped = GreedySelectPairs().select_grouped(
-        MCSSProblem(sub, problem.tau, problem.plan)
-    )
-    if grouped is None:
-        return None
-    topics, sizes, first_seen, subscribers = grouped
-    rank_offset = 2 * int(workload.interest_indptr[lo])
-    return topics, sizes, first_seen + rank_offset, subscribers + lo
 
 
 def merge_shard_groups(groups: List[_Groups]) -> _Groups:
     """Merge rebased per-shard topic groups into global topic groups.
 
     Input tuples are ``(group_topics, sizes, first_seen, subscribers)``
-    from :func:`_select_shard`, one per shard *in shard order*.  The
-    output is the same shape over the union of topics: distinct topics
-    ascending, per-topic sizes summed, per-topic minimum first-seen
-    rank, and each topic's subscribers concatenated in shard order
-    (= ascending subscriber, shards being contiguous ranges).  All
-    integer bookkeeping -- exact by construction.
+    from :meth:`GreedySelectPairs._select_shard`, one per shard *in
+    shard order*.  The output is the same shape over the union of
+    topics: distinct topics ascending, per-topic sizes summed,
+    per-topic minimum first-seen rank, and each topic's subscribers
+    concatenated in shard order (= ascending subscriber, shards being
+    contiguous ranges).  All integer bookkeeping -- exact by
+    construction.
     """
     topics = np.concatenate([g[0] for g in groups])
     sizes = np.concatenate([g[1] for g in groups]).astype(np.int64)
@@ -105,39 +86,3 @@ def merge_shard_groups(groups: List[_Groups]) -> _Groups:
         + np.arange(all_subs.size, dtype=np.int64)
     )
     return g_topics, g_sizes, g_first, all_subs[gather]
-
-
-@register_selector("gsp-sharded")
-class ShardedGreedySelectPairs(SelectionAlgorithm):
-    """Chunked GSP over subscriber shards; identical output to ``"gsp"``.
-
-    ``shard_size`` / ``workers`` default to the ``MCSS_SHARD_SIZE`` /
-    ``MCSS_SHARD_WORKERS`` environment knobs (read at construction).
-    Workloads smaller than one shard take the plain whole-array path
-    with zero sharding overhead.
-    """
-
-    def __init__(
-        self, shard_size: Optional[int] = None, workers: Optional[int] = None
-    ) -> None:
-        self.shard_size = (
-            default_shard_size() if shard_size is None else int(shard_size)
-        )
-        self.workers = default_workers() if workers is None else int(workers)
-        if self.shard_size <= 0:
-            raise ValueError("shard_size must be positive")
-
-    def select(self, problem: MCSSProblem) -> PairSelection:
-        bounds = shard_bounds(problem.workload.num_subscribers, self.shard_size)
-        if len(bounds) <= 1:
-            return GreedySelectPairs().select(problem)
-        shard_groups = supervised_map(
-            _select_shard,
-            [(problem, lo, hi) for lo, hi in bounds],
-            self.workers,
-        )
-        shard_groups = [g for g in shard_groups if g is not None]
-        if not shard_groups:
-            return PairSelection({})
-        merged = merge_shard_groups(shard_groups)
-        return GreedySelectPairs._finalize_groups(*merged)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core import (
     MCSSProblem,
@@ -31,11 +30,12 @@ from ..packing import (
     CBPOptions,
     CustomBinPacking,
     FFBinPacking,
-    LoopCustomBinPacking,
     PackingAlgorithm,
     get_packer,
 )
+from ..resilience.supervise import subscriber_shards
 from ..selection import GreedySelectPairs, RandomSelectPairs, SelectionAlgorithm, get_selector
+from .sharded import sharded_validate
 
 __all__ = ["MCSSSolution", "MCSSSolver"]
 
@@ -106,16 +106,6 @@ class MCSSSolver:
         return cls(GreedySelectPairs(), CustomBinPacking(CBPOptions.ladder(rung)))
 
     @classmethod
-    def loop_referee(cls) -> "MCSSSolver":
-        """GSP + the retained ``cbp-loop`` packing referee.
-
-        Same selection as :meth:`paper`, but Stage 2 runs the verbatim
-        pre-vectorization CBP -- the configuration the equivalence
-        suite and ``scripts/profile_solver.py`` compare against.
-        """
-        return cls(GreedySelectPairs(), LoopCustomBinPacking(CBPOptions.ladder("e")))
-
-    @classmethod
     def from_names(cls, selector: str, packer: str, **kwargs) -> "MCSSSolver":
         """Build from registry names (CLI entry point)."""
         return cls(get_selector(selector), get_packer(packer), **kwargs)
@@ -127,50 +117,22 @@ class MCSSSolver:
         Raises ``ValueError`` if validation is enabled and the produced
         placement violates capacity or satisfaction -- a solver bug, by
         construction, so it must never pass silently.
+
+        A workload wider than one ``MCSS_SHARD_SIZE`` of subscribers is
+        solved out of core with the same result: GSP selects shard by
+        shard and merges bit-exactly (:mod:`repro.selection.sharded`),
+        and the audit may fan out over topic shards
+        (:meth:`solve_with_selection`).  Stage 2 stays one sequential
+        pack -- CBP's bin state is a chain of dependent decisions --
+        but it only touches selection-sized arrays, which is what lets
+        a 100M-pair problem pack in a small RAM budget when the
+        workload itself is mmap-backed.
         """
         t0 = time.perf_counter()
         selection = self.selector.select(problem)
         t1 = time.perf_counter()
         return self.solve_with_selection(
             problem, selection, selection_seconds=t1 - t0
-        )
-
-    def solve_sharded(
-        self,
-        problem: MCSSProblem,
-        shard_size: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> MCSSSolution:
-        """Out-of-core solve: sharded Stage 1, sharded validation.
-
-        Identical result to :meth:`solve` (bit-exact for the bundled
-        integer-rate generators; see :mod:`repro.selection.sharded`),
-        but Stage 1 runs :class:`~repro.selection.sharded.
-        ShardedGreedySelectPairs` over subscriber shards and the final
-        audit runs :func:`~repro.solver.sharded.sharded_validate` over
-        topic shards, both optionally fanned out across forked workers.
-        Stage 2 packing stays sequential -- CBP's bin state is a chain
-        of dependent decisions, so the paper's Stage-2 cost is paid
-        once, whole -- but it only ever touches selection-sized arrays,
-        which is what lets a 100M-pair problem pack in a small RAM
-        budget when the workload itself is mmap-backed.
-
-        ``shard_size`` / ``workers`` default to the ``MCSS_SHARD_SIZE``
-        / ``MCSS_SHARD_WORKERS`` environment knobs.  The configured
-        ``self.selector`` is ignored for Stage 1 (this method *is* the
-        GSP path); the configured packer and ``validate`` flag apply
-        unchanged.
-        """
-        from ..selection.sharded import ShardedGreedySelectPairs
-        from .sharded import sharded_validate
-
-        selector = ShardedGreedySelectPairs(shard_size=shard_size, workers=workers)
-        t0 = time.perf_counter()
-        selection = selector.select(problem)
-        t1 = time.perf_counter()
-        return self._pack_and_audit(
-            problem, selection, t1 - t0,
-            partial(sharded_validate, workers=workers), selector.name,
         )
 
     def solve_with_selection(
@@ -189,30 +151,22 @@ class MCSSSolver:
         (validation will reject an insufficient one).
         ``selection_seconds`` is recorded in the returned solution so
         shared-selection sweeps still report a Stage-1 time.
-        """
-        return self._pack_and_audit(
-            problem, selection, selection_seconds, validate_placement,
-            self.selector.name,
-        )
 
-    def _pack_and_audit(
-        self,
-        problem: MCSSProblem,
-        selection: PairSelection,
-        selection_seconds: float,
-        audit: Callable[[MCSSProblem, Placement], ValidationReport],
-        selector_name: str,
-    ) -> MCSSSolution:
-        """Stage 2, the ``audit`` of its placement, and the solution record.
-
-        Callers pass the audit at call time (never as a default), so a
-        patched ``validate_placement`` in this module sees every solve.
+        The audit is :func:`validate_placement`, looked up in this
+        module on every call so a patched one sees every solve.  A
+        workload spanning more than one ``MCSS_SHARD_SIZE`` range is
+        audited with the same reduction over topic shards
+        (:func:`~repro.solver.sharded.sharded_validate`, which keeps
+        one shard, in process, unless ``MCSS_SHARD_WORKERS > 1``).
         """
         t1 = time.perf_counter()
         placement = self.packer.pack(problem, selection)
         t2 = time.perf_counter()
 
-        report = audit(problem, placement)
+        out_of_core = len(subscriber_shards(problem.workload.num_subscribers)) > 1
+        report = (sharded_validate if out_of_core else validate_placement)(
+            problem, placement
+        )
         if self.validate:
             report.raise_if_invalid()
 
@@ -223,7 +177,7 @@ class MCSSSolver:
             cost=problem.cost_of(placement),
             selection_seconds=selection_seconds,
             packing_seconds=t2 - t1,
-            selector_name=selector_name,
+            selector_name=self.selector.name,
             packer_name=self.packer.name,
             validation=report,
         )

@@ -1,10 +1,13 @@
 """Topic-sharded validation for the out-of-core pipeline.
 
 Stage 2 (CBP) is inherently sequential -- every placement decision
-conditions on the bins left by the previous one -- so the sharded
-pipeline parallelizes *around* it: Stage 1 shards subscribers
+conditions on the bins left by the previous one -- so the out-of-core
+solve parallelizes *around* it: Stage 1 shards subscribers
 (:mod:`repro.selection.sharded`), Stage 2 packs once, and the final
-audit shards *topics* here.
+audit shards *topics* here.  :meth:`repro.solver.MCSSSolver.solve`
+audits this way when the workload spans more than one
+``MCSS_SHARD_SIZE`` subscriber range; with ``MCSS_SHARD_WORKERS=1``
+that is one shard, in process.
 
 :func:`sharded_validate` splits the placement's (vm, topic) assignment
 groups into contiguous topic ranges, runs the same partial reduction
@@ -32,8 +35,7 @@ import numpy as np
 
 from ..core import MCSSProblem, Placement, ValidationReport
 from ..core.validation import _reduce_assignments, _verdict
-from ..parallel import default_workers, shard_bounds
-from ..resilience.supervise import supervised_map
+from ..resilience.supervise import default_workers, shard_bounds, supervised_map
 
 __all__ = ["sharded_validate"]
 
@@ -68,7 +70,9 @@ def sharded_validate(
 
     _, topic_arr, _, _ = placement.assignment_arrays()
     num_topics = problem.workload.num_topics
-    shard_size = -(-num_topics // shards)  # ceil; partition never splits a topic
+    # ceil, and at least 1 so a topicless workload audits as no shards;
+    # the partition never splits a topic.
+    shard_size = max(1, -(-num_topics // shards))
     parts = supervised_map(
         _reduce_shard,
         [

@@ -10,6 +10,8 @@ Conventions:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,25 @@ def make_unit_plan(
         vm_cost=LinearVMCost(vm_price),
         capacity_bytes_override=capacity_events,
     )
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """``force_shards(shard_size, workers=None)``: solve out of core in this test.
+
+    Sets the ``MCSS_SHARD_SIZE`` knob that ``MCSSSolver.solve`` and GSP
+    read at call time, and ``MCSS_SHARD_WORKERS`` only when ``workers``
+    is given -- otherwise the worker count follows the environment, so
+    a suite run under ``MCSS_SHARD_WORKERS=2`` forks these tests too.
+    monkeypatch restores both after the test.
+    """
+
+    def force(shard_size: int, workers: Optional[int] = None) -> None:
+        monkeypatch.setenv("MCSS_SHARD_SIZE", str(shard_size))
+        if workers is not None:
+            monkeypatch.setenv("MCSS_SHARD_WORKERS", str(workers))
+
+    return force
 
 
 @pytest.fixture

@@ -20,13 +20,14 @@ import pytest
 
 from repro.core import MCSSProblem
 from repro.dynamic import ChurnModel, IncrementalReprovisioner
-from repro.parallel import default_shard_size, default_workers
 from repro.resilience import (
     FaultPlan,
     KnobError,
     SupervisedStats,
     TraceCorruptionError,
     atomic_write,
+    default_shard_size,
+    default_workers,
     env_float,
     env_int,
     env_str,
@@ -34,7 +35,7 @@ from repro.resilience import (
     save_checkpoint,
     supervised_map,
 )
-from repro.selection import GreedySelectPairs, ShardedGreedySelectPairs
+from repro.selection import GreedySelectPairs
 from repro.solver import MCSSSolver, sharded_validate
 from repro.workloads import zipf_workload
 from tests.conftest import make_unit_plan
@@ -63,6 +64,12 @@ def _boom(x):
     if x == 2:
         raise ValueError(f"task error on item {x}")
     return _work(x)
+
+
+def _nested(x):
+    stats = SupervisedStats()
+    out = supervised_map(_work, [x, x + 1], workers=2, stats=stats)
+    return out, stats.mode
 
 
 class TestKnobs:
@@ -162,6 +169,15 @@ class TestSupervisedHappyPath:
         assert supervised_map(_work, [4], workers=3, stats=stats) == [17]
         assert stats.mode == "serial"
 
+    @needs_fork
+    def test_nested_call_runs_serially(self):
+        # A supervised child is daemonic and may not fork: the inner
+        # fan-out computes its pieces in that child instead of crashing.
+        stats = SupervisedStats()
+        out = supervised_map(_nested, range(3), workers=2, stats=stats)
+        assert stats.mode == "supervised"
+        assert out == [([_work(i), _work(i + 1)], "serial") for i in range(3)]
+
 
 @needs_fork
 class TestChaosInjection:
@@ -257,17 +273,21 @@ class TestChaosInjection:
 
 @needs_fork
 class TestFaultedPipeline:
-    """Env-injected faults through the real sharded solver paths."""
+    """Env-injected faults through the real sharded solver paths, forced
+    out of core by the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs."""
 
     def _problem(self, small_zipf):
         return MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
 
-    def test_sharded_selection_survives_env_faults(self, small_zipf, monkeypatch):
+    def test_sharded_selection_survives_env_faults(
+        self, small_zipf, monkeypatch, force_shards
+    ):
         problem = self._problem(small_zipf)
         expected = GreedySelectPairs().select(problem)
         monkeypatch.setenv("MCSS_FAULT_PLAN", "kill:0:1;corrupt:2:1")
         monkeypatch.setenv("MCSS_MAX_RETRIES", "2")
-        got = ShardedGreedySelectPairs(shard_size=50, workers=2).select(problem)
+        force_shards(50, workers=2)
+        got = GreedySelectPairs().select(problem)
         for a, b in zip(got.csr_arrays(), expected.csr_arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -281,13 +301,14 @@ class TestFaultedPipeline:
         )
         assert report.ok == validate_ok(solution, problem)
 
-    def test_solve_sharded_bit_exact_under_faults(self, small_zipf, monkeypatch):
+    def test_out_of_core_solve_bit_exact_under_faults(
+        self, small_zipf, monkeypatch, force_shards
+    ):
         problem = self._problem(small_zipf)
         expected = MCSSSolver.paper().solve(problem)
         monkeypatch.setenv("MCSS_FAULT_PLAN", "corrupt:0:1")
-        got = MCSSSolver.paper().solve_sharded(
-            problem, shard_size=50, workers=2
-        )
+        force_shards(50, workers=2)
+        got = MCSSSolver.paper().solve(problem)
         assert got.cost == expected.cost
 
 

@@ -23,6 +23,7 @@ import pytest
 from repro.core import MCSSProblem, validate_placement
 from repro.core.backend import is_mapped
 from repro.packing import CBPOptions, CustomBinPacking
+from repro.resilience import subscriber_shards
 from repro.selection import GreedySelectPairs
 from repro.solver import MCSSSolver
 from repro.workloads import (
@@ -140,13 +141,17 @@ def test_ten_million_pair_ladder_rung():
     """A ~10M-pair ladder rung with one Stage-1 selection shared by rungs.
 
     The experiment ladder no longer re-selects per packing variant:
-    selection depends only on (workload, tau), so one vectorized GSP
-    pass feeds every CBP rung through ``solve_with_selection``.  This
-    smoke runs that reuse path one order of magnitude above the
-    1M-subscriber test (9.4M workload pairs / 6.3M selected pairs) and
-    bounds the traced memory the same way -- a per-pair Python fallback
-    in selection, packing, validation or the selection-reuse plumbing
-    would blow straight through the bound.
+    selection depends only on (workload, tau), so one GSP selection
+    feeds every CBP rung through ``solve_with_selection``.  The 2M
+    subscribers span two default ``MCSS_SHARD_SIZE`` ranges, so that
+    selection is sharded GSP: one vectorized sweep per 1M-subscriber
+    shard, merged exactly (in process unless ``MCSS_SHARD_WORKERS >
+    1``).  The audit inside ``solve_with_selection`` runs over topic
+    shards likewise.  This smoke runs that reuse path one order of
+    magnitude above the 1M-subscriber test (9.4M workload pairs / 6.3M
+    selected pairs) and bounds the traced memory the same way -- a
+    per-pair Python fallback in selection, packing, validation or the
+    selection-reuse plumbing would blow straight through the bound.
     """
     workload = zipf_workload(40_000, 2_000_000, mean_interest=5.0, seed=13)
     assert workload.num_pairs > 9_000_000  # ~10M pairs
@@ -192,7 +197,7 @@ def test_ten_million_pair_ladder_rung():
 
 
 @pytest.mark.slow
-def test_out_of_core_hundred_million_pairs(tmp_path):
+def test_out_of_core_hundred_million_pairs(tmp_path, force_shards):
     """The headline out-of-core rung: 10M subscribers / >= 100M pairs.
 
     The trace never exists in RAM as a whole: it is generated chunk by
@@ -204,6 +209,7 @@ def test_out_of_core_hundred_million_pairs(tmp_path):
     pages are the kernel's, not the Python heap's, which is exactly
     what tracemalloc certifies here.
     """
+    force_shards(1_000_000)
     tracemalloc.start()
     try:
         path = save_zipf_workload_chunked(
@@ -226,14 +232,15 @@ def test_out_of_core_hundred_million_pairs(tmp_path):
             * workload.message_size_bytes
         )
         problem = MCSSProblem(workload, 100.0, make_unit_plan(float(capacity)))
-        solution = MCSSSolver.paper().solve_sharded(problem)
+        assert len(subscriber_shards(workload.num_subscribers)) == 10
+        solution = MCSSSolver.paper().solve(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
     assert peak < PEAK_BYTES_BOUND, f"peak traced memory {peak / 1e9:.2f} GB"
     assert solution.validation.ok
-    assert solution.selector_name == "gsp-sharded"
+    assert solution.selector_name == "gsp"
     assert solution.selection.num_pairs > 10_000_000
     assert solution.placement.num_pairs == solution.selection.num_pairs
     assert solution.placement.num_vms > 1

@@ -6,6 +6,9 @@ single-process solve -- not statistical agreement.  These tests pin
 that claim on the edgy randomized workloads of the equivalence suite,
 including merges over adversarial shard boundaries (empty shards,
 single-subscriber shards) and broken placements for the validator.
+The solver picks the out-of-core path by workload size, so the tests
+force it through the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS``
+knobs.
 """
 
 from __future__ import annotations
@@ -13,16 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MCSSProblem, validate_placement
+from repro.core import MCSSProblem, Workload, validate_placement
 from repro.packing import FFBinPacking, diff_placements
-from repro.parallel import fork_map, shard_bounds
-from repro.selection import (
-    GreedySelectPairs,
-    ShardedGreedySelectPairs,
-    get_selector,
-    merge_shard_groups,
-)
-from repro.selection.sharded import _select_shard
+from repro.resilience import shard_bounds, subscriber_shards
+from repro.selection import GreedySelectPairs, merge_shard_groups
 from repro.solver import MCSSSolver, sharded_validate
 from repro.workloads import zipf_workload
 from tests.conftest import make_unit_plan
@@ -54,9 +51,10 @@ class TestShardMerge:
 
             cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 4))))
             bounds = list(zip([0, *cuts.tolist()], [*cuts.tolist(), n]))
+            gsp = GreedySelectPairs()
             groups = [
                 g
-                for g in (_select_shard((problem, lo, hi)) for lo, hi in bounds)
+                for g in (gsp._select_shard((problem, lo, hi)) for lo, hi in bounds)
                 if g is not None
             ]
             if not groups:
@@ -66,25 +64,47 @@ class TestShardMerge:
             assert_same_csr(merged, expected)
 
     @pytest.mark.parametrize("shard_size", (1, 3, 5, 100))
-    def test_selector_matches_gsp(self, shard_size, small_zipf):
+    def test_selector_matches_gsp(self, shard_size, small_zipf, force_shards):
         problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
         expected = GreedySelectPairs().select(problem)
-        sharded = ShardedGreedySelectPairs(shard_size=shard_size).select(problem)
+        force_shards(shard_size)
+        sharded = GreedySelectPairs().select(problem)
         assert_same_csr(sharded, expected)
 
-    def test_forked_workers_match_serial(self, small_zipf):
+    def test_select_shards_by_workload_size(
+        self, small_zipf, force_shards, monkeypatch
+    ):
+        # One shard keeps the whole-array sweep; more run one sweep each
+        # (in-process, so the spy sees them).
         problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
-        serial = ShardedGreedySelectPairs(shard_size=17, workers=1).select(problem)
-        forked = ShardedGreedySelectPairs(shard_size=17, workers=2).select(problem)
+        seen = []
+        real = GreedySelectPairs._select_shard
+
+        def spy(self, args):
+            seen.append(args[1:])
+            return real(self, args)
+
+        monkeypatch.setattr(GreedySelectPairs, "_select_shard", spy)
+        force_shards(small_zipf.num_subscribers, workers=1)
+        GreedySelectPairs().select(problem)
+        assert seen == []
+        force_shards(50, workers=1)
+        GreedySelectPairs().select(problem)
+        assert seen == [(0, 50), (50, 100), (100, 150), (150, 200)]
+
+    def test_forked_workers_match_serial(self, small_zipf, force_shards):
+        problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
+        force_shards(17, workers=1)
+        serial = GreedySelectPairs().select(problem)
+        force_shards(17, workers=2)
+        forked = GreedySelectPairs().select(problem)
         assert_same_csr(forked, serial)
 
-    def test_registered_selector_name(self):
-        assert isinstance(get_selector("gsp-sharded"), ShardedGreedySelectPairs)
-        assert ShardedGreedySelectPairs().name == "gsp-sharded"
-
-    def test_rejects_bad_shard_size(self):
-        with pytest.raises(ValueError):
-            ShardedGreedySelectPairs(shard_size=0)
+    def test_rejects_bad_shard_size(self, small_zipf, force_shards):
+        problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
+        force_shards(0)
+        with pytest.raises(ValueError, match="MCSS_SHARD_SIZE"):
+            GreedySelectPairs().select(problem)
 
 
 class TestShardedValidate:
@@ -123,17 +143,25 @@ class TestShardedValidate:
         got = sharded_validate(tiny_problem, p, shards=2)
         assert got.accounting_ok == expected.accounting_ok is False
 
+    @pytest.mark.parametrize("shards", (2, 3))
+    def test_topicless_workload(self, shards):
+        # Zero topics over any shard count is an empty partition, not
+        # a zero-sized shard: the verdict matches the whole-array one.
+        problem = MCSSProblem(Workload([], [[], []]), 10.0, make_unit_plan(1e6))
+        placement = problem.empty_placement()
+        assert validate_placement(problem, placement).ok
+        assert sharded_validate(problem, placement, shards=shards).ok
+
 
 class TestSolveSharded:
-    def test_matches_paper_solve(self, small_zipf):
+    def test_matches_paper_solve(self, small_zipf, force_shards):
         capacity_bytes = (
             4.0 * float(small_zipf.event_rates.max()) * small_zipf.message_size_bytes
         )
         problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(capacity_bytes))
         plain = MCSSSolver.paper().solve(problem)
-        sharded = MCSSSolver.paper().solve_sharded(
-            problem, shard_size=33, workers=2
-        )
+        force_shards(33, workers=2)
+        sharded = MCSSSolver.paper().solve(problem)
         assert_same_csr(sharded.selection, plain.selection)
         assert diff_placements(sharded.placement, plain.placement) is None
         assert sharded.cost.num_vms == plain.cost.num_vms
@@ -141,11 +169,12 @@ class TestSolveSharded:
             plain.cost.total_usd, rel=1e-12
         )
         assert sharded.validation.ok
-        assert sharded.selector_name == "gsp-sharded"
+        assert sharded.selector_name == "gsp"
 
 
 class TestLadderWorkers:
-    def test_forked_taus_match_serial(self):
+    @staticmethod
+    def _ladder(workers):
         from repro.experiments import run_cost_ladder
 
         workload = zipf_workload(25, 120, mean_interest=4.0, seed=6)
@@ -153,24 +182,26 @@ class TestLadderWorkers:
             4.0 * float(workload.event_rates.max()) * workload.message_size_bytes
         )
         plan = make_unit_plan(capacity_bytes)
-        taus = [10.0, 100.0]
-        serial = run_cost_ladder(workload, plan, taus, workers=1)
-        forked = run_cost_ladder(workload, plan, taus, workers=2)
+        return run_cost_ladder(workload, plan, [10.0, 100.0], workers=workers)
+
+    def test_forked_taus_match_serial(self):
+        serial = self._ladder(workers=1)
+        forked = self._ladder(workers=2)
         assert serial.cells.keys() == forked.cells.keys()
         for variant, by_tau in serial.cells.items():
             for tau, cell in by_tau.items():
                 assert forked.cells[variant][tau] == cell, (variant, tau)
 
+    def test_forked_taus_with_sharded_gsp_match_serial(self, force_shards):
+        # Each forked tau's GSP spans three shards and its audit forks
+        # too: the nested fan-outs run serially inside the tau's child.
+        serial = self._ladder(workers=1)
+        force_shards(40, workers=2)
+        assert len(subscriber_shards(120)) == 3
+        assert self._ladder(workers=2).cells == serial.cells
 
-class TestForkMap:
-    def test_serial_and_pool_agree(self):
-        items = list(range(23))
-        assert fork_map(_square, items, workers=1) == [i * i for i in items]
-        assert fork_map(_square, items, workers=3) == [i * i for i in items]
 
-    def test_single_item_stays_serial(self):
-        assert fork_map(_square, [7], workers=8) == [49]
-
+class TestShardBounds:
     def test_shard_bounds(self):
         assert shard_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
         assert shard_bounds(4, 4) == [(0, 4)]
@@ -178,6 +209,10 @@ class TestForkMap:
         with pytest.raises(ValueError):
             shard_bounds(10, 0)
 
-
-def _square(x: int) -> int:
-    return x * x
+    def test_subscriber_shards_follow_the_knob(self, monkeypatch):
+        monkeypatch.delenv("MCSS_SHARD_SIZE", raising=False)
+        assert subscriber_shards(1_000_000) == [(0, 1_000_000)]
+        assert len(subscriber_shards(1_000_001)) == 2
+        monkeypatch.setenv("MCSS_SHARD_SIZE", "4")
+        assert subscriber_shards(10) == [(0, 4), (4, 8), (8, 10)]
+        assert subscriber_shards(0) == []

@@ -153,8 +153,10 @@ class _EmptyPacker(PackingAlgorithm):
 
 
 class TestPackAndAudit:
-    """solve_with_selection and solve_sharded share one Stage-2 + audit
-    body; they differ only in the audit function and the selector name."""
+    """solve_with_selection is the one Stage-2 + audit body; the audit
+    goes through sharded_validate only for an out-of-core workload (more
+    than one ``MCSS_SHARD_SIZE`` subscriber range), forced here through
+    the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs."""
 
     def test_validate_placement_looked_up_per_call(self, problem, monkeypatch):
         # The audit is resolved in the pipeline module at call time, so
@@ -175,43 +177,63 @@ class TestPackAndAudit:
         assert audited[0] is solved.placement
         assert audited[1] is reused.placement
 
-    def test_sharded_path_audits_with_sharded_validate(self, problem, monkeypatch):
-        from repro.solver import pipeline, sharded
+    def test_sharded_path_audits_with_sharded_validate(
+        self, problem, monkeypatch, force_shards
+    ):
+        from repro.solver import pipeline
 
         calls = []
-        real = sharded.sharded_validate
+        real = pipeline.sharded_validate
 
         def recording(prob, placement, **kwargs):
-            calls.append(kwargs)
+            calls.append(placement)
             return real(prob, placement, **kwargs)
 
         def unexpected(*_args, **_kwargs):
-            raise AssertionError("solve_sharded audited with validate_placement")
+            raise AssertionError("out-of-core solve audited with validate_placement")
 
-        monkeypatch.setattr(sharded, "sharded_validate", recording)
+        monkeypatch.setattr(pipeline, "sharded_validate", recording)
         monkeypatch.setattr(pipeline, "validate_placement", unexpected)
-        solution = MCSSSolver.paper().solve_sharded(problem, shard_size=50, workers=1)
-        assert calls == [{"workers": 1}]
+        force_shards(50, workers=2)
+        solution = MCSSSolver.paper().solve(problem)
+        assert len(calls) == 1 and calls[0] is solution.placement
         assert solution.validation.ok
 
+    def test_one_shard_audit_never_forks(self, problem, monkeypatch, force_shards):
+        # Workers alone do not fan the audit out: a one-shard workload
+        # keeps the whole-array validate_placement audit.
+        from repro.solver import pipeline
+
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("audit fanned out over topic shards")
+
+        monkeypatch.setattr(pipeline, "sharded_validate", unexpected)
+        force_shards(1_000_000, workers=2)
+        assert MCSSSolver.paper().solve(problem).validation.ok
+
     @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
-    def test_sharded_path_packs_with_configured_packer(self, problem, rung):
+    def test_sharded_path_packs_with_configured_packer(
+        self, problem, rung, force_shards
+    ):
         solver = MCSSSolver.ladder(rung)
         plain = solver.solve(problem)
-        sharded = solver.solve_sharded(problem, shard_size=50, workers=1)
-        assert sharded.selector_name == "gsp-sharded"
+        force_shards(50)
+        sharded = solver.solve(problem)
+        assert sharded.selector_name == "gsp"
         assert sharded.packer_name == solver.packer.name
         assert diff_placements(sharded.placement, plain.placement) is None
         assert sharded.cost == plain.cost
 
-    def test_sharded_path_rejects_invalid_placement(self, problem):
+    def test_sharded_path_rejects_invalid_placement(self, problem, force_shards):
         solver = MCSSSolver(GreedySelectPairs(), _EmptyPacker())
+        force_shards(50, workers=2)
         with pytest.raises(ValueError, match="invalid placement"):
-            solver.solve_sharded(problem, shard_size=50, workers=1)
+            solver.solve(problem)
 
-    def test_sharded_path_reports_when_validation_off(self, problem):
+    def test_sharded_path_reports_when_validation_off(self, problem, force_shards):
         solver = MCSSSolver(GreedySelectPairs(), _EmptyPacker(), validate=False)
-        solution = solver.solve_sharded(problem, shard_size=50, workers=1)
+        force_shards(50, workers=2)
+        solution = solver.solve(problem)
         assert not solution.validation.ok
         assert solution.packer_name == "empty"
         assert solution.selection.num_pairs > 0

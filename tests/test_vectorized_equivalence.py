@@ -844,14 +844,14 @@ class TestShardedMmapPin:
     """The acceptance pin: out-of-core == in-RAM at 100k subscribers.
 
     One 100k-subscriber zipf instance solved twice -- the plain
-    single-process in-RAM path, and the sharded path on an mmap-backed
-    reload of the same workload with forked workers -- must agree on
-    the selection (group order included), the per-VM placements, and
-    the costs, exactly.
+    single-process in-RAM path, and the out-of-core path (forced by the
+    ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs) on an
+    mmap-backed reload of the same workload with forked workers --
+    must agree on the selection (group order included), the per-VM
+    placements, and the costs, exactly.
     """
 
-    def test_sharded_mmap_solve_bit_exact(self, tmp_path):
-        from repro.selection import ShardedGreedySelectPairs
+    def test_sharded_mmap_solve_bit_exact(self, tmp_path, force_shards):
         from repro.solver import MCSSSolver, sharded_validate
         from repro.workloads import load_workload, save_workload, zipf_workload
 
@@ -868,9 +868,8 @@ class TestShardedMmapPin:
 
         mapped = load_workload(save_workload(workload, tmp_path / "pin"), mmap=True)
         mmap_problem = MCSSProblem(mapped, 100.0, make_unit_plan(float(capacity)))
-        sharded = MCSSSolver.paper().solve_sharded(
-            mmap_problem, shard_size=25_000, workers=2
-        )
+        force_shards(25_000, workers=2)
+        sharded = MCSSSolver.paper().solve(mmap_problem)
 
         # Selection identity down to group order and within-group order.
         pt, pi, ps = plain.selection.csr_arrays()
@@ -887,9 +886,7 @@ class TestShardedMmapPin:
         assert report.ok == plain.validation.ok is True
         # The sharded Stage 1 run again directly also matches (selector
         # entry point, not just the solver wrapper).
-        direct = ShardedGreedySelectPairs(shard_size=25_000, workers=2).select(
-            mmap_problem
-        )
+        direct = GreedySelectPairs().select(mmap_problem)
         assert direct == plain.selection
 
 
