@@ -8,7 +8,7 @@ criteria:
 * vectorized ``select`` + ``validate_placement`` must be >= 10x faster
   than the loop implementations at 100k subscribers
   (``MCSS_PROFILE_TARGET``),
-* vectorized stage-2 ``pack`` (CBP rung e) must be >= 5x faster than
+* vectorized stage-2 ``pack`` (CBP rung e) must be >= 18x faster than
   the retained ``cbp-loop`` referee (``MCSS_PACK_TARGET``), with both
   packers producing identical placements, and
 * vectorized social-graph *workload construction* (CSR
@@ -378,7 +378,7 @@ def _out_of_core(num_users: int) -> int:
 
     select_s = solution.selection_seconds
     pack_s = solution.packing_seconds
-    validate_s = max(0.0, solve_s - select_s - pack_s)
+    validate_s = solution.validation_seconds
     print(
         f"  solved in {solve_s:.1f}s (select {select_s:.1f}s, pack {pack_s:.1f}s, "
         f"validate {validate_s:.1f}s): {solution.cost}"
@@ -700,7 +700,7 @@ def main(argv) -> int:
     # scales); the equivalence/validity assertions above always hold
     # the exit code hostage.
     target = float(os.environ.get("MCSS_PROFILE_TARGET", "10"))
-    pack_target = float(os.environ.get("MCSS_PACK_TARGET", "5"))
+    pack_target = float(os.environ.get("MCSS_PACK_TARGET", "18"))
     gen_target = float(os.environ.get("MCSS_GEN_TARGET", "10"))
     epoch_target = float(os.environ.get("MCSS_EPOCH_TARGET", "10"))
     # Supervision is gated the other way around: it is pure overhead on

@@ -105,8 +105,18 @@ class PairSelection:
         self._topics = topics
         self._indptr = indptr
         self._subs = subscribers
-        self._topic_pos = {int(t): i for i, t in enumerate(topics.tolist())}
+        self._topic_pos: Optional[Dict[int, int]] = None
         self._pair_arrays = None
+
+    def _positions(self) -> Dict[int, int]:
+        """``topic -> CSR group``, built on first use.
+
+        Select, pack and audit never look a topic up, so a selection
+        that only flows through them never builds it.
+        """
+        if self._topic_pos is None:
+            self._topic_pos = {int(t): i for i, t in enumerate(self._topics.tolist())}
+        return self._topic_pos
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -253,14 +263,14 @@ class PairSelection:
 
         A zero-copy read-only slice of the flat CSR subscriber array.
         """
-        i = self._topic_pos.get(int(topic))
+        i = self._positions().get(int(topic))
         if i is None:
             return _EMPTY
         return self._subs[self._indptr[i]:self._indptr[i + 1]]
 
     def pair_count(self, topic: int) -> int:
         """Number of selected pairs for a topic."""
-        i = self._topic_pos.get(int(topic))
+        i = self._positions().get(int(topic))
         if i is None:
             return 0
         return int(self._indptr[i + 1] - self._indptr[i])
@@ -295,7 +305,7 @@ class PairSelection:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairSelection):
             return NotImplemented
-        if self._topic_pos.keys() != other._topic_pos.keys():
+        if self._positions().keys() != other._positions().keys():
             return False
         return all(
             np.array_equal(
@@ -309,7 +319,7 @@ class PairSelection:
             tuple(
                 sorted(
                     (t, tuple(sorted(self.subscribers_of(t).tolist())))
-                    for t in self._topic_pos
+                    for t in self._positions()
                 )
             )
         )

@@ -32,9 +32,11 @@ packers never loop over VMs in Python:
 * :meth:`Placement.remove_range` / :meth:`Placement.remove_topic` --
   the removal/eviction mirrors of ``assign_range``, for tooling that
   mutates a live placement under churn;
-* :meth:`Placement.from_pair_arrays` -- batch-materialize a whole
-  placement from flat per-pair ``(vm, topic, subscriber)`` arrays
-  (one lexsort, one ``assign_range`` per group);
+* :meth:`Placement.from_groups` -- adopt a finished placement as flat
+  per-(vm, topic) group arrays plus the caller's own per-VM bytes, in
+  O(groups) array work; CBP builds its result this way, and
+  :meth:`Placement.from_pair_arrays` (flat per-pair input, one
+  lexsort) feeds it too;
 * :meth:`Placement.new_vms` -- deploy a batch of VMs at once.
 
 Per-(vm, topic) subscriber identities are retained as lists of array
@@ -42,7 +44,11 @@ chunks (appended, never extended element-wise) so the placement can be
 audited (satisfaction, duplicate-assignment) and replayed by the
 deployment simulator.  The per-VM :class:`VirtualMachine` objects
 remain the scalar accounting/query API; each batch assignment updates
-exactly one of them in O(1).
+exactly one of them in O(1).  A placement adopted through
+:meth:`~Placement.from_groups` builds those objects and the
+member/host dicts only on the first call that needs them: the solve
+path (audit, cost) reads only the flat group arrays and the per-VM
+bytes vector.
 """
 
 from __future__ import annotations
@@ -202,9 +208,10 @@ class Placement:
     """A complete assignment of selected pairs to a VM fleet.
 
     Stage-2 algorithms build a placement incrementally through
-    :meth:`assign` / :meth:`assign_range` / :meth:`new_vm`; analysis
-    code reads the aggregate properties.  See the module docstring for
-    the array-backed core the vectorized packers consume.
+    :meth:`assign` / :meth:`assign_range` / :meth:`new_vm`, or hand a
+    finished one over in one batch through :meth:`from_groups`;
+    analysis code reads the aggregate properties.  See the module
+    docstring for the array-backed core.
     """
 
     def __init__(self, workload: Workload, capacity_bytes: float) -> None:
@@ -212,6 +219,7 @@ class Placement:
             raise ValueError("VM capacity must be positive")
         self.workload = workload
         self.capacity_bytes = float(capacity_bytes)
+        self._num_vms = 0
         self._vms: List[VirtualMachine] = []
         # Array core: per-VM used bytes (geometrically grown buffer).
         self._used = np.zeros(8, dtype=np.float64)
@@ -223,8 +231,65 @@ class Placement:
         # Flat-array view cache (see assignment_arrays).
         self._mutations = 0
         self._flat_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
+        # from_groups: the recorded per-VM (outgoing, incoming) bytes,
+        # held until _fleet() builds the per-VM objects from them.
+        self._pending: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- construction ----------------------------------------------------
+    @classmethod
+    def from_groups(
+        cls,
+        workload: Workload,
+        capacity_bytes: float,
+        vm_ids: np.ndarray,
+        topics: np.ndarray,
+        sizes: np.ndarray,
+        subscribers: np.ndarray,
+        out_bytes: np.ndarray,
+        in_bytes: np.ndarray,
+    ) -> "Placement":
+        """Adopt a finished placement given as flat per-group arrays.
+
+        ``vm_ids``, ``topics`` and ``sizes`` hold one row per distinct
+        (vm, topic) group, in the order :meth:`iter_assignments` will
+        yield them; ``subscribers`` is their members laid end to end,
+        group-major.  They become the :meth:`assignment_arrays` view
+        as they are (``subscribers`` is marked read-only, not copied).
+        ``out_bytes`` / ``in_bytes`` are the caller's own per-VM
+        outgoing and incoming byte rates, one entry per VM: they are
+        the bookkeeping :func:`~repro.core.validate_placement`
+        cross-checks against its recomputation from the groups, so a
+        caller must pass the values its decisions ran on, not values
+        derived from the groups.
+
+        The :class:`VirtualMachine` objects and the member/host dicts
+        are built on the first call that needs them; the audit and
+        :meth:`MCSSProblem.cost_of` never do.
+        """
+        placement = cls(workload, capacity_bytes)
+        out = np.array(out_bytes, dtype=np.float64)
+        inc = np.array(in_bytes, dtype=np.float64)
+        subs = np.asarray(subscribers, dtype=np.int64)
+        subs.setflags(write=False)
+        groups = tuple(
+            np.ascontiguousarray(a, dtype=np.int64) for a in (vm_ids, topics, sizes)
+        )
+        vm, topic, size = groups
+        if not vm.size == topic.size == size.size or int(size.sum()) != subs.size:
+            raise ValueError(
+                "group rows must be parallel and their sizes must sum to the subscribers"
+            )
+        if out.size != inc.size or (
+            vm.size and not 0 <= int(vm.min()) <= int(vm.max()) < out.size
+        ):
+            raise ValueError("every group's VM needs an entry in out_bytes and in_bytes")
+        placement._num_vms = int(out.size)
+        placement._used = out + inc
+        placement._num_pairs = int(subs.size)
+        placement._flat_cache = (0, groups + (subs,))
+        placement._pending = (out, inc)
+        return placement
+
     @classmethod
     def from_pair_arrays(
         cls,
@@ -240,11 +305,14 @@ class Placement:
         ``vm_ids``, ``topics`` and ``subscribers`` are parallel arrays,
         one row per assigned pair; VM indices must be dense in
         ``[0, num_vms)`` (``num_vms`` defaults to ``max(vm_ids) + 1``).
-        One ``np.lexsort`` groups the pairs by ``(vm, topic)``; each
-        group becomes a single :meth:`assign_range` whose subscriber
-        slice is adopted zero-copy, so the cost is O(pairs log pairs)
+        One ``np.lexsort`` groups the pairs by ``(vm, topic)`` and two
+        ``np.bincount`` passes price the VMs; the groups are adopted
+        through :meth:`from_groups`, so the cost is O(pairs log pairs)
         regardless of how many pairs each group holds.  The sort is
         stable: subscribers keep their input order inside each group.
+        ``np.bincount`` adds each VM's groups in order, the same chain
+        of sums one :meth:`assign_range` per group would run.  Raises
+        :class:`CapacityError` if a VM's groups exceed its capacity.
 
         This is the batch materialization path of the dynamic
         reprovisioner (its per-epoch state is exactly these arrays).
@@ -254,7 +322,6 @@ class Placement:
         v = np.ascontiguousarray(subscribers, dtype=np.int64)
         if not (vm.size == t.size == v.size):
             raise ValueError("vm_ids, topics and subscribers must be parallel")
-        placement = cls(workload, capacity_bytes)
         count = int(num_vms) if num_vms is not None else (
             int(vm.max()) + 1 if vm.size else 0
         )
@@ -263,20 +330,63 @@ class Placement:
                 f"vm_ids must lie in [0, {count}); got "
                 f"[{int(vm.min())}, {int(vm.max())}]"
             )
-        if count:
-            placement.new_vms(count)
-        if vm.size == 0:
-            return placement
         order = np.lexsort((t, vm))
         s_vm, s_t, s_v = vm[order], t[order], v[order]
-        s_v.setflags(write=False)
-        key = s_vm * np.int64(int(s_t.max()) + 1) + s_t
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        ends = np.append(starts[1:], s_vm.size)
-        for g in range(starts.size):
-            lo = int(starts[g])
-            placement.assign_range(int(s_vm[lo]), int(s_t[lo]), s_v[lo:int(ends[g])])
-        return placement
+        new_group = np.ones(s_vm.size, dtype=bool)
+        new_group[1:] = (s_vm[1:] != s_vm[:-1]) | (s_t[1:] != s_t[:-1])
+        starts = new_group.nonzero()[0]
+        g_vm, g_t = s_vm[starts], s_t[starts]
+        sizes = np.diff(np.append(starts, s_vm.size))
+        topic_bytes = workload.event_rates[g_t] * workload.message_size_bytes
+        out_bytes = np.bincount(g_vm, weights=topic_bytes * sizes, minlength=count)
+        in_bytes = np.bincount(g_vm, weights=topic_bytes, minlength=count)
+        if g_vm.size:
+            # Each VM's last group is its last assign_range: re-run that
+            # step's check on the bytes of the groups before it.
+            last = np.append(g_vm[1:] != g_vm[:-1], True)
+            head = ~last
+            out_prev = np.bincount(
+                g_vm[head], weights=(topic_bytes * sizes)[head], minlength=count
+            )
+            in_prev = np.bincount(g_vm[head], weights=topic_bytes[head], minlength=count)
+            delta = topic_bytes[last] * (sizes[last] + 1)
+            free = capacity_bytes - (out_prev + in_prev)[g_vm[last]]
+            over = np.flatnonzero(delta > free + 1e-9)
+            if over.size:
+                g = int(np.flatnonzero(last)[over[0]])
+                raise CapacityError(
+                    f"VM {int(g_vm[g])}: adding {int(sizes[g])} pairs of topic "
+                    f"{int(g_t[g])} needs {delta[over[0]]:.1f} B but only "
+                    f"{free[over[0]]:.1f} B free"
+                )
+        return cls.from_groups(
+            workload, capacity_bytes, g_vm, g_t, sizes, s_v, out_bytes, in_bytes
+        )
+
+    def _fleet(self) -> List[VirtualMachine]:
+        """The per-VM objects, built on first use after :meth:`from_groups`.
+
+        Also fills the member and host dicts from the adopted groups,
+        in group order -- the state the same groups assigned one
+        :meth:`assign_range` at a time would leave.
+        """
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            out, inc = pending
+            vm_ids, topics, sizes, subs = self._flat_cache[1]
+            vms = [VirtualMachine(self.capacity_bytes) for _ in range(out.size)]
+            for vm, o, i in zip(vms, out.tolist(), inc.tolist()):
+                vm._out_bytes, vm._in_bytes = o, i
+            ends = np.cumsum(sizes).tolist()
+            for b, t, lo, hi in zip(
+                vm_ids.tolist(), topics.tolist(), [0] + ends[:-1], ends
+            ):
+                vms[b]._pair_counts[t] = hi - lo
+                self._topic_vms.setdefault(t, []).append(b)
+                self._members[(b, t)] = [subs[lo:hi]]
+            self._vms = vms
+        return self._vms
 
     def new_vm(self) -> int:
         """Deploy a new empty VM; returns its index."""
@@ -286,7 +396,8 @@ class Placement:
         """Deploy ``count`` new empty VMs; returns the first index."""
         if count <= 0:
             raise ValueError("count must be positive")
-        first = len(self._vms)
+        vms = self._fleet()
+        first = self._num_vms
         total = first + count
         if total > self._used.size:
             grown = np.zeros(max(2 * self._used.size, total), dtype=np.float64)
@@ -295,7 +406,8 @@ class Placement:
         else:
             self._used[first:total] = 0.0
         for _ in range(count):
-            self._vms.append(VirtualMachine(self.capacity_bytes))
+            vms.append(VirtualMachine(self.capacity_bytes))
+        self._num_vms = total
         return first
 
     def assign(self, vm_index: int, topic: int, subscribers: Sequence[int]) -> None:
@@ -322,7 +434,7 @@ class Placement:
             subs = subs.copy()
             subs.setflags(write=False)
         topic = int(topic)
-        vm = self._vms[vm_index]
+        vm = self._fleet()[vm_index]
         new_topic = not vm.hosts_topic(topic)
         vm.add_pairs(topic, self.topic_bytes(topic), int(subs.size))
         self._used[vm_index] = vm.used_bytes
@@ -352,6 +464,7 @@ class Placement:
         if subs.size == 0:
             return
         topic = int(topic)
+        vm = self._fleet()[vm_index]
         chunks = self._members.get((vm_index, topic))
         if not chunks:
             raise ValueError(
@@ -365,7 +478,6 @@ class Placement:
                 f"not all listed subscribers of topic {topic} are assigned "
                 f"to VM {vm_index} (or duplicates were passed)"
             )
-        vm = self._vms[vm_index]
         vm.remove_pairs(topic, self.topic_bytes(topic), removed)
         self._used[vm_index] = vm.used_bytes
         if removed < flat.size:
@@ -389,11 +501,11 @@ class Placement:
         freed pairs can re-enter through :meth:`assign_range` elsewhere.
         """
         topic = int(topic)
+        vm = self._fleet()[vm_index]
         chunks = self._members.get((vm_index, topic))
         if not chunks:
             raise ValueError(f"VM {vm_index} hosts no pairs of topic {topic}")
         members = self._group_members(chunks)
-        vm = self._vms[vm_index]
         vm.remove_pairs(topic, self.topic_bytes(topic), int(members.size))
         self._used[vm_index] = vm.used_bytes
         del self._members[(vm_index, topic)]
@@ -413,30 +525,31 @@ class Placement:
     @property
     def vms(self) -> Sequence[VirtualMachine]:
         """The VM fleet ``B`` (read-only view)."""
-        return tuple(self._vms)
+        return tuple(self._fleet())
 
     def vm(self, vm_index: int) -> VirtualMachine:
         """O(1) access to one VM (no fleet tuple materialization)."""
-        return self._vms[vm_index]
+        return self._fleet()[vm_index]
 
     @property
     def num_vms(self) -> int:
         """``|B|``."""
-        return len(self._vms)
+        return self._num_vms
 
     def used_bytes_array(self) -> np.ndarray:
         """Per-VM ``bw_b`` as one float64 vector (read-only view)."""
-        view = self._used[: len(self._vms)].view()
+        view = self._used[: self._num_vms].view()
         view.setflags(write=False)
         return view
 
     def free_bytes_array(self) -> np.ndarray:
         """Per-VM ``BC - bw_b`` as a fresh float64 vector (a snapshot)."""
-        return self.capacity_bytes - self._used[: len(self._vms)]
+        return self.capacity_bytes - self._used[: self._num_vms]
 
     def hosts_mask(self, topic: int) -> np.ndarray:
         """Boolean vector over VMs: does VM ``b`` ingest ``topic``?"""
-        mask = np.zeros(len(self._vms), dtype=bool)
+        self._fleet()
+        mask = np.zeros(self._num_vms, dtype=bool)
         hosting = self._topic_vms.get(int(topic))
         if hosting:
             mask[hosting] = True
@@ -444,22 +557,23 @@ class Placement:
 
     def hosting_vms(self, topic: int) -> List[int]:
         """Indices of the VMs ingesting ``topic``, in first-host order."""
+        self._fleet()
         return list(self._topic_vms.get(int(topic), ()))
 
     @property
     def total_bytes(self) -> float:
         """``sum(bw_b)`` in bytes per time unit."""
-        return float(self._used[: len(self._vms)].sum())
+        return float(self._used[: self._num_vms].sum())
 
     @property
     def total_outgoing_bytes(self) -> float:
         """Aggregate outgoing byte rate over the fleet."""
-        return sum(vm.outgoing_bytes for vm in self._vms)
+        return sum(vm.outgoing_bytes for vm in self._fleet())
 
     @property
     def total_incoming_bytes(self) -> float:
         """Aggregate incoming byte rate over the fleet."""
-        return sum(vm.incoming_bytes for vm in self._vms)
+        return sum(vm.incoming_bytes for vm in self._fleet())
 
     @property
     def num_pairs(self) -> int:
@@ -471,6 +585,7 @@ class Placement:
 
     def members(self, vm_index: int, topic: int) -> List[int]:
         """Subscribers of ``topic`` served from VM ``vm_index``."""
+        self._fleet()
         chunks = self._members.get((vm_index, topic))
         if not chunks:
             return []
@@ -478,14 +593,16 @@ class Placement:
 
     def vm_topics(self, vm_index: int) -> List[int]:
         """Distinct topics hosted on a VM."""
-        return list(self._vms[vm_index].topics)
+        return list(self._fleet()[vm_index].topics)
 
     def topic_replicas(self, topic: int) -> int:
         """Number of VMs ingesting ``topic`` (replication degree)."""
+        self._fleet()
         return len(self._topic_vms.get(int(topic), ()))
 
     def iter_assignments(self) -> Iterator[Tuple[int, int, List[int]]]:
         """Yield ``(vm_index, topic, subscribers)`` triples."""
+        self._fleet()
         for (b, t), chunks in self._members.items():
             yield b, t, self._group_members(chunks).tolist()
 
@@ -525,6 +642,7 @@ class Placement:
         A pair assigned to several VMs (allowed by Equation (3)'s
         ``max_b``) counts once.
         """
+        self._fleet()
         seen: Dict[int, set] = {}
         for (_, t), chunks in self._members.items():
             for v in self._group_members(chunks).tolist():
@@ -533,6 +651,7 @@ class Placement:
 
     def to_selection(self) -> PairSelection:
         """Collapse the placement back into the distinct pair set."""
+        self._fleet()
         by_topic: Dict[int, set] = {}
         for (_, t), chunks in self._members.items():
             by_topic.setdefault(t, set()).update(

@@ -26,19 +26,35 @@ The ladder presets used by Figures 2-3 are exposed as
 Vectorized hot path
 -------------------
 This implementation is whole-array over the selection's CSR triple
-(:meth:`repro.core.pairs.PairSelection.csr_arrays`): the per-topic
-subscriber groups stay flat NumPy slices end to end, handed to
-:meth:`repro.core.placement.Placement.assign_range` without ever
-materializing a Python list.  Per spilled topic, the most-free-first
-scan is one stable ``argsort`` over the placement's free-bytes array
-plus a ``cumsum``/``searchsorted`` to find how many VMs the group
-needs; the cost-based decision (Algorithm 7) is the same sort +
-cumsum instead of a per-VM Python loop; and the fresh-VM tail deploys
-``ceil(count / per_fresh)`` VMs up front and assigns them as
-consecutive slices.  Fleets below :data:`_SMALL_FLEET` VMs use scalar
-kernels with identical semantics (NumPy's per-call overhead loses to
-a Python scan over a few dozen VMs).  The retained pre-vectorization
-implementation
+(:meth:`repro.core.pairs.PairSelection.csr_arrays`).  Its only
+decision state is two per-VM float arrays (outgoing and incoming
+bytes), and its output is an append-only log of the (vm, topic)
+groups it forms: one (vm, pair count) row per group, each topic's
+rows covering its CSR slice in order.
+:meth:`repro.core.placement.Placement.from_groups` adopts the log
+once at the end, together with the packer's per-VM bytes; no Python
+runs per group.
+
+* **Runs of whole topics.**  Most topics fit whole on the current VM.
+  The length of such a run is found by one fit test over a window of
+  upcoming topics, doubled while the whole window fits (the galloping
+  search of Bentley & Yao, "An almost optimal algorithm for unbounded
+  searching", IPL 1976).  The test is exact: ``np.cumsum`` accumulates
+  sequentially, so it reproduces the ``+=`` chain of per-topic
+  updates bit for bit.  And no VM hosts a topic before that topic's
+  own turn, so every topic in a run pays its one incoming copy.
+* **Spills** (optimization (d)): the VMs with room for a pair, sorted
+  most free first, plus a ``cumsum``/``searchsorted`` to find how many
+  of them the group needs.
+* **Algorithm 7** (optimization (e)): the same sort + cumsum, on the
+  arrays, instead of a per-VM Python loop; it shares one snapshot of
+  the per-VM bytes with the spill.
+* **Fresh VMs**: ``ceil(count / per_fresh)`` VMs deployed up front,
+  taking consecutive slices.
+
+One code path serves every fleet size.
+
+The retained pre-vectorization implementation
 (:class:`repro.packing.custom_loop.LoopCustomBinPacking`,
 ``"cbp-loop"``) is the executable referee: both produce bit-identical
 placements, pinned by ``tests/test_vectorized_equivalence.py``.
@@ -105,33 +121,94 @@ def _pairs_per_fresh_vm(capacity_bytes: float, topic_bytes: float) -> int:
     return max(fit, 0)
 
 
-#: Fleet size below which the per-VM scans run as scalar Python loops
-#: instead of whole-array passes.  NumPy's fixed per-call overhead
-#: (~2-3 us per kernel launch) dominates sorts/cumsums over a few
-#: dozen VMs, so tiny fleets -- the regime of the CI 2k-user smoke --
-#: are faster scalar; both branches implement identical semantics and
-#: the equivalence suite exercises each (see
-#: ``tests/test_vectorized_equivalence.py``).
-_SMALL_FLEET = 64
+#: Topics in the first fit test of a run of whole topics; each window
+#: that fits whole doubles the next one.
+_RUN_WINDOW = 64
 
 
-def _fleet_fits(
-    placement: Placement, topic: int, topic_bytes: float
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-VM pair budgets for one topic, as whole-array arithmetic.
+def _pair_budgets(
+    free: np.ndarray, topic_bytes: float, hosts: "np.ndarray | None" = None
+) -> np.ndarray:
+    """How many further pairs of one topic each VM can accept.
 
-    Returns ``(fit, hosts)``: how many further pairs of ``topic`` each
-    deployed VM can accept (charging the one-off incoming copy to VMs
-    not yet hosting it), and the hosts-topic mask.  Mirrors
-    :meth:`VirtualMachine.max_new_pairs` element for element.
+    ``free`` is the per-VM free bytes.  A VM outside ``hosts`` (every
+    VM when ``hosts`` is ``None``) also pays the topic's one-off
+    incoming copy.  Mirrors :meth:`VirtualMachine.max_new_pairs`
+    element for element; the float ``floor_divide`` runs only on the
+    VMs with room for a pair, usually a small part of a packed fleet.
     """
-    free = placement.free_bytes_array()
-    hosts = placement.hosts_mask(topic)
-    budget = free + 1e-9 - np.where(hosts, 0.0, topic_bytes)
-    with np.errstate(invalid="ignore"):
-        fit = np.floor_divide(budget, topic_bytes).astype(np.int64)
-    fit[budget < topic_bytes] = 0
-    return fit, hosts
+    ingest = topic_bytes if hosts is None else np.where(hosts, 0.0, topic_bytes)
+    budget = free + 1e-9 - ingest
+    fit = np.zeros(budget.size, dtype=np.int64)
+    room = (budget >= topic_bytes).nonzero()[0]
+    fit[room] = np.floor_divide(budget[room], topic_bytes)
+    return fit
+
+
+def _takers_most_free_first(
+    used: np.ndarray, capacity: float, fit: np.ndarray
+) -> np.ndarray:
+    """The VMs with room for a pair (``fit > 0``), most free first.
+
+    Ties go by VM index (a stable sort of ascending indices): the
+    order of these VMs in a stable descending sort of the whole fleet's
+    free bytes.  ``used - BC`` is ``-(BC - used)`` bit for bit, since
+    rounding is symmetric in sign.
+    """
+    room = fit.nonzero()[0]
+    return room[(used[room] - capacity).argsort(kind="stable")]
+
+
+def _distribute_is_cheaper(
+    plan: PricingPlan,
+    capacity: float,
+    used: np.ndarray,
+    fit: np.ndarray,
+    order: np.ndarray,
+    new_host: "np.ndarray | None",
+    topic_bytes: float,
+    count: int,
+) -> bool:
+    """Algorithm 7 over per-VM arrays; see :func:`cheaper_to_distribute`.
+
+    ``used`` is the per-VM used bytes, ``fit`` the per-VM pair budgets
+    (:func:`_pair_budgets`) and ``order`` the VMs with room, most free
+    first (:func:`_takers_most_free_first`).  ``new_host`` marks the
+    VMs that would start ingesting the topic; ``None`` means all of
+    them.
+    """
+    if count <= 0:
+        raise ValueError("count must be positive")
+    per_fresh = _pairs_per_fresh_vm(capacity, topic_bytes)
+    if per_fresh == 0:
+        # A single pair does not fit even in an empty VM; the problem
+        # constructor rejects such instances, so this is defensive.
+        raise ValueError("topic does not fit in an empty VM")
+
+    cur_bytes = float(np.add.reduce(used))
+    cur_vms = int(used.size)
+
+    # Option "fresh": new VMs only.
+    fresh_vms = math.ceil(count / per_fresh)
+    fresh_bytes = cur_bytes + (count + fresh_vms) * topic_bytes
+    fresh_cost = plan.c1(cur_vms + fresh_vms) + plan.c2(fresh_bytes)
+
+    # Option "distribute": existing fleet most-free-first, then new VMs.
+    placed = new_ingests = 0
+    if order.size:
+        cum = fit[order].cumsum()
+        placed = min(count, int(cum[-1]))
+        new_ingests = int(cum.searchsorted(placed)) + 1
+        if new_host is not None:
+            new_ingests = int(np.count_nonzero(new_host[order][:new_ingests]))
+    left = count - placed
+    dist_bytes = cur_bytes + (placed + new_ingests) * topic_bytes
+    extra_vms = math.ceil(left / per_fresh) if left else 0
+    if left:
+        dist_bytes += (left + extra_vms) * topic_bytes
+    dist_cost = plan.c1(cur_vms + extra_vms) + plan.c2(dist_bytes)
+
+    return dist_cost < fresh_cost
 
 
 def cheaper_to_distribute(
@@ -154,82 +231,120 @@ def cheaper_to_distribute(
       copy per additional VM that starts hosting the topic.
 
     The sorted free-capacity scan is vectorized: one stable descending
-    ``argsort`` over the free-bytes array, a ``cumsum`` of the per-VM
-    pair budgets, and one ``searchsorted`` to find how many VMs the
-    group consumes -- no per-VM Python loop.  The loop referee is
+    ``argsort`` over the free bytes, a ``cumsum`` of the per-VM pair
+    budgets, and one ``searchsorted`` to find how many VMs the group
+    consumes -- no per-VM Python loop.  CBP runs the same kernel on its
+    own per-VM byte arrays.  The loop referee is
     :func:`repro.packing.custom_loop.cheaper_to_distribute_loop`.
 
     Deviation: Algorithm 7 sizes fresh VMs as ``ceil(|P| ev_t / BC)``,
     ignoring that each fresh VM also ingests the topic; we use the
     honest per-VM pair capacity so the simulated fleets are feasible.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
     capacity = placement.capacity_bytes
-    per_fresh = _pairs_per_fresh_vm(capacity, topic_bytes)
-    if per_fresh == 0:
-        # A single pair does not fit even in an empty VM; the problem
-        # constructor rejects such instances, so this is defensive.
-        raise ValueError("topic does not fit in an empty VM")
+    used = placement.used_bytes_array()
+    hosts = placement.hosts_mask(topic)
+    fit = _pair_budgets(capacity - used, topic_bytes, hosts)
+    return _distribute_is_cheaper(
+        plan,
+        capacity,
+        used,
+        fit,
+        _takers_most_free_first(used, capacity, fit),
+        ~hosts,
+        topic_bytes,
+        count,
+    )
 
-    cur_bytes = placement.total_bytes
-    cur_vms = placement.num_vms
 
-    # Option "fresh": new VMs only.
-    fresh_vms = math.ceil(count / per_fresh)
-    fresh_bytes = cur_bytes + (count + fresh_vms) * topic_bytes
-    fresh_cost = plan.c1(cur_vms + fresh_vms) + plan.c2(fresh_bytes)
+class _Bins:
+    """CBP's decision state and output log.
 
-    # Option "distribute": existing fleet most-free-first, then new VMs.
-    left = count
-    dist_bytes = cur_bytes
-    if cur_vms <= _SMALL_FLEET:
-        # Scalar kernel: a handful of VMs is cheaper to scan in Python
-        # than to launch a half-dozen NumPy kernels over.
-        room = []
-        # repolint: allow(VL01): scalar Algorithm-7 kernel, fleet <= _SMALL_FLEET VMs
-        for i in range(cur_vms):
-            vm = placement.vm(i)
-            room.append((vm.free_bytes, vm.hosts_topic(topic)))
-        room.sort(key=lambda fh: fh[0], reverse=True)
-        # repolint: allow(VL01): scalar Algorithm-7 kernel, fleet <= _SMALL_FLEET VMs
-        for free, hosts in room:
-            if left == 0:
+    ``out`` / ``inc`` hold each VM's outgoing and incoming bytes
+    (buffers grown geometrically; the first ``n`` entries are live).
+    Topics are addressed by their position in the pack order.  The log
+    is ``vm_log`` / ``size_log``: one (vm, pair count) row per group in
+    the order the groups form, with ``groups[pos]`` rows for the topic
+    at ``pos``, whose members are consecutive ranges of its CSR slice.
+    Every group is a topic's first on its VM (no VM hosts a topic
+    before that topic's turn), so each pays one incoming copy.
+    """
+
+    def __init__(
+        self, capacity: float, topic_bytes: np.ndarray, counts: np.ndarray
+    ) -> None:
+        self.capacity = capacity
+        self.topic_bytes = topic_bytes
+        self.counts = counts
+        # A whole topic on one VM: its outgoing bytes, and those plus
+        # the incoming copy it pays there.
+        self.whole_out = topic_bytes * counts
+        self.whole_cost = topic_bytes * (counts + 1)
+        self.out = np.zeros(64)
+        self.inc = np.zeros(64)
+        self.n = 0
+        self.groups = np.ones(counts.size, dtype=np.int64)
+        self.vm_log: "list[np.ndarray | list[int]]" = []
+        self.size_log: "list[np.ndarray | list[int]]" = []
+        self.logged = 0  # rows in the log
+
+    def new_vms(self, count: int) -> int:
+        """Deploy ``count`` empty VMs; returns the first index."""
+        first = self.n
+        self.n += count
+        if self.n > self.out.size:
+            size = max(2 * self.out.size, self.n)
+            self.out = np.concatenate((self.out, np.zeros(size - self.out.size)))
+            self.inc = np.concatenate((self.inc, np.zeros(size - self.inc.size)))
+        return first
+
+    def used(self) -> np.ndarray:
+        """Per-VM used bytes, ``out + in`` as :class:`VirtualMachine` sums them."""
+        return self.out[: self.n] + self.inc[: self.n]
+
+    def fits_whole(self, vm: int, pos: int) -> bool:
+        """Whether the topic at ``pos`` fits whole on ``vm``."""
+        free = self.capacity - (float(self.out[vm]) + float(self.inc[vm]))
+        return float(self.whole_cost[pos]) <= free + 1e-9
+
+    def run(self, vm: int, pos: int) -> int:
+        """Place the run of whole topics from ``pos`` on that fit on ``vm``.
+
+        Returns the position after the run.  Each window of upcoming
+        topics is tested at once, and a window that fits whole doubles
+        the next.  A topic fits iff its pairs plus its incoming copy fit
+        in what the topics before it left free.  The cumulative sums
+        are the exact ``+=`` chain, so the verdicts and the final bytes
+        equal one-topic-at-a-time accounting.
+        """
+        start, window, end = pos, _RUN_WINDOW, self.counts.size
+        # repolint: allow(VL01): one fit test per doubling window -- O(log run) passes
+        while pos < end:
+            stop = min(pos + window, end)
+            out = np.concatenate(([self.out[vm]], self.whole_out[pos:stop])).cumsum()
+            inc = np.concatenate(([self.inc[vm]], self.topic_bytes[pos:stop])).cumsum()
+            miss = self.whole_cost[pos:stop] > self.capacity - (out[:-1] + inc[:-1]) + 1e-9
+            run = int(miss.argmax()) if miss.any() else stop - pos
+            self.out[vm] = out[run]
+            self.inc[vm] = inc[run]
+            pos += run
+            if pos < stop:
                 break
-            budget = free + 1e-9 - (0.0 if hosts else topic_bytes)
-            fit = int(budget // topic_bytes) if budget >= topic_bytes else 0
-            if fit <= 0:
-                continue
-            take = min(left, fit)
-            dist_bytes += (take + (0 if hosts else 1)) * topic_bytes
-            left -= take
-    else:
-        # Whole-array kernel: one stable descending argsort over the
-        # free-bytes array, a cumsum of per-VM budgets, and one
-        # searchsorted for the covering prefix.
-        fit, hosts = _fleet_fits(placement, topic, topic_bytes)
-        order = np.argsort(-placement.free_bytes_array(), kind="stable")
-        fit_sorted = fit[order]
-        takers = fit_sorted > 0
-        fits = fit_sorted[takers]
-        new_host = ~hosts[order][takers]
-        cum = np.cumsum(fits)
-        if cum.size and int(cum[-1]) >= count:
-            used = int(np.searchsorted(cum, count)) + 1
-            placed = count
-            new_ingests = int(np.count_nonzero(new_host[:used]))
-            left = 0
-        else:
-            placed = int(cum[-1]) if cum.size else 0
-            new_ingests = int(np.count_nonzero(new_host))
-            left = count - placed
-        dist_bytes += (placed + new_ingests) * topic_bytes
-    extra_vms = math.ceil(left / per_fresh) if left else 0
-    if left:
-        dist_bytes += (left + extra_vms) * topic_bytes
-    dist_cost = plan.c1(cur_vms + extra_vms) + plan.c2(dist_bytes)
+            window *= 2
+        self.log(np.full(pos - start, vm, dtype=np.int64), self.counts[start:pos])
+        return pos
 
-    return dist_cost < fresh_cost
+    def place(self, vms: np.ndarray, topic_bytes: float, takes: np.ndarray) -> None:
+        """Charge and log groups of one topic on distinct VMs."""
+        self.out[vms] += topic_bytes * takes
+        self.inc[vms] += topic_bytes
+        self.log(vms, takes)
+
+    def log(self, vms: "np.ndarray | list[int]", takes: "np.ndarray | list[int]") -> None:
+        """Append (vm, pair count) rows to the log."""
+        self.vm_log.append(vms)
+        self.size_log.append(takes)
+        self.logged += len(vms)
 
 
 @register_packer("cbp")
@@ -240,23 +355,41 @@ class CustomBinPacking(PackingAlgorithm):
         self.options = options
 
     def pack(self, problem: MCSSProblem, selection: PairSelection) -> Placement:
-        placement = problem.empty_placement()
-        topic_bytes_all = problem.topic_bytes_array()
-
         topics, indptr, flat_subs = selection.csr_arrays()
         if topics.size == 0:
-            return placement
+            return problem.empty_placement()
         order = self._topic_order(problem, topics, indptr)
+        counts = np.diff(indptr)[order]
+        pack_topics = topics[order]
+        bins = _Bins(
+            problem.capacity_bytes, problem.topic_bytes_array()[pack_topics], counts
+        )
 
-        current = placement.new_vm()
-        # repolint: allow(VL01): per-topic CBP main loop -- inherent current-VM dependence (ROADMAP item 1)
-        for g in order.tolist():
-            t = int(topics[g])
-            subs = flat_subs[indptr[g]:indptr[g + 1]]
-            current = self._allocate_topic(
-                problem, placement, current, t, float(topic_bytes_all[t]), subs
-            )
-        return placement
+        current = bins.new_vms(1)
+        pos = 0
+        # repolint: allow(VL01): one step per run or spilled topic -- a sequential chain
+        while pos < order.size:
+            if bins.fits_whole(current, pos):
+                pos = bins.run(current, pos)
+            else:
+                current = self._allocate_topic(problem.plan, bins, current, pos)
+                pos += 1
+
+        members = flat_subs
+        if self.options.expensive_topic_first:
+            # Each topic's CSR slice, laid end to end in pack order.
+            starts = indptr[:-1][order] - (np.cumsum(counts) - counts)
+            members = flat_subs[np.repeat(starts, counts) + np.arange(flat_subs.size)]
+        return Placement.from_groups(
+            problem.workload,
+            problem.capacity_bytes,
+            np.concatenate(bins.vm_log),
+            np.repeat(pack_topics, bins.groups),
+            np.concatenate(bins.size_log),
+            members,
+            bins.out[: bins.n],
+            bins.inc[: bins.n],
+        )
 
     def _topic_order(
         self, problem: MCSSProblem, topics: np.ndarray, indptr: np.ndarray
@@ -272,166 +405,97 @@ class CustomBinPacking(PackingAlgorithm):
         return np.lexsort((topics, -sel_rates, -sel_rates * counts))
 
     def _allocate_topic(
-        self,
-        problem: MCSSProblem,
-        placement: Placement,
-        current: int,
-        topic: int,
-        topic_bytes: float,
-        subscribers: np.ndarray,
+        self, plan: PricingPlan, bins: _Bins, current: int, pos: int
     ) -> int:
-        """Place all pairs of one topic; returns the new "current" VM."""
-        opts = self.options
+        """Place a topic that does not fit whole on the current VM.
 
-        # Fast path: the whole group fits on the current VM.
-        cur_vm = placement.vm(current)
-        if cur_vm.fits(topic_bytes, int(subscribers.size), not cur_vm.hosts_topic(topic)):
-            placement.assign_range(current, topic, subscribers)
-            return current
-
-        distribute = True
-        if opts.cost_based_decision:
-            distribute = cheaper_to_distribute(
-                placement, problem.plan, topic, topic_bytes, int(subscribers.size)
-            )
-
-        remaining = subscribers
-        if distribute:
-            remaining = self._spill_to_existing(
-                placement, current, topic, topic_bytes, remaining
-            )
-        if remaining.size:
-            current = self._deploy_fresh(placement, topic, topic_bytes, remaining)
+        Returns the new "current" VM.  One snapshot of the per-VM bytes
+        serves Algorithm 7 and the spill: filling the current VM first
+        changes neither the budgets nor the relative order of the others.
+        """
+        topic_bytes = float(bins.topic_bytes[pos])
+        count = int(bins.counts[pos])
+        logged = bins.logged
+        used = bins.used()
+        fit = _pair_budgets(bins.capacity - used, topic_bytes)
+        order = _takers_most_free_first(used, bins.capacity, fit)
+        left = count
+        if not self.options.cost_based_decision or _distribute_is_cheaper(
+            plan, bins.capacity, used, fit, order, None, topic_bytes, count
+        ):
+            left = self._spill_to_existing(bins, current, fit, order, topic_bytes, count)
+        if left:
+            current = self._deploy_fresh(bins, topic_bytes, left)
+        bins.groups[pos] = bins.logged - logged
         return current
 
     def _spill_to_existing(
         self,
-        placement: Placement,
+        bins: _Bins,
         current: int,
-        topic: int,
+        fit: np.ndarray,
+        order: np.ndarray,
         topic_bytes: float,
-        subscribers: np.ndarray,
-    ) -> np.ndarray:
-        """Fill existing VMs (current first); return unplaced subscribers.
+        count: int,
+    ) -> int:
+        """Fill existing VMs (current first); return how many pairs are left.
 
-        One whole-array pass: per-VM budgets from the free-bytes array,
-        visiting order by stable descending argsort (optimization (d))
-        or deployment order, then a ``cumsum``/``searchsorted`` to
-        find the covering prefix -- one ``assign_range`` slice per VM
-        actually used, zero per-subscriber work.
+        One whole-array pass over the per-VM budgets ``fit``: the VMs
+        with room, most free first (optimization (d), ``order``) or by
+        deployment, then a ``cumsum``/``searchsorted`` to find the
+        covering prefix.
         """
-        remaining = self._fill_vm(placement, current, topic, topic_bytes, subscribers)
-        num_vms = placement.num_vms
-        if remaining.size == 0 or num_vms <= 1:
-            return remaining
+        take = min(int(fit[current]), count)
+        if take > 0:
+            bins.out[current] += topic_bytes * take
+            bins.inc[current] += topic_bytes
+            bins.log([current], [take])
+        left = count - take
+        if left == 0 or bins.n <= 1:
+            return left
 
-        if num_vms <= _SMALL_FLEET:
-            # Scalar kernel for tiny fleets (see _SMALL_FLEET): same
-            # visiting order and stop conditions, per-VM Python scan.
-            if self.options.most_free_vm_first:
-                order_small = sorted(
-                    (i for i in range(num_vms) if i != current),
-                    key=lambda i: -placement.vm(i).free_bytes,
-                )
-                # repolint: allow(VL01): scalar kernel, fleet <= _SMALL_FLEET VMs
-                for vm_index in order_small:
-                    before = remaining.size
-                    remaining = self._fill_vm(
-                        placement, vm_index, topic, topic_bytes, remaining
-                    )
-                    if remaining.size in (0, before):
-                        # Done -- or the most-free VM cannot take even
-                        # one pair, in which case no VM can.
-                        break
-            else:
-                # repolint: allow(VL01): scalar kernel, fleet <= _SMALL_FLEET VMs
-                for vm_index in range(num_vms):
-                    if vm_index == current:
-                        continue
-                    remaining = self._fill_vm(
-                        placement, vm_index, topic, topic_bytes, remaining
-                    )
-                    if remaining.size == 0:
-                        break
-            return remaining
-
-        fit, _ = _fleet_fits(placement, topic, topic_bytes)
         if self.options.most_free_vm_first:
             # Lines 9/14: most-free first, ties by VM index -- the exact
-            # pop order of the referee's lazy max-heap.  The scan stops
-            # at the first VM that cannot take a single pair: if the
-            # most-free VM is full for this topic, so is every one after.
-            order = np.argsort(-placement.free_bytes_array(), kind="stable")
+            # pop order of the referee's lazy max-heap.  Budgets only
+            # grow with the free bytes, so the VMs that can take a pair
+            # come first, and the referee's scan stops where they end.
             order = order[order != current]
-            fit_sorted = fit[order]
-            blocked = np.flatnonzero(fit_sorted <= 0)
-            if blocked.size:
-                order = order[: blocked[0]]
-                fit_sorted = fit_sorted[: blocked[0]]
         else:
             # First-fit deployment order, skipping only non-takers.
-            order = np.arange(placement.num_vms, dtype=np.int64)
-            order = order[(order != current) & (fit > 0)]
-            fit_sorted = fit[order]
+            order = fit.nonzero()[0]
+            order = order[order != current]
+        fit_sorted = fit[order]
 
         if order.size == 0:
-            return remaining
-        cum = np.cumsum(fit_sorted)
-        cover = int(np.searchsorted(cum, remaining.size))
-        used = min(cover + 1, int(order.size))
-        takes = fit_sorted[:used].copy()
+            return left
+        cum = fit_sorted.cumsum()
+        cover = int(cum.searchsorted(left))
+        used_vms = min(cover + 1, int(order.size))
+        takes = fit_sorted[:used_vms].copy()
         if cover < order.size:
-            takes[cover] = remaining.size - (int(cum[cover - 1]) if cover else 0)
-            placed = int(remaining.size)
-        else:
-            placed = int(cum[-1])
-        start = 0
-        # repolint: allow(VL01): one batch assign_range per receiving VM -- O(VMs touched), not O(pairs)
-        for vm_index, take in zip(order[:used].tolist(), takes.tolist()):
-            placement.assign_range(vm_index, topic, remaining[start:start + take])
-            start += take
-        return remaining[placed:]
+            takes[cover] = left - (int(cum[cover - 1]) if cover else 0)
+        bins.place(order[:used_vms], topic_bytes, takes)
+        return left - min(left, int(cum[-1]))
 
     @staticmethod
-    def _fill_vm(
-        placement: Placement,
-        vm_index: int,
-        topic: int,
-        topic_bytes: float,
-        subscribers: np.ndarray,
-    ) -> np.ndarray:
-        """Assign as many pairs as fit on one VM; return the leftovers."""
-        vm = placement.vm(vm_index)
-        fit = vm.max_new_pairs(topic_bytes, vm.hosts_topic(topic))
-        if fit <= 0:
-            return subscribers
-        take = min(fit, int(subscribers.size))
-        placement.assign_range(vm_index, topic, subscribers[:take])
-        return subscribers[take:]
-
-    @staticmethod
-    def _deploy_fresh(
-        placement: Placement,
-        topic: int,
-        topic_bytes: float,
-        subscribers: np.ndarray,
-    ) -> int:
+    def _deploy_fresh(bins: _Bins, topic_bytes: float, count: int) -> int:
         """Lines 15-20: deploy all needed fresh VMs in one batch.
 
         Every fresh VM takes the same ``per_fresh`` pairs (honest
         capacity, including its own ingest copy), so the VM count is
         ``ceil(count / per_fresh)`` up front and the group is assigned
-        as consecutive slices -- no while-loop over leftovers.
+        as consecutive slices -- no while-loop over leftovers.  The new
+        VMs are the empty tail of the byte arrays, so their bytes are
+        written, not added.
         """
-        per_fresh = _pairs_per_fresh_vm(placement.capacity_bytes, topic_bytes)
+        per_fresh = _pairs_per_fresh_vm(bins.capacity, topic_bytes)
         if per_fresh <= 0:  # pragma: no cover - excluded by problem checks
             raise ValueError("topic does not fit in an empty VM")
-        count = int(subscribers.size)
         num_new = -(-count // per_fresh)
-        first = placement.new_vms(num_new)
-        # repolint: allow(VL01): one batch assign_range per fresh VM -- O(new VMs), not O(pairs)
-        for i in range(num_new):
-            placement.assign_range(
-                first + i, topic, subscribers[i * per_fresh:(i + 1) * per_fresh]
-            )
-        return first + num_new - 1
+        first = bins.new_vms(num_new)
+        takes = np.full(num_new, per_fresh, dtype=np.int64)
+        takes[-1] = count - per_fresh * (num_new - 1)
+        bins.out[first:bins.n] = topic_bytes * takes
+        bins.inc[first:bins.n] = topic_bytes
+        bins.log(np.arange(first, bins.n), takes)
+        return bins.n - 1

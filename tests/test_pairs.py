@@ -153,6 +153,15 @@ class TestViews:
         assert PairSelection({0: [1]}) != PairSelection({0: [2]})
         assert PairSelection({0: [1]}) != PairSelection({1: [1]})
 
+    def test_topic_index_built_on_first_lookup(self):
+        sel = PairSelection.from_csr(
+            np.asarray([4, 1]), np.asarray([0, 2, 3]), np.asarray([0, 2, 1])
+        )
+        assert sel._topic_pos is None
+        assert sel.pair_count(4) == 2
+        assert sel._topic_pos == {4: 0, 1: 1}
+        assert sel.subscribers_of(1).tolist() == [1]
+
     def test_topics_by_subscriber_roundtrip(self):
         sel = PairSelection({0: [1, 2], 1: [1]})
         inverted = sel.topics_by_subscriber()

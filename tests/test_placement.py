@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CapacityError, Placement, VirtualMachine, Workload
+from repro.core import (
+    CapacityError,
+    MCSSProblem,
+    Placement,
+    VirtualMachine,
+    Workload,
+    validate_placement,
+    validate_placement_loop,
+)
+from tests.conftest import make_unit_plan
 
 
 class TestVirtualMachine:
@@ -268,6 +277,19 @@ class TestFromPairArrays:
                 num_vms=1,
             )
 
+    def test_over_capacity_vm_raises(self, tiny_workload):
+        # VM 1 would carry topic 0 (2*20 out + 20 in) and topic 1
+        # (10 out + 10 in): 80 B against a 70 B capacity.
+        args = (
+            np.asarray([0, 1, 1, 1]),
+            np.asarray([1, 0, 0, 1]),
+            np.asarray([0, 0, 1, 2]),
+        )
+        with pytest.raises(CapacityError):
+            Placement.from_pair_arrays(tiny_workload, 70.0, *args)
+        exact = Placement.from_pair_arrays(tiny_workload, 80.0, *args)
+        assert exact.used_bytes_array().tolist() == [20.0, 80.0]
+
 
 class TestBatchAssignment:
     """new_vms / assign_range: the batch core the vectorized packers drive."""
@@ -371,3 +393,99 @@ class TestBatchAssignment:
         free[0] = 0.0
         assert p.free_bytes_array().tolist() == [80.0]
         assert p.vm(b).free_bytes == 80.0
+
+
+def _views(p):
+    """Every per-VM and per-topic view of a placement, as plain values."""
+    topics = range(p.workload.num_topics)
+    return {
+        "num_vms": p.num_vms,
+        "num_pairs": p.num_pairs,
+        "vms": [
+            (vm.outgoing_bytes, vm.incoming_bytes, vm.used_bytes, vm.num_pairs)
+            for vm in p.vms
+        ],
+        "used": p.used_bytes_array().tolist(),
+        "vm_topics": [p.vm_topics(b) for b in range(p.num_vms)],
+        "members": {(b, t): p.members(b, t) for b in range(p.num_vms) for t in topics},
+        "hosts_mask": [p.hosts_mask(t).tolist() for t in topics],
+        "hosting_vms": [p.hosting_vms(t) for t in topics],
+        "replicas": [p.topic_replicas(t) for t in topics],
+        "groups": list(p.iter_assignments()),
+        "arrays": [a.tolist() for a in p.assignment_arrays()],
+        "totals": (p.total_bytes, p.total_outgoing_bytes, p.total_incoming_bytes),
+        "by_subscriber": p.topics_by_subscriber(),
+    }
+
+
+class TestFromGroups:
+    """A batch-built placement behaves as its groups assigned one by one."""
+
+    # (vm, topic, subscribers), not in VM order.
+    GROUPS = [(1, 1, [0, 1]), (0, 0, [2]), (1, 0, [0, 1]), (0, 1, [2]), (2, 1, [3])]
+
+    def _pair(self):
+        workload = Workload([20.0, 10.0], [[0, 1], [0, 1], [0, 1], [1]], 1.0)
+        manual = Placement(workload, 200.0)
+        manual.new_vms(3)
+        for b, t, subs in self.GROUPS:
+            manual.assign_range(b, t, np.asarray(subs))
+        batch = Placement.from_groups(
+            workload,
+            200.0,
+            np.asarray([b for b, _, _ in self.GROUPS]),
+            np.asarray([t for _, t, _ in self.GROUPS]),
+            np.asarray([len(s) for _, _, s in self.GROUPS]),
+            np.concatenate([s for _, _, s in self.GROUPS]),
+            [vm.outgoing_bytes for vm in manual.vms],
+            [vm.incoming_bytes for vm in manual.vms],
+        )
+        return batch, manual
+
+    def test_views_match_incremental_construction(self):
+        batch, manual = self._pair()
+        assert _views(batch) == _views(manual)
+
+    def test_views_match_after_the_same_mutations(self):
+        batch, manual = self._pair()
+        for p in (batch, manual):
+            p.remove_range(1, 1, np.asarray([1]))
+            moved = p.remove_topic(1, 0)
+            p.assign_range(p.new_vm(), 0, moved)
+            p.assign_range(2, 0, np.asarray([3]))
+        assert _views(batch) == _views(manual)
+
+    def test_first_per_vm_call_builds_the_fleet(self):
+        batch, manual = self._pair()
+        batch.new_vm()
+        manual.new_vm()
+        assert _views(batch) == _views(manual)
+
+    def test_malformed_groups_rejected(self):
+        batch, _ = self._pair()
+        vm_ids, topics, sizes, subs = batch.assignment_arrays()
+        out = batch.used_bytes_array()
+        with pytest.raises(ValueError, match="sum"):
+            Placement.from_groups(
+                batch.workload, 200.0, vm_ids, topics, sizes, subs[:-1], out, out
+            )
+        with pytest.raises(ValueError, match="out_bytes"):
+            Placement.from_groups(
+                batch.workload, 200.0, vm_ids, topics, sizes, subs, out[:-1], out[:-1]
+            )
+
+    def test_recorded_bytes_are_the_audited_bookkeeping(self):
+        batch, manual = self._pair()
+        vm_ids, topics, sizes, subs = batch.assignment_arrays()
+        out = [vm.outgoing_bytes for vm in manual.vms]
+        out[2] += 5.0  # the recorded accounting disagrees on VM 2
+        skewed = Placement.from_groups(
+            batch.workload, 200.0, vm_ids, topics, sizes, subs,
+            out, [vm.incoming_bytes for vm in manual.vms],
+        )
+        problem = MCSSProblem(batch.workload, 30.0, make_unit_plan(200.0))
+        assert validate_placement(problem, batch).accounting_ok
+        for audit in (validate_placement, validate_placement_loop):
+            report = audit(problem, skewed)
+            assert not report.accounting_ok
+            assert any("VM 2 bookkeeping" in m for m in report.messages)

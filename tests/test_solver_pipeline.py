@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.core import MCSSProblem, PairSelection, Placement, validate_placement
+from repro.core import (
+    MCSSProblem,
+    PairSelection,
+    Placement,
+    VirtualMachine,
+    validate_placement,
+)
 from repro.packing import (
     CustomBinPacking,
     FFBinPacking,
@@ -12,7 +21,7 @@ from repro.packing import (
     diff_placements,
 )
 from repro.selection import GreedySelectPairs, RandomSelectPairs
-from repro.solver import MCSSSolver
+from repro.solver import MCSSSolver, pipeline
 from tests.conftest import make_unit_plan
 
 
@@ -92,6 +101,45 @@ class TestSolve:
     def test_summary_mentions_names(self, problem):
         text = MCSSSolver.paper().solve(problem).summary()
         assert "gsp" in text and "cbp" in text
+
+    def test_stage_clocks_scripted(self, problem, monkeypatch):
+        # solve reads the clock around select; solve_with_selection
+        # around pack and around the audit.
+        ticks = iter([0.0, 1.0, 1.0, 3.0, 6.0])
+        monkeypatch.setattr(
+            pipeline, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        solution = MCSSSolver.paper().solve(problem)
+        assert solution.selection_seconds == 1.0
+        assert solution.packing_seconds == 2.0
+        assert solution.validation_seconds == 3.0
+        assert solution.total_seconds == 3.0  # Stage 1 + Stage 2 only
+
+    def test_solve_audit_and_cost_build_no_vm_objects(self, small_zipf, monkeypatch):
+        # CBP decides over per-VM byte arrays and the audit and cost
+        # read the flat group view: no VirtualMachine, and no topic
+        # lookup into the selection, from select to cost.
+        capacity = 2.5 * float(small_zipf.event_rates.max()) * small_zipf.message_size_bytes
+        problem = MCSSProblem(small_zipf, 100, make_unit_plan(capacity))
+        built = []
+        init = VirtualMachine.__init__
+
+        def counting_init(vm, capacity_bytes):
+            built.append(capacity_bytes)
+            init(vm, capacity_bytes)
+
+        monkeypatch.setattr(VirtualMachine, "__init__", counting_init)
+        solution = MCSSSolver.paper().solve(problem)
+        assert validate_placement(problem, solution.placement).ok
+        problem.cost_of(solution.placement)
+        assert built == []
+        assert solution.selection._topic_pos is None
+        # The instance spills: some topic spans several VMs.
+        _, topics, _, _ = solution.placement.assignment_arrays()
+        assert np.unique(topics).size < topics.size
+        assert solution.placement.num_vms > 1
+        solution.placement.vms  # the per-VM API still works, built on demand
+        assert len(built) == solution.placement.num_vms
 
 
 class TestSolveWithSelection:

@@ -18,7 +18,9 @@ as executable specifications:
   *identical placements* (per-VM topic->subscriber assignment lists,
   assignment-group order, VM count, bytes and cost) on every ladder
   rung b/c/d/e, across randomized pricing plans so the cost-based
-  decision (Algorithm 7) exercises both verdicts;
+  decision (Algorithm 7) exercises both verdicts, and on workloads
+  and hand-built cases whose runs of whole topics cross the run
+  search's window edges;
 * ``FFBinPacking`` (CSR pair enumeration + batch assigns)  ==
   ``LoopFFBinPacking`` (the ``ffbp-loop`` referee);
 * one shared GSP selection packed cold on every ladder rung (a)-(e),
@@ -101,6 +103,7 @@ from repro.workloads import (
     build_social_graph_loop,
     generate_social_workload,
     generate_social_workload_loop,
+    uniform_workload,
     zipf_workload,
 )
 from tests.conftest import make_unit_plan
@@ -280,19 +283,20 @@ def packing_problem(workload, rng):
     )
 
 
-@pytest.fixture(params=["scalar-kernel", "array-kernel"])
-def fleet_kernel(request, monkeypatch):
-    """Run the packing equivalence both ways across the size crossover.
+@pytest.fixture(params=["window-1", "window-default"])
+def run_window(request, monkeypatch):
+    """Run the packing equivalence with two initial run windows.
 
-    The vectorized CBP dispatches per-VM scans to a scalar kernel below
-    ``_SMALL_FLEET`` VMs and to whole-array passes above it; the edgy
-    workloads here build small fleets, so the threshold is forced to 0
-    to exercise the array kernels on the same instances.
+    The vectorized CBP finds runs of whole topics onto the current VM
+    with a fit test over a window of upcoming topics that doubles while
+    it fits whole.  A first window of one topic makes the small
+    instances here cross several window edges; the default window
+    covers most of their runs in one test.
     """
     from repro.packing import custom
 
-    if request.param == "array-kernel":
-        monkeypatch.setattr(custom, "_SMALL_FLEET", 0)
+    if request.param == "window-1":
+        monkeypatch.setattr(custom, "_RUN_WINDOW", 1)
     return request.param
 
 
@@ -301,7 +305,7 @@ class TestCBPEquivalence:
     placement, on every rung of the optimization ladder."""
 
     @pytest.mark.parametrize("seed", range(NUM_RANDOM_WORKLOADS))
-    def test_random_workloads_all_rungs(self, seed, fleet_kernel):
+    def test_random_workloads_all_rungs(self, seed, run_window):
         rng = np.random.default_rng(6000 + seed)
         workload = edgy_workload(rng)
         problem = packing_problem(workload, rng)
@@ -314,7 +318,7 @@ class TestCBPEquivalence:
             assert validate_placement(problem, fast).ok, f"rung {rung}"
 
     @pytest.mark.parametrize("seed", range(NUM_RANDOM_WORKLOADS))
-    def test_cheaper_to_distribute_same_verdict(self, seed, fleet_kernel):
+    def test_cheaper_to_distribute_same_verdict(self, seed, run_window):
         # Algorithm 7 head-to-head on partially packed fleets, across
         # counts around and beyond what the fleet can absorb.
         rng = np.random.default_rng(7000 + seed)
@@ -359,6 +363,113 @@ class TestCBPEquivalence:
         assert fast.num_vms == 6  # 4 pairs per VM (40 out + 10 in), 23 pairs
 
 
+def pin_cbp_rungs(problem, selection):
+    """CBP == cbp-loop on rungs (b)-(e); returns the placements by rung."""
+    placements = {}
+    for rung in ("b", "c", "d", "e"):
+        opts = CBPOptions.ladder(rung)
+        fast = CustomBinPacking(opts).pack(problem, selection)
+        loop = LoopCustomBinPacking(opts).pack(problem, selection)
+        assert_identical_placements(fast, loop, problem)
+        assert validate_placement(problem, fast).ok, f"rung {rung}"
+        placements[rung] = fast
+    return placements
+
+
+def serve_capacity(workload):
+    """The serving capacity rule: 2.5x the hottest rate or 1/8 of the total."""
+    rates = workload.event_rates
+    return max(2.5 * float(rates.max()), float(rates.sum()) / 8.0) * (
+        workload.message_size_bytes
+    )
+
+
+class TestCBPRuns:
+    """CBP's runs of whole topics, pinned against cbp-loop.
+
+    The edgy workloads above are too small to cross a run window.
+    These cases do: long runs, runs cut at window edges, fits decided
+    by the 1e-9 slack, and spills between runs.  Where VMs cost
+    nothing, rung (e) deploys a fresh VM for any topic that reaches
+    Algorithm 7 even though it fits whole on the current VM (spilling
+    is then no cheaper), so a fit the run search misses changes the
+    placement.
+    """
+
+    @pytest.mark.parametrize("seed", (3, 11, 29))
+    def test_zipf_topics_larger_than_a_vm(self, seed, run_window):
+        # Under the serving capacity rule the hottest topics need
+        # several VMs each, so spills, Algorithm-7 verdicts and
+        # fresh-VM batches cut the runs.
+        workload = zipf_workload(30, 300, mean_interest=5.0, seed=seed)
+        problem = MCSSProblem(workload, 100.0, make_unit_plan(serve_capacity(workload)))
+        selection = GreedySelectPairs().select(problem)
+        placement = pin_cbp_rungs(problem, selection)["e"]
+        assert max(placement.topic_replicas(t) for t in selection.topics) >= 3
+
+    def test_many_small_topics(self, run_window):
+        # Hundreds of one- and two-pair topics per VM: runs of hundreds,
+        # several doublings past the default first window.
+        workload = uniform_workload(1500, 300, mean_interest=3.0, seed=5)
+        capacity = 600.0 * float(workload.event_rates.mean()) * workload.message_size_bytes
+        problem = MCSSProblem(workload, 1e9, make_unit_plan(capacity))
+        placement = pin_cbp_rungs(problem, GreedySelectPairs().select(problem))["e"]
+        assert max(len(placement.vm_topics(b)) for b in range(placement.num_vms)) > 256
+
+    @pytest.mark.parametrize("run", (1, 3, 7, 63, 64, 65))
+    def test_run_ends_at_window_edge(self, run, run_window):
+        # One-pair rate-1 topics cost 2 B each and a VM holds `run` of
+        # them, so every run stops after `run` topics on the first VM
+        # and after `run` - 1 on the fresh VMs.  1, 3, 7 and 63 end a
+        # window that starts at 1; 64 ends the default first window.
+        n = 3 * run + 2
+        workload = Workload([1.0] * n, [[t] for t in range(n)], message_size_bytes=1.0)
+        problem = MCSSProblem(workload, 1.0, make_unit_plan(2.0 * run, vm_price=0.0))
+        placement = pin_cbp_rungs(problem, PairSelection.full(workload))["e"]
+        per_vm = [len(placement.vm_topics(b)) for b in range(placement.num_vms)]
+        assert per_vm[:-1] == [run] * (len(per_vm) - 1)
+
+    @pytest.mark.parametrize("short", (5e-10, 2e-9))
+    def test_fit_decided_by_slack(self, short, run_window):
+        # Three-pair rate-1 topics cost 4 B each with their ingest.  On
+        # a 12 B VM less `short`, the third fits whole only through the
+        # 1e-9 slack: it does for 5e-10 B short and not for 2e-9 B.
+        # Then rung (d) fills the VM with two of its pairs and deploys
+        # one, and rung (e) deploys it whole (a spill would pay a second
+        # ingest).  The one-pair topic 3 follows on the fresh VM.
+        workload = Workload(
+            [1.0] * 4, [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2]], message_size_bytes=1.0
+        )
+        problem = MCSSProblem(workload, 1.0, make_unit_plan(12.0 - short, vm_price=0.0))
+        placements = pin_cbp_rungs(problem, PairSelection.full(workload))
+        if short < 1e-9:
+            assert placements["d"].members(0, 2) == [0, 1, 2]
+            assert placements["e"].members(0, 2) == [0, 1, 2]
+        else:
+            assert placements["d"].members(0, 2) == [0, 1]
+            assert placements["e"].members(1, 2) == [0, 1, 2]
+        assert placements["e"].members(1, 3) == [0]
+
+    def test_spill_keeps_current_vm(self, run_window):
+        # Topic 0 (rate 10, six pairs) leaves VM 0 and a fresh VM 1
+        # with three pairs and 8 B free each.  Topic 1 (rate 3, two
+        # pairs) does not fit whole on VM 1: one pair fills it to 46 B
+        # and the other spills onto VM 0.  No VM is deployed, so VM 1
+        # stays current and topic 2 (rate 1, one pair: 2 B) lands on it.
+        workload = Workload(
+            [10.0, 3.0, 1.0],
+            [[0, 1, 2], [0, 1], [0], [0], [0], [0]],
+            message_size_bytes=1.0,
+        )
+        problem = MCSSProblem(workload, 1.0, make_unit_plan(48.0))
+        selection = PairSelection({0: list(range(6)), 1: [0, 1], 2: [0]})
+        placement = pin_cbp_rungs(problem, selection)["e"]
+        assert placement.num_vms == 2
+        assert placement.members(1, 1) == [0]
+        assert placement.members(0, 1) == [1]
+        assert placement.members(1, 2) == [0]
+
+
 LADDER_RUNGS = ("a", "b", "c", "d", "e")
 
 
@@ -394,7 +505,7 @@ class TestSharedSelectionPacking:
             assert selection == GreedySelectPairs().select(problem)
 
     @pytest.mark.parametrize("seed", (3, 11))
-    def test_any_rung_order_bit_exact(self, seed, fleet_kernel):
+    def test_any_rung_order_bit_exact(self, seed, run_window):
         # Top-down after bottom-up on one selection: every pack still
         # equals its loop referee and the same rung's earlier pack.
         rng = np.random.default_rng(20_000 + seed)
