@@ -426,16 +426,10 @@ def _serve(num_users: int) -> int:
     bound (tracing inflates NumPy-heavy Python 2-3x, so it must not
     touch the latencies).  ``MCSS_SERVE_TARGET`` gates the exit code on
     the p99 bound (seconds; 0 disables).
-
-    The broker-runtime traffic replay runs only below 250k subscribers:
-    :class:`~repro.broker.cluster.BrokerCluster` materializes per-pair
-    Python state, which at 1M subscribers (~8M pairs) would threaten
-    the traced-memory bound without changing the serving verdict.
     """
     from repro.dynamic import ChurnConfig
     from repro.experiments.serve import run_serving_experiment
     from repro.resilience.knobs import env_float, env_int
-    from repro.serving import ServingConfig
 
     num_topics = max(100, num_users // 50)
     tau = 100.0
@@ -469,9 +463,6 @@ def _serve(num_users: int) -> int:
                 rate_drift_sigma=0.0,
             ),
             seed=11,
-            serving_config=ServingConfig(
-                traffic_every=micro_epochs if num_users <= 250_000 else 0,
-            ),
         )
         result.service = None  # free this pass's fleet before the next one
         return result

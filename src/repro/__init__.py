@@ -7,8 +7,8 @@ problem and everything around it: the two-stage heuristic (greedy pair
 selection + customized bin packing), the naive baselines, the
 per-instance lower bound, an exact MILP reference, the executable
 NP-hardness reduction, synthetic Spotify/Twitter-like trace generators,
-an EC2 pricing substrate, a deployment simulator, and the experiment
-harness that regenerates every figure of the paper.
+an EC2 pricing substrate, and the experiment harness that regenerates
+every figure of the paper.
 
 Quickstart::
 
@@ -67,7 +67,7 @@ from .selection import (
 )
 from .solver import MCSSSolution, MCSSSolver
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "best_lower_bound",

@@ -112,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="p99 micro-epoch latency bound; exit 1 when missed (0 = off)",
     )
     serve.add_argument(
-        "--traffic-every", type=int, default=0, metavar="K",
-        help="replay traffic against the live placement every K "
-        "micro-epochs (0 = never)",
-    )
-    serve.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write the final metrics snapshot as JSON",
     )
@@ -222,7 +217,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         slo_p99_seconds=args.slo_p99,
-        traffic_every=args.traffic_every,
     )
     result = run_serving_experiment(
         trace.workload,

@@ -2,7 +2,7 @@
 
 This package is the paper's Section II in executable form.  Everything
 else in the library (selection, packing, bounds, exact solver,
-simulation) is written against these types.
+dynamic reprovisioning) is written against these types.
 """
 
 from .backend import AdoptBackend, ArrayBackend, MmapBackend, RamBackend

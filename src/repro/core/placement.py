@@ -41,14 +41,13 @@ packers never loop over VMs in Python:
 
 Per-(vm, topic) subscriber identities are retained as lists of array
 chunks (appended, never extended element-wise) so the placement can be
-audited (satisfaction, duplicate-assignment) and replayed by the
-deployment simulator.  The per-VM :class:`VirtualMachine` objects
-remain the scalar accounting/query API; each batch assignment updates
-exactly one of them in O(1).  A placement adopted through
-:meth:`~Placement.from_groups` builds those objects and the
-member/host dicts only on the first call that needs them: the solve
-path (audit, cost) reads only the flat group arrays and the per-VM
-bytes vector.
+audited (satisfaction, duplicate-assignment).  The per-VM
+:class:`VirtualMachine` objects remain the scalar accounting/query API;
+each batch assignment updates exactly one of them in O(1).  A placement
+adopted through :meth:`~Placement.from_groups` builds those objects and
+the member/host dicts only on the first call that needs them: the
+solve path (audit, cost) reads only the flat group arrays and the
+per-VM bytes vector.
 """
 
 from __future__ import annotations

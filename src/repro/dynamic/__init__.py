@@ -1,6 +1,5 @@
 """Dynamic/online reprovisioning (the paper's future work, Section VI)."""
 
-from .autoscaler import AutoscalePolicy, AutoscaleReport, Autoscaler
 from .churn import ChurnConfig, ChurnModel, LoopChurnModel, WorkloadDelta
 from .reprovision import (
     EpochReport,
@@ -9,9 +8,6 @@ from .reprovision import (
 )
 
 __all__ = [
-    "AutoscalePolicy",
-    "AutoscaleReport",
-    "Autoscaler",
     "ChurnConfig",
     "ChurnModel",
     "LoopChurnModel",

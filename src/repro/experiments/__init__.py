@@ -18,7 +18,6 @@ from .runtime import (
     run_stage1_runtime,
     run_stage2_runtime,
 )
-from .store import RegressionReport, compare_ladders, load_ladder, save_ladder
 from .summary import SummaryResult, run_summary
 from .tables import format_table
 from .traces import TRACE_FIGURES, TraceFigure, run_trace_figure
@@ -45,10 +44,6 @@ __all__ = [
     "Stage2RuntimeResult",
     "run_stage1_runtime",
     "run_stage2_runtime",
-    "RegressionReport",
-    "compare_ladders",
-    "load_ladder",
-    "save_ladder",
     "SummaryResult",
     "run_summary",
     "format_table",

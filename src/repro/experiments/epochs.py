@@ -83,7 +83,9 @@ def run_epoch_experiment(
     restores from it (skipping the already-completed epochs and the
     epoch-0 solve) and only the remaining epochs' reports are returned;
     the continuation is bit-identical to the uninterrupted run because
-    the checkpoint carries the churn RNG stream position.  With
+    the checkpoint carries the churn RNG stream position;
+    ``resume=True`` without a ``checkpoint_path`` is rejected, and a
+    checkpoint file that does not exist yet starts a fresh run.  With
     ``checkpoint_every=K > 0`` the state is persisted atomically after
     every K-th epoch, so a kill at any point loses at most K-1 epochs.
     """
@@ -93,9 +95,11 @@ def run_epoch_experiment(
         raise ValueError("checkpoint_every must be >= 0")
     if checkpoint_every and not checkpoint_path:
         raise ValueError("checkpoint_every requires checkpoint_path")
+    if resume and not checkpoint_path:
+        raise ValueError("resume requires checkpoint_path")
 
     result = EpochRunResult()
-    if resume and checkpoint_path and os.path.exists(checkpoint_path):
+    if resume and os.path.exists(checkpoint_path):
         reprovisioner, churn_model = load_checkpoint(
             checkpoint_path, plan, solver=solver
         )

@@ -88,16 +88,20 @@ def run_serving_experiment(
     ``serving_config.checkpoint_path``, the service restores from it --
     placement trajectory and churn stream position bit-identical to the
     run that was never killed, serving counters carried over -- and
-    only the remaining micro-epochs run.  An SLO verdict is recorded
-    when ``serving_config.slo_p99_seconds > 0``.
+    only the remaining micro-epochs run; ``resume=True`` without a
+    checkpoint path is rejected, and a checkpoint file that does not
+    exist yet starts a fresh run.  An SLO verdict is recorded when
+    ``serving_config.slo_p99_seconds > 0``.
     """
     if micro_epochs < 0:
         raise ValueError("micro_epochs must be >= 0")
     config = serving_config or ServingConfig()
+    if resume and not config.checkpoint_path:
+        raise ValueError("resume requires a checkpoint_path")
 
     result = ServeRunResult()
     checkpoint_path = config.checkpoint_path
-    if resume and checkpoint_path and os.path.exists(checkpoint_path):
+    if resume and os.path.exists(checkpoint_path):
         service, churn_model = MicroEpochService.resume(
             checkpoint_path, plan, config, solver=solver
         )

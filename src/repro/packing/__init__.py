@@ -8,20 +8,17 @@ Algorithms (Section III-B / Appendix B of the paper):
   over the selection's CSR arrays;
 * :class:`LoopCustomBinPacking` (``"cbp-loop"``) and
   :class:`LoopFFBinPacking` (``"ffbp-loop"``) -- the retained
-  pre-vectorization implementations, kept as executable referees
-  (see :data:`LOOP_REFEREES`);
+  pre-vectorization implementations, kept as executable referees;
 * :class:`BestFitBinPacking` (``"bfbp"``) and
   :class:`FirstFitDecreasingBinPacking` (``"ffdbp"``) -- extra generic
   baselines for the ablation study.
 """
 
 from .base import (
-    LOOP_REFEREES,
     PackingAlgorithm,
     available_packers,
     diff_placements,
     get_packer,
-    get_referee,
     register_packer,
 )
 from .baselines import BestFitBinPacking, FirstFitDecreasingBinPacking
@@ -34,9 +31,7 @@ __all__ = [
     "available_packers",
     "get_packer",
     "diff_placements",
-    "get_referee",
     "register_packer",
-    "LOOP_REFEREES",
     "BestFitBinPacking",
     "FirstFitDecreasingBinPacking",
     "CBPOptions",

@@ -17,15 +17,8 @@ __all__ = [
     "PackingAlgorithm",
     "register_packer",
     "get_packer",
-    "get_referee",
     "available_packers",
-    "LOOP_REFEREES",
 ]
-
-#: Vectorized packer name -> its retained loop-referee name.  The
-#: referees are executable specifications: the randomized equivalence
-#: suite pins each vectorized packer to identical placements.
-LOOP_REFEREES: Dict[str, str] = {"cbp": "cbp-loop", "ffbp": "ffbp-loop"}
 
 
 class PackingAlgorithm(ABC):
@@ -91,16 +84,6 @@ def diff_placements(fast, loop) -> "str | None":
             f"total bytes differ: {fast.total_bytes!r} != {loop.total_bytes!r}"
         )
     return None
-
-
-def get_referee(name: str, **kwargs) -> PackingAlgorithm:
-    """Instantiate the loop referee of a vectorized packer."""
-    try:
-        referee = LOOP_REFEREES[name]
-    except KeyError:
-        known = ", ".join(sorted(LOOP_REFEREES))
-        raise KeyError(f"no loop referee for {name!r}; known: {known}") from None
-    return get_packer(referee, **kwargs)
 
 
 def available_packers() -> List[str]:

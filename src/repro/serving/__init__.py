@@ -8,23 +8,18 @@ bit-exactness discipline:
   per-micro-epoch :class:`~repro.dynamic.churn.WorkloadDelta` seals
   out: however the stream is chopped, the sealed delta is identical.
 * :mod:`~repro.serving.service` -- :class:`MicroEpochService`, the
-  serving loop: seal, step, meter, checkpoint on cadence, replay
-  traffic against the live placement.
+  serving loop: seal, step, meter, checkpoint on cadence.
 * :mod:`~repro.serving.slo` -- :class:`ServingMetrics`, exact
   p50/p95/p99 micro-epoch latency plus throughput counters and SLO
-  gates, on an injectable clock.
+  gates, on an injectable clock, built from the primitives in
+  :mod:`~repro.serving.metrics`.
 
 ``tests/test_serving.py`` pins the whole path against the
 ``reprovision-loop`` referee across randomized fragment splits.
 """
 
 from .queue import ChurnFragment, ChurnIngestQueue, split_delta
-from .service import (
-    MicroEpochReport,
-    MicroEpochService,
-    ServingConfig,
-    TrafficReport,
-)
+from .service import MicroEpochReport, MicroEpochService, ServingConfig
 from .slo import ServingMetrics
 
 __all__ = [
@@ -34,6 +29,5 @@ __all__ = [
     "MicroEpochService",
     "ServingConfig",
     "ServingMetrics",
-    "TrafficReport",
     "split_delta",
 ]

@@ -1,21 +1,18 @@
-"""Lightweight metrics primitives for the broker runtime.
+"""Lightweight metrics primitives for the serving layer.
 
-A tiny counter/gauge/histogram trio -- enough to instrument the broker
-cluster without dragging in a metrics dependency.  Histograms keep
-power-of-two buckets, which is plenty for latency distributions whose
-interesting questions are "what's the p50/p99 order of magnitude".
+Counters, gauges and an exact-quantile latency recorder -- enough to
+meter the micro-epoch loop without dragging in a metrics dependency.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
 ]
@@ -44,73 +41,15 @@ class Gauge:
         """Replace the current value."""
         self.value = float(value)
 
-    def add(self, delta: float) -> None:
-        """Adjust the current value."""
-        self.value += delta
-
-
-class Histogram:
-    """Power-of-two bucketed histogram for non-negative samples."""
-
-    def __init__(self, num_buckets: int = 40) -> None:
-        if num_buckets < 2:
-            raise ValueError("need at least two buckets")
-        self._buckets: List[int] = [0] * num_buckets
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        if value < 0:
-            raise ValueError("samples must be non-negative")
-        idx = 0 if value < 1 else min(
-            len(self._buckets) - 1, int(math.log2(value)) + 1
-        )
-        self._buckets[idx] += 1
-        self._count += 1
-        self._sum += value
-        self._max = max(self._max, value)
-
-    @property
-    def count(self) -> int:
-        """Number of samples."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Mean sample, 0 when empty."""
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        """Largest sample seen."""
-        return self._max
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: upper edge of the bucket holding it."""
-        if not 0 <= q <= 1:
-            raise ValueError("quantile must be in [0, 1]")
-        if self._count == 0:
-            return 0.0
-        target = q * self._count
-        seen = 0
-        for idx, bucket in enumerate(self._buckets):
-            seen += bucket
-            if seen >= target and bucket:
-                return float(2**idx)
-        return self._max
-
 
 class LatencyRecorder:
     """Exact-quantile latency recorder with an injectable clock.
 
-    :class:`Histogram` answers order-of-magnitude questions; SLO gates
-    need exact percentiles, so this keeps every sample (bounded -- one
-    per micro-epoch, not per message) and computes nearest-rank
-    quantiles over the sorted list.  The clock is injected so tier-1
-    tests can drive it deterministically: ``time()`` marks a start,
-    ``stop()`` records the elapsed interval as a sample.
+    SLO gates need exact percentiles, so this keeps every sample
+    (bounded -- one per micro-epoch, not per message) and computes
+    nearest-rank quantiles over the sorted list.  The clock is injected
+    so tier-1 tests can drive it deterministically: ``time()`` marks a
+    start, ``stop()`` records the elapsed interval as a sample.
     """
 
     def __init__(self, clock=None) -> None:
@@ -176,12 +115,11 @@ class LatencyRecorder:
 
 
 class MetricsRegistry:
-    """Named metrics for one broker node or the whole cluster."""
+    """Named counters and gauges."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
@@ -191,19 +129,11 @@ class MetricsRegistry:
         """Get or create a gauge."""
         return self._gauges.setdefault(name, Gauge())
 
-    def histogram(self, name: str) -> Histogram:
-        """Get or create a histogram."""
-        return self._histograms.setdefault(name, Histogram())
-
     def snapshot(self) -> Dict[str, float]:
-        """Flat name -> value view (histograms expose mean/p99/count)."""
+        """Flat name -> value view."""
         out: Dict[str, float] = {}
         for name, counter in self._counters.items():
             out[name] = float(counter.value)
         for name, gauge in self._gauges.items():
             out[name] = gauge.value
-        for name, hist in self._histograms.items():
-            out[f"{name}.mean"] = hist.mean
-            out[f"{name}.p99"] = hist.quantile(0.99)
-            out[f"{name}.count"] = float(hist.count)
         return out

@@ -20,14 +20,11 @@ long-running service:
 * on cadence the service checkpoints through
   :mod:`repro.resilience.checkpoint` and :meth:`resume` continues a
   killed run bit-exactly -- the same guarantee the epoch experiments
-  pin, extended with the serving counters;
-* :meth:`replay_traffic` measures the *live placement* under realistic
-  traffic via the broker runtime (M/G/1 latency over the planned
-  rates) and the discrete-event simulator.
+  pin, extended with the serving counters.
 
 The service constructs no RNGs: churn randomness lives in the caller's
-:class:`~repro.dynamic.churn.ChurnModel` and simulation randomness
-behind the engine's config seam, keeping the serving layer replayable.
+:class:`~repro.dynamic.churn.ChurnModel`, keeping the serving layer
+replayable.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..broker.cluster import BrokerCluster, ClusterLatencyReport
 from ..core import MCSSProblem
 from ..dynamic.reprovision import EpochReport, IncrementalReprovisioner
 from ..resilience.checkpoint import (
@@ -44,7 +40,6 @@ from ..resilience.checkpoint import (
     load_serving_state,
     save_checkpoint,
 )
-from ..simulation import DeploymentReport, SimulationConfig, simulate_placement
 from .queue import ChurnFragment, ChurnIngestQueue, split_delta
 from .slo import ServingMetrics
 
@@ -52,7 +47,6 @@ __all__ = [
     "MicroEpochReport",
     "MicroEpochService",
     "ServingConfig",
-    "TrafficReport",
 ]
 
 
@@ -65,27 +59,14 @@ class ServingConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
     slo_p99_seconds: float = 0.0
-    traffic_every: int = 0
-    traffic_horizon: float = 0.05
-    traffic_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_every and not self.checkpoint_path:
             raise ValueError("checkpoint_every needs a checkpoint_path")
-        if self.traffic_every < 0:
-            raise ValueError("traffic_every must be >= 0")
-        if not 0 < self.traffic_horizon <= 1:
-            raise ValueError("traffic_horizon must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class TrafficReport:
-    """Live-placement traffic replay: queueing model + event replay."""
-
-    latency: ClusterLatencyReport
-    deployment: DeploymentReport
+        if self.slo_p99_seconds < 0:
+            raise ValueError("slo_p99_seconds must be >= 0 (0 = no SLO)")
 
 
 @dataclass(frozen=True)
@@ -104,7 +85,6 @@ class MicroEpochReport:
     batch_ops: int
     queue_depth: int
     seconds: float
-    traffic: Optional[TrafficReport] = None
 
 
 class MicroEpochService:
@@ -223,10 +203,7 @@ class MicroEpochService:
             seconds=seconds,
             num_vms=self._reprovisioner.num_vms,
         )
-        traffic = None
         cfg = self._config
-        if cfg.traffic_every and self._micro_epochs % cfg.traffic_every == 0:
-            traffic = self.replay_traffic()
         if cfg.checkpoint_every and self._micro_epochs % cfg.checkpoint_every == 0:
             self.checkpoint(cfg.checkpoint_path)
         return MicroEpochReport(
@@ -236,7 +213,6 @@ class MicroEpochService:
             batch_ops=batch_ops,
             queue_depth=queue_depth,
             seconds=seconds,
-            traffic=traffic,
         )
 
     def serve(self, churn_model, micro_epochs: int) -> List[MicroEpochReport]:
@@ -257,34 +233,6 @@ class MicroEpochService:
                 self.run_micro_epoch(delta.workload, delta.changed_topics)
             )
         return reports
-
-    # ---- traffic replay ----------------------------------------------
-    def replay_traffic(self, horizon_fraction: Optional[float] = None) -> TrafficReport:
-        """Measure the live placement under realistic traffic.
-
-        Builds the broker runtime for the current placement, prices its
-        per-node M/G/1 latency at the planned rates, and replays a
-        discrete-event horizon through the simulator (metering +
-        satisfaction audit).
-        """
-        cfg = self._config
-        problem = self._reprovisioner.problem
-        placement = self._reprovisioner.placement()
-        cluster = BrokerCluster(problem, placement)
-        latency = cluster.latency_report(period_seconds=1.0)
-        deployment = simulate_placement(
-            problem,
-            placement,
-            SimulationConfig(
-                horizon_fraction=(
-                    cfg.traffic_horizon
-                    if horizon_fraction is None
-                    else horizon_fraction
-                ),
-                seed=cfg.traffic_seed,
-            ),
-        )
-        return TrafficReport(latency=latency, deployment=deployment)
 
     # ---- checkpoint / resume -----------------------------------------
     def serving_state(self) -> dict:
@@ -334,6 +282,7 @@ class MicroEpochService:
         if state is not None:
             inst._micro_epochs = int(state["micro_epochs"])
             reg = inst._metrics.registry
+            reg.counter("serve.micro_epochs").inc(inst._micro_epochs)
             reg.counter("serve.ops").inc(int(state["ops"]))
             reg.counter("serve.moves").inc(int(state["moves"]))
             reg.counter("serve.pairs_added").inc(int(state["pairs_added"]))

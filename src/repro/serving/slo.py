@@ -1,10 +1,9 @@
 """Serving-layer SLO metrics: exact latency quantiles + throughput.
 
-The broker package's :class:`~repro.broker.metrics.Histogram` answers
-order-of-magnitude questions; an SLO gate needs exact percentiles over
-a bounded sample set (one sample per micro-epoch).  This module wires
-a :class:`~repro.broker.metrics.LatencyRecorder` and a
-:class:`~repro.broker.metrics.MetricsRegistry` into one serving-shaped
+An SLO gate needs exact percentiles over a bounded sample set (one
+sample per micro-epoch).  This module wires a
+:class:`~repro.serving.metrics.LatencyRecorder` and a
+:class:`~repro.serving.metrics.MetricsRegistry` into one serving-shaped
 view:
 
 * **latency** -- p50/p95/p99/mean/max micro-epoch seconds, exact
@@ -24,8 +23,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..broker.metrics import LatencyRecorder, MetricsRegistry
 from ..dynamic.reprovision import EpochReport
+from .metrics import LatencyRecorder, MetricsRegistry
 
 __all__ = ["ServingMetrics"]
 

@@ -16,7 +16,7 @@ from repro.analysis import (
     subscription_cardinality_ccdf,
 )
 from repro.core import Workload
-from repro.workloads import TwitterConfig, TwitterWorkloadGenerator
+from repro.workloads import SocialGraph, TwitterConfig, TwitterWorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,15 @@ class TestTraceStatistics:
         other = Workload([1.0], [[0]])
         with pytest.raises(ValueError, match="mismatch"):
             mean_sc_by_followings(trace.graph, other)
+
+    def test_binned_means_need_a_follower(self):
+        nobody = SocialGraph.from_followings(
+            [np.empty(0, dtype=np.int64)] * 3,
+            follower_counts=np.zeros(3, dtype=np.int64),
+            event_counts=np.ones(3, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="no points"):
+            mean_rate_by_followers(nobody)
 
     def test_sc_needs_events(self):
         w = Workload([1.0], [[]])

@@ -8,7 +8,13 @@ import pytest
 from repro.bounds import best_lower_bound, lower_bound, lp_lower_bound
 from repro.core import MCSSProblem, Workload
 from repro.exact import solve_exact
-from repro.pricing import TieredBandwidthCost, PricingPlan, get_instance
+from repro.pricing import (
+    FreeBandwidthCost,
+    LinearVMCost,
+    PricingPlan,
+    TieredBandwidthCost,
+    get_instance,
+)
 from repro.solver import MCSSSolver
 from tests.conftest import make_unit_plan, random_workload
 
@@ -93,6 +99,49 @@ class TestLPBoundEdges:
 
         with pytest.raises(LPBoundError, match="linear"):
             lp_lower_bound(problem)
+
+    def test_nonlinear_c1_rejected(self, tiny_workload):
+        plan = PricingPlan(
+            instance=get_instance("c3.large"),
+            vm_cost=lambda num_vms: 10.0 * num_vms**2,
+        )
+        problem = MCSSProblem(tiny_workload, 30, plan)
+        from repro.bounds.lp import LPBoundError
+
+        with pytest.raises(LPBoundError, match="LinearVMCost"):
+            lp_lower_bound(problem)
+
+    def test_free_bandwidth_prices_only_the_fleet(self, tiny_workload):
+        plan = PricingPlan(
+            instance=get_instance("c3.large"),
+            period_hours=1.0,
+            bandwidth_cost=FreeBandwidthCost(),
+            vm_cost=LinearVMCost(10.0),
+            capacity_bytes_override=80.0,
+        )
+        lp = lp_lower_bound(MCSSProblem(tiny_workload, 30, plan))
+        # Same fractional fleet as with paid bandwidth (100 event-bytes
+        # over BC=80), but the bytes themselves cost nothing.
+        assert lp.bandwidth_usd == 0.0
+        assert lp.vm_usd == pytest.approx(12.5)
+        assert lp.total_usd == pytest.approx(12.5)
+
+    def test_pair_guard(self, tiny_workload, monkeypatch):
+        import repro.bounds.lp as lp_mod
+
+        monkeypatch.setattr(lp_mod, "_MAX_PAIRS", tiny_workload.num_pairs - 1)
+        problem = MCSSProblem(tiny_workload, 30, make_unit_plan(100.0))
+        with pytest.raises(lp_mod.LPBoundError, match="guard"):
+            lp_lower_bound(problem)
+
+    def test_best_bound_falls_back_to_alg5(self, tiny_workload):
+        # A tiered C2 has no LP bound, so the best bound is Algorithm 5.
+        plan = PricingPlan(
+            instance=get_instance("c3.large"),
+            bandwidth_cost=TieredBandwidthCost(),
+        )
+        problem = MCSSProblem(tiny_workload, 30, plan)
+        assert best_lower_bound(problem) == lower_bound(problem)
 
     def test_fractional_vm_cost_component(self, tiny_workload):
         problem = MCSSProblem(tiny_workload, 30, make_unit_plan(80.0, vm_price=10.0))

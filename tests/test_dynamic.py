@@ -187,6 +187,13 @@ class TestWorkloadDelta:
                 np.array([], dtype=np.int64),
             )
 
+    def test_mismatched_unsubscribed_arrays_rejected(self, workload):
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="unsubscribed pair arrays"):
+            WorkloadDelta(
+                workload, empty, empty, np.array([3]), np.array([3, 4]), empty
+            )
+
 
 class TestFreshSolveGating:
     """The per-epoch fresh solve is cadence/estimate gated by default."""
@@ -233,6 +240,10 @@ class TestLoopReferees:
         delta = model.step()
         assert delta.subscribed or delta.unsubscribed
         assert delta.workload is model.workload
+
+    def test_loop_reprovisioner_rejects_threshold_below_one(self, problem):
+        with pytest.raises(ValueError, match="rebuild_threshold"):
+            LoopIncrementalReprovisioner(problem, rebuild_threshold=0.9)
 
     def test_loop_reprovisioner_smoke(self, problem):
         reprov = LoopIncrementalReprovisioner(problem)

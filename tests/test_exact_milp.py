@@ -56,6 +56,49 @@ class TestSolveExact:
         with pytest.raises(ExactSolverError, match="linear"):
             solve_exact(problem, max_vms=2)
 
+    def test_nonlinear_c1_rejected(self, tiny_workload):
+        plan = PricingPlan(
+            instance=get_instance("c3.large"),
+            vm_cost=lambda num_vms: 10.0 * num_vms**2,
+        )
+        problem = MCSSProblem(tiny_workload, 30, plan)
+        with pytest.raises(ExactSolverError, match="LinearVMCost"):
+            solve_exact(problem, max_vms=2)
+
+    def test_default_fleet_bound_reaches_the_optimum(self):
+        # Four rate-10 pairs, BC=30: one VM holds two pairs, so the
+        # default bound ceil(2 * 40 / 30) = 3 VMs leaves the optimum
+        # (two VMs) reachable.
+        w = Workload([10.0], [[0]] * 4, message_size_bytes=1.0)
+        problem = MCSSProblem(w, 10, make_unit_plan(30.0))
+        default = solve_exact(problem)
+        explicit = solve_exact(problem, max_vms=4)
+        assert default.optimal
+        assert default.cost.num_vms == explicit.cost.num_vms == 2
+        assert default.cost.total_usd == pytest.approx(explicit.cost.total_usd)
+        assert validate_placement(problem, default.placement).ok
+
+    def test_non_positive_max_vms_rejected(self, tiny_workload):
+        problem = MCSSProblem(tiny_workload, 30, make_unit_plan(100.0))
+        with pytest.raises(ExactSolverError, match="max_vms must be positive"):
+            solve_exact(problem, max_vms=0)
+
+    def test_time_limit_reaches_the_solver(self, tiny_workload, monkeypatch):
+        import repro.exact.milp as milp_mod
+
+        seen = []
+        real = milp_mod.milp
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("options"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(milp_mod, "milp", spy)
+        problem = MCSSProblem(tiny_workload, 30, make_unit_plan(100.0))
+        solution = solve_exact(problem, max_vms=2, time_limit=60.0)
+        assert seen == [{"time_limit": 60.0}]
+        assert solution.optimal and solution.cost.num_vms == 1
+
     def test_variable_guard(self):
         w = Workload(np.ones(100), [list(range(100))] * 100, message_size_bytes=1.0)
         problem = MCSSProblem(w, 100, make_unit_plan(1e9))
@@ -77,6 +120,14 @@ class TestAgainstBruteForce:
         )
         assert validate_placement(problem, milp.placement).ok
         assert validate_placement(problem, brute.placement).ok
+
+    def test_bruteforce_infeasible_fleet_rejected(self):
+        # One VM (BC=30) holds only two of the four rate-10 pairs.
+        w = Workload([10.0], [[0]] * 4, message_size_bytes=1.0)
+        problem = MCSSProblem(w, 10, make_unit_plan(30.0))
+        with pytest.raises(ValueError, match="no feasible assignment within 1 VMs"):
+            solve_bruteforce(problem, max_vms=1)
+        assert solve_bruteforce(problem, max_vms=2).cost.num_vms == 2
 
     def test_bruteforce_guard(self):
         w = Workload(np.ones(5), [list(range(5))] * 6, message_size_bytes=1.0)

@@ -53,6 +53,12 @@ class TestReducedInstance:
         with pytest.raises(ValueError):
             partition_to_mcss([10, 1, 1])  # 2*10 > 12 = BC
 
+    def test_non_positive_values_rejected(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            partition_to_mcss([3, 0, 3])
+        with pytest.raises(ValueError, match="positive integers"):
+            partition_to_mcss([4, -2, 2])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             partition_to_mcss([])

@@ -1,4 +1,5 @@
-"""Tests for the experiment harness (config, ladder, runtime, figures)."""
+"""Tests for the experiment harness (config, ladder, runtime, figures,
+runners)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ from repro.experiments import (
     ExperimentScale,
     LADDER_VARIANTS,
     LadderCell,
+    LadderResult,
     PAPER_TAUS,
+    Stage2RuntimeResult,
+    SummaryResult,
     calibrate_fraction,
     describe_figures,
     format_table,
@@ -23,11 +27,16 @@ from repro.experiments import (
     run_trace_figure,
 )
 from repro.bounds import lower_bound
-from repro.core import MCSSProblem
+from repro.core import MCSSProblem, Workload
+from repro.dynamic import IncrementalReprovisioner
+from repro.experiments import run_epoch_experiment, run_serving_experiment
 from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
+from repro.resilience import save_checkpoint
+from repro.serving import ServingConfig
 from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload
+from tests.conftest import make_unit_plan
 
 # At 1200 users the paper's savings-vs-tau trend is seed-sensitive;
 # this seed shows it with a wide margin under GENERATOR_VERSION 3
@@ -88,6 +97,12 @@ class TestConfig:
     def test_invalid_target(self, small_zipf):
         with pytest.raises(ValueError):
             calibrate_fraction(small_zipf, 0)
+
+    def test_trafficless_workload_rejected(self):
+        silent = Workload([5.0, 3.0], [[], []])
+        for reference_tau in (None, float("inf")):
+            with pytest.raises(ValueError, match="no traffic"):
+                calibrate_fraction(silent, 10, reference_tau=reference_tau)
 
     def test_paper_axes(self):
         assert PAPER_TAUS == (10, 100, 1000)
@@ -178,6 +193,41 @@ class TestLadder:
         assert "Total Bandwidth" in text
 
 
+def _hand_ladder(naive, ours, lb):
+    """A LadderResult over taus (10, 100) from per-tau cell costs."""
+    result = LadderResult("t", "c3.large", (10, 100))
+    for variant, costs in (
+        ("rsp+ffbp", naive),
+        ("(e) +cost-decision", ours),
+        ("lower-bound", lb),
+    ):
+        result.cells[variant] = {
+            tau: LadderCell(cost, 1, 0.0) for tau, cost in zip((10, 100), costs)
+        }
+    return result
+
+
+class TestLadderArithmetic:
+    def test_zero_cost_cells_report_no_saving_or_gap(self):
+        ladder = _hand_ladder(naive=(0.0, 4.0), ours=(0.0, 3.0), lb=(0.0, 2.0))
+        assert ladder.savings(10) == 0.0
+        assert ladder.gap_to_lower_bound(10) == 0.0
+        assert ladder.savings(100) == pytest.approx(0.25)
+        assert ladder.gap_to_lower_bound(100) == pytest.approx(0.5)
+
+    def test_summary_min_gap_is_smallest_gap(self):
+        ladder = _hand_ladder(naive=(20.0, 20.0), ours=(10.0, 11.0), lb=(8.0, 10.0))
+        summary = SummaryResult({"t": ladder}, (10, 100))
+        assert summary.min_gap("t") == pytest.approx(0.1)
+        assert summary.max_savings("t") == pytest.approx(0.5)
+
+    def test_stage2_speedup_with_zero_cbp_time(self):
+        result = Stage2RuntimeResult(
+            "t", "c3.large", (10,), {"cbp": {10: 0.0}, "ffbp": {10: 0.5}}
+        )
+        assert result.speedup(10) == float("inf")
+
+
 class TestRuntime:
     def test_stage1_runtimes_positive(self, small_trace):
         plan = make_plan("c3.large", small_trace.workload, SMALL)
@@ -243,3 +293,65 @@ class TestFormatTable:
         assert lines[0] == "My Title"
         assert "a" in lines[2] and "b" in lines[2]
         assert "2.5000" in text  # small floats get 4 decimals
+
+
+class TestRunnerValidation:
+    """The churn and serve runners reject bad input before running."""
+
+    @pytest.fixture
+    def problem(self, tmp_path, monkeypatch):
+        # Runs in tmp_path, where "churnless.npz" is a checkpoint saved
+        # without a churn model: it cannot continue a churn stream.
+        monkeypatch.chdir(tmp_path)
+        problem = MCSSProblem(zipf_workload(10, 30, seed=5), 20, make_unit_plan(1e7))
+        save_checkpoint("churnless.npz", IncrementalReprovisioner(problem))
+        return problem
+
+    @pytest.mark.parametrize(
+        "epochs, options, match",
+        [
+            (-1, {}, "epochs must be"),
+            (2, {"checkpoint_every": -1}, "checkpoint_every must be"),
+            (2, {"checkpoint_every": 2}, "requires checkpoint_path"),
+            (2, {"resume": True}, "resume requires"),
+            (2, {"resume": True, "checkpoint_path": "churnless.npz"}, "no churn state"),
+        ],
+        ids=[
+            "negative-epochs",
+            "negative-checkpoint-every",
+            "checkpoint-every-without-path",
+            "resume-without-path",
+            "checkpoint-without-churn-state",
+        ],
+    )
+    def test_epoch_runner_rejects(self, problem, epochs, options, match):
+        with pytest.raises(ValueError, match=match):
+            run_epoch_experiment(
+                problem.workload, problem.plan, problem.tau, epochs, **options
+            )
+
+    @pytest.mark.parametrize(
+        "micro_epochs, options, match",
+        [
+            (-1, {}, "micro_epochs must be"),
+            (2, {"resume": True}, "resume requires"),
+            (
+                2,
+                {
+                    "resume": True,
+                    "serving_config": ServingConfig(checkpoint_path="churnless.npz"),
+                },
+                "no churn state",
+            ),
+        ],
+        ids=[
+            "negative-micro-epochs",
+            "resume-without-path",
+            "checkpoint-without-churn-state",
+        ],
+    )
+    def test_serving_runner_rejects(self, problem, micro_epochs, options, match):
+        with pytest.raises(ValueError, match=match):
+            run_serving_experiment(
+                problem.workload, problem.plan, problem.tau, micro_epochs, **options
+            )

@@ -1,4 +1,4 @@
-"""End-to-end integration tests: trace -> solve -> deploy -> bill."""
+"""End-to-end integration tests: trace -> solve -> audit -> bound."""
 
 from __future__ import annotations
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro.bounds import lower_bound
-from repro.cloud import deploy_and_bill
-from repro.core import MCSSProblem, validate_placement
+from repro.core import MCSSProblem, validate_placement, validate_placement_loop
 from repro.dynamic import ChurnConfig, ChurnModel, IncrementalReprovisioner
 from repro.exact import solve_exact
 from repro.experiments import ExperimentScale, make_plan, make_trace
-from repro.simulation import SimulationConfig
 from repro.solver import MCSSSolver
 from repro.workloads import load_workload, sample_subscribers, save_workload
 from tests.conftest import make_unit_plan
@@ -26,18 +24,16 @@ def trace(request):
 
 
 class TestFullPipeline:
-    def test_generate_solve_deploy_bill(self, trace):
+    def test_generate_solve_audit_bound(self, trace):
         plan = make_plan("c3.large", trace.workload, SCALE)
         problem = MCSSProblem(trace.workload, 100, plan)
         solution = MCSSSolver.paper().solve(problem)
 
-        deployment = deploy_and_bill(
-            problem, solution.placement, SimulationConfig(horizon_fraction=1.0)
-        )
-        assert deployment.report.satisfied
-        assert deployment.billing_gap < 0.02
+        audit = validate_placement_loop(problem, solution.placement)
+        assert audit.ok, str(audit)
+        assert problem.cost_of(solution.placement) == solution.cost
         bound = lower_bound(problem)
-        assert bound.total_usd <= deployment.analytic_total_usd * (1 + 1e-9)
+        assert bound.total_usd <= solution.cost.total_usd * (1 + 1e-9)
 
     def test_both_instance_types_same_workload(self, trace):
         # Figure 2a vs 2b: the xlarge fleet is roughly half the size.

@@ -10,8 +10,11 @@ from repro.packing import (
     CBPOptions,
     CustomBinPacking,
     FFBinPacking,
+    PackingAlgorithm,
     cheaper_to_distribute,
+    cheaper_to_distribute_loop,
     get_packer,
+    register_packer,
 )
 from repro.selection import GreedySelectPairs
 from tests.conftest import make_unit_plan, random_workload
@@ -147,6 +150,23 @@ class TestCheaperToDistribute:
         with pytest.raises(ValueError):
             cheaper_to_distribute(placement, tiny_problem.plan, 0, 10.0, 0)
 
+    def test_loop_referee_rejects_invalid_count(self, tiny_problem):
+        placement = tiny_problem.empty_placement()
+        with pytest.raises(ValueError, match="count must be positive"):
+            cheaper_to_distribute_loop(placement, tiny_problem.plan, 0, 10.0, 0)
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [cheaper_to_distribute, cheaper_to_distribute_loop],
+        ids=["vectorized", "loop"],
+    )
+    def test_pair_larger_than_an_empty_vm_rejected(self, tiny_problem, verdict):
+        # One pair plus its ingest copy (2 x 60 B) exceeds BC = 80 B.
+        placement = tiny_problem.empty_placement()
+        placement.new_vm()
+        with pytest.raises(ValueError, match="does not fit in an empty VM"):
+            verdict(placement, tiny_problem.plan, 0, 60.0, 1)
+
     def test_cost_decision_never_breaks_feasibility(self, small_zipf):
         problem = MCSSProblem(small_zipf, 50, make_unit_plan(5e7))
         selection = GreedySelectPairs().select(problem)
@@ -159,4 +179,13 @@ class TestCheaperToDistribute:
             ).ok
 
     def test_registry(self):
+        assert isinstance(get_packer("cbp"), CustomBinPacking)
+
+    def test_registry_rejects_duplicate_name(self):
+        class Impostor(PackingAlgorithm):
+            def pack(self, problem, selection):
+                raise AssertionError("never registered")
+
+        with pytest.raises(ValueError, match="'cbp' already registered"):
+            register_packer("cbp")(Impostor)
         assert isinstance(get_packer("cbp"), CustomBinPacking)

@@ -69,6 +69,14 @@ class TestFromCsr:
                 np.array([0], dtype=np.int64),
             )
 
+    def test_validation_rejects_nonzero_empty_indptr(self):
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="empty selection must be"):
+            PairSelection.from_csr(empty, np.array([1], dtype=np.int64), empty)
+        assert PairSelection.from_csr(
+            empty, np.array([0], dtype=np.int64), empty
+        ).num_pairs == 0
+
     def test_validation_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="indptr\\[-1\\]"):
             PairSelection.from_csr(
@@ -153,6 +161,12 @@ class TestViews:
         assert PairSelection({0: [1]}) != PairSelection({0: [2]})
         assert PairSelection({0: [1]}) != PairSelection({1: [1]})
 
+    def test_never_equal_to_other_types(self):
+        sel = PairSelection({0: [1]})
+        assert sel.__eq__({0: [1]}) is NotImplemented
+        assert sel != {0: [1]}
+        assert sel != [(0, 1)]
+
     def test_topic_index_built_on_first_lookup(self):
         sel = PairSelection.from_csr(
             np.asarray([4, 1]), np.asarray([0, 2, 3]), np.asarray([0, 2, 1])
@@ -183,6 +197,12 @@ class TestBandwidth:
         # outgoing 2*20 + 3*10 = 70, incoming 30 -> 100 events, 1 B each
         assert sel.single_vm_rate(tiny_workload) == 100
         assert sel.single_vm_bytes(tiny_workload) == 100
+
+    def test_empty_selection_has_no_traffic(self, tiny_workload):
+        sel = PairSelection({})
+        assert sel.outgoing_rate(tiny_workload) == 0.0
+        assert sel.incoming_rate(tiny_workload) == 0.0
+        assert sel.single_vm_bytes(tiny_workload) == 0.0
 
     def test_message_size_scales_bytes(self, tiny_workload):
         sel = PairSelection.full(tiny_workload)

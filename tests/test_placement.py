@@ -14,6 +14,7 @@ from repro.core import (
     validate_placement,
     validate_placement_loop,
 )
+from repro.packing import diff_placements
 from tests.conftest import make_unit_plan
 
 
@@ -66,6 +67,17 @@ class TestVirtualMachine:
         vm = VirtualMachine(10.0)
         with pytest.raises(ValueError):
             vm.add_pairs(0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "count, match", [(0, "positive"), (3, "only 2 here")], ids=["zero", "too-many"]
+    )
+    def test_remove_pairs_rejects_bad_counts(self, count, match):
+        vm = VirtualMachine(40.0)
+        vm.add_pairs(0, 5.0, 2)
+        with pytest.raises(ValueError, match=match):
+            vm.remove_pairs(0, 5.0, count)
+        assert vm.pair_count(0) == 2
+        assert vm.used_bytes == pytest.approx(15.0)
 
     def test_fits_accounts_for_new_topic(self):
         vm = VirtualMachine(25.0)
@@ -221,6 +233,28 @@ class TestBatchRemoval:
             p.remove_range(a, 1, np.asarray([0, 0]))  # duplicates
         with pytest.raises(ValueError):
             p.remove_topic(a, 5)  # not hosted
+
+    def test_remove_range_empty_is_noop(self, tiny_workload):
+        p, a, _b = self._placement(tiny_workload)
+        before = (p.num_pairs, p.total_bytes, p.members(a, 0))
+        p.remove_range(a, 0, np.asarray([], dtype=np.int64))
+        p.remove_range(a, 5, [])  # not even hosted: still nothing to do
+        assert (p.num_pairs, p.total_bytes, p.members(a, 0)) == before
+
+    def test_remove_range_unhosted_topic_raises(self, tiny_workload):
+        p, _a, b = self._placement(tiny_workload)
+        with pytest.raises(ValueError, match="hosts no pairs of topic 0"):
+            p.remove_range(b, 0, np.asarray([0]))
+
+    def test_removing_last_host_forgets_topic(self, tiny_workload):
+        p, a, _b = self._placement(tiny_workload)
+        p.remove_range(a, 0, np.asarray([0, 1]))
+        assert p.hosting_vms(0) == []
+        assert not p.hosts_mask(0).any()
+        assert p.topic_replicas(0) == 0
+        # The topic can be placed again from scratch afterwards.
+        p.assign_range(a, 0, np.asarray([1]))
+        assert p.hosting_vms(0) == [a]
 
     def test_remove_then_reassign_roundtrip(self, tiny_workload):
         p, a, b = self._placement(tiny_workload)
@@ -489,3 +523,50 @@ class TestFromGroups:
             report = audit(problem, skewed)
             assert not report.accounting_ok
             assert any("VM 2 bookkeeping" in m for m in report.messages)
+
+
+class TestDiffPlacements:
+    """``diff_placements`` -- the pin behind every packer and serving
+    identity check -- names the first way two placements differ."""
+
+    # (vm, topic, subscribers) groups on the Figure-1 workload; topic 1
+    # is split over both VMs so a subscriber can move between groups.
+    GROUPS = [(0, 0, [0, 1]), (0, 1, [0]), (1, 1, [1, 2])]
+
+    @staticmethod
+    def _placement(groups, num_vms=2, rates=(20.0, 10.0)):
+        workload = Workload(
+            list(rates), [[0, 1], [0, 1], [1]], message_size_bytes=1.0
+        )
+        placement = Placement(workload, 1000.0)
+        placement.new_vms(num_vms)
+        for vm, topic, subs in groups:
+            placement.assign(vm, topic, subs)
+        return placement
+
+    @pytest.mark.parametrize(
+        "fast, expected",
+        [
+            ({}, None),
+            ({"num_vms": 3}, "fleet sizes differ"),
+            (
+                {"groups": [GROUPS[1], GROUPS[0], GROUPS[2]]},
+                "assignment-group order differs",
+            ),
+            (
+                {"groups": [(0, 0, [0, 1]), (0, 1, [0, 1]), (1, 1, [2])]},
+                "per-VM subscriber assignments differ",
+            ),
+            ({"rates": (20.0, 11.0)}, "total bytes differ"),
+        ],
+        ids=["identical", "extra-vm", "swapped-order", "moved-subscriber", "rate"],
+    )
+    def test_reports_first_difference(self, fast, expected):
+        loop = self._placement(self.GROUPS)
+        got = diff_placements(
+            self._placement(**{"groups": self.GROUPS, **fast}), loop
+        )
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got.startswith(expected), got

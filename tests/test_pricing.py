@@ -121,6 +121,10 @@ class TestCostFunctions:
         with pytest.raises(ValueError):
             TieredBandwidthCost([(float("inf"), -0.1)])
 
+    def test_tiered_rejects_negative_volume(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TieredBandwidthCost()(-1.0)
+
     def test_tiered_monotone(self):
         tiered = TieredBandwidthCost()
         values = [tiered(x * 1e12) for x in range(0, 300, 25)]

@@ -8,8 +8,9 @@ over fuzzed workloads:
 2. the lower bound never exceeds any feasible solution's cost;
 3. Stage-1 selections satisfy every subscriber on a single infinite VM;
 4. packing never invents or loses pairs;
-5. the deployment simulator's metering agrees with the analytic
-   objective on whatever the solvers produce.
+5. the loop referee's from-scratch recomputation (per-VM Eq.-2 bytes,
+   per-subscriber satisfaction) agrees with the placement the solver
+   prices, and the solver's cost is the objective of that placement.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds import lower_bound
-from repro.core import MCSSProblem, Workload, all_satisfied, validate_placement
-from repro.simulation import SimulationConfig, simulate_placement
+from repro.core import (
+    MCSSProblem,
+    Workload,
+    all_satisfied,
+    validate_placement,
+    validate_placement_loop,
+)
 from repro.solver import MCSSSolver
 from tests.conftest import make_unit_plan
 
@@ -107,14 +113,12 @@ def test_selection_satisfies_subscribers(workload, tau):
     tau=st.integers(min_value=1, max_value=30),
 )
 @settings(max_examples=60, deadline=None)
-def test_simulation_agrees_with_objective(workload, tau):
+def test_loop_referee_agrees_with_objective(workload, tau):
     problem = make_problem(workload, tau, 2.0)
     solution = MCSSSolver.paper().solve(problem)
-    if solution.placement.num_pairs == 0:
-        return
-    report = simulate_placement(
-        problem, solution.placement, SimulationConfig(horizon_fraction=1.0)
-    )
-    assert report.satisfied
-    # Integer event counts + full horizon: metering is near-exact.
-    assert report.metering_error < 0.02
+    # The referee recomputes every VM's bytes from the raw assignment
+    # lists and checks them against the placement's own accounting,
+    # which is what cost_of sums.
+    audit = validate_placement_loop(problem, solution.placement)
+    assert audit.ok, str(audit)
+    assert problem.cost_of(solution.placement) == solution.cost

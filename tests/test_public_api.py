@@ -23,11 +23,10 @@ PACKAGES = [
     "repro.solver",
     "repro.workloads",
     "repro.analysis",
-    "repro.simulation",
-    "repro.cloud",
     "repro.dynamic",
-    "repro.broker",
     "repro.experiments",
+    "repro.serving",
+    "repro.resilience",
 ]
 
 

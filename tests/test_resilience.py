@@ -96,6 +96,12 @@ class TestKnobs:
         with pytest.raises(KnobError, match="must be >= 0"):
             env_int(_KNOB, 1, minimum=0)
 
+    def test_float_minimum_enforced(self, monkeypatch):
+        monkeypatch.setenv(_KNOB, "0.25")
+        assert env_float(_KNOB, 1.0, minimum=0.0) == 0.25
+        with pytest.raises(KnobError, match="must be >= 0.5"):
+            env_float(_KNOB, 1.0, minimum=0.5)
+
     def test_knob_error_is_a_value_error(self):
         assert issubclass(KnobError, ValueError)
 
@@ -370,6 +376,23 @@ class TestCheckpointIntegrity:
         np.savez(path, **data)
         with pytest.raises(TraceCorruptionError, match="used_bytes"):
             load_checkpoint(path, plan)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        reprovisioner, plan, _ = self._reprovisioner()
+        path = str(tmp_path / "run.npz")
+        save_checkpoint(path, reprovisioner)
+        data = dict(np.load(path))
+        data["checkpoint_version"] = np.int64(99)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+            load_checkpoint(path, plan)
+
+    def test_ragged_snapshot_rejected_by_restore(self):
+        reprovisioner, plan, _ = self._reprovisioner()
+        snap = reprovisioner.snapshot()
+        snap["pair_vms"] = snap["pair_vms"][:-1]
+        with pytest.raises(ValueError, match="disagree in length"):
+            IncrementalReprovisioner.restore(snap, plan)
 
     def test_tampered_snapshot_rejected_by_restore(self):
         reprovisioner, plan, _ = self._reprovisioner()

@@ -9,6 +9,7 @@ from repro.core import (
     Workload,
     all_satisfied,
     delivered_rate,
+    delivered_rates_from_arrays,
     is_satisfied,
     satisfaction_slack,
     satisfied_mask,
@@ -55,6 +56,17 @@ class TestDeliveredRate:
 
     def test_empty_delivery(self, tiny_workload):
         assert delivered_rate(tiny_workload, 0, []) == 0.0
+
+    def test_array_reduction_ignores_unknown_ids(self, tiny_workload):
+        # Topic 5, topic -1 and subscriber 7 do not exist; (1, 2) and
+        # (0, 0) are the only deliveries that count.
+        rates = delivered_rates_from_arrays(
+            tiny_workload,
+            np.array([0, 5, -1, 1, 1]),
+            np.array([0, 0, 1, 7, 2]),
+        )
+        assert rates.tolist() == [20.0, 0.0, 10.0]
+        assert rates[0] == delivered_rate(tiny_workload, 0, [0, 5])
 
 
 class TestSatisfaction:

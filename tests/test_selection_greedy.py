@@ -11,7 +11,10 @@ from repro.core import MCSSProblem, Workload, all_satisfied
 from repro.selection import (
     GreedySelectPairs,
     ReferenceGreedySelectPairs,
+    SelectionAlgorithm,
     benefit_cost_ratio,
+    get_selector,
+    register_selector,
 )
 from tests.conftest import make_unit_plan, random_workload
 
@@ -107,6 +110,23 @@ class TestFastMatchesReference:
         reference = ReferenceGreedySelectPairs().select(problem)
         assert fast == reference
 
+    def test_wide_topic_ids_match_reference(self):
+        # Topic ids past the int16 range take the int64 grouping sort.
+        rng = np.random.default_rng(7)
+        num_topics = 40_000
+        rates = rng.integers(1, 20, size=num_topics).astype(float)
+        interests = [
+            sorted(rng.choice(num_topics, size=6, replace=False).tolist())
+            for _ in range(30)
+        ]
+        interests.append([num_topics - 1, 5])
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        problem = MCSSProblem(workload, 25, make_unit_plan(1e9))
+        fast = GreedySelectPairs().select(problem)
+        assert int(fast.pair_arrays()[0].max()) >= 1 << 15
+        assert fast == ReferenceGreedySelectPairs().select(problem)
+        assert all_satisfied(workload, fast.topics_by_subscriber(), 25)
+
     @given(
         rates=st.lists(
             st.integers(min_value=1, max_value=30), min_size=1, max_size=10
@@ -130,3 +150,12 @@ class TestRegistry:
     def test_names(self):
         assert GreedySelectPairs.name == "gsp"
         assert ReferenceGreedySelectPairs.name == "gsp-reference"
+
+    def test_duplicate_name_rejected(self):
+        class Impostor(SelectionAlgorithm):
+            def select(self, problem):
+                raise AssertionError("never registered")
+
+        with pytest.raises(ValueError, match="'gsp' already registered"):
+            register_selector("gsp")(Impostor)
+        assert isinstance(get_selector("gsp"), GreedySelectPairs)

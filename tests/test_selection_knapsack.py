@@ -96,3 +96,17 @@ class TestKnapsackSelectPairs:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             KnapsackSelectPairs(resolution=0)
+
+    def test_empty_interest_subscriber_ignored(self):
+        w = Workload([5.0, 3.0], [[], [0, 1], []])
+        selection = KnapsackSelectPairs().select(
+            MCSSProblem(w, 3, make_unit_plan(1e9))
+        )
+        assert set(selection) == {(1, 1)}
+
+    def test_tau_zero_selects_nothing(self):
+        w = Workload([5.0, 3.0], [[0, 1], [1]])
+        selection = KnapsackSelectPairs().select(
+            MCSSProblem(w, 0, make_unit_plan(1e9))
+        )
+        assert selection.num_pairs == 0

@@ -51,6 +51,11 @@ class TestRandomSelectPairs:
                 small_zipf
             ) * (1 + 1e-9)
 
+    def test_empty_interest_subscriber_ignored(self):
+        w = Workload([2.0, 50.0], [[], [0, 1], []])
+        selection = RandomSelectPairs().select(MCSSProblem(w, 2, make_unit_plan(1e9)))
+        assert set(selection) == {(0, 1)}
+
     def test_registry(self):
         assert isinstance(get_selector("rsp"), RandomSelectPairs)
         assert isinstance(get_selector("rsp", seed=3), RandomSelectPairs)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.broker.metrics import LatencyRecorder
 from repro.core import MCSSProblem
 from repro.dynamic import ChurnConfig, ChurnModel, IncrementalReprovisioner
 from repro.dynamic.group_index import advance_orders
@@ -38,6 +37,7 @@ from repro.serving import (
     ServingMetrics,
     split_delta,
 )
+from repro.serving.metrics import Counter, LatencyRecorder, MetricsRegistry
 from tests.test_vectorized_equivalence import churn_problem, edgy_workload
 
 CHURN = ChurnConfig(
@@ -128,6 +128,12 @@ class TestQueueReassembly:
             )
         with pytest.raises(TypeError):
             ChurnIngestQueue().offer("not a fragment")
+
+    def test_fragment_validates_subscribed_arrays(self):
+        with pytest.raises(ValueError, match="subscribed pair arrays"):
+            ChurnFragment(
+                np.array([]), np.array([]), np.array([4, 5]), np.array([1])
+            )
 
 
 class TestGroupIndexMaintenance:
@@ -306,9 +312,25 @@ class TestServingMetrics:
         with pytest.raises(ValueError):
             metrics.registry.counter("serve.ops").inc(-1)
 
+    def test_counter_up_only(self):
+        c = Counter()
+        c.inc()
+        c.inc(4)
+        assert c.value == 5
+        with pytest.raises(ValueError):
+            c.inc(-1)
+
+    def test_registry_snapshot(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc(3)
+        reg.gauge("b").set(1.5)
+        snap = reg.snapshot()
+        assert snap["a"] == 3
+        assert snap["b"] == 1.5
+
 
 class TestMicroEpochService:
-    """Service mechanics: deterministic latency, cadences, traffic."""
+    """Service mechanics: deterministic latency, cadences, config checks."""
 
     @staticmethod
     def _problem(seed):
@@ -343,25 +365,23 @@ class TestMicroEpochService:
         assert snap["serve.epoch_latency.p50_s"] == pytest.approx(0.25)
         assert service.micro_epochs == 2
 
-    def test_traffic_replay_reports_live_placement(self):
-        workload, problem = self._problem(43)
-        service = MicroEpochService(
-            problem, ServingConfig(traffic_every=2, traffic_horizon=0.2)
-        )
-        reports = service.serve(ChurnModel(workload, CHURN, seed=2), 2)
-        assert reports[0].traffic is None
-        traffic = reports[1].traffic
-        assert traffic is not None
-        assert 0.0 <= traffic.latency.max_utilization
-        assert len(traffic.deployment.vm_meters) == service.placement().num_vms
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
             ServingConfig(checkpoint_every=2)
-        with pytest.raises(ValueError, match="traffic_horizon"):
-            ServingConfig(traffic_horizon=0.0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             ServingConfig(checkpoint_every=-1)
+
+    def test_negative_slo_bound_rejected(self):
+        # A negative bound used to switch the SLO gate off silently;
+        # 0 is the documented "no SLO" value.
+        with pytest.raises(ValueError, match="slo_p99_seconds"):
+            ServingConfig(slo_p99_seconds=-1.0)
+        assert ServingConfig(slo_p99_seconds=0.0).slo_p99_seconds == 0.0
+
+    def test_checkpoint_needs_a_path(self):
+        _, problem = self._problem(44)
+        with pytest.raises(ValueError, match="no checkpoint path"):
+            MicroEpochService(problem).checkpoint()
 
 
 class TestServingCheckpointResume:

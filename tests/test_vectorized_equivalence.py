@@ -92,6 +92,7 @@ from repro.dynamic import (
     IncrementalReprovisioner,
     LoopChurnModel,
     LoopIncrementalReprovisioner,
+    WorkloadDelta,
 )
 from repro.selection import (
     GreedySelectPairs,
@@ -905,6 +906,79 @@ class TestReprovisionEquivalence:
             opened += vec_report.vms_opened
         # The case must keep exercising evictions and fresh VMs.
         assert moved > 0 and opened > 0
+
+    @staticmethod
+    def _stress_problem(num_subscribers):
+        workload = zipf_workload(
+            40,
+            num_subscribers,
+            mean_interest=6.0,
+            rate_exponent=0.8,
+            max_rate=1000.0,
+            message_size_bytes=1.0,
+            seed=0,
+        )
+        max_pair = 2.0 * float(workload.event_rates.max())
+        return MCSSProblem(
+            workload, 1500.0, make_unit_plan(CHURN_HEADROOM * max_pair)
+        )
+
+    def test_emptied_vm_is_closed(self):
+        # Every subscriber with a pair on VM 0 drops all its interests:
+        # the VM empties and is closed, and the VMs after it shift down.
+        problem = self._stress_problem(300)
+        workload = problem.workload
+        vec = IncrementalReprovisioner(
+            problem, rebuild_threshold=10.0, fresh_solve_every=1
+        )
+        loop = LoopIncrementalReprovisioner(problem, rebuild_threshold=10.0)
+        before = vec.placement()
+        leaving = sorted(
+            {v for t in before.vm_topics(0) for v in before.members(0, t)}
+        )
+        gone = set(leaving)
+        evolved = Workload(
+            workload.event_rates,
+            [
+                [] if v in gone else workload.interest(v).tolist()
+                for v in range(workload.num_subscribers)
+            ],
+            message_size_bytes=1.0,
+        )
+        unsubscribed = [
+            (t, v) for v in leaving for t in workload.interest(v).tolist()
+        ]
+        delta = WorkloadDelta.from_pairs(evolved, [], unsubscribed, [])
+        vec_report = vec.step(delta)
+        self._assert_same_epoch(
+            vec_report, loop.step(delta), vec, loop, problem
+        )
+        assert vec_report.vms_closed >= 1 and not vec_report.rebuilt
+        assert vec.num_vms == (
+            before.num_vms + vec_report.vms_opened - vec_report.vms_closed
+        )
+        assert validate_placement(vec.problem, vec.placement()).ok
+
+    def test_departed_subscriber_pairs_removed(self):
+        # The last subscriber leaves the workload entirely: its pairs
+        # go, and no pair refers to a subscriber past the new end.
+        problem = self._stress_problem(120)
+        workload = problem.workload
+        n = workload.num_subscribers
+        vec = IncrementalReprovisioner(problem, fresh_solve_every=1)
+        loop = LoopIncrementalReprovisioner(problem)
+        held = sum(1 for _t, v in vec.selection() if v == n - 1)
+        assert held > 0
+        evolved = workload.restrict_subscribers(range(n - 1))
+        unsubscribed = [(t, n - 1) for t in workload.interest(n - 1).tolist()]
+        delta = WorkloadDelta.from_pairs(evolved, [], unsubscribed, [])
+        vec_report = vec.step(delta)
+        self._assert_same_epoch(
+            vec_report, loop.step(delta), vec, loop, problem
+        )
+        assert vec_report.pairs_removed == held
+        assert max(v for _t, v in vec.selection()) < n - 1
+        assert validate_placement(vec.problem, vec.placement()).ok
 
     def test_initial_state_matches_referee(self, tiny_problem):
         vec = IncrementalReprovisioner(tiny_problem)

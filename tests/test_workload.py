@@ -129,6 +129,56 @@ class TestTransforms:
         assert w2.message_size_bytes == 500.0
         assert w2.num_pairs == tiny_workload.num_pairs
 
+    def test_restrict_to_no_subscribers(self, tiny_workload):
+        sub = tiny_workload.restrict_subscribers([])
+        assert sub.num_subscribers == 0
+        assert sub.num_pairs == 0
+        assert sub.num_topics == 2  # topics preserved
+        assert sub.interests == ()
+
+    def test_restrict_and_range_keep_subscriber_labels(self):
+        w = Workload(
+            [1.0, 2.0],
+            [[0], [1], [0, 1]],
+            subscriber_labels=["ann", "bob", "cy"],
+        )
+        picked = w.restrict_subscribers([2, 0])
+        assert [picked.subscriber_label(v) for v in range(2)] == ["ann", "cy"]
+        shard = w.subscriber_range(1, 3)
+        assert [shard.subscriber_label(v) for v in range(2)] == ["bob", "cy"]
+        assert shard.interest(1).tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1, 2), (0, 4), (2, 1)], ids=["negative-lo", "past-end", "inverted"]
+    )
+    def test_subscriber_range_rejects_bad_bounds(self, tiny_workload, lo, hi):
+        with pytest.raises(ValueError, match="invalid subscriber range"):
+            tiny_workload.subscriber_range(lo, hi)
+
+
+class TestFromCsr:
+    @pytest.mark.parametrize(
+        "indptr, topics, match",
+        [
+            ([[0, 1]], [0], "1-D"),
+            ([], [], "1-D"),
+            ([1, 2], [0], "start at 0"),
+            ([0, 2, 1], [0, 1], "non-decreasing"),
+            ([0, 1, 2], [0], "topics length"),
+        ],
+        ids=["2d", "empty", "nonzero-start", "decreasing", "topics-length"],
+    )
+    def test_rejects_malformed_csr(self, indptr, topics, match):
+        with pytest.raises(WorkloadError, match=match):
+            Workload.from_csr([1.0, 2.0], indptr, topics)
+
+    def test_topicless_workload_has_empty_views(self):
+        w = Workload.from_csr([], [0, 0, 0], [])
+        assert w.num_subscribers == 2 and w.num_topics == 0
+        assert w.pair_keys().size == 0
+        assert w.sorted_interest_topics().size == 0
+        assert w.interest(1).size == 0
+
 
 class TestBuildWorkload:
     def test_sparse_ids_compacted(self):

@@ -89,6 +89,19 @@ class TestBuildSocialGraph:
         with pytest.raises(ValueError, match="length"):
             build_social_graph(3, rng, np.ones(2), np.ones(3), lambda f, r: f)
 
+    def test_popularity_weights_validated(self):
+        rng = np.random.default_rng(0)
+        for weights in (np.array([1.0, -1.0, 1.0]), np.zeros(3)):
+            with pytest.raises(ValueError, match="popularity weights"):
+                build_social_graph(3, rng, np.ones(3), weights, lambda f, r: f)
+
+    def test_rate_model_must_cover_every_user(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one count per user"):
+            build_social_graph(
+                5, rng, np.ones(5, dtype=int), np.ones(5), lambda f, r: np.ones(4)
+            )
+
     def test_bad_rate_model_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="rate model"):

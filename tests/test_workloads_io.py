@@ -1,4 +1,4 @@
-"""Tests for workload serialization and sampling."""
+"""Tests for workload serialization (npz and CSV) and sampling."""
 
 from __future__ import annotations
 
@@ -12,8 +12,10 @@ from repro.workloads import (
     GENERATOR_VERSION,
     TraceCorruptionError,
     load_workload,
+    load_workload_csv,
     sample_subscribers,
     save_workload,
+    save_workload_csv,
     save_zipf_workload_chunked,
     uniform_workload,
     zipf_workload,
@@ -134,6 +136,37 @@ class TestFormatVersions:
         assert mapped.message_size_bytes == plain.message_size_bytes
 
 
+class TestCSVInterchange:
+    def test_roundtrip(self, tmp_path):
+        w = zipf_workload(12, 30, seed=4)
+        pairs = tmp_path / "pairs.csv"
+        rates = tmp_path / "rates.csv"
+        save_workload_csv(w, pairs, rates)
+        loaded = load_workload_csv(pairs, rates, message_size_bytes=w.message_size_bytes)
+        assert loaded.num_subscribers == w.num_subscribers
+        assert loaded.num_pairs == w.num_pairs
+        # Topics without subscribers survive via the rate table.
+        assert loaded.num_topics == w.num_topics
+        assert loaded.event_rates.sum() == pytest.approx(w.event_rates.sum())
+
+    def test_solves_after_roundtrip(self, tmp_path):
+        from repro.core import MCSSProblem
+        from repro.solver import MCSSSolver
+        from tests.conftest import make_unit_plan
+
+        w = zipf_workload(12, 30, seed=4)
+        save_workload_csv(w, tmp_path / "p.csv", tmp_path / "r.csv")
+        loaded = load_workload_csv(tmp_path / "p.csv", tmp_path / "r.csv")
+        problem = MCSSProblem(loaded, 50, make_unit_plan(5e7))
+        assert MCSSSolver.paper().solve(problem).validation.ok
+
+    def test_unknown_topic_in_pairs_rejected(self, tmp_path):
+        (tmp_path / "rates.csv").write_text("topic,rate\n1,5.0\n")
+        (tmp_path / "pairs.csv").write_text("topic,subscriber\n9,0\n")
+        with pytest.raises(Exception):
+            load_workload_csv(tmp_path / "pairs.csv", tmp_path / "rates.csv")
+
+
 class TestSampling:
     def test_fraction_one_returns_same(self, small_zipf):
         assert sample_subscribers(small_zipf, 1.0) is small_zipf
@@ -202,6 +235,22 @@ def _corrupt_member(path, member, mutate):
     np.savez(path, **data)
 
 
+def _rewrite_member_npy_version(path, member, version):
+    """Rewrite one member of a stored npz with another ``.npy`` header version."""
+    import io
+    import zipfile
+
+    with zipfile.ZipFile(path) as zf:
+        blobs = {name: zf.read(name) for name in zf.namelist()}
+    arr = np.load(io.BytesIO(blobs[member + ".npy"]))
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=version)
+    blobs[member + ".npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, blob in blobs.items():
+            zf.writestr(name, blob)
+
+
 class TestTraceIntegrity:
     """v3 digests: every member's corruption is caught, by name."""
 
@@ -252,6 +301,39 @@ class TestTraceIntegrity:
         path = save_workload(small_zipf, tmp_path / "trace")
         mapped = load_workload(path, mmap=True, verify=True)
         assert np.array_equal(mapped.event_rates, small_zipf.event_rates)
+
+    def test_mmap_verify_names_missing_digest(self, tmp_path, small_zipf):
+        path = save_workload(small_zipf, tmp_path / "trace")
+        data = dict(np.load(path))
+        del data["digest_interest_topics"]
+        np.savez(path, **data)
+        with pytest.raises(TraceCorruptionError, match="digest_interest_topics"):
+            load_workload(path, mmap=True, verify=True)
+
+    def test_mmap_reads_npy_format_2_members(self, tmp_path, small_zipf):
+        path = save_workload(small_zipf, tmp_path / "trace")
+        _rewrite_member_npy_version(path, "interest_topics", (2, 0))
+        mapped = load_workload(path, mmap=True, verify=True)
+        assert np.array_equal(mapped.interest_topics, small_zipf.interest_topics)
+        assert np.array_equal(mapped.interest_indptr, small_zipf.interest_indptr)
+
+    def test_mmap_rejects_unknown_npy_header_version(self, tmp_path, small_zipf):
+        path = save_workload(small_zipf, tmp_path / "trace")
+        _rewrite_member_npy_version(path, "event_rates", (3, 0))
+        with pytest.raises(ValueError, match=r"npy header version \(3, 0\)"):
+            load_workload(path, mmap=True)
+
+    def test_mmap_rejects_corrupt_local_header(self, tmp_path, small_zipf):
+        import zipfile
+
+        path = save_workload(small_zipf, tmp_path / "trace")
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.getinfo("interest_indptr.npy").header_offset
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(b"JUNK")
+        with pytest.raises(ValueError, match="corrupt local header"):
+            load_workload(path, mmap=True)
 
     def test_truncated_v1_raises_structured_error(self, tmp_path, small_zipf):
         path = tmp_path / "legacy.npz"
@@ -349,6 +431,35 @@ class TestChunkedResume:
         save_zipf_workload_chunked(target, 30, 200, **self.ARGS)
         assert 0 not in drawn and 1 not in drawn  # completed parts reused
         assert 2 in drawn
+
+    @pytest.mark.parametrize("damage", ["corrupt", "missing"])
+    def test_damaged_part_is_redrawn(self, tmp_path, monkeypatch, damage):
+        import repro.workloads.io as io_mod
+
+        ref = load_workload(
+            save_zipf_workload_chunked(tmp_path / "ref", 30, 200, **self.ARGS)
+        )
+        target = tmp_path / "out"
+        self._crash_at_chunk(monkeypatch, crash_chunk=2)
+        with pytest.raises(RuntimeError):
+            save_zipf_workload_chunked(target, 30, 200, **self.ARGS)
+        part = os.path.join(str(target) + ".npz.parts", "chunk_0.npz")
+        if damage == "corrupt":
+            _corrupt_member(part, "flat", lambda a: a.__setitem__(0, a[0] + 1))
+        else:
+            os.remove(part)
+
+        drawn = []
+        real = io_mod._draw_zipf_chunk
+
+        def counting(chunk, *args, **kwargs):
+            drawn.append(chunk)
+            return real(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(io_mod, "_draw_zipf_chunk", counting)
+        path = save_zipf_workload_chunked(target, 30, 200, **self.ARGS)
+        assert 0 in drawn and 1 not in drawn  # only the damaged part redrawn
+        assert self._workloads_equal(load_workload(path), ref)
 
     def test_param_mismatch_discards_partial_state(
         self, tmp_path, monkeypatch

@@ -84,7 +84,6 @@ RNG_SEAM_PREFIXES: "Tuple[str, ...]" = (
     "src/repro/dynamic/churn.py",
     "src/repro/resilience/",
     "src/repro/selection/random_.py",
-    "src/repro/simulation/engine.py",
     "scripts/",
     "examples/",
     "benchmarks/",
