@@ -2,8 +2,8 @@
 
 Drives :class:`repro.serving.MicroEpochService` for sixteen micro-epochs
 of low-rate churn (1% subscribe / 1% unsubscribe, no rate drift -- the
-regime the incremental group index amortizes) and reports the exact SLO
-view: p50/p95/p99 micro-epoch seconds and ops/s.  The heavyweight
+regime where an epoch costs its churn, not the fleet) and reports the
+exact SLO view: p50/p95/p99 micro-epoch seconds and ops/s.  The heavyweight
 1M-subscriber gate lives in ``scripts/profile_solver.py --serve``; this
 bench is the laptop-scale profile of the same loop.
 """

@@ -416,8 +416,8 @@ def _serve(num_users: int) -> int:
     Builds a zipf workload, stands up a
     :class:`~repro.serving.MicroEpochService` around it, and serves
     ``MCSS_SERVE_EPOCHS`` micro-epochs of subscribe/unsubscribe churn
-    (no rate drift: the steady-churn regime where the incremental
-    group index amortizes the per-epoch sorts away).  The run happens
+    (no rate drift: the steady-churn regime where an epoch's cost
+    follows its churn, not the fleet's size).  The run happens
     twice: a timing pass with ``tracemalloc`` off, whose exact
     p50/p95/p99 micro-epoch latency and throughput are recorded as a
     ``"mode": "serving"`` entry in ``BENCH_stage2.json`` and written to

@@ -4,6 +4,7 @@ from .churn import ChurnConfig, ChurnModel, LoopChurnModel, WorkloadDelta
 from .reprovision import (
     EpochReport,
     IncrementalReprovisioner,
+    InfeasibleEpochError,
     LoopIncrementalReprovisioner,
 )
 
@@ -14,5 +15,6 @@ __all__ = [
     "WorkloadDelta",
     "EpochReport",
     "IncrementalReprovisioner",
+    "InfeasibleEpochError",
     "LoopIncrementalReprovisioner",
 ]

@@ -19,41 +19,48 @@ in the most natural form compatible with the two-stage structure:
   scratch (the paper's periodic full re-run, used as a safety net
   rather than the steady state).
 
-Array-backed epoch pipeline
----------------------------
-:class:`IncrementalReprovisioner` (the default) holds its whole state
-as flat arrays -- one ``(subscriber, topic, vm)`` row per placed pair,
-sorted subscriber-major -- and runs each epoch as whole-array passes:
+Churn-proportional epoch state
+------------------------------
+:class:`IncrementalReprovisioner` (the default) keeps its state on two
+levels, so that an epoch costs what its churn costs rather than what
+the fleet holds:
 
-* the rate-changed-topic scan is one boolean gather over the CSR
-  ``interest_topics`` (the old referee intersected a Python set per
-  subscriber: O(V * d));
-* touched subscribers are re-selected **in one batch** through the
-  vectorized GSP on a :meth:`Workload.restrict_subscribers` sub-view,
-  and added/removed pairs fall out of two sorted-key set differences;
-* per-VM used bytes are one ``np.bincount`` over the (vm, topic)
-  groups; eviction walks only the overloaded VMs;
-* added pairs are placed grouped by topic, each in O(log VMs) with two
-  lazily updated ``heapq`` heaps -- the topic's hosts by score
-  (``free + capacity``) and the whole fleet by free bytes -- instead of
-  a Python rescan of every VM that re-sums its table;
-* the placement is materialized on demand via
-  :meth:`Placement.from_pair_arrays`;
-* both sort orders -- the canonical ``(subscriber, topic)`` table and
-  the ``(vm, topic)`` group index -- are **maintained across epochs**
-  by sorted merges (:mod:`repro.dynamic.group_index`): kept rows stay
-  sorted, only the added rows are sorted, and the per-epoch
-  O(P log P) lexsorts amortize away under micro-epoch churn while the
-  resulting permutations stay bit-identical to the lexsorts they
-  replace (both key sets are total orders).
+* the **pair table** -- one ``(subscriber, topic, vm)`` row per placed
+  pair, sorted subscriber-major, with each subscriber's first row.  An
+  epoch reads only its touched subscribers' rows, one contiguous run
+  each; :func:`advance_orders` rewrites the table with one compress and
+  one insert per column, and the row offsets move by the epoch's
+  per-subscriber counts (one subscriber-sized ``cumsum``).  The only
+  other pass over the table runs on epochs that evict, to collect the
+  evicted groups' members;
+* the **group table** -- one row per ``(vm, topic)`` with its member
+  count, sorted by ``(vm, topic)``: about 25x fewer rows than pairs on
+  the serving workloads.  Removals, evictions and placements update it
+  in place; re-pricing is one group-sized ``np.bincount``, eviction
+  reads a VM's slice of it and placement reads each topic's hosts
+  from it.
 
-The per-epoch **fresh solve** the old code paid just to measure drift
-is gated: a vectorized Algorithm-5 lower bound prices the epoch in
-O(pairs) array work, and a full reference solve runs only every
-``fresh_solve_every`` epochs (the paper's periodic re-run as a safety
-net) or when the calibrated estimate suggests the incremental fleet
-may have drifted past ``rebuild_threshold``.  See :class:`EpochReport`
-for how drift is reported on estimate-only epochs.
+The touched subscribers are re-selected **in one batch** through the
+vectorized GSP on a :meth:`Workload.restrict_subscribers` view, and the
+added and removed pairs fall out of two sorted-key set differences.
+Added pairs are placed grouped by topic, each in O(log VMs) with two
+lazily updated ``heapq`` heaps -- the topic's hosts by score
+(``free + capacity``) and the whole fleet by free bytes.  The placement
+is materialized on demand via :meth:`Placement.from_pair_arrays`.
+
+The **fresh solve** the referee pays every epoch just to measure drift
+is gated by the Algorithm-5 lower bound, kept as a running vector of
+per-subscriber terms (:func:`~repro.bounds.subscriber_bound_terms`):
+each epoch refreshes the touched subscribers' terms from the
+re-selection's own view and prices the vector, which equals
+``lower_bound(problem)`` bit for bit.  A full reference solve runs only
+every ``fresh_solve_every`` epochs (the paper's periodic re-run as a
+safety net) or when the calibrated estimate suggests the incremental
+fleet may have drifted past ``rebuild_threshold``.  See
+:class:`EpochReport` for how drift is reported on estimate-only epochs.
+
+A step whose workload holds a pair no VM can fit raises
+:class:`InfeasibleEpochError` before it changes anything.
 
 :class:`LoopIncrementalReprovisioner` (``reprovision-loop``) is the
 retained dict-of-sets referee.  Its only changes from the
@@ -78,20 +85,43 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..bounds import lower_bound
+from ..bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
 from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost
+from ..core.segsearch import segmented_left_search
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
-from .group_index import advance_orders
 
 __all__ = [
     "EpochReport",
     "IncrementalReprovisioner",
+    "InfeasibleEpochError",
     "LoopIncrementalReprovisioner",
+    "advance_orders",
 ]
 
 _EPS = 1e-12
+
+
+class InfeasibleEpochError(ValueError):
+    """A step's workload holds a pair that no VM can fit.
+
+    Raised by :meth:`IncrementalReprovisioner.step` before it changes
+    any state: the reprovisioner stays at epoch ``epoch - 1``, and a
+    feasible next workload steps from there.
+    """
+
+    def __init__(
+        self, epoch: int, topic: int, needed_bytes: float, capacity_bytes: float
+    ) -> None:
+        super().__init__(
+            f"epoch {epoch} is infeasible: one pair of topic {topic} needs "
+            f"{needed_bytes:.0f} B but BC is {capacity_bytes:.0f} B"
+        )
+        self.epoch = epoch
+        self.topic = topic
+        self.needed_bytes = needed_bytes
+        self.capacity_bytes = capacity_bytes
 
 
 @dataclass(frozen=True)
@@ -137,9 +167,138 @@ class EpochReport:
         return self.cost.total_usd / reference
 
 
-def _estimate_lower_bound(problem: MCSSProblem) -> float:
-    """Algorithm-5 lower bound in USD, as whole-array passes (cheap)."""
-    return lower_bound(problem).total_usd
+def advance_orders(
+    p_v: np.ndarray,
+    p_t: np.ndarray,
+    p_vm: np.ndarray,
+    dropped: np.ndarray,
+    add_v: np.ndarray,
+    add_t: np.ndarray,
+    add_vm: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical pair table after an epoch drops rows and adds pairs.
+
+    ``p_v, p_t, p_vm`` is the table in ``(subscriber, topic)`` order,
+    ``dropped`` the ascending indices of the rows that leave it, and
+    ``add_*`` the pairs that join it, in any order.  An added
+    ``(subscriber, topic)`` may equal a dropped row's (a moved pair)
+    but no kept row's.  Returns the kept and added rows in the order
+    ``np.lexsort((t, v))`` gives them.
+
+    Each added pair's rank among the kept rows comes from its own
+    subscriber's run -- ``searchsorted`` over the subscriber ids, a
+    lane-parallel bisection over the run's topics, minus the dropped
+    rows before it -- so the only whole-table work is one compress and
+    one insert per column.  No composite key is formed, so no id range
+    can overflow.
+    """
+    order = np.lexsort((add_t, add_v))
+    add_v, add_t, add_vm = add_v[order], add_t[order], add_vm[order]
+    lo = np.searchsorted(p_v, add_v)
+    hi = np.searchsorted(p_v, add_v, side="right")
+    before = segmented_left_search(p_t, lo, hi, add_t, np.greater_equal)
+    before -= np.searchsorted(dropped, before)
+    keep = np.ones(p_v.size, dtype=bool)
+    keep[dropped] = False
+    return (
+        np.insert(p_v[keep], before, add_v),
+        np.insert(p_t[keep], before, add_t),
+        np.insert(p_vm[keep], before, add_vm),
+    )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` over ``zip(starts, counts)``."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _id_span(p_v: np.ndarray, num_subscribers: int) -> int:
+    """Subscriber ids the row offsets cover: the workload's and the table's."""
+    return max(num_subscribers, int(p_v[-1]) + 1 if p_v.size else 0)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Row offsets of a subscriber-major table from per-subscriber counts."""
+    first = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=first[1:])
+    return first
+
+
+def _evict_overloaded(
+    used: np.ndarray,
+    capacity: float,
+    g_vm: np.ndarray,
+    g_t: np.ndarray,
+    g_cnt: np.ndarray,
+    rates: np.ndarray,
+    msg: float,
+) -> np.ndarray:
+    """The groups the referee evicts, charging them to ``used`` in place.
+
+    The referee empties an overloaded VM of its smallest ``rate *
+    count`` group first, ties to the lower topic, until the VM fits.
+    One stable sort puts every overloaded VM's groups in that order
+    (topics ascend within a VM's slice of the group table); then each
+    round takes the next group off every VM still over capacity, so a
+    VM's used bytes see the referee's subtractions in the referee's
+    order.  Returns group indices VM by VM, in eviction order.
+    """
+    over = np.flatnonzero(used > capacity + 1e-6)
+    if not over.size:
+        return over
+    lo = np.searchsorted(g_vm, over)
+    size = np.searchsorted(g_vm, over, side="right") - lo
+    groups = _ranges(lo, size)
+    owner = np.repeat(np.arange(over.size), size)
+    groups = groups[np.lexsort((rates[g_t[groups]] * g_cnt[groups], owner))]
+    freed = rates[g_t[groups]] * (g_cnt[groups] + 1) * msg
+    first = np.cumsum(size) - size
+    taken = np.zeros(over.size, dtype=np.int64)
+    left = used[over]
+    active = np.flatnonzero(size)
+    # repolint: allow(VL01): one round per eviction rank -- each still-overloaded VM drops its next group
+    while active.size:
+        left[active] -= freed[first[active] + taken[active]]
+        taken[active] += 1
+        active = active[
+            (left[active] > capacity + 1e-6) & (taken[active] < size[active])
+        ]
+    used[over] = left
+    return groups[_ranges(first, taken)]
+
+
+def _evicted_rows(
+    p_vm: np.ndarray,
+    p_t: np.ndarray,
+    g_vm: np.ndarray,
+    g_t: np.ndarray,
+    gkey: np.ndarray,
+    ev: np.ndarray,
+    big_l: np.int64,
+) -> np.ndarray:
+    """Table rows of the evicted groups ``ev``, group by group.
+
+    ``gkey`` holds the group table's sorted ``vm * big_l + topic`` keys
+    and ``ev`` the evicted group indices in eviction order.  One pass
+    over the pair table keeps the rows whose VM and topic both evicted
+    something; each such row's own group, found by a key search of the
+    group table, says whether it went.  Rows come out in eviction order
+    and, within a group, by ascending subscriber (table order).
+    """
+    vm_hit = np.zeros(int(g_vm[-1]) + 1, dtype=bool)
+    vm_hit[g_vm[ev]] = True
+    t_hit = np.zeros(int(big_l), dtype=bool)
+    t_hit[g_t[ev]] = True
+    cand = np.flatnonzero(vm_hit[p_vm] & t_hit[p_t])
+    rank = np.full(gkey.size, -1, dtype=np.int64)
+    rank[ev] = np.arange(ev.size)
+    rank = rank[np.searchsorted(gkey, p_vm[cand] * big_l + p_t[cand])]
+    hit = rank >= 0
+    # One sort of unique (rank, row) keys groups the rows by eviction
+    # rank, ascending within a group.
+    rows = p_vm.size
+    return np.sort(rank[hit] * rows + cand[hit]) % rows
 
 
 class IncrementalReprovisioner:
@@ -188,7 +347,8 @@ class IncrementalReprovisioner:
         solution = self._solver.solve(problem)
         self._workload = problem.workload
         self._adopt(solution.placement)
-        lb = _estimate_lower_bound(problem)
+        self._terms = subscriber_bound_terms(problem.workload, self._tau)
+        lb = lower_bound(problem).total_usd
         self._lb_ratio = solution.cost.total_usd / lb if lb > 0 else 1.0
 
     # ------------------------------------------------------------------
@@ -276,15 +436,21 @@ class IncrementalReprovisioner:
         inst._since_fresh = int(snapshot["since_fresh"])
         inst._lb_ratio = float(snapshot["lb_ratio"])
         inst._workload = snapshot["workload"]
-        inst._p_v = np.asarray(snapshot["pair_subscribers"], dtype=np.int64)
-        inst._p_t = np.asarray(snapshot["pair_topics"], dtype=np.int64)
-        inst._p_vm = np.asarray(snapshot["pair_vms"], dtype=np.int64)
-        inst._num_vms = int(snapshot["num_vms"])
-        if not (inst._p_v.shape == inst._p_t.shape == inst._p_vm.shape):
+        p_v = np.asarray(snapshot["pair_subscribers"], dtype=np.int64)
+        p_t = np.asarray(snapshot["pair_topics"], dtype=np.int64)
+        p_vm = np.asarray(snapshot["pair_vms"], dtype=np.int64)
+        num_vms = int(snapshot["num_vms"])
+        if not (p_v.shape == p_t.shape == p_vm.shape):
             raise ValueError("snapshot pair arrays disagree in length")
-        # Derived state: the group-index permutation is rebuilt rather
-        # than persisted, keeping the checkpoint format unchanged.
-        inst._bt_perm = np.lexsort((inst._p_t, inst._p_vm))
+        if p_t.size and not (
+            0 <= p_t.min() and p_t.max() < inst._workload.num_topics
+            and 0 <= p_vm.min() and p_vm.max() < num_vms
+        ):
+            raise ValueError("snapshot pairs name topics or VMs that do not exist")
+        # Derived state -- the group table and the bound terms -- is
+        # rebuilt rather than persisted, keeping the checkpoint format.
+        inst._set_table(p_v, p_t, p_vm, num_vms)
+        inst._terms = subscriber_bound_terms(inst._workload, inst._tau)
         recomputed = inst._used_bytes()
         stored = np.asarray(snapshot["used_bytes"], dtype=np.float64)
         if stored.shape != recomputed.shape or not np.allclose(
@@ -296,23 +462,21 @@ class IncrementalReprovisioner:
             )
         return inst
 
-    def _used_bytes(self) -> np.ndarray:
-        """Per-VM used bytes derived from the pair arrays (whole-array)."""
-        rates = self._workload.event_rates
-        msg = self._workload.message_size_bytes
-        if not self._p_v.size:
-            return np.zeros(self._num_vms, dtype=np.float64)
-        big_l = int(self._workload.num_topics)
-        gkey, g_cnt = np.unique(
-            self._p_vm * big_l + self._p_t, return_counts=True
-        )
+    def _used_bytes(self, workload=None) -> np.ndarray:
+        """Per-VM used bytes of the group table, priced at ``workload``'s rates.
+
+        Each ``(vm, topic)`` group pays its members plus one ingest
+        copy, summed in ``(vm, topic)`` order: one group-sized
+        ``np.bincount``.  Defaults to the current workload.
+        """
+        workload = workload if workload is not None else self._workload
         return (
             np.bincount(
-                gkey // big_l,
-                weights=rates[gkey % big_l] * (g_cnt + 1),
+                self._g_vm,
+                weights=workload.event_rates[self._g_t] * (self._g_cnt + 1),
                 minlength=self._num_vms,
             ).astype(np.float64)
-            * msg
+            * workload.message_size_bytes
         )
 
     def step(self, new_workload) -> EpochReport:
@@ -321,34 +485,40 @@ class IncrementalReprovisioner:
         Accepts either a :class:`~repro.dynamic.churn.WorkloadDelta`
         (preferred: only touched subscribers are re-selected) or a bare
         :class:`~repro.core.workload.Workload` (every subscriber is
-        re-checked).
+        re-checked).  Raises :class:`InfeasibleEpochError`, with every
+        member unchanged, when a pair of the new workload fits no VM.
         """
         t0 = time.perf_counter()
-        self._epoch += 1
         from .churn import WorkloadDelta  # local import avoids a cycle
 
         delta = new_workload if isinstance(new_workload, WorkloadDelta) else None
         workload = delta.workload if delta is not None else new_workload
-        self._workload = workload
-        n = workload.num_subscribers
+        epoch = self._epoch + 1
         rates = workload.event_rates
         msg = workload.message_size_bytes
         capacity = self._plan.capacity_bytes
+        # MCSSProblem's rule, checked before any member changes.
+        if rates.size:
+            hottest = int(np.argmax(rates))
+            needed = 2.0 * float(rates[hottest]) * msg
+            if needed > capacity:
+                raise InfeasibleEpochError(epoch, hottest, needed, capacity)
+        problem = MCSSProblem(workload, self._tau, self._plan)
+        n = workload.num_subscribers
+        p_v, p_t, p_vm = self._p_v, self._p_t, self._p_vm
+        g_vm, g_t, g_cnt = self._g_vm, self._g_t, self._g_cnt
         big_l = np.int64(
-            max(
-                workload.num_topics,
-                int(self._p_t.max()) + 1 if self._p_t.size else 0,
-                1,
-            )
+            max(workload.num_topics, int(g_t.max()) + 1 if g_t.size else 0, 1)
         )
 
         # ---- touched subscribers (vectorized rate-changed scan) ------
-        touched = np.zeros(n, dtype=bool)
         vanished = np.empty(0, dtype=np.int64)
-        if delta is not None:
+        if delta is None:
+            touched_idx = np.arange(n, dtype=np.int64)
+        else:
             ta = delta.touched_array()
             vanished = ta[ta >= n]
-            touched[ta[ta < n]] = True
+            touched_idx = ta[ta < n]
             changed = delta.changed_topics
             if changed.size:
                 # Rate changes move thresholds, so every subscriber of
@@ -357,25 +527,19 @@ class IncrementalReprovisioner:
                 # per-subscriber set intersection.
                 lut = np.zeros(workload.num_topics, dtype=bool)
                 lut[changed] = True
-                hit = lut[workload.interest_topics]
-                touched[workload.pair_subscribers()[hit]] = True
-        else:
-            touched[:] = True
+                touched = np.zeros(n, dtype=bool)
+                touched[touched_idx] = True
+                touched[workload.pair_subscribers()[lut[workload.interest_topics]]] = True
+                touched_idx = np.flatnonzero(touched)
 
         # ---- Stage 1: batched incremental re-selection ---------------
-        # Old selection == placed pairs, subscriber-major sorted keys.
-        old_keys = self._p_v * big_l + self._p_t
-        pair_lut_size = int(max(n, self._p_v.max() + 1 if self._p_v.size else 0))
-        touch_lut = np.zeros(pair_lut_size, dtype=bool)
-        touch_lut[:n] = touched
-        if vanished.size:
-            touch_lut[vanished[vanished < pair_lut_size]] = True
-        touched_pair = (
-            touch_lut[self._p_v] if self._p_v.size else np.empty(0, dtype=bool)
-        )
-        old_touched_keys = old_keys[touched_pair]
-
-        touched_idx = np.flatnonzero(touched)
+        # Old selection == placed pairs: the touched subscribers' rows,
+        # one contiguous run each.
+        first = self._first
+        leaving = np.concatenate([touched_idx, vanished])
+        leaving = leaving[leaving < first.size - 1]
+        rows = _ranges(first[leaving], first[leaving + 1] - first[leaving])
+        old_keys = p_v[rows] * big_l + p_t[rows]
         if touched_idx.size and workload.num_pairs:
             sub_workload = workload.restrict_subscribers(touched_idx)
             sub_problem = MCSSProblem(sub_workload, self._tau, self._plan)
@@ -383,105 +547,49 @@ class IncrementalReprovisioner:
             sel_t, sel_v_local = sub_selection.pair_arrays()
             new_keys = np.sort(touched_idx[sel_v_local] * big_l + sel_t)
         else:
+            sub_workload = None
             new_keys = np.empty(0, dtype=np.int64)
 
-        removed_keys = old_touched_keys[~_sorted_member(new_keys, old_touched_keys)]
-        added_keys = new_keys[~_sorted_member(old_touched_keys, new_keys)]
-        # Post-reselect selection, for the eviction validity filter.
-        kept_keys = old_keys[~_sorted_member(removed_keys, old_keys)]
+        gone = ~_sorted_member(new_keys, old_keys)
+        removed_rows = rows[gone]
+        removed_keys = old_keys[gone]
+        added_keys = new_keys[~_sorted_member(old_keys, new_keys)]
 
-        # ---- re-price + (vm, topic) group index ----------------------
-        # Maintained incrementally across epochs (see group_index.py):
-        # identical to np.lexsort((self._p_t, self._p_vm)) because the
-        # (vm, topic, subscriber) keys form a total order.
-        order_bt = self._bt_perm
-        s_vm = self._p_vm[order_bt]
-        s_t = self._p_t[order_bt]
-        if s_vm.size:
-            gkey = s_vm * big_l + s_t
-            starts = np.flatnonzero(
-                np.concatenate(([True], gkey[1:] != gkey[:-1]))
-            )
-            g_vm = s_vm[starts]
-            g_t = s_t[starts]
-            g_cnt = np.diff(np.append(starts, s_vm.size))
-        else:
-            g_vm = g_t = g_cnt = starts = np.empty(0, dtype=np.int64)
-        used = (
-            np.bincount(
-                g_vm, weights=rates[g_t] * (g_cnt + 1), minlength=self._num_vms
-            ).astype(np.float64)
-            * msg
-        )
+        # ---- re-price from the group table ---------------------------
+        used = self._used_bytes(workload)
+        gkey = g_vm * big_l + g_t
+        alive = np.ones(g_vm.size, dtype=bool)
 
         # ---- eviction of overloaded VMs ------------------------------
-        drop = np.zeros(self._p_v.size, dtype=bool)
-        moves_t: List[np.ndarray] = []
-        moves_v: List[np.ndarray] = []
-        group_alive = np.ones(g_vm.size, dtype=bool)
-        group_ends = np.append(starts, s_vm.size)[1:] if g_vm.size else starts
-        # repolint: allow(VL01): one iteration per overloaded VM (churn-bounded, usually none)
-        for b in np.flatnonzero(used > capacity + 1e-6).tolist():
-            lo = int(np.searchsorted(g_vm, b))
-            hi = int(np.searchsorted(g_vm, b, side="right"))
-            if lo == hi:
-                continue
-            local_w = rates[g_t[lo:hi]] * g_cnt[lo:hi]
-            local_alive = np.ones(hi - lo, dtype=bool)
-            # repolint: allow(VL01): one masked argmin per evicted group -- referee-identical tie-breaks
-            while used[b] > capacity + 1e-6 and local_alive.any():
-                # Smallest rate * count; topic-id tie-break is argmin's
-                # first-index rule (topics ascend within the VM slice).
-                masked = np.where(local_alive, local_w, np.inf)
-                i = int(np.argmin(masked))
-                local_alive[i] = False
-                group_alive[lo + i] = False
-                g = lo + i
-                t = int(g_t[g])
-                used[b] -= rates[t] * (g_cnt[g] + 1) * msg
-                sl = slice(int(starts[g]), int(group_ends[g]))
-                drop[order_bt[sl]] = True
-                # Members ascend (base order is subscriber-major).
-                moves_t.append(np.full(int(g_cnt[g]), t, dtype=np.int64))
-                moves_v.append(self._p_v[order_bt[sl]])
-        if moves_t:
-            mt = np.concatenate(moves_t)
-            mv = np.concatenate(moves_v)
+        ev = _evict_overloaded(used, capacity, g_vm, g_t, g_cnt, rates, msg)
+        if ev.size:
+            alive[ev] = False
+            evicted_rows = _evicted_rows(p_vm, p_t, g_vm, g_t, gkey, ev, big_l)
+            mt, mv = p_t[evicted_rows], p_v[evicted_rows]
             # Stale pairs (no longer selected) are dropped, not re-placed.
-            mkeys = mv * big_l + mt
-            valid = _sorted_member(kept_keys, mkeys) | _sorted_member(
-                added_keys, mkeys
-            )
+            valid = ~_sorted_member(removed_keys, mv * big_l + mt)
             mt, mv = mt[valid], mv[valid]
+            dropped = np.union1d(removed_rows, evicted_rows)
         else:
             mt = mv = np.empty(0, dtype=np.int64)
+            dropped = removed_rows
 
         # ---- apply removals ------------------------------------------
-        if removed_keys.size:
-            pos = np.searchsorted(old_keys, removed_keys)
-            fresh_drop = pos[~drop[pos]]
-            drop[pos] = True
-            if fresh_drop.size:
-                # Per-group removal counts -> used-bytes decrement, with
-                # the extra ingest copy back when a group empties.
-                rkey = self._p_vm[fresh_drop] * big_l + self._p_t[fresh_drop]
-                uk, uc = np.unique(rkey, return_counts=True)
-                gi = np.searchsorted(gkey[starts], uk)
-                left = g_cnt[gi] - uc
-                dec = rates[uk % big_l] * (uc + (left == 0)) * msg
-                used -= np.bincount(
-                    uk // big_l, weights=dec, minlength=used.size
-                )
-                group_alive[gi[left == 0]] = False
-                g_cnt_after = g_cnt.copy()
-                g_cnt_after[gi] = left
-            else:
-                g_cnt_after = g_cnt
-        else:
-            g_cnt_after = g_cnt
+        if removed_rows.size:
+            gi = np.searchsorted(gkey, p_vm[removed_rows] * big_l + p_t[removed_rows])
+            # Rows of evicted groups are gone already.
+            gi, uc = np.unique(gi[alive[gi]], return_counts=True)
+            left = g_cnt[gi] - uc
+            # Per-group removal counts -> used-bytes decrement, with
+            # the extra ingest copy back when a group empties.
+            dec = rates[g_t[gi]] * (uc + (left == 0)) * msg
+            used -= np.bincount(g_vm[gi], weights=dec, minlength=used.size)
+            g_cnt = g_cnt.copy()
+            g_cnt[gi] = left
+            alive[gi[left == 0]] = False
+        g_vm, g_t, g_cnt = g_vm[alive], g_t[alive], g_cnt[alive]
 
         # ---- place added pairs (grouped by topic) + evicted moves ----
-        opened_before = self._num_vms
         if added_keys.size:
             at = added_keys % big_l
             av = added_keys // big_l
@@ -491,46 +599,66 @@ class IncrementalReprovisioner:
             at = av = np.empty(0, dtype=np.int64)
         place_t = np.concatenate([at, mt])
         place_v = np.concatenate([av, mv])
-        placed_vm, used = self._place_stream(
-            place_t, used, capacity, rates, msg,
-            g_vm, g_t, g_cnt_after, group_alive,
+        placed_vm, used, num_vms = self._place_stream(
+            place_t, used, capacity, rates, msg, g_vm, g_t
         )
 
-        # ---- rebuild the pair arrays + close empty VMs ---------------
-        # Kept rows are already sorted in both orders, so the canonical
-        # (subscriber, topic) table and the (vm, topic) group index are
-        # advanced by sorted merges instead of full lexsorts -- the two
-        # O(P log P) sorts amortize away under micro-epoch churn.
-        keep_mask = ~drop
-        kept_rank = np.cumsum(keep_mask) - 1
-        sel = keep_mask[order_bt]
-        kept_bt = kept_rank[order_bt[sel]]
-        self._p_v, self._p_t, self._p_vm, self._bt_perm = advance_orders(
-            self._p_v[keep_mask],
-            self._p_t[keep_mask],
-            self._p_vm[keep_mask],
-            kept_bt,
-            place_v,
-            place_t,
-            placed_vm,
+        # ---- fold the placements into the group table ----------------
+        if place_t.size:
+            pkey, pcnt = np.unique(placed_vm * big_l + place_t, return_counts=True)
+            gkey = g_vm * big_l + g_t
+            at_group = np.searchsorted(gkey, pkey)
+            hosted = _sorted_member(gkey, pkey)
+            g_cnt[at_group[hosted]] += pcnt[hosted]
+            fresh = ~hosted
+            g_vm = np.insert(g_vm, at_group[fresh], pkey[fresh] // big_l)
+            g_t = np.insert(g_t, at_group[fresh], pkey[fresh] % big_l)
+            g_cnt = np.insert(g_cnt, at_group[fresh], pcnt[fresh])
+
+        # ---- close empty VMs + advance the pair table ----------------
+        live = np.bincount(g_vm, minlength=num_vms) > 0
+        closed = int(num_vms - int(live.sum()))
+        # Per-subscriber row counts move by the added and dropped rows.
+        ids = max(first.size - 1, n)
+        counts = np.bincount(place_v, minlength=ids) - np.bincount(
+            p_v[dropped], minlength=ids
         )
-        total_vms = self._num_vms
-        pair_counts = np.bincount(self._p_vm, minlength=total_vms)
-        live = pair_counts > 0
-        closed = int(total_vms - int(live.sum()))
+        counts[: first.size - 1] += np.diff(first)
+        p_v, p_t, p_vm = advance_orders(
+            p_v, p_t, p_vm, dropped, place_v, place_t, placed_vm
+        )
+        first = _offsets(counts[: _id_span(p_v, n)])
         if closed:
-            # Monotone remap: relative VM order is preserved, so the
-            # maintained group-index permutation stays valid.
+            # Monotone remap: both tables keep their sort orders.
             remap = np.cumsum(live) - 1
-            self._p_vm = remap[self._p_vm]
-        self._num_vms = int(live.sum())
+            g_vm = remap[g_vm]
+            p_vm = remap[p_vm]
         used = used[live]
 
+        # ---- commit ---------------------------------------------------
+        opened_before = self._num_vms
+        self._epoch = epoch
+        self._workload = workload
+        self._p_v, self._p_t, self._p_vm = p_v, p_t, p_vm
+        self._first = first
+        self._g_vm, self._g_t, self._g_cnt = g_vm, g_t, g_cnt
+        self._num_vms = int(live.sum())
+        if self._terms.size != n:
+            terms = np.zeros(n, dtype=np.float64)
+            terms[: min(n, self._terms.size)] = self._terms[:n]
+            self._terms = terms
+        # The touched subscribers' Algorithm-5 terms, from the view the
+        # re-selection read: the running bound is lower_bound(problem).
+        self._terms[touched_idx] = (
+            subscriber_bound_terms(sub_workload, self._tau)
+            if sub_workload is not None
+            else 0.0
+        )
+
         # ---- cost + gated drift check --------------------------------
-        problem = self.problem
         cost = problem.cost_components(self._num_vms, float(used.sum()))
         self._since_fresh += 1
-        lb = _estimate_lower_bound(problem)
+        lb = terms_lower_bound(problem, self._terms).total_usd
         estimate = lb * self._lb_ratio
         fresh = None
         rebuilt = False
@@ -581,9 +709,7 @@ class IncrementalReprovisioner:
         msg: float,
         g_vm: np.ndarray,
         g_t: np.ndarray,
-        g_cnt: np.ndarray,
-        group_alive: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Assign a pair stream to VMs, replicating the referee's scan.
 
         Per pair, the referee scores every VM as ``free + capacity *
@@ -612,17 +738,17 @@ class IncrementalReprovisioner:
 
         The keys are the float scores the referee compares and tuple
         order breaks ties by the lowest VM index, as ``argmax`` does, so
-        every choice is identical.  Returns ``(vm per pair, per-VM used
-        bytes)``; ``self._num_vms`` is updated to include freshly opened
-        VMs.
+        every choice is identical.  ``g_vm, g_t`` are the hosted
+        ``(vm, topic)`` groups.  Returns ``(vm per pair, per-VM used
+        bytes, fleet size)``, the fleet including freshly opened VMs.
         """
         if place_t.size == 0:
-            return np.empty(0, dtype=np.int64), used
-        # Hosts per streamed topic, from one sort of the hosted groups.
-        # The lists outlive their run: an evicted move later in the
-        # stream must see the VMs an earlier run of its topic filled.
-        hosted = np.flatnonzero(group_alive & (g_cnt > 0))
-        by_topic = hosted[np.argsort(g_t[hosted])]
+            return np.empty(0, dtype=np.int64), used, self._num_vms
+        # Hosts per streamed topic, from one sort of the hosted groups
+        # (their order within a topic is the heap's business).  The
+        # lists outlive their run: an evicted move later in the stream
+        # must see the VMs an earlier run of its topic filled.
+        by_topic = np.argsort(g_t)
         h_t, h_vm = g_t[by_topic], g_vm[by_topic]
         topics = np.unique(place_t)
         lo = np.searchsorted(h_t, topics)
@@ -677,11 +803,29 @@ class IncrementalReprovisioner:
                 hosts.append(b)
                 heapq.heappush(heap, host_entry(b, tb))
             placed.append(b)
-        self._num_vms = num_vms
         return (
             np.array(placed, dtype=np.int64),
             np.array(used_l, dtype=np.float64),
+            num_vms,
         )
+
+    def _set_table(
+        self, p_v: np.ndarray, p_t: np.ndarray, p_vm: np.ndarray, num_vms: int
+    ) -> None:
+        """Adopt a canonical pair table and derive its indexes.
+
+        ``_first[v]`` is subscriber ``v``'s first row (its rows end at
+        ``_first[v + 1]``), and the group table counts the members of
+        every ``(vm, topic)``.
+        """
+        self._p_v, self._p_t, self._p_vm = p_v, p_t, p_vm
+        self._first = _offsets(
+            np.bincount(p_v, minlength=_id_span(p_v, self._workload.num_subscribers))
+        )
+        self._num_vms = num_vms
+        big_l = np.int64(int(p_t.max()) + 1 if p_t.size else 1)
+        gkey, self._g_cnt = np.unique(p_vm * big_l + p_t, return_counts=True)
+        self._g_vm, self._g_t = gkey // big_l, gkey % big_l
 
     def _adopt(self, placement: Placement) -> None:
         """Replace internal state with a fresh solve's placement."""
@@ -690,11 +834,7 @@ class IncrementalReprovisioner:
         p_t = np.repeat(topics, sizes)
         p_v = np.asarray(subscribers, dtype=np.int64)
         order = np.lexsort((p_t, p_v))
-        self._p_v = p_v[order]
-        self._p_t = p_t[order]
-        self._p_vm = p_vm[order]
-        self._num_vms = placement.num_vms
-        self._bt_perm = np.lexsort((self._p_t, self._p_vm))
+        self._set_table(p_v[order], p_t[order], p_vm[order], placement.num_vms)
 
 
 class LoopIncrementalReprovisioner:

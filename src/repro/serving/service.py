@@ -9,10 +9,9 @@ long-running service:
   :class:`~repro.serving.queue.ChurnIngestQueue`;
 * :meth:`run_micro_epoch` seals the buffered fragments into one exact
   :class:`~repro.dynamic.churn.WorkloadDelta` and steps the
-  reprovisioner once -- thanks to the lossless reassembly and the
-  merge-maintained group index, the resulting placements are
-  bit-identical to the batch pipeline (and, with
-  ``fresh_solve_every=1``, to the ``reprovision-loop`` referee)
+  reprovisioner once -- thanks to the lossless reassembly, the
+  resulting placements are bit-identical to the batch pipeline (and,
+  with ``fresh_solve_every=1``, to the ``reprovision-loop`` referee)
   however the stream was fragmented;
 * every micro-epoch feeds the :class:`~repro.serving.slo.ServingMetrics`
   SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, sealed

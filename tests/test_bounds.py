@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bounds import lower_bound, lower_bound_bytes
+from repro.bounds import (
+    lower_bound,
+    lower_bound_bytes,
+    subscriber_bound_terms,
+    terms_lower_bound,
+)
 from repro.core import MCSSProblem, Workload
 from repro.solver import MCSSSolver
 from tests.conftest import make_unit_plan, random_workload
@@ -58,6 +63,30 @@ class TestLowerBoundValues:
         assert lower_bound_bytes(problem, True) == pytest.approx(
             lower_bound_bytes(problem, False)
         )
+
+
+class TestSubscriberTerms:
+    """The per-subscriber term that a kept bound vector refreshes."""
+
+    def test_terms_by_hand(self):
+        # v0 has no interest, v1 needs tau_v = 5 but its cheapest topic
+        # carries 10, v2 reaches tau = 5 with 3 + 10; tau = 0 zeroes all.
+        w = Workload([10.0, 3.0], [[], [0], [0, 1]], message_size_bytes=1.0)
+        np.testing.assert_array_equal(subscriber_bound_terms(w, 5.0), [0.0, 10.0, 5.0])
+        np.testing.assert_array_equal(subscriber_bound_terms(w, 0.0), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_view_terms_and_priced_sum_are_bitwise(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        w = random_workload(rng, max_topics=12, max_subscribers=30, max_rate=50)
+        tau = float(rng.choice([0.0, 7.0, 40.0, 1e9]))
+        problem = MCSSProblem(w, tau, make_unit_plan(2.0 * 50 * 8))
+        terms = subscriber_bound_terms(w, tau)
+        assert terms_lower_bound(problem, terms) == lower_bound(problem)
+        # A restrict_subscribers view yields those subscribers' terms.
+        picked = np.flatnonzero(rng.random(w.num_subscribers) < 0.5)
+        view = w.restrict_subscribers(picked)
+        np.testing.assert_array_equal(subscriber_bound_terms(view, tau), terms[picked])
 
 
 class TestLowerBoundSoundness:

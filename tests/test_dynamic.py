@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import MCSSProblem, validate_placement
+from repro.core import MCSSProblem, Workload, validate_placement
 from repro.dynamic import (
     ChurnConfig,
     ChurnModel,
     IncrementalReprovisioner,
+    InfeasibleEpochError,
     LoopChurnModel,
     LoopIncrementalReprovisioner,
     WorkloadDelta,
 )
+from repro.pricing import paper_plan
 from repro.workloads import zipf_workload
 from tests.conftest import make_unit_plan
 
@@ -139,6 +143,83 @@ class TestIncrementalReprovisioner:
         model = ChurnModel(problem.workload, seed=12)
         reprov.step(model.step())
         assert reprov.selection() == reprov.placement().to_selection()
+
+
+class TestInfeasibleEpoch:
+    """A step whose workload no VM can hold raises and changes nothing."""
+
+    @staticmethod
+    def _assert_same_snapshot(got, want):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(got[key], value, err_msg=key)
+            elif key == "workload":
+                assert got[key] is value
+            else:
+                assert got[key] == value, key
+
+    def test_rate_spike_past_half_a_vm(self):
+        # Capacity 2.5x the hottest topic's bytes and sigma = 0.3 drift:
+        # at epoch 11 a topic's single pair (its stream in and out)
+        # outgrows a whole VM.
+        workload = zipf_workload(400, 20000, seed=11)
+        msg = workload.message_size_bytes
+        capacity = 2.5 * float(workload.event_rates.max()) * msg
+        plan = replace(paper_plan(), capacity_bytes_override=capacity)
+        reprov = IncrementalReprovisioner(MCSSProblem(workload, 100.0, plan))
+        model = ChurnModel(workload, ChurnConfig(rate_drift_sigma=0.3), seed=11)
+        for _ in range(10):
+            reprov.step(model.step())
+        before = reprov.snapshot()
+        twin = IncrementalReprovisioner.restore(before, plan)
+
+        delta = model.step()
+        rates = delta.workload.event_rates
+        hottest = int(np.argmax(rates))
+        with pytest.raises(InfeasibleEpochError) as caught:
+            reprov.step(delta)
+        err = caught.value
+        assert isinstance(err, ValueError)
+        assert (err.epoch, err.topic) == (11, hottest)
+        assert err.needed_bytes == 2.0 * rates[hottest] * msg > capacity
+        assert err.capacity_bytes == capacity
+        assert "epoch 11" in str(err) and f"topic {hottest}" in str(err)
+        self._assert_same_snapshot(reprov.snapshot(), before)
+
+        # A feasible next workload steps from epoch 10, exactly as a
+        # reprovisioner that never saw the failed epoch does.
+        fits = np.minimum(rates, np.floor(capacity / (2.0 * msg)))
+        feasible = Workload.from_csr(
+            fits,
+            delta.workload.interest_indptr,
+            delta.workload.interest_topics,
+            message_size_bytes=msg,
+        )
+        report = reprov.step(feasible)
+        assert report.epoch == 11 and report == replace(
+            twin.step(feasible), seconds=report.seconds
+        )
+        self._assert_same_snapshot(reprov.snapshot(), twin.snapshot())
+        assert validate_placement(reprov.problem, reprov.placement()).ok
+
+    def test_infeasible_first_epoch(self, problem):
+        reprov = IncrementalReprovisioner(problem)
+        before = reprov.snapshot()
+        workload = problem.workload
+        rates = workload.event_rates.copy()
+        # One pair of topic 3 needs two VMs' worth of bytes.
+        rates[3] = problem.capacity_bytes / workload.message_size_bytes
+        spiked = Workload.from_csr(
+            rates,
+            workload.interest_indptr,
+            workload.interest_topics,
+            message_size_bytes=workload.message_size_bytes,
+        )
+        with pytest.raises(InfeasibleEpochError, match="epoch 1 .* topic 3"):
+            reprov.step(spiked)
+        self._assert_same_snapshot(reprov.snapshot(), before)
+        assert reprov.step(workload).epoch == 1
 
 
 class TestWorkloadDelta:

@@ -394,6 +394,17 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="disagree in length"):
             IncrementalReprovisioner.restore(snap, plan)
 
+    @pytest.mark.parametrize(
+        "member, bad",
+        [("pair_topics", -1), ("pair_topics", 10**6), ("pair_vms", 10**6)],
+    )
+    def test_out_of_range_ids_rejected_by_restore(self, member, bad):
+        reprovisioner, plan, _ = self._reprovisioner()
+        snap = reprovisioner.snapshot()
+        snap[member][0] = bad
+        with pytest.raises(ValueError, match="do not exist"):
+            IncrementalReprovisioner.restore(snap, plan)
+
     def test_tampered_snapshot_rejected_by_restore(self):
         reprovisioner, plan, _ = self._reprovisioner()
         snap = reprovisioner.snapshot()

@@ -1,14 +1,15 @@
-"""The serving layer: queue reassembly, group index, SLO metrics, resume.
+"""The serving layer: queue reassembly, epoch state, SLO metrics, resume.
 
 Four contracts, all deterministic (no timing-flaky assertions):
 
 * **Lossless ingestion** -- however an epoch's operation stream is
   fragmented, the sealed :class:`WorkloadDelta` is bit-identical to the
   original, and the queue's depth accounting tracks exactly.
-* **Incremental group index** -- the merge-maintained permutations of
-  :mod:`repro.dynamic.group_index` equal the ``np.lexsort`` results
-  they replace, on random inputs and on the live reprovisioner state
-  after churn steps (including the int64-overflow lexsort fallback).
+* **Maintained epoch state** -- :func:`advance_orders` gives the
+  ``np.lexsort`` order of the kept and added pairs on random inputs,
+  and after every step of random churn the reprovisioner's group table,
+  used bytes and running Algorithm-5 bound equal a recomputation from
+  its snapshot.
 * **Exact SLO metrics** -- a scripted fake clock drives the latency
   recorder; p50/p95/p99 are exact nearest-rank quantiles, throughput
   counters are monotonic, queue depth is accounted at seal time.
@@ -25,9 +26,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MCSSProblem
-from repro.dynamic import ChurnConfig, ChurnModel, IncrementalReprovisioner
-from repro.dynamic.group_index import advance_orders
+from repro.bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
+from repro.core import Workload, validate_placement
+from repro.dynamic import (
+    ChurnConfig,
+    ChurnModel,
+    IncrementalReprovisioner,
+    WorkloadDelta,
+)
+from repro.dynamic.reprovision import advance_orders
 from repro.packing import diff_placements
 from repro.serving import (
     ChurnFragment,
@@ -38,7 +45,11 @@ from repro.serving import (
     split_delta,
 )
 from repro.serving.metrics import Counter, LatencyRecorder, MetricsRegistry
-from tests.test_vectorized_equivalence import churn_problem, edgy_workload
+from tests.test_vectorized_equivalence import (
+    churn_problem,
+    edgy_workload,
+    stress_problem,
+)
 
 CHURN = ChurnConfig(
     unsubscribe_fraction=0.2, subscribe_fraction=0.2, rate_drift_sigma=0.1
@@ -136,8 +147,8 @@ class TestQueueReassembly:
             )
 
 
-class TestGroupIndexMaintenance:
-    """Merge-maintained orders == the lexsorts they replace, bit for bit."""
+class TestEpochStateMaintenance:
+    """The pair table, group table and bound a step maintains in place."""
 
     @staticmethod
     def _random_tables(rng, big=False):
@@ -159,7 +170,11 @@ class TestGroupIndexMaintenance:
         add_v = rng.integers(0, scale, size=n_add)
         add_t = rng.integers(0, scale, size=n_add)
         add_vm = rng.integers(0, scale, size=n_add)
-        # Added keys must not collide with kept keys (or each other).
+        # Added keys must not collide with kept keys (or each other);
+        # a dropped row's key may come back, as a moved pair does.
+        moved = np.flatnonzero(~keep)[: n_add // 3]
+        add_v[: moved.size] = old_v[moved]
+        add_t[: moved.size] = old_t[moved]
         add_keys = add_v * (4 * scale) + add_t
         _, first = np.unique(add_keys, return_index=True)
         fresh = np.zeros(add_keys.size, dtype=bool)
@@ -175,13 +190,8 @@ class TestGroupIndexMaintenance:
         (old_v, old_t, old_vm), keep, (add_v, add_t, add_vm) = (
             self._random_tables(rng, big=big)
         )
-        old_bt = np.lexsort((old_t, old_vm))
-        kept_rank = np.cumsum(keep) - 1
-        sel = keep[old_bt]
-        kept_bt = kept_rank[old_bt[sel]]
-        p_v, p_t, p_vm, bt_perm = advance_orders(
-            old_v[keep], old_t[keep], old_vm[keep],
-            kept_bt, add_v, add_t, add_vm,
+        p_v, p_t, p_vm = advance_orders(
+            old_v, old_t, old_vm, np.flatnonzero(~keep), add_v, add_t, add_vm
         )
         ref_v = np.concatenate([old_v[keep], add_v])
         ref_t = np.concatenate([old_t[keep], add_t])
@@ -190,35 +200,140 @@ class TestGroupIndexMaintenance:
         np.testing.assert_array_equal(p_v, ref_v[ref_order])
         np.testing.assert_array_equal(p_t, ref_t[ref_order])
         np.testing.assert_array_equal(p_vm, ref_vm[ref_order])
-        np.testing.assert_array_equal(bt_perm, np.lexsort((p_t, p_vm)))
 
-    def test_overflow_guard_falls_back_to_lexsort(self):
-        huge = np.array([2**31], dtype=np.int64)
-        p_v, p_t, p_vm, bt_perm = advance_orders(
-            huge, huge, huge, np.array([0]), huge + 1, huge, huge
+    def test_ids_past_any_composite_key(self):
+        # (v * topics + t) keys would overflow int64 at these ids; the
+        # merge searches each column on its own, so nothing overflows.
+        huge = np.array([2**62], dtype=np.int64)
+        none = np.empty(0, dtype=np.int64)
+        p_v, p_t, p_vm = advance_orders(
+            huge + 1, huge, huge, none, huge, huge + 1, huge
         )
-        assert p_v.size == 2
-        np.testing.assert_array_equal(bt_perm, np.lexsort((p_t, p_vm)))
+        assert p_v.tolist() == [2**62, 2**62 + 1]
+        assert p_t.tolist() == [2**62 + 1, 2**62]
 
     def test_empty_everything(self):
         e = np.empty(0, dtype=np.int64)
-        p_v, p_t, p_vm, bt_perm = advance_orders(e, e, e, e, e, e, e)
-        assert p_v.size == p_t.size == p_vm.size == bt_perm.size == 0
+        p_v, p_t, p_vm = advance_orders(e, e, e, e, e, e, e)
+        assert p_v.size == p_t.size == p_vm.size == 0
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_live_reprovisioner_invariant(self, seed):
-        # After every churn step, the maintained permutation must equal
-        # the lexsort it replaced -- on the live pair arrays.
-        rng = np.random.default_rng(400 + seed)
-        workload = edgy_workload(rng)
-        problem = churn_problem(workload, rng)
-        model = ChurnModel(workload, CHURN, seed=seed)
-        reprov = IncrementalReprovisioner(problem, fresh_solve_every=2)
-        for _ in range(5):
-            reprov.step(model.step())
-            np.testing.assert_array_equal(
-                reprov._bt_perm, np.lexsort((reprov._p_t, reprov._p_vm))
-            )
+    @staticmethod
+    def _assert_matches_snapshot(reprov, report=None):
+        """Indexes, used bytes and bound == a recomputation from the snapshot."""
+        snap = reprov.snapshot()
+        workload = snap["workload"]
+        p_v = snap["pair_subscribers"]
+        p_t = snap["pair_topics"]
+        p_vm = snap["pair_vms"]
+        num_vms = snap["num_vms"]
+        np.testing.assert_array_equal(np.lexsort((p_t, p_v)), np.arange(p_v.size))
+        # Each subscriber's rows start at its offset.
+        ids = max(workload.num_subscribers, int(p_v[-1]) + 1 if p_v.size else 0)
+        np.testing.assert_array_equal(
+            reprov._first, np.searchsorted(p_v, np.arange(ids + 1))
+        )
+        # Every VM holds a pair: emptied VMs were closed and renumbered.
+        assert np.array_equal(np.unique(p_vm), np.arange(num_vms))
+
+        big_l = workload.num_topics
+        gkey, counts = np.unique(p_vm * big_l + p_t, return_counts=True)
+        np.testing.assert_array_equal(reprov._g_vm, gkey // big_l)
+        np.testing.assert_array_equal(reprov._g_t, gkey % big_l)
+        np.testing.assert_array_equal(reprov._g_cnt, counts)
+        used = np.bincount(
+            gkey // big_l,
+            weights=workload.event_rates[gkey % big_l] * (counts + 1),
+            minlength=num_vms,
+        ) * workload.message_size_bytes
+        np.testing.assert_array_equal(snap["used_bytes"], used)
+        assert (used <= reprov.problem.capacity_bytes + 1e-6).all()
+        if report is not None:
+            # The epoch's cost came from the bytes the step kept up.
+            assert report.cost.total_bytes == float(used.sum())
+
+        problem = reprov.problem
+        np.testing.assert_array_equal(
+            reprov._terms, subscriber_bound_terms(workload, problem.tau)
+        )
+        running = terms_lower_bound(problem, reprov._terms).total_usd
+        assert running == lower_bound(problem).total_usd
+
+    @staticmethod
+    def _emptied_vm_delta(reprov):
+        """Every subscriber with a pair on VM 0 drops all its interests."""
+        workload = reprov.problem.workload
+        snap = reprov.snapshot()
+        leaving = np.unique(snap["pair_subscribers"][snap["pair_vms"] == 0])
+        indptr = workload.interest_indptr
+        gone = np.zeros(workload.num_subscribers, dtype=bool)
+        gone[leaving] = True
+        kept = ~gone[workload.pair_subscribers()]
+        sizes = np.where(gone, 0, np.diff(indptr))
+        evolved = Workload.from_csr(
+            workload.event_rates,
+            np.concatenate([[0], np.cumsum(sizes)]),
+            workload.interest_topics[kept],
+            message_size_bytes=workload.message_size_bytes,
+        )
+        return WorkloadDelta(
+            evolved,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            workload.interest_topics[~kept],
+            workload.pair_subscribers()[~kept],
+            np.empty(0, dtype=np.int64),
+        )
+
+    @staticmethod
+    def _vanished_delta(reprov, count):
+        """The last ``count`` subscribers leave the workload."""
+        workload = reprov.problem.workload
+        n = workload.num_subscribers
+        evolved = workload.restrict_subscribers(range(n - count))
+        leaving = workload.pair_subscribers() >= n - count
+        return WorkloadDelta(
+            evolved,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            workload.interest_topics[leaving],
+            workload.pair_subscribers()[leaving],
+            np.empty(0, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("fresh_every", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_live_state_matches_recomputation(self, seed, fresh_every, sigma):
+        # Random churn plus an epoch that empties a VM and one where
+        # subscribers leave the workload, at both fresh-solve cadences;
+        # the state is checked after every step.
+        problem = stress_problem(300)
+        reprov = IncrementalReprovisioner(
+            problem, rebuild_threshold=1.05, fresh_solve_every=fresh_every
+        )
+        self._assert_matches_snapshot(reprov)
+        rng = np.random.default_rng(500 + seed)
+        moved = closed = 0
+        for epoch in range(1, 8):
+            if epoch == 3:
+                delta = self._emptied_vm_delta(reprov)
+            elif epoch == 5:
+                delta = self._vanished_delta(reprov, int(rng.integers(1, 20)))
+            else:
+                model = ChurnModel(
+                    reprov.problem.workload,
+                    ChurnConfig(0.05, 0.05, sigma),
+                    seed=int(rng.integers(2**31)),
+                )
+                delta = model.step()
+            report = reprov.step(delta)
+            assert report.epoch == epoch
+            self._assert_matches_snapshot(reprov, report)
+            assert validate_placement(reprov.problem, reprov.placement()).ok
+            moved += report.pairs_moved
+            closed += report.vms_closed
+        assert closed > 0
+        assert moved > 0 if sigma else moved == 0
 
 
 class TestServingMetrics:

@@ -794,6 +794,39 @@ def churn_problem(workload, rng):
     return MCSSProblem(workload, tau, make_unit_plan(capacity))
 
 
+def stress_problem(num_subscribers):
+    """Zipf subscribers on dozens of VMs, hot topics spanning several."""
+    workload = zipf_workload(
+        40,
+        num_subscribers,
+        mean_interest=6.0,
+        rate_exponent=0.8,
+        max_rate=1000.0,
+        message_size_bytes=1.0,
+        seed=0,
+    )
+    max_pair = 2.0 * float(workload.event_rates.max())
+    return MCSSProblem(
+        workload, 1500.0, make_unit_plan(CHURN_HEADROOM * max_pair)
+    )
+
+
+def assert_selection_is_gsp(reprovisioner):
+    """The placed pair set is exactly GSP's selection of the current workload.
+
+    Selection is per-subscriber independent and every subscriber whose
+    interests or topic rates changed is re-selected, so the maintained
+    pairs must be what a fresh Stage 1 would pick: the premise of a
+    cadence fresh solve that reuses them instead of re-running GSP.
+    Small workloads are also checked against the literal Algorithm 2.
+    """
+    problem = reprovisioner.problem
+    held = reprovisioner.selection()
+    assert held == GreedySelectPairs().select(problem)
+    if problem.workload.num_subscribers <= 300:
+        assert held == ReferenceGreedySelectPairs().select(problem)
+
+
 class TestReprovisionEquivalence:
     """Array-state reprovisioner == the reprovision-loop referee.
 
@@ -828,6 +861,7 @@ class TestReprovisionEquivalence:
             loop_report.fresh_cost.total_usd, rel=1e-12
         )
         assert vec.selection() == loop.selection()
+        assert_selection_is_gsp(vec)
 
     @pytest.mark.parametrize("seed", range(NUM_RANDOM_WORKLOADS))
     def test_shared_churn_streams(self, seed):
@@ -907,26 +941,10 @@ class TestReprovisionEquivalence:
         # The case must keep exercising evictions and fresh VMs.
         assert moved > 0 and opened > 0
 
-    @staticmethod
-    def _stress_problem(num_subscribers):
-        workload = zipf_workload(
-            40,
-            num_subscribers,
-            mean_interest=6.0,
-            rate_exponent=0.8,
-            max_rate=1000.0,
-            message_size_bytes=1.0,
-            seed=0,
-        )
-        max_pair = 2.0 * float(workload.event_rates.max())
-        return MCSSProblem(
-            workload, 1500.0, make_unit_plan(CHURN_HEADROOM * max_pair)
-        )
-
     def test_emptied_vm_is_closed(self):
         # Every subscriber with a pair on VM 0 drops all its interests:
         # the VM empties and is closed, and the VMs after it shift down.
-        problem = self._stress_problem(300)
+        problem = stress_problem(300)
         workload = problem.workload
         vec = IncrementalReprovisioner(
             problem, rebuild_threshold=10.0, fresh_solve_every=1
@@ -962,7 +980,7 @@ class TestReprovisionEquivalence:
     def test_departed_subscriber_pairs_removed(self):
         # The last subscriber leaves the workload entirely: its pairs
         # go, and no pair refers to a subscriber past the new end.
-        problem = self._stress_problem(120)
+        problem = stress_problem(120)
         workload = problem.workload
         n = workload.num_subscribers
         vec = IncrementalReprovisioner(problem, fresh_solve_every=1)
@@ -985,6 +1003,30 @@ class TestReprovisionEquivalence:
         loop = LoopIncrementalReprovisioner(tiny_problem)
         assert diff_placements(vec.placement(), loop.placement()) is None
         assert vec.selection() == loop.selection()
+
+    @pytest.mark.parametrize("num_subscribers", [300, 3000])
+    def test_selection_stays_gsp_under_rate_drift(self, num_subscribers):
+        # A zipf workload at the serving capacity rule (2.5x the hottest
+        # topic, or an eighth of the total rate) under sigma = 0.02
+        # drift: re-priced audiences are re-selected and evicted groups
+        # re-placed every epoch, at the default fresh-solve cadence.
+        workload = zipf_workload(
+            max(20, num_subscribers // 50),
+            num_subscribers,
+            mean_interest=8.0,
+            message_size_bytes=1.0,
+            seed=num_subscribers,
+        )
+        rates = workload.event_rates
+        capacity = max(2.5 * float(rates.max()), float(rates.sum()) / 8.0)
+        problem = MCSSProblem(workload, 100.0, make_unit_plan(capacity))
+        reprov = IncrementalReprovisioner(problem)
+        model = ChurnModel(workload, ChurnConfig(0.01, 0.01, 0.02), seed=7)
+        moved = 0
+        for _ in range(10):
+            moved += reprov.step(model.step()).pairs_moved
+            assert_selection_is_gsp(reprov)
+        assert moved > 0  # the stream keeps evicting
 
 
 class TestBackendEquivalence:

@@ -47,7 +47,6 @@ HOT_PATH_MODULES: "Tuple[str, ...]" = (
     "src/repro/packing/first_fit.py",
     "src/repro/dynamic/churn.py",
     "src/repro/dynamic/reprovision.py",
-    "src/repro/dynamic/group_index.py",
     "src/repro/workloads/social.py",
     "src/repro/core/validation.py",
 )
