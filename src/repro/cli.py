@@ -8,12 +8,11 @@ Subcommands:
 * ``mcss solve --trace twitter --tau 100`` -- generate a trace, run a
   chosen (selector, packer) pipeline, print cost vs baseline and bound;
 * ``mcss analyze --trace twitter`` -- print trace statistics;
-* ``mcss churn --epochs 100 --checkpoint run.npz --checkpoint-every 10``
-  -- run a churned epoch experiment with atomic checkpoints; add
-  ``--resume`` to continue a killed run bit-exactly;
 * ``mcss serve --epochs 64 --slo-p99 0.5 --metrics-out m.json`` -- run
-  the micro-epoch serving loop with SLO metrics (exit 1 on an SLO
-  miss); supports the same checkpoint/resume flags as ``churn``.
+  the churn -> reprovision loop as micro-epochs with SLO metrics (exit
+  1 on an SLO miss); ``--checkpoint run.npz --checkpoint-every 10``
+  persists the run atomically and ``--resume`` continues a killed run
+  bit-exactly, from any checkpoint that carries the churn stream.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .experiments import (
     describe_figures,
     make_plan,
     make_trace,
-    run_epoch_experiment,
     run_figure,
 )
 from .packing import available_packers
@@ -65,31 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--packer", default="cbp", choices=available_packers())
     solve.add_argument("--users", type=int, default=None)
     solve.add_argument("--seed", type=int, default=None)
-
-    churn = sub.add_parser(
-        "churn", help="run a churned epoch experiment (checkpoint/resume)"
-    )
-    churn.add_argument("--trace", default="spotify", choices=("spotify", "twitter"))
-    churn.add_argument("--tau", type=float, default=100.0)
-    churn.add_argument("--instance", default="c3.large")
-    churn.add_argument("--users", type=int, default=None)
-    churn.add_argument("--seed", type=int, default=None)
-    churn.add_argument("--epochs", type=int, default=16)
-    churn.add_argument(
-        "--churn-seed", type=int, default=0, help="churn stream seed"
-    )
-    churn.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint file (.npz), written atomically",
-    )
-    churn.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="K",
-        help="persist run state every K epochs (0 = never)",
-    )
-    churn.add_argument(
-        "--resume", action="store_true",
-        help="resume bit-exactly from --checkpoint if it exists",
-    )
 
     serve = sub.add_parser(
         "serve", help="run the micro-epoch serving loop (SLO metrics)"
@@ -183,25 +156,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
-    scale = _scale(args)
-    trace = make_trace(args.trace, scale)
-    plan = make_plan(args.instance, trace.workload, scale)
-    print(trace.describe())
-    result = run_epoch_experiment(
-        trace.workload,
-        plan,
-        args.tau,
-        args.epochs,
-        seed=args.churn_seed,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
-    print(result.render())
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
@@ -257,8 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_figure(args)
     if args.command == "solve":
         return _cmd_solve(args)
-    if args.command == "churn":
-        return _cmd_churn(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "analyze":

@@ -29,9 +29,6 @@ packers never loop over VMs in Python:
 * :meth:`Placement.assign_range` -- batch assignment of a flat
   subscriber array slice: O(1) accounting plus one adopted array
   chunk, instead of per-subscriber list work;
-* :meth:`Placement.remove_range` / :meth:`Placement.remove_topic` --
-  the removal/eviction mirrors of ``assign_range``, for tooling that
-  mutates a live placement under churn;
 * :meth:`Placement.from_groups` -- adopt a finished placement as flat
   per-(vm, topic) group arrays plus the caller's own per-VM bytes, in
   O(groups) array work; CBP builds its result this way, and
@@ -172,28 +169,6 @@ class VirtualMachine:
         self._out_bytes += topic_bytes * count
         if new_topic:
             self._in_bytes += topic_bytes
-
-    def remove_pairs(self, topic: int, topic_bytes: float, count: int) -> None:
-        """Remove ``count`` pairs of ``topic`` from this VM.
-
-        The accounting mirror of :meth:`add_pairs`: the outgoing rate
-        drops by ``count`` copies, and when the last pair of the topic
-        leaves, the VM stops ingesting it (one incoming copy freed).
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        have = self._pair_counts.get(topic, 0)
-        if count > have:
-            raise ValueError(
-                f"cannot remove {count} pairs of topic {topic}: only {have} here"
-            )
-        left = have - count
-        self._out_bytes -= topic_bytes * count
-        if left:
-            self._pair_counts[topic] = left
-        else:
-            del self._pair_counts[topic]
-            self._in_bytes -= topic_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -442,79 +417,6 @@ class Placement:
         self._members.setdefault((vm_index, topic), []).append(subs)
         self._num_pairs += int(subs.size)
         self._mutations += 1
-
-    def remove_range(
-        self, vm_index: int, topic: int, subscribers: np.ndarray
-    ) -> None:
-        """Batch-remove pairs ``(topic, v) for v in subscribers`` from a VM.
-
-        The removal mirror of :meth:`assign_range`: one membership mask
-        over the group's flattened chunks, one O(1) accounting update.
-        Public surgery primitive for tooling that maintains a *live*
-        placement under churn (the bundled reprovisioner instead keeps
-        flat pair arrays and re-materializes via
-        :meth:`from_pair_arrays`, because its referee renumbers VMs
-        every epoch).  ``subscribers`` must be distinct and all
-        currently assigned to ``(vm_index, topic)`` -- a ``ValueError``
-        means the caller's bookkeeping has diverged from the placement,
-        so it must never pass silently.
-        """
-        subs = np.asarray(subscribers, dtype=np.int64)
-        if subs.size == 0:
-            return
-        topic = int(topic)
-        vm = self._fleet()[vm_index]
-        chunks = self._members.get((vm_index, topic))
-        if not chunks:
-            raise ValueError(
-                f"VM {vm_index} hosts no pairs of topic {topic}"
-            )
-        flat = self._group_members(chunks)
-        keep = ~np.isin(flat, subs)
-        removed = int(flat.size - int(keep.sum()))
-        if removed != subs.size or np.unique(subs).size != subs.size:
-            raise ValueError(
-                f"not all listed subscribers of topic {topic} are assigned "
-                f"to VM {vm_index} (or duplicates were passed)"
-            )
-        vm.remove_pairs(topic, self.topic_bytes(topic), removed)
-        self._used[vm_index] = vm.used_bytes
-        if removed < flat.size:
-            kept = flat[keep]
-            kept.setflags(write=False)
-            self._members[(vm_index, topic)] = [kept]
-        else:
-            del self._members[(vm_index, topic)]
-            hosting = self._topic_vms[topic]
-            hosting.remove(vm_index)
-            if not hosting:
-                del self._topic_vms[topic]
-        self._num_pairs -= removed
-        self._mutations += 1
-
-    def remove_topic(self, vm_index: int, topic: int) -> np.ndarray:
-        """Evict a whole topic group from a VM; returns its subscribers.
-
-        Batch eviction primitive for live-placement tooling (see
-        :meth:`remove_range`): the VM stops ingesting the topic and the
-        freed pairs can re-enter through :meth:`assign_range` elsewhere.
-        """
-        topic = int(topic)
-        vm = self._fleet()[vm_index]
-        chunks = self._members.get((vm_index, topic))
-        if not chunks:
-            raise ValueError(f"VM {vm_index} hosts no pairs of topic {topic}")
-        members = self._group_members(chunks)
-        vm.remove_pairs(topic, self.topic_bytes(topic), int(members.size))
-        self._used[vm_index] = vm.used_bytes
-        del self._members[(vm_index, topic)]
-        hosting = self._topic_vms[topic]
-        hosting.remove(vm_index)
-        if not hosting:
-            del self._topic_vms[topic]
-        self._num_pairs -= int(members.size)
-        self._mutations += 1
-        return members
 
     def topic_bytes(self, topic: int) -> float:
         """Byte rate of one copy of a topic's event stream."""

@@ -77,54 +77,28 @@ class ValidationReport:
         return "ValidationReport(FAILED: " + "; ".join(self.messages) + ")"
 
 
-def _reduce_assignments(
-    problem: MCSSProblem,
-    placement: Placement,
-    entries: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]":
-    """From-scratch partial reduction over a subset of assignment groups.
+def validate_placement(problem: MCSSProblem, placement: Placement) -> ValidationReport:
+    """Audit a placement; see the module docstring for the checks.
 
-    Recomputes, over the (vm, topic) assignment groups selected by
-    ``entries`` (all of them when ``None``), the three additive vectors
-    the audit needs -- per-VM outgoing bytes, per-VM incoming bytes,
-    per-subscriber delivered rate -- plus the duplicate-subscriber
-    messages for the selected groups.
-
-    These reductions are *additive over any partition of the groups
-    whose parts never split a topic*: capacity sums are per-group
-    independent, and the (t, v) dedup inside the delivered-rate
-    reduction only ever merges pairs sharing a topic, so a
-    topic-determined partition keeps every potential duplicate inside
-    one part.  That is what lets :func:`repro.solver.sharded` validate
-    topic shards in parallel and sum the partials
-    (:func:`validate_placement` is the ``entries=None`` special case).
+    Vectorized fast path over the placement's flat (vm, topic) group
+    arrays; :func:`validate_placement_loop` is the independent slow
+    referee with identical verdict semantics.
     """
     workload = problem.workload
     msg_bytes = workload.message_size_bytes
     rates = workload.event_rates
+    capacity = problem.capacity_bytes
     num_vms = placement.num_vms
 
     # Flat assignment view, cached on the placement: one entry per
     # (vm, topic) group -- orders of magnitude fewer than pairs.
     vm_arr, topic_arr, size_arr, all_subs = placement.assignment_arrays()
-    if entries is not None:
-        starts = np.concatenate(([0], np.cumsum(size_arr[:-1])))
-        vm_arr = vm_arr[entries]
-        topic_arr = topic_arr[entries]
-        size_arr = size_arr[entries]
-        # Gather the selected groups' flat subscribers: lay the chosen
-        # chunks end to end via one repeat+arange fancy index.
-        out_starts = np.concatenate(([0], np.cumsum(size_arr[:-1])))
-        gather = np.repeat(starts[entries] - out_starts, size_arr) + np.arange(
-            int(size_arr.sum()), dtype=np.int64
-        )
-        all_subs = all_subs[gather]
     topic_bytes = rates[topic_arr] * msg_bytes if topic_arr.size else np.empty(0)
 
     # Duplicate subscribers inside one (vm, topic) group: one global
     # sorted pass over (group, subscriber) keys instead of a np.unique
     # per assignment.
-    duplicate_msgs: List[str] = []
+    messages: List[str] = []
     if all_subs.size:
         group_idx = np.repeat(np.arange(vm_arr.size, dtype=np.int64), size_arr)
         low = int(all_subs.min())
@@ -134,42 +108,15 @@ def _reduce_assignments(
         if dup_pos.size:
             # repolint: allow(VL01): message formatting over duplicate-bearing groups (broken placements only)
             for g in np.unique(gkeys[dup_pos] // span).tolist():
-                duplicate_msgs.append(
+                messages.append(
                     f"VM {vm_arr[g]} lists duplicate subscribers for "
                     f"topic {topic_arr[g]}"
                 )
+    accounting_ok = not messages
 
     # Capacity: Equation (2), per-VM out/in byte rates by bincount.
     out_bytes = np.bincount(vm_arr, weights=topic_bytes * size_arr, minlength=num_vms)
     in_bytes = np.bincount(vm_arr, weights=topic_bytes, minlength=num_vms)
-
-    # Satisfaction inputs: Equation (3), a pair counts if assigned to
-    # >= 1 VM.  Delivered (t, v) pairs, VM identity dropped; dedup +
-    # interest membership + per-subscriber sums all happen inside the
-    # vectorized reduction.
-    flat_topics = (
-        np.repeat(topic_arr, size_arr) if all_subs.size else np.empty(0, dtype=np.int64)
-    )
-    delivered = delivered_rates_from_arrays(workload, flat_topics, all_subs)
-    return out_bytes, in_bytes, delivered, duplicate_msgs
-
-
-def _verdict(
-    problem: MCSSProblem,
-    placement: Placement,
-    out_bytes: np.ndarray,
-    in_bytes: np.ndarray,
-    delivered: np.ndarray,
-    duplicate_msgs: List[str],
-) -> ValidationReport:
-    """Turn the (possibly summed) reduction vectors into the report."""
-    workload = problem.workload
-    capacity = problem.capacity_bytes
-    num_vms = placement.num_vms
-
-    accounting_ok = not duplicate_msgs
-    messages: List[str] = list(duplicate_msgs)
-
     used = out_bytes + in_bytes
     recorded = placement.used_bytes_array()
 
@@ -192,7 +139,14 @@ def _verdict(
                 f"says {used[b]:.3f} B"
             )
 
-    # Satisfaction verdict from the per-subscriber delivered rates.
+    # Satisfaction: Equation (3), a pair counts if assigned to >= 1 VM.
+    # Delivered (t, v) pairs, VM identity dropped; dedup + interest
+    # membership + per-subscriber sums all happen inside the vectorized
+    # reduction.
+    flat_topics = (
+        np.repeat(topic_arr, size_arr) if all_subs.size else np.empty(0, dtype=np.int64)
+    )
+    delivered = delivered_rates_from_arrays(workload, flat_topics, all_subs)
     thresholds = np.minimum(float(problem.tau), workload.interest_rate_sums())
     unsat_mask = delivered < thresholds * (1.0 - _REL_TOL)
     unsatisfied = [int(v) for v in np.flatnonzero(unsat_mask)]
@@ -209,18 +163,6 @@ def _verdict(
         unsatisfied_subscribers=unsatisfied,
         messages=messages,
     )
-
-
-def validate_placement(problem: MCSSProblem, placement: Placement) -> ValidationReport:
-    """Audit a placement; see the module docstring for the checks.
-
-    Vectorized fast path; :func:`validate_placement_loop` is the
-    independent slow referee with identical verdict semantics.
-    Internally one whole-array :func:`_reduce_assignments` pass feeding
-    :func:`_verdict`; :func:`repro.solver.sharded.sharded_validate`
-    reuses the same halves over topic shards.
-    """
-    return _verdict(problem, placement, *_reduce_assignments(problem, placement))
 
 
 def validate_placement_loop(

@@ -8,7 +8,6 @@ from .config import (
     make_plan,
     make_trace,
 )
-from .epochs import EpochRunResult, run_epoch_experiment
 from .figures import FIGURES, describe_figures, run_figure
 from .serve import ServeRunResult, run_serving_experiment
 from .ladder import LADDER_VARIANTS, LadderCell, LadderResult, run_cost_ladder
@@ -29,8 +28,6 @@ __all__ = [
     "calibrate_fraction",
     "make_plan",
     "make_trace",
-    "EpochRunResult",
-    "run_epoch_experiment",
     "ServeRunResult",
     "run_serving_experiment",
     "FIGURES",

@@ -1,11 +1,14 @@
-"""Checkpointed micro-epoch serving runs.
+"""Checkpointed churn -> reprovision runs, served as micro-epochs.
 
-:func:`run_serving_experiment` is the serving-layer sibling of
-:func:`~repro.experiments.epochs.run_epoch_experiment`: it drives a
-:class:`~repro.serving.MicroEpochService` under a
-:class:`~repro.dynamic.ChurnModel` for a fixed number of micro-epochs,
-checkpointing on cadence and resuming bit-exactly, and returns the
-per-micro-epoch reports plus the SLO metrics snapshot (exact
+:func:`run_serving_experiment` is the one driver of the dynamic loop
+(the periodic re-solve of Section IV-F, kept incremental): a
+:class:`~repro.dynamic.ChurnModel` feeds a
+:class:`~repro.serving.MicroEpochService` one epoch per micro-epoch
+for a fixed number of micro-epochs, checkpointing on cadence and
+resuming bit-exactly -- from the service's own checkpoints or from any
+:func:`~repro.resilience.save_checkpoint` that carries the churn
+stream.  It returns the per-micro-epoch reports (cost, fleet size,
+pairs added / removed / moved) plus the SLO metrics snapshot (exact
 p50/p95/p99 micro-epoch latency, ops/s, moves/s, sealed batch size,
 queue backlog, cost drift).
 
@@ -49,7 +52,9 @@ class ServeRunResult:
                 f"micro-epoch {r.micro_epoch:4d}  "
                 f"cost ${r.report.cost.total_usd:10.2f}  "
                 f"vms {r.report.cost.num_vms:4d}  ops {r.ops:5d}  "
-                f"{r.seconds * 1e3:8.2f} ms"
+                f"{r.seconds * 1e3:8.2f} ms  "
+                f"+{r.report.pairs_added} -{r.report.pairs_removed} "
+                f"~{r.report.pairs_moved} pairs"
                 + ("  [rebuilt]" if r.report.rebuilt else "")
             )
         m = self.metrics

@@ -13,7 +13,7 @@ Four small substrates, threaded through the sharded solve end to end:
 * :mod:`~repro.resilience.integrity` — atomic writes and per-member
   content digests for every on-disk artifact.
 * :mod:`~repro.resilience.checkpoint` — atomic checkpoint/restore so
-  killed epoch runs resume bit-exactly.
+  killed serving runs resume bit-exactly.
 
 See the "Failure model & recovery" section of docs/ARCHITECTURE.md.
 """

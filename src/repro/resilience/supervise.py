@@ -1,12 +1,12 @@
 """Process fan-out: ``supervised_map``, the one primitive, and its knobs.
 
-Subscriber-sharded GSP, topic-sharded validation and the ladder's taus
-split work into independent pieces and optionally run them across
-worker processes.  :func:`supervised_map` is the one primitive they
-share.  It uses the ``fork`` start method and passes work *by index*
-through a module-level table set before the children fork: children
-inherit the parent's address space, so mmap-backed workloads cross the
-process boundary as shared pages -- pickling them would densify every
+Subscriber-sharded GSP and the ladder's taus split work into
+independent pieces and optionally run them across worker processes.
+:func:`supervised_map` is the one primitive they share.  It uses the
+``fork`` start method and passes work *by index* through a
+module-level table set before the children fork: children inherit the
+parent's address space, so mmap-backed workloads cross the process
+boundary as shared pages -- pickling them would densify every
 ``np.memmap`` into a private copy, defeating the point of the mmap
 backend.  Only the (small) per-piece results travel back through
 pickles.  On top of that it adds the supervision a long-running
@@ -104,8 +104,8 @@ def subscriber_shards(num_subscribers: int) -> List[Tuple[int, int]]:
     """The ``MCSS_SHARD_SIZE`` subscriber ranges of a workload.
 
     More than one range means the workload is solved out of core:
-    Stage 1 runs per shard and merges, and the final audit runs over
-    topic shards (forked when ``MCSS_SHARD_WORKERS > 1``).
+    Stage 1 runs per shard (forked when ``MCSS_SHARD_WORKERS > 1``) and
+    merges bit-exactly.
     """
     return shard_bounds(num_subscribers, default_shard_size())
 

@@ -18,8 +18,9 @@ long-running service:
   batch size, queue backlog, cost drift);
 * on cadence the service checkpoints through
   :mod:`repro.resilience.checkpoint` and :meth:`resume` continues a
-  killed run bit-exactly -- the same guarantee the epoch experiments
-  pin, extended with the serving counters.
+  killed run bit-exactly, serving counters included.  The micro-epoch
+  count is the reprovisioner's epoch, so a checkpoint without serving
+  counters resumes at the right micro-epoch too.
 
 The service constructs no RNGs: churn randomness lives in the caller's
 :class:`~repro.dynamic.churn.ChurnModel`, keeping the serving layer
@@ -122,7 +123,8 @@ class MicroEpochService:
         self._clock = clock if clock is not None else time.perf_counter
         self._queue = ChurnIngestQueue()
         self._metrics = ServingMetrics(clock=self._clock)
-        self._micro_epochs = 0
+        # The reprovisioner's epochs are micro-epochs already served.
+        self._metrics.registry.counter("serve.micro_epochs").inc(reprovisioner.epoch)
         self._churn_model = None
 
     # ---- read surface ------------------------------------------------
@@ -148,8 +150,12 @@ class MicroEpochService:
 
     @property
     def micro_epochs(self) -> int:
-        """Micro-epochs served (including before a resume)."""
-        return self._micro_epochs
+        """Micro-epochs served (including before a resume).
+
+        One micro-epoch is one reprovisioner step, so this is the
+        reprovisioner's epoch.
+        """
+        return self._reprovisioner.epoch
 
     def placement(self):
         """The live placement."""
@@ -187,7 +193,6 @@ class MicroEpochService:
         t0 = self._clock()
         report = self._reprovisioner.step(delta)
         seconds = self._clock() - t0
-        self._micro_epochs += 1
         ops = int(
             delta.subscribed_topics.size
             + delta.unsubscribed_topics.size
@@ -203,10 +208,10 @@ class MicroEpochService:
             num_vms=self._reprovisioner.num_vms,
         )
         cfg = self._config
-        if cfg.checkpoint_every and self._micro_epochs % cfg.checkpoint_every == 0:
+        if cfg.checkpoint_every and self.micro_epochs % cfg.checkpoint_every == 0:
             self.checkpoint(cfg.checkpoint_path)
         return MicroEpochReport(
-            micro_epoch=self._micro_epochs,
+            micro_epoch=self.micro_epochs,
             report=report,
             ops=ops,
             batch_ops=batch_ops,
@@ -238,7 +243,7 @@ class MicroEpochService:
         """The serving counters that ride along in a checkpoint."""
         reg = self._metrics.registry
         return {
-            "micro_epochs": self._micro_epochs,
+            "micro_epochs": self.micro_epochs,
             "ops": int(reg.counter("serve.ops").value),
             "moves": int(reg.counter("serve.moves").value),
             "pairs_added": int(reg.counter("serve.pairs_added").value),
@@ -269,19 +274,17 @@ class MicroEpochService:
     ):
         """Restore ``(service, churn_model_or_None)`` from a checkpoint.
 
-        The reprovisioner resumes bit-exactly (same guarantee as the
-        epoch experiments); the serving counters continue from their
-        checkpointed values.  Latency samples are wall-clock and start
-        fresh -- quantiles describe the current process, not the dead
-        one.
+        The reprovisioner resumes bit-exactly, and the micro-epoch count
+        with it; the other serving counters continue from their
+        checkpointed values, or from 0 when the checkpoint carries none.
+        Latency samples are wall-clock and start fresh -- quantiles
+        describe the current process, not the dead one.
         """
         reprovisioner, churn_model = load_checkpoint(path, plan, solver=solver)
         inst = cls.from_reprovisioner(reprovisioner, config, clock=clock)
         state = load_serving_state(path)
         if state is not None:
-            inst._micro_epochs = int(state["micro_epochs"])
             reg = inst._metrics.registry
-            reg.counter("serve.micro_epochs").inc(inst._micro_epochs)
             reg.counter("serve.ops").inc(int(state["ops"]))
             reg.counter("serve.moves").inc(int(state["moves"]))
             reg.counter("serve.pairs_added").inc(int(state["pairs_added"]))

@@ -1,6 +1,5 @@
 """The two-stage MCSS solver pipeline (Section III)."""
 
 from .pipeline import MCSSSolution, MCSSSolver
-from .sharded import sharded_validate
 
-__all__ = ["MCSSSolution", "MCSSSolver", "sharded_validate"]
+__all__ = ["MCSSSolution", "MCSSSolver"]

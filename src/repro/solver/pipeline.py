@@ -33,9 +33,7 @@ from ..packing import (
     PackingAlgorithm,
     get_packer,
 )
-from ..resilience.supervise import subscriber_shards
 from ..selection import GreedySelectPairs, RandomSelectPairs, SelectionAlgorithm, get_selector
-from .sharded import sharded_validate
 
 __all__ = ["MCSSSolution", "MCSSSolver"]
 
@@ -50,8 +48,7 @@ class MCSSSolution:
     cost: SolutionCost
     selection_seconds: float
     packing_seconds: float
-    #: Wall time of the placement audit (``validate_placement``, or its
-    #: topic-sharded form out of core).
+    #: Wall time of the placement audit (``validate_placement``).
     validation_seconds: float
     selector_name: str
     packer_name: str
@@ -127,13 +124,12 @@ class MCSSSolver:
 
         A workload wider than one ``MCSS_SHARD_SIZE`` of subscribers is
         solved out of core with the same result: GSP selects shard by
-        shard and merges bit-exactly (:mod:`repro.selection.sharded`),
-        and the audit may fan out over topic shards
-        (:meth:`solve_with_selection`).  Stage 2 stays one sequential
-        pack -- CBP's bin state is a chain of dependent decisions --
-        but it only touches selection-sized arrays, which is what lets
-        a 100M-pair problem pack in a small RAM budget when the
-        workload itself is mmap-backed.
+        shard and merges bit-exactly (:mod:`repro.selection.sharded`).
+        Stage 2 stays one sequential pack -- CBP's bin state is a chain
+        of dependent decisions -- but it only touches selection-sized
+        arrays, which is what lets a 100M-pair problem pack in a small
+        RAM budget when the workload itself is mmap-backed.  The audit
+        is the whole-array :func:`validate_placement` at every size.
         """
         t0 = time.perf_counter()
         selection = self.selector.select(problem)
@@ -160,20 +156,14 @@ class MCSSSolver:
         shared-selection sweeps still report a Stage-1 time.
 
         The audit is :func:`validate_placement`, looked up in this
-        module on every call so a patched one sees every solve.  A
-        workload spanning more than one ``MCSS_SHARD_SIZE`` range is
-        audited with the same reduction over topic shards
-        (:func:`~repro.solver.sharded.sharded_validate`, which keeps
-        one shard, in process, unless ``MCSS_SHARD_WORKERS > 1``).
+        module on every call so a patched one sees every solve, in or
+        out of core.
         """
         t1 = time.perf_counter()
         placement = self.packer.pack(problem, selection)
         t2 = time.perf_counter()
 
-        out_of_core = len(subscriber_shards(problem.workload.num_subscribers)) > 1
-        report = (sharded_validate if out_of_core else validate_placement)(
-            problem, placement
-        )
+        report = validate_placement(problem, placement)
         t3 = time.perf_counter()
         if self.validate:
             report.raise_if_invalid()

@@ -109,3 +109,14 @@ class TestTraceStatistics:
         w = Workload([1.0], [[]])
         sc = subscription_cardinality(w)
         assert sc[0] == 0.0
+
+    def test_sc_of_a_topicless_workload_rejected(self):
+        # No topics, no published events: SC has no denominator.
+        with pytest.raises(ValueError, match="no events"):
+            subscription_cardinality(Workload([], [[], []]))
+
+    def test_userless_graph_has_no_followings(self):
+        empty = np.empty(0, dtype=np.int64)
+        graph = SocialGraph.from_followings([], follower_counts=empty, event_counts=empty)
+        assert graph.num_users == 0
+        assert graph.followings == ()

@@ -92,6 +92,22 @@ class TestBackends:
         assert not is_mapped(np.arange(64, dtype=np.int64))
         assert not is_mapped(np.array(mapped))  # a real copy
 
+    def test_is_mapped_sees_a_raw_mmap_buffer(self, tmp_path):
+        # A frombuffer view over an mmap.mmap object has no memmap in
+        # its chain, only the raw map as its base.
+        import mmap
+
+        path = tmp_path / "raw.bin"
+        path.write_bytes(np.arange(8, dtype=np.int64).tobytes())
+        with open(path, "rb") as fh:
+            raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        view = np.frombuffer(raw, dtype=np.int64)
+        assert view.tolist() == list(range(8))
+        assert is_mapped(view)
+        assert is_mapped(view[2:5])
+        del view
+        raw.close()
+
 
 class TestMmapWorkload:
     def test_mmap_load_is_backed_by_the_file(self, tmp_path, small_zipf):

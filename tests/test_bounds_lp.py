@@ -31,6 +31,14 @@ class TestLPBoundSoundness:
         lp = lp_lower_bound(problem)
         assert lp.total_usd <= solution.cost.total_usd * (1 + 1e-6)
 
+    def test_tau_zero_bound_is_zero(self):
+        # Every subscriber's row drops out (tau_v = 0): the LP has no
+        # constraints and its optimum is the empty deployment.
+        w = Workload([3.0, 5.0], [[0], [1], [0, 1]], message_size_bytes=1.0)
+        problem = MCSSProblem(w, 0.0, make_unit_plan(100.0, vm_price=3.0))
+        assert lp_lower_bound(problem).total_usd == 0.0
+        assert best_lower_bound(problem).total_usd == 0.0
+
     def test_below_exact_optimum(self):
         w = Workload([4.0, 7.0, 3.0], [[0, 1], [1, 2], [0, 2]], message_size_bytes=1.0)
         problem = MCSSProblem(w, 6, make_unit_plan(20.0, vm_price=3.0))

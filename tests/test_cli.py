@@ -3,15 +3,33 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.core import MCSSProblem
+from repro.dynamic import ChurnConfig, ChurnModel, IncrementalReprovisioner
+from repro.experiments import ExperimentScale, make_plan, make_trace
+from repro.resilience import save_checkpoint
 from repro.serving import ServingMetrics
 
-# A Spotify draw small enough that one serve/churn run takes milliseconds.
+# A Spotify draw small enough that one serve run takes milliseconds.
 SERVE = ["serve", "--users", "800", "--seed", "1"]
-CHURN = ["churn", "--users", "800", "--seed", "1"]
+
+
+def epoch_lines(out):
+    """The per-micro-epoch lines of a serve run, latency column dropped."""
+    return [
+        re.sub(r" +\d+\.\d+ ms +", "  ", line)
+        for line in out.splitlines()
+        if line.startswith("micro-epoch ")
+    ]
 
 
 class TestParser:
@@ -34,6 +52,12 @@ class TestParser:
         args = build_parser().parse_args(["figure", "fig2a", "--users", "500"])
         assert args.figure_id == "fig2a"
         assert args.users == 500
+
+    def test_churn_subcommand_is_gone(self, capsys):
+        # `mcss serve` is the one churn -> reprovision driver.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["churn", "--epochs", "4"])
+        assert "invalid choice: 'churn'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -65,6 +89,19 @@ class TestCommands:
         assert code == 0
         assert "fig9" in capsys.readouterr().out
 
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        listed = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert listed.returncode == 0, listed.stderr
+        assert "fig2a" in listed.stdout
+
     def test_unknown_figure_raises(self):
         with pytest.raises(KeyError):
             main(["figure", "fig99"])
@@ -87,7 +124,7 @@ class TestCommands:
         assert "#followers" in out
 
 
-class TestServeAndChurn:
+class TestServe:
     @pytest.mark.parametrize(
         "bound, code, verdict",
         [("5", 0, "SLO: met"), ("1e-9", 1, "SLO: MISSED")],
@@ -134,19 +171,70 @@ class TestServeAndChurn:
         ):
             assert got[name] == ref[name], name
 
-    def test_churn_kill_and_resume(self, tmp_path, capsys):
-        def epoch_lines(out):
-            return [line for line in out.splitlines() if line.startswith("epoch ")]
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--fresh-solve-every", "0"], "fresh_solve_every must be"),
+            (["--checkpoint-every", "2"], "needs a checkpoint_path"),
+            (["--resume"], "resume requires"),
+            (["--epochs", "-1"], "micro_epochs must be"),
+        ],
+        ids=["zero-cadence", "cadence-without-path", "resume-without-path",
+             "negative-epochs"],
+    )
+    def test_serve_rejects_bad_flags(self, flags, match):
+        with pytest.raises(ValueError, match=match):
+            main(SERVE + flags)
 
-        ckpt = str(tmp_path / "churn.npz")
-        assert main(CHURN + ["--epochs", "6"]) == 0
+    def test_serve_prints_pair_counts(self, capsys):
+        assert main(SERVE + ["--epochs", "2"]) == 0
+        lines = epoch_lines(capsys.readouterr().out)
+        assert len(lines) == 2
+        for line in lines:
+            assert re.search(r"ops +\d+  \+\d+ -\d+ ~\d+ pairs$", line), line
+
+    def test_serve_resume_prints_the_uninterrupted_lines(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "serve.npz")
+        assert main(SERVE + ["--epochs", "6"]) == 0
         ref = epoch_lines(capsys.readouterr().out)
+        assert len(ref) == 6
         assert main(
-            CHURN + ["--epochs", "4", "--checkpoint", ckpt,
+            SERVE + ["--epochs", "4", "--checkpoint", ckpt,
                      "--checkpoint-every", "2"]
         ) == 0
-        capsys.readouterr()
-        assert main(CHURN + ["--epochs", "6", "--checkpoint", ckpt, "--resume"]) == 0
+        first = epoch_lines(capsys.readouterr().out)
+        assert main(SERVE + ["--epochs", "6", "--checkpoint", ckpt, "--resume"]) == 0
         out = capsys.readouterr().out
-        assert "resumed from epoch 4" in out
-        assert epoch_lines(out) == ref[4:]
+        assert "resumed from micro-epoch 4" in out
+        assert first + epoch_lines(out) == ref
+
+    def test_serve_resumes_a_checkpoint_without_serving_counters(
+        self, tmp_path, capsys
+    ):
+        # A checkpoint of the bare reprovisioner and churn stream (no
+        # serving counters) resumes at its epoch, not at micro-epoch 0.
+        scale = ExperimentScale(num_users=800, seed=1)
+        trace = make_trace("spotify", scale)
+        plan = make_plan("c3.large", trace.workload, scale)
+        reprov = IncrementalReprovisioner(MCSSProblem(trace.workload, 100.0, plan))
+        model = ChurnModel(trace.workload, ChurnConfig(), seed=0)
+        for _ in range(4):
+            reprov.step(model.step())
+        ckpt = str(tmp_path / "bare.npz")
+        save_checkpoint(ckpt, reprov, model)
+
+        ref_path = tmp_path / "ref.json"
+        got_path = tmp_path / "got.json"
+        assert main(SERVE + ["--epochs", "6", "--metrics-out", str(ref_path)]) == 0
+        ref_lines = epoch_lines(capsys.readouterr().out)
+        assert main(
+            SERVE + ["--epochs", "6", "--checkpoint", ckpt, "--resume",
+                     "--metrics-out", str(got_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "resumed from micro-epoch 4" in out
+        assert epoch_lines(out) == ref_lines[4:]
+        ref = json.loads(ref_path.read_text())
+        got = json.loads(got_path.read_text())
+        for name in ("serve.micro_epochs", "serve.cost_usd", "serve.num_vms"):
+            assert got[name] == ref[name], name

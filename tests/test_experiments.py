@@ -29,7 +29,7 @@ from repro.experiments import (
 from repro.bounds import lower_bound
 from repro.core import MCSSProblem, Workload
 from repro.dynamic import IncrementalReprovisioner
-from repro.experiments import run_epoch_experiment, run_serving_experiment
+from repro.experiments import run_serving_experiment
 from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
 from repro.resilience import save_checkpoint
@@ -296,7 +296,7 @@ class TestFormatTable:
 
 
 class TestRunnerValidation:
-    """The churn and serve runners reject bad input before running."""
+    """The serving runner rejects bad input before running."""
 
     @pytest.fixture
     def problem(self, tmp_path, monkeypatch):
@@ -306,29 +306,6 @@ class TestRunnerValidation:
         problem = MCSSProblem(zipf_workload(10, 30, seed=5), 20, make_unit_plan(1e7))
         save_checkpoint("churnless.npz", IncrementalReprovisioner(problem))
         return problem
-
-    @pytest.mark.parametrize(
-        "epochs, options, match",
-        [
-            (-1, {}, "epochs must be"),
-            (2, {"checkpoint_every": -1}, "checkpoint_every must be"),
-            (2, {"checkpoint_every": 2}, "requires checkpoint_path"),
-            (2, {"resume": True}, "resume requires"),
-            (2, {"resume": True, "checkpoint_path": "churnless.npz"}, "no churn state"),
-        ],
-        ids=[
-            "negative-epochs",
-            "negative-checkpoint-every",
-            "checkpoint-every-without-path",
-            "resume-without-path",
-            "checkpoint-without-churn-state",
-        ],
-    )
-    def test_epoch_runner_rejects(self, problem, epochs, options, match):
-        with pytest.raises(ValueError, match=match):
-            run_epoch_experiment(
-                problem.workload, problem.plan, problem.tau, epochs, **options
-            )
 
     @pytest.mark.parametrize(
         "micro_epochs, options, match",
@@ -343,11 +320,23 @@ class TestRunnerValidation:
                 },
                 "no churn state",
             ),
+            (
+                2,
+                {"serving_config": ServingConfig(rebuild_threshold=0.99)},
+                "rebuild_threshold must be",
+            ),
+            (
+                2,
+                {"serving_config": ServingConfig(fresh_solve_every=0)},
+                "fresh_solve_every must be",
+            ),
         ],
         ids=[
             "negative-micro-epochs",
             "resume-without-path",
             "checkpoint-without-churn-state",
+            "rebuild-threshold-below-one",
+            "fresh-solve-every-zero",
         ],
     )
     def test_serving_runner_rejects(self, problem, micro_epochs, options, match):
@@ -355,3 +344,18 @@ class TestRunnerValidation:
             run_serving_experiment(
                 problem.workload, problem.plan, problem.tau, micro_epochs, **options
             )
+
+    def test_resume_without_a_checkpoint_file_starts_fresh(self, problem):
+        config = ServingConfig(checkpoint_path="new.npz", checkpoint_every=2)
+        result = run_serving_experiment(
+            problem.workload, problem.plan, problem.tau, 4,
+            serving_config=config, resume=True,
+        )
+        assert result.resumed_from_micro_epoch == 0
+        assert [r.micro_epoch for r in result.reports] == [1, 2, 3, 4]
+        assert result.checkpoints_written == 2
+        again = run_serving_experiment(
+            problem.workload, problem.plan, problem.tau, 4,
+            serving_config=config, resume=True,
+        )
+        assert again.resumed_from_micro_epoch == 4 and again.reports == []

@@ -68,17 +68,6 @@ class TestVirtualMachine:
         with pytest.raises(ValueError):
             vm.add_pairs(0, 1.0, 0)
 
-    @pytest.mark.parametrize(
-        "count, match", [(0, "positive"), (3, "only 2 here")], ids=["zero", "too-many"]
-    )
-    def test_remove_pairs_rejects_bad_counts(self, count, match):
-        vm = VirtualMachine(40.0)
-        vm.add_pairs(0, 5.0, 2)
-        with pytest.raises(ValueError, match=match):
-            vm.remove_pairs(0, 5.0, count)
-        assert vm.pair_count(0) == 2
-        assert vm.used_bytes == pytest.approx(15.0)
-
     def test_fits_accounts_for_new_topic(self):
         vm = VirtualMachine(25.0)
         assert vm.fits(10.0, 1, new_topic=True)  # 20 <= 25
@@ -185,84 +174,6 @@ class TestPlacement:
     def test_invalid_capacity(self, tiny_workload):
         with pytest.raises(ValueError):
             Placement(tiny_workload, 0)
-
-
-class TestBatchRemoval:
-    """remove_range / remove_topic: the assign_range mirrors."""
-
-    def _placement(self, tiny_workload):
-        p = Placement(tiny_workload, 200.0)
-        a, b = p.new_vm(), p.new_vm()
-        p.assign(a, 0, [0, 1])
-        p.assign(a, 1, [0])
-        p.assign(b, 1, [1, 2])
-        return p, a, b
-
-    def test_remove_range_partial(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        before = p.vm(a).used_bytes
-        p.remove_range(a, 0, np.asarray([1]))
-        assert p.members(a, 0) == [0]
-        assert p.vm(a).pair_count(0) == 1
-        # One outgoing copy of topic 0 (rate 20) freed.
-        assert p.vm(a).used_bytes == pytest.approx(before - 20.0)
-        assert p.hosting_vms(0) == [a]  # still ingesting
-
-    def test_remove_range_empties_group(self, tiny_workload):
-        p, a, b = self._placement(tiny_workload)
-        p.remove_range(a, 1, np.asarray([0]))
-        assert p.members(a, 1) == []
-        assert not p.vm(a).hosts_topic(1)
-        assert p.hosting_vms(1) == [b]
-        assert p.num_pairs == 4
-
-    def test_remove_topic_returns_members(self, tiny_workload):
-        p, _a, b = self._placement(tiny_workload)
-        total_before = p.total_bytes
-        members = p.remove_topic(b, 1)
-        assert sorted(members.tolist()) == [1, 2]
-        assert p.vm(b).used_bytes == 0.0
-        # Two outgoing + one incoming copy of topic 1 (rate 10) freed.
-        assert p.total_bytes == pytest.approx(total_before - 30.0)
-
-    def test_remove_unassigned_raises(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        with pytest.raises(ValueError):
-            p.remove_range(a, 0, np.asarray([2]))  # not on this VM
-        with pytest.raises(ValueError):
-            p.remove_range(a, 1, np.asarray([0, 0]))  # duplicates
-        with pytest.raises(ValueError):
-            p.remove_topic(a, 5)  # not hosted
-
-    def test_remove_range_empty_is_noop(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        before = (p.num_pairs, p.total_bytes, p.members(a, 0))
-        p.remove_range(a, 0, np.asarray([], dtype=np.int64))
-        p.remove_range(a, 5, [])  # not even hosted: still nothing to do
-        assert (p.num_pairs, p.total_bytes, p.members(a, 0)) == before
-
-    def test_remove_range_unhosted_topic_raises(self, tiny_workload):
-        p, _a, b = self._placement(tiny_workload)
-        with pytest.raises(ValueError, match="hosts no pairs of topic 0"):
-            p.remove_range(b, 0, np.asarray([0]))
-
-    def test_removing_last_host_forgets_topic(self, tiny_workload):
-        p, a, _b = self._placement(tiny_workload)
-        p.remove_range(a, 0, np.asarray([0, 1]))
-        assert p.hosting_vms(0) == []
-        assert not p.hosts_mask(0).any()
-        assert p.topic_replicas(0) == 0
-        # The topic can be placed again from scratch afterwards.
-        p.assign_range(a, 0, np.asarray([1]))
-        assert p.hosting_vms(0) == [a]
-
-    def test_remove_then_reassign_roundtrip(self, tiny_workload):
-        p, a, b = self._placement(tiny_workload)
-        moved = p.remove_topic(a, 1)
-        p.assign_range(b, 1, moved)
-        assert sorted(p.members(b, 1)) == [0, 1, 2]
-        assert p.num_pairs == 5
-        assert p.hosting_vms(1) == [b]
 
 
 class TestFromPairArrays:
@@ -383,13 +294,16 @@ class TestBatchAssignment:
         assert p.members(b, 0) == [0, 1]
 
     def test_assign_range_adopts_read_only_input(self, tiny_workload):
-        # The CSR slices the packers pass are read-only: adopted, not copied.
+        # The CSR slices the packers pass are read-only: adopted, not
+        # copied, so the group's members are the caller's buffer.
         p = Placement(tiny_workload, 200.0)
         b = p.new_vm()
-        subs = np.asarray([0, 1], dtype=np.int64)
+        buffer = np.asarray([0, 1], dtype=np.int64)
+        subs = buffer.view()
         subs.setflags(write=False)
         p.assign_range(b, 0, subs)
-        assert np.shares_memory(p.remove_topic(b, 0), subs)
+        buffer[:] = 2
+        assert p.members(b, 0) == [2, 2]
 
     def test_capacity_error_leaves_placement_unchanged(self, tiny_workload):
         p = Placement(tiny_workload, 50.0)
@@ -483,10 +397,9 @@ class TestFromGroups:
     def test_views_match_after_the_same_mutations(self):
         batch, manual = self._pair()
         for p in (batch, manual):
-            p.remove_range(1, 1, np.asarray([1]))
-            moved = p.remove_topic(1, 0)
-            p.assign_range(p.new_vm(), 0, moved)
+            p.assign_range(p.new_vm(), 0, np.asarray([0, 1]))
             p.assign_range(2, 0, np.asarray([3]))
+            p.assign_range(1, 1, np.asarray([2]))
         assert _views(batch) == _views(manual)
 
     def test_first_per_vm_call_builds_the_fleet(self):

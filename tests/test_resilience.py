@@ -36,7 +36,7 @@ from repro.resilience import (
     supervised_map,
 )
 from repro.selection import GreedySelectPairs
-from repro.solver import MCSSSolver, sharded_validate
+from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload
 from tests.conftest import make_unit_plan
 
@@ -297,16 +297,6 @@ class TestFaultedPipeline:
         for a, b in zip(got.csr_arrays(), expected.csr_arrays()):
             np.testing.assert_array_equal(a, b)
 
-    def test_sharded_validation_survives_env_faults(self, small_zipf, monkeypatch):
-        problem = self._problem(small_zipf)
-        solution = MCSSSolver.paper().solve(problem)
-        monkeypatch.setenv("MCSS_FAULT_PLAN", "kill:1:*")
-        monkeypatch.setenv("MCSS_MAX_RETRIES", "0")
-        report = sharded_validate(
-            problem, solution.placement, shards=4, workers=2
-        )
-        assert report.ok == validate_ok(solution, problem)
-
     def test_out_of_core_solve_bit_exact_under_faults(
         self, small_zipf, monkeypatch, force_shards
     ):
@@ -316,12 +306,6 @@ class TestFaultedPipeline:
         force_shards(50, workers=2)
         got = MCSSSolver.paper().solve(problem)
         assert got.cost == expected.cost
-
-
-def validate_ok(solution, problem) -> bool:
-    from repro.core import validate_placement
-
-    return validate_placement(problem, solution.placement).ok
 
 
 class TestAtomicWrite:

@@ -68,6 +68,16 @@ class TestDeliveredRate:
         assert rates.tolist() == [20.0, 0.0, 10.0]
         assert rates[0] == delivered_rate(tiny_workload, 0, [0, 5])
 
+    def test_array_valued_deliveries_match_lists(self, tiny_workload):
+        lists = {0: [1, 0], 2: [0, 1]}
+        arrays = {v: np.asarray(t, dtype=np.int32) for v, t in lists.items()}
+        assert unsatisfied_subscribers(tiny_workload, arrays, tau=30) == (
+            unsatisfied_subscribers(tiny_workload, lists, tau=30)
+        )
+        assert satisfied_mask(tiny_workload, arrays, tau=30).tolist() == [
+            True, False, True
+        ]
+
 
 class TestSatisfaction:
     def test_exact_threshold_is_satisfied(self, tiny_workload):

@@ -204,10 +204,11 @@ def test_out_of_core_hundred_million_pairs(tmp_path, force_shards):
     chunk straight to disk, re-opened memory-mapped, and solved with
     the sharded pipeline.  The flat CSR arrays alone are ~2 GB, so the
     traced-memory bound below is only reachable because every stage --
-    chunked generation, mmap load, subscriber-sharded Stage 1,
-    topic-sharded validation -- works on shard-sized slices.  mmap
-    pages are the kernel's, not the Python heap's, which is exactly
-    what tracemalloc certifies here.
+    chunked generation, mmap load, subscriber-sharded Stage 1, one
+    sequential pack and the whole-array audit over the selection --
+    keeps the workload's CSR on disk.  mmap pages are the kernel's,
+    not the Python heap's, which is exactly what tracemalloc certifies
+    here.
     """
     force_shards(1_000_000)
     tracemalloc.start()

@@ -611,7 +611,68 @@ class TestServingCheckpointResume:
 
         service, churn_model = MicroEpochService.resume(path, problem.plan)
         assert churn_model is not None
-        assert service.micro_epochs == 0  # no serving counters recorded
-        assert service.metrics.registry.counter("serve.ops").value == 0
+        assert service.micro_epochs == reprov.epoch == 1
+        reg = service.metrics.registry
+        assert reg.counter("serve.micro_epochs").value == 1
+        assert reg.counter("serve.ops").value == 0  # no serving counters recorded
         service.serve(churn_model, 1)
-        assert service.micro_epochs == 1
+        assert service.micro_epochs == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runner_resumes_a_checkpoint_without_serving_counters(
+        self, seed, tmp_path
+    ):
+        # A bare reprovisioner + churn-stream checkpoint, four epochs in,
+        # continues at micro-epoch 5 exactly as the uninterrupted run.
+        from repro.experiments import run_serving_experiment
+        from repro.resilience import save_checkpoint
+
+        rng = np.random.default_rng(19_000 + seed)
+        workload = edgy_workload(rng)
+        problem = churn_problem(workload, rng)
+        path = str(tmp_path / "bare.npz")
+        model = ChurnModel(workload, CHURN, seed=seed)
+        reprov = IncrementalReprovisioner(problem)
+        for _ in range(4):
+            reprov.step(model.step())
+        save_checkpoint(path, reprov, model)
+
+        ref = run_serving_experiment(
+            workload, problem.plan, problem.tau, 6, seed=seed, churn_config=CHURN
+        )
+        resumed = run_serving_experiment(
+            workload, problem.plan, problem.tau, 6, seed=seed, churn_config=CHURN,
+            serving_config=ServingConfig(checkpoint_path=path), resume=True,
+        )
+        assert resumed.resumed_from_micro_epoch == 4
+        assert [r.micro_epoch for r in resumed.reports] == [5, 6]
+        for got, want in zip(resumed.reports, ref.reports[4:]):
+            self._assert_same_report(got, want)
+        assert diff_placements(
+            resumed.service.placement(), ref.service.placement()
+        ) is None
+        assert resumed.service.reprovisioner.epoch == 6
+        assert resumed.metrics["serve.micro_epochs"] == 6
+
+    def test_wrapped_reprovisioner_counts_from_its_epoch(self, tmp_path):
+        # One counter: a wrapped reprovisioner's epochs are micro-epochs
+        # already served, for the reports and the checkpoint cadence.
+        from repro.resilience import load_serving_state
+
+        rng = np.random.default_rng(98)
+        workload = edgy_workload(rng)
+        problem = churn_problem(workload, rng)
+        model = ChurnModel(workload, CHURN, seed=3)
+        reprov = IncrementalReprovisioner(problem)
+        for _ in range(2):
+            reprov.step(model.step())
+        path = tmp_path / "wrapped.npz"
+        service = MicroEpochService.from_reprovisioner(
+            reprov, ServingConfig(checkpoint_path=str(path), checkpoint_every=3)
+        )
+        assert service.micro_epochs == 2
+        assert service.config.checkpoint_every == 3
+        served = service.serve(model, 1)
+        assert served[0].micro_epoch == service.micro_epochs == 3
+        assert service.metrics_snapshot()["serve.micro_epochs"] == 3
+        assert load_serving_state(path)["micro_epochs"] == 3

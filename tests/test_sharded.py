@@ -1,14 +1,14 @@
-"""Sharded Stage 1 / sharded validation == the whole-array paths, exactly.
+"""Out-of-core solves == the in-RAM paths, exactly.
 
-The out-of-core pipeline (subscriber-sharded GSP, topic-sharded
-validation, forked fan-outs) claims *bit-exactness* with the in-RAM
-single-process solve -- not statistical agreement.  These tests pin
-that claim on the edgy randomized workloads of the equivalence suite,
-including merges over adversarial shard boundaries (empty shards,
-single-subscriber shards) and broken placements for the validator.
-The solver picks the out-of-core path by workload size, so the tests
-force it through the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS``
-knobs.
+The out-of-core pipeline (subscriber-sharded GSP, forked fan-outs,
+mmap-backed workloads, and the same whole-array audit) claims
+*bit-exactness* with the in-RAM single-process solve -- not
+statistical agreement.  These tests pin that claim on the edgy
+randomized workloads of the equivalence suite, including merges over
+adversarial shard boundaries (empty shards, single-subscriber shards)
+and broken placements audited on memory-mapped storage.  The solver
+picks the out-of-core path by workload size, so the tests force it
+through the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MCSSProblem, Workload, validate_placement
+from repro.core import MCSSProblem, validate_placement, validate_placement_loop
+from repro.core.backend import is_mapped
 from repro.packing import FFBinPacking, diff_placements
 from repro.resilience import shard_bounds, subscriber_shards
 from repro.selection import GreedySelectPairs, merge_shard_groups
-from repro.solver import MCSSSolver, sharded_validate
-from repro.workloads import zipf_workload
+from repro.solver import MCSSSolver
+from repro.workloads import load_workload, save_workload, zipf_workload
 from tests.conftest import make_unit_plan
 from tests.test_vectorized_equivalence import edgy_workload, taus_for
 
@@ -107,50 +108,28 @@ class TestShardMerge:
             GreedySelectPairs().select(problem)
 
 
-class TestShardedValidate:
+class TestMmapAudit:
+    """The out-of-core audit is ``validate_placement`` on mapped storage."""
+
     @pytest.mark.parametrize("seed", range(NUM_RANDOM_WORKLOADS))
-    def test_solved_and_broken_placements(self, seed):
+    def test_solved_and_broken_placements(self, seed, tmp_path):
         rng = np.random.default_rng(32_000 + seed)
         workload = edgy_workload(rng)
+        mapped = load_workload(save_workload(workload, tmp_path / "edgy"), mmap=True)
+        assert is_mapped(mapped.interest_topics)
         max_rate = float(workload.event_rates.max())
-        big = MCSSProblem(workload, 8.0, make_unit_plan(1e9))
+        big = MCSSProblem(mapped, 8.0, make_unit_plan(1e9))
         placement = FFBinPacking().pack(big, GreedySelectPairs().select(big))
         # A feasible audit and a deliberately violated one (tight
-        # capacity + higher tau): both verdicts must match the
-        # whole-array validator field for field.
-        tight = MCSSProblem(workload, 50.0, make_unit_plan(2.0 * max_rate))
-        for problem in (big, tight):
-            expected = validate_placement(problem, placement)
-            for shards in (1, 2, 3, 7):
-                got = sharded_validate(
-                    problem, placement, shards=shards, workers=2 if shards > 2 else 1
-                )
-                assert got.ok == expected.ok, f"shards={shards}"
-                assert got.capacity_ok == expected.capacity_ok
-                assert got.satisfaction_ok == expected.satisfaction_ok
-                assert got.accounting_ok == expected.accounting_ok
-                assert got.overloaded_vms == expected.overloaded_vms
-                assert (
-                    got.unsatisfied_subscribers == expected.unsatisfied_subscribers
-                )
-
-    def test_duplicate_assignments_detected_across_shards(self, tiny_problem):
-        p = tiny_problem.empty_placement()
-        b = p.new_vm()
-        p.assign(b, 0, [0])
-        p.assign(b, 0, [0])
-        expected = validate_placement(tiny_problem, p)
-        got = sharded_validate(tiny_problem, p, shards=2)
-        assert got.accounting_ok == expected.accounting_ok is False
-
-    @pytest.mark.parametrize("shards", (2, 3))
-    def test_topicless_workload(self, shards):
-        # Zero topics over any shard count is an empty partition, not
-        # a zero-sized shard: the verdict matches the whole-array one.
-        problem = MCSSProblem(Workload([], [[], []]), 10.0, make_unit_plan(1e6))
-        placement = problem.empty_placement()
-        assert validate_placement(problem, placement).ok
-        assert sharded_validate(problem, placement, shards=shards).ok
+        # capacity + higher tau): the mapped audit must match the loop
+        # referee on the in-RAM workload field for field (dataclass ==).
+        verdicts = []
+        for tau, plan in ((8.0, big.plan), (50.0, make_unit_plan(2.0 * max_rate))):
+            got = validate_placement(MCSSProblem(mapped, tau, plan), placement)
+            want = validate_placement_loop(MCSSProblem(workload, tau, plan), placement)
+            assert got == want, f"tau={tau}"
+            verdicts.append(got.ok)
+        assert verdicts == [True, False]
 
 
 class TestSolveSharded:
@@ -193,8 +172,8 @@ class TestLadderWorkers:
                 assert forked.cells[variant][tau] == cell, (variant, tau)
 
     def test_forked_taus_with_sharded_gsp_match_serial(self, force_shards):
-        # Each forked tau's GSP spans three shards and its audit forks
-        # too: the nested fan-outs run serially inside the tau's child.
+        # Each forked tau's GSP spans three shards: the nested fan-out
+        # runs serially inside the tau's child.
         serial = self._ladder(workers=1)
         force_shards(40, workers=2)
         assert len(subscriber_shards(120)) == 3

@@ -20,6 +20,7 @@ from repro.packing import (
     PackingAlgorithm,
     diff_placements,
 )
+from repro.resilience import subscriber_shards
 from repro.selection import GreedySelectPairs, RandomSelectPairs
 from repro.solver import MCSSSolver, pipeline
 from tests.conftest import make_unit_plan
@@ -201,10 +202,10 @@ class _EmptyPacker(PackingAlgorithm):
 
 
 class TestPackAndAudit:
-    """solve_with_selection is the one Stage-2 + audit body; the audit
-    goes through sharded_validate only for an out-of-core workload (more
-    than one ``MCSS_SHARD_SIZE`` subscriber range), forced here through
-    the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs."""
+    """solve_with_selection is the one Stage-2 + audit body, and its
+    audit is validate_placement at every workload size; the out-of-core
+    path (more than one ``MCSS_SHARD_SIZE`` subscriber range) is forced
+    here through the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs."""
 
     def test_validate_placement_looked_up_per_call(self, problem, monkeypatch):
         # The audit is resolved in the pipeline module at call time, so
@@ -225,39 +226,22 @@ class TestPackAndAudit:
         assert audited[0] is solved.placement
         assert audited[1] is reused.placement
 
-    def test_sharded_path_audits_with_sharded_validate(
-        self, problem, monkeypatch, force_shards
-    ):
-        from repro.solver import pipeline
-
+    def test_out_of_core_solve_audits_once(self, problem, monkeypatch, force_shards):
+        # The sharded GSP fans out; the audit stays one in-process
+        # validate_placement call on the finished placement.
         calls = []
-        real = pipeline.sharded_validate
+        real = pipeline.validate_placement
 
-        def recording(prob, placement, **kwargs):
+        def recording(prob, placement):
             calls.append(placement)
-            return real(prob, placement, **kwargs)
+            return real(prob, placement)
 
-        def unexpected(*_args, **_kwargs):
-            raise AssertionError("out-of-core solve audited with validate_placement")
-
-        monkeypatch.setattr(pipeline, "sharded_validate", recording)
-        monkeypatch.setattr(pipeline, "validate_placement", unexpected)
+        monkeypatch.setattr(pipeline, "validate_placement", recording)
         force_shards(50, workers=2)
+        assert len(subscriber_shards(problem.workload.num_subscribers)) > 1
         solution = MCSSSolver.paper().solve(problem)
         assert len(calls) == 1 and calls[0] is solution.placement
         assert solution.validation.ok
-
-    def test_one_shard_audit_never_forks(self, problem, monkeypatch, force_shards):
-        # Workers alone do not fan the audit out: a one-shard workload
-        # keeps the whole-array validate_placement audit.
-        from repro.solver import pipeline
-
-        def unexpected(*_args, **_kwargs):
-            raise AssertionError("audit fanned out over topic shards")
-
-        monkeypatch.setattr(pipeline, "sharded_validate", unexpected)
-        force_shards(1_000_000, workers=2)
-        assert MCSSSolver.paper().solve(problem).validation.ok
 
     @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
     def test_sharded_path_packs_with_configured_packer(

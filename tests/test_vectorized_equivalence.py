@@ -534,9 +534,8 @@ class TestSharedSelectionPacking:
         assert first is not second
         assert_identical_placements(first, second, tiny_problem)
         groups = list(second.iter_assignments())
-        # Move one group of the first placement onto a fresh VM.
-        b, t, subs = groups[0]
-        first.remove_topic(b, t)
+        # Replicate one group of the first placement onto a fresh VM.
+        _, t, subs = groups[0]
         first.assign_range(first.new_vm(), t, np.asarray(subs))
         assert list(second.iter_assignments()) == groups
         assert second.num_vms == first.num_vms - 1
@@ -998,6 +997,25 @@ class TestReprovisionEquivalence:
         assert max(v for _t, v in vec.selection()) < n - 1
         assert validate_placement(vec.problem, vec.placement()).ok
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_zero_streams_stay_empty(self, seed):
+        # tau = 0 asks nothing of anyone: both reprovisioners select no
+        # pair and deploy no VM, epoch after epoch of churn.
+        rng = np.random.default_rng(13_500 + seed)
+        workload = edgy_workload(rng)
+        problem = MCSSProblem(workload, 0.0, churn_problem(workload, rng).plan)
+        model = ChurnModel(workload, ChurnConfig(0.2, 0.2, 0.1), seed=seed)
+        vec = IncrementalReprovisioner(problem, fresh_solve_every=1)
+        loop = LoopIncrementalReprovisioner(problem)
+        for _ in range(3):
+            delta = model.step()
+            vec_report = vec.step(delta)
+            self._assert_same_epoch(
+                vec_report, loop.step(delta), vec, loop, problem
+            )
+            assert vec_report.cost.num_vms == vec.num_vms == 0
+            assert vec.selection().num_pairs == 0
+
     def test_initial_state_matches_referee(self, tiny_problem):
         vec = IncrementalReprovisioner(tiny_problem)
         loop = LoopIncrementalReprovisioner(tiny_problem)
@@ -1079,7 +1097,7 @@ class TestShardedMmapPin:
     """
 
     def test_sharded_mmap_solve_bit_exact(self, tmp_path, force_shards):
-        from repro.solver import MCSSSolver, sharded_validate
+        from repro.solver import MCSSSolver
         from repro.workloads import load_workload, save_workload, zipf_workload
 
         workload = zipf_workload(2000, 100_000, mean_interest=8.0, seed=7)
@@ -1108,9 +1126,10 @@ class TestShardedMmapPin:
         assert diff_placements(sharded.placement, plain.placement) is None
         assert sharded.cost.num_vms == plain.cost.num_vms
         assert sharded.cost.total_usd == plain.cost.total_usd
-        # And the topic-sharded validator agrees with the plain one.
-        report = sharded_validate(mmap_problem, sharded.placement, shards=3, workers=2)
-        assert report.ok == plain.validation.ok is True
+        # And the solve's own audit of the mapped workload agrees with
+        # the in-RAM one.
+        assert sharded.validation == plain.validation
+        assert sharded.validation.ok
         # The sharded Stage 1 run again directly also matches (selector
         # entry point, not just the solver wrapper).
         direct = GreedySelectPairs().select(mmap_problem)
@@ -1165,10 +1184,25 @@ class TestValidatorEquivalence:
 
     def test_duplicate_assignment_same_verdict(self, tiny_problem):
         p = tiny_problem.empty_placement()
-        b = p.new_vm()
+        b, c = p.new_vm(), p.new_vm()
         p.assign(b, 0, [0])
         p.assign(b, 0, [0])
+        # Duplicates in two groups, reported in group order, while the
+        # same pair on another VM is a replica, not a duplicate.
+        p.assign(c, 1, [2, 2])
+        p.assign(c, 0, [0])
+        report = validate_placement(tiny_problem, p)
+        assert not report.accounting_ok
+        assert report.messages[:2] == [
+            f"VM {b} lists duplicate subscribers for topic 0",
+            f"VM {c} lists duplicate subscribers for topic 1",
+        ]
         self._assert_same_verdict(tiny_problem, p)
+
+    def test_topicless_workload_same_verdict(self):
+        problem = MCSSProblem(Workload([], [[], []]), 10.0, make_unit_plan(1e6))
+        assert validate_placement(problem, problem.empty_placement()).ok
+        self._assert_same_verdict(problem, problem.empty_placement())
 
 
 class TestCheckpointResumeEquivalence:
@@ -1230,35 +1264,38 @@ class TestCheckpointResumeEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_runner_resume_matches_uninterrupted(self, seed, tmp_path):
-        from repro.experiments import run_epoch_experiment
+        from repro.experiments import run_serving_experiment
+        from repro.serving import ServingConfig
 
         rng = np.random.default_rng(15_000 + seed)
         workload = edgy_workload(rng)
         problem = churn_problem(workload, rng)
-        path = str(tmp_path / "run.npz")
+        config = ServingConfig(
+            checkpoint_path=str(tmp_path / "run.npz"), checkpoint_every=2
+        )
 
-        ref = run_epoch_experiment(
+        ref = run_serving_experiment(
             workload, problem.plan, problem.tau, 6, seed=seed
         )
 
-        first = run_epoch_experiment(
+        first = run_serving_experiment(
             workload, problem.plan, problem.tau, 4, seed=seed,
-            checkpoint_path=path, checkpoint_every=2,
+            serving_config=config,
         )
         assert first.checkpoints_written == 2
-        resumed = run_epoch_experiment(
+        resumed = run_serving_experiment(
             workload, problem.plan, problem.tau, 6, seed=seed,
-            checkpoint_path=path, resume=True,
+            serving_config=config, resume=True,
         )
-        assert resumed.resumed_from_epoch == 4
+        assert resumed.resumed_from_micro_epoch == 4
         assert len(resumed.reports) == 2
 
-        reports = first.reports + resumed.reports
+        reports = [r.report for r in first.reports + resumed.reports]
         assert len(reports) == len(ref.reports) == 6
         for got, want in zip(reports, ref.reports):
-            self._assert_same_report(got, want)
+            self._assert_same_report(got, want.report)
         assert diff_placements(
-            resumed.reprovisioner.placement(), ref.reprovisioner.placement()
+            resumed.service.placement(), ref.service.placement()
         ) is None
 
 
