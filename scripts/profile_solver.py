@@ -32,7 +32,7 @@ wider than one ``MCSS_SHARD_SIZE`` selects shard by shard) is asserted
 bit-identical to the in-RAM selection under a forced multi-shard
 configuration, forked workers, and an mmap-backed reload of the same
 workload.  The supervised fan-out's happy-path overhead
-over the ideal schedule is gated by ``MCSS_SUPERVISED_TARGET``.
+over the ideal schedule is held to at most 1.10x.
 
 Usage::
 
@@ -40,7 +40,7 @@ Usage::
     PYTHONPATH=src python scripts/profile_solver.py --out-of-core [num_users]
     PYTHONPATH=src python scripts/profile_solver.py --serve [num_users]
 
-    num_users  defaults to $MCSS_PROFILE_USERS or 100000
+    num_users  defaults to 100000
     tau        defaults to 100
 
 ``--out-of-core`` (default 10M users) is the weekly slow rung: chunked
@@ -278,7 +278,6 @@ def _sharded_equivalence(problem, selection) -> None:
     at profiling scale, so the interesting machinery (multi-shard
     merge, forked workers, mmap-backed reload) is exercised here under
     a forced four-shard, two-worker configuration.
-    ``MCSS_MMAP=0`` skips only the disk round-trip leg.
     """
     workload = problem.workload
     forced = max(1, -(-workload.num_subscribers // 4))
@@ -286,19 +285,18 @@ def _sharded_equivalence(problem, selection) -> None:
         sharded_sel = GreedySelectPairs().select(problem)
     assert sharded_sel == selection, "forced multi-shard GSP diverged from whole-array GSP"
 
-    if os.environ.get("MCSS_MMAP", "1") != "0":
-        scratch = tempfile.mkdtemp(prefix="mcss-profile-mmap-")
-        try:
-            path = save_workload(workload, os.path.join(scratch, "profile"))
-            mapped = load_workload(path, mmap=True)
-            mmap_problem = MCSSProblem(mapped, problem.tau, problem.plan)
-            with _forced_shards(forced):
-                mmap_sel = GreedySelectPairs().select(mmap_problem)
-            assert mmap_sel == selection, (
-                "mmap-backed sharded GSP diverged from the in-RAM solve"
-            )
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+    scratch = tempfile.mkdtemp(prefix="mcss-profile-mmap-")
+    try:
+        path = save_workload(workload, os.path.join(scratch, "profile"))
+        mapped = load_workload(path, mmap=True)
+        mmap_problem = MCSSProblem(mapped, problem.tau, problem.plan)
+        with _forced_shards(forced):
+            mmap_sel = GreedySelectPairs().select(mmap_problem)
+        assert mmap_sel == selection, (
+            "mmap-backed sharded GSP diverged from the in-RAM solve"
+        )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _out_of_core(num_users: int) -> int:
@@ -551,9 +549,7 @@ def main(argv) -> int:
         return _out_of_core(int(argv[2]) if len(argv) > 2 else 10_000_000)
     if len(argv) > 1 and argv[1] == "--serve":
         return _serve(int(argv[2]) if len(argv) > 2 else 1_000_000)
-    num_users = int(argv[1]) if len(argv) > 1 else int(
-        os.environ.get("MCSS_PROFILE_USERS", "100000")
-    )
+    num_users = int(argv[1]) if len(argv) > 1 else 100_000
     tau = float(argv[2]) if len(argv) > 2 else 100.0
     num_topics = max(100, num_users // 50)
 
@@ -685,9 +681,15 @@ def main(argv) -> int:
     gen_target = float(os.environ.get("MCSS_GEN_TARGET", "10"))
     epoch_target = float(os.environ.get("MCSS_EPOCH_TARGET", "10"))
     # Supervision is gated the other way around: it is pure overhead on
-    # the happy path and must stay within a few percent of the ideal
-    # schedule of its sleep pieces.
-    sup_target = float(os.environ.get("MCSS_SUPERVISED_TARGET", "1.10"))
+    # the happy path.  The pieces sleep, so the bar holds at any scale:
+    # four 0.15 s pieces over 2 workers may take at most 1.10x their
+    # ideal two-round schedule (supervised_map ran at 1.04-1.09x on
+    # 2-vCPU hosts).  The former bar, 1.05x a raw pool that ran at
+    # 1.03-1.07x the ideal schedule, meant 1.08-1.12x, so 1.10 is up to
+    # ~2% looser on a quiet host and up to ~2% stricter on a loaded one.
+    # The gate assumes the fork start method: without it the pieces run
+    # serially and the ratio is ~2.
+    sup_target = 1.10
     ok = (
         combined >= target
         and pack_speedup >= pack_target

@@ -79,6 +79,7 @@ fresh solve).
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -207,6 +208,14 @@ def advance_orders(
     )
 
 
+def _check_settings(rebuild_threshold: float, fresh_solve_every: int) -> None:
+    """The solve parameters' rules, for a new and a restored reprovisioner."""
+    if not rebuild_threshold >= 1.0:
+        raise ValueError("rebuild_threshold must be >= 1.0")
+    if fresh_solve_every < 1:
+        raise ValueError("fresh_solve_every must be >= 1")
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(s, s + c)`` over ``zip(starts, counts)``."""
     offsets = np.cumsum(counts) - counts
@@ -311,31 +320,27 @@ class IncrementalReprovisioner:
     rebuild_threshold:
         Rebuild from scratch when the incremental cost exceeds a fresh
         solve by this factor (>= 1.0).
-    solver:
-        The reference solver for the initial/fresh solves (defaults to
-        the paper configuration, GSP + full CBP).
     fresh_solve_every:
         Cadence of the guaranteed fresh reference solve (>= 1).  In
         between, the fresh solve runs only when the calibrated
         Algorithm-5 estimate says the fleet may have drifted past the
         rebuild threshold; ``1`` reproduces the referee's
         fresh-solve-every-epoch behavior exactly.
+
+    The initial and fresh solves are the paper configuration,
+    ``MCSSSolver.paper()`` (GSP + full CBP), and the incremental
+    re-selection is GSP, so the placed pair set is GSP's selection at
+    every epoch.
     """
 
     def __init__(
         self,
         problem: MCSSProblem,
         rebuild_threshold: float = 1.15,
-        solver: Optional[MCSSSolver] = None,
         fresh_solve_every: int = 8,
     ) -> None:
-        if rebuild_threshold < 1.0:
-            raise ValueError("rebuild_threshold must be >= 1.0")
-        if fresh_solve_every < 1:
-            raise ValueError("fresh_solve_every must be >= 1")
-        self._solver = solver or MCSSSolver.paper()
-        # Incremental re-selection is the GSP schedule by construction
-        # (per-subscriber independent), regardless of the fresh solver.
+        _check_settings(rebuild_threshold, fresh_solve_every)
+        self._solver = MCSSSolver.paper()
         self._selector = GreedySelectPairs()
         self._rebuild_threshold = rebuild_threshold
         self._fresh_every = int(fresh_solve_every)
@@ -411,35 +416,53 @@ class IncrementalReprovisioner:
         }
 
     @classmethod
-    def restore(
-        cls,
-        snapshot: dict,
-        plan,
-        solver: Optional[MCSSSolver] = None,
-    ) -> "IncrementalReprovisioner":
+    def restore(cls, snapshot: dict, plan) -> "IncrementalReprovisioner":
         """Rebuild from a :meth:`snapshot` without re-solving epoch 0.
 
         ``plan`` is configuration, not run state, so the caller passes
         the same :class:`ProvisioningPlan` the original run used.  The
-        stored ``used_bytes`` is recomputed from the pair arrays and
-        cross-checked, catching a snapshot whose members were swapped
-        or tampered with after the per-member digests were stripped.
+        scalars must pass :meth:`__init__`'s rules and lie in the ranges
+        :meth:`step` maintains; a violation raises ``ValueError`` naming
+        the field.  The stored ``used_bytes`` is recomputed from the
+        pair arrays and cross-checked, catching a snapshot whose members
+        were swapped or tampered with after the per-member digests were
+        stripped.
         """
+        rebuild_threshold = float(snapshot["rebuild_threshold"])
+        fresh_every = int(snapshot["fresh_solve_every"])
+        _check_settings(rebuild_threshold, fresh_every)
+        tau = float(snapshot["tau"])
+        epoch = int(snapshot["epoch"])
+        since_fresh = int(snapshot["since_fresh"])
+        lb_ratio = float(snapshot["lb_ratio"])
+        num_vms = int(snapshot["num_vms"])
+        if not tau >= 0:
+            raise ValueError("snapshot tau must be non-negative")
+        if epoch < 0:
+            raise ValueError("snapshot epoch must be >= 0")
+        if not 0 <= since_fresh < fresh_every:
+            raise ValueError(
+                "snapshot since_fresh must be in [0, fresh_solve_every)"
+            )
+        if not (math.isfinite(lb_ratio) and lb_ratio > 0):
+            raise ValueError("snapshot lb_ratio must be finite and positive")
+        if num_vms < 0:
+            raise ValueError("snapshot num_vms must be >= 0")
+
         inst = cls.__new__(cls)
-        inst._solver = solver or MCSSSolver.paper()
+        inst._solver = MCSSSolver.paper()
         inst._selector = GreedySelectPairs()
-        inst._rebuild_threshold = float(snapshot["rebuild_threshold"])
-        inst._fresh_every = int(snapshot["fresh_solve_every"])
-        inst._tau = float(snapshot["tau"])
+        inst._rebuild_threshold = rebuild_threshold
+        inst._fresh_every = fresh_every
+        inst._tau = tau
         inst._plan = plan
-        inst._epoch = int(snapshot["epoch"])
-        inst._since_fresh = int(snapshot["since_fresh"])
-        inst._lb_ratio = float(snapshot["lb_ratio"])
+        inst._epoch = epoch
+        inst._since_fresh = since_fresh
+        inst._lb_ratio = lb_ratio
         inst._workload = snapshot["workload"]
         p_v = np.asarray(snapshot["pair_subscribers"], dtype=np.int64)
         p_t = np.asarray(snapshot["pair_topics"], dtype=np.int64)
         p_vm = np.asarray(snapshot["pair_vms"], dtype=np.int64)
-        num_vms = int(snapshot["num_vms"])
         if not (p_v.shape == p_t.shape == p_vm.shape):
             raise ValueError("snapshot pair arrays disagree in length")
         if p_t.size and not (

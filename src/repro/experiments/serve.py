@@ -10,7 +10,7 @@ resuming bit-exactly -- from the service's own checkpoints or from any
 stream.  It returns the per-micro-epoch reports (cost, fleet size,
 pairs added / removed / moved) plus the SLO metrics snapshot (exact
 p50/p95/p99 micro-epoch latency, ops/s, moves/s, sealed batch size,
-queue backlog, cost drift).
+cost drift).
 
 Exposed on the CLI as ``mcss serve``.
 """
@@ -25,7 +25,6 @@ from ..core import MCSSProblem, Workload
 from ..dynamic import ChurnConfig, ChurnModel
 from ..pricing import PricingPlan
 from ..serving import MicroEpochReport, MicroEpochService, ServingConfig
-from ..solver import MCSSSolver
 
 __all__ = ["ServeRunResult", "run_serving_experiment"]
 
@@ -84,7 +83,6 @@ def run_serving_experiment(
     churn_config: Optional[ChurnConfig] = None,
     seed: int = 0,
     serving_config: Optional[ServingConfig] = None,
-    solver: Optional[MCSSSolver] = None,
     resume: bool = False,
 ) -> ServeRunResult:
     """Serve ``micro_epochs`` micro-epochs of churn, metered end to end.
@@ -108,7 +106,7 @@ def run_serving_experiment(
     checkpoint_path = config.checkpoint_path
     if resume and os.path.exists(checkpoint_path):
         service, churn_model = MicroEpochService.resume(
-            checkpoint_path, plan, config, solver=solver
+            checkpoint_path, plan, config
         )
         if churn_model is None:
             raise ValueError(
@@ -118,7 +116,7 @@ def run_serving_experiment(
         result.resumed_from_micro_epoch = service.micro_epochs
     else:
         problem = MCSSProblem(workload, tau, plan)
-        service = MicroEpochService(problem, config, solver=solver)
+        service = MicroEpochService(problem, config)
         churn_model = ChurnModel(
             workload, churn_config or ChurnConfig(), seed=seed
         )

@@ -9,10 +9,13 @@ killed 1000-epoch run resumes from the persisted arrays and the exact
 RNG stream position, so the continuation is bit-identical to the run
 that was never killed (pinned in tests/test_vectorized_equivalence.py).
 
-Every array member carries a ``digest_<member>`` CRC32 (see
+Every member but the version carries a ``digest_<member>`` CRC32 (see
 :mod:`repro.resilience.integrity`); a corrupt or truncated checkpoint
 raises :class:`TraceCorruptionError` naming the bad member rather than
-resuming from garbage.
+resuming from garbage.  Checkpoints written before the scalar members
+were digested lack those digests and still load; the scalars of every
+checkpoint must also pass :meth:`IncrementalReprovisioner.restore`'s
+range checks.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 
+# Digested since the first checkpoint version: a load requires these.
 _ARRAY_MEMBERS = (
     "pair_subscribers",
     "pair_topics",
@@ -43,6 +47,17 @@ _ARRAY_MEMBERS = (
     "interest_topics",
     "churn_state",
     "serving_state",
+)
+# Digested since version 0.13.0: a load verifies a digest when present.
+_SCALAR_MEMBERS = (
+    "num_vms",
+    "epoch",
+    "since_fresh",
+    "lb_ratio",
+    "tau",
+    "rebuild_threshold",
+    "fresh_solve_every",
+    "message_size_bytes",
 )
 
 
@@ -92,7 +107,9 @@ def save_checkpoint(path, reprovisioner, churn_model=None, serving_state=None) -
         members["serving_state"] = np.frombuffer(
             json.dumps(serving_state).encode("utf-8"), dtype=np.uint8
         )
-    write_npz_atomic(path, members, digest_members=_ARRAY_MEMBERS)
+    write_npz_atomic(
+        path, members, digest_members=_ARRAY_MEMBERS + _SCALAR_MEMBERS
+    )
     return path
 
 
@@ -106,7 +123,7 @@ def load_serving_state(path) -> Optional[dict]:
     return json.loads(blob.decode("utf-8"))
 
 
-def load_checkpoint(path, plan, solver=None) -> Tuple[object, Optional[object]]:
+def load_checkpoint(path, plan) -> Tuple[object, Optional[object]]:
     """Restore ``(reprovisioner, churn_model_or_None)`` from a checkpoint.
 
     ``plan`` (the :class:`ProvisioningPlan`) is not serialized — VM
@@ -128,35 +145,35 @@ def load_checkpoint(path, plan, solver=None) -> Tuple[object, Optional[object]]:
                 f"(this build reads version {CHECKPOINT_VERSION})"
             )
 
-        def member(name, require_digest=True):
+        def member(name):
             return verified_member(
-                data, name, path, require_digest=require_digest
+                data, name, path, require_digest=name not in _SCALAR_MEMBERS
             )
 
         workload = Workload.from_csr(
             np.array(member("event_rates")),
             np.array(member("interest_indptr")),
             np.array(member("interest_topics")),
-            message_size_bytes=float(data["message_size_bytes"]),
+            message_size_bytes=float(member("message_size_bytes")),
         )
         snap = {
             "pair_subscribers": np.array(member("pair_subscribers")),
             "pair_topics": np.array(member("pair_topics")),
             "pair_vms": np.array(member("pair_vms")),
             "used_bytes": np.array(member("used_bytes")),
-            "num_vms": int(data["num_vms"]),
-            "epoch": int(data["epoch"]),
-            "since_fresh": int(data["since_fresh"]),
-            "lb_ratio": float(data["lb_ratio"]),
-            "tau": float(data["tau"]),
-            "rebuild_threshold": float(data["rebuild_threshold"]),
-            "fresh_solve_every": int(data["fresh_solve_every"]),
+            "num_vms": int(member("num_vms")),
+            "epoch": int(member("epoch")),
+            "since_fresh": int(member("since_fresh")),
+            "lb_ratio": float(member("lb_ratio")),
+            "tau": float(member("tau")),
+            "rebuild_threshold": float(member("rebuild_threshold")),
+            "fresh_solve_every": int(member("fresh_solve_every")),
             "workload": workload,
         }
         if "churn_state" in data.files:
             churn_blob = bytes(member("churn_state"))
 
-    reprovisioner = IncrementalReprovisioner.restore(snap, plan, solver=solver)
+    reprovisioner = IncrementalReprovisioner.restore(snap, plan)
     churn_model = None
     if churn_blob is not None:
         state = json.loads(churn_blob.decode("utf-8"))

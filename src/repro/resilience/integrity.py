@@ -92,16 +92,14 @@ def write_npz_atomic(
     members: Mapping[str, np.ndarray],
     *,
     digest_members: Iterable[str] = (),
-    compress: bool = False,
 ) -> None:
     """Atomically save an npz, recording ``digest_<m>`` for each named member."""
     out = dict(members)
     for name in digest_members:
         if name in members:
             out["digest_" + name] = np.uint32(member_digest(members[name]))
-    writer = np.savez_compressed if compress else np.savez
     with atomic_write(path) as fh:
-        writer(fh, **out)
+        np.savez(fh, **out)
 
 
 def verified_member(

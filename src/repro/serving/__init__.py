@@ -11,8 +11,8 @@ bit-exactness discipline:
   serving loop: seal, step, meter, checkpoint on cadence.
 * :mod:`~repro.serving.slo` -- :class:`ServingMetrics`, exact
   p50/p95/p99 micro-epoch latency plus throughput counters and SLO
-  gates, on an injectable clock, built from the primitives in
-  :mod:`~repro.serving.metrics`.
+  gates, kept as plain values over the seconds the service measures
+  on its injectable clock.
 
 ``tests/test_serving.py`` pins the whole path against the
 ``reprovision-loop`` referee across randomized fragment splits.

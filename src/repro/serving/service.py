@@ -15,7 +15,7 @@ long-running service:
   however the stream was fragmented;
 * every micro-epoch feeds the :class:`~repro.serving.slo.ServingMetrics`
   SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, sealed
-  batch size, queue backlog, cost drift);
+  batch size, cost drift);
 * on cadence the service checkpoints through
   :mod:`repro.resilience.checkpoint` and :meth:`resume` continues a
   killed run bit-exactly, serving counters included.  The micro-epoch
@@ -41,7 +41,7 @@ from ..resilience.checkpoint import (
     save_checkpoint,
 )
 from .queue import ChurnFragment, ChurnIngestQueue, split_delta
-from .slo import ServingMetrics
+from .slo import COUNTERS, ServingMetrics
 
 __all__ = [
     "MicroEpochReport",
@@ -74,16 +74,13 @@ class MicroEpochReport:
     """One micro-epoch's outcome, as seen by the serving layer.
 
     ``batch_ops`` is the number of churn operations the seal drained
-    from the queue; ``queue_depth`` is the backlog left behind it --
-    operations offered after the seal, still buffered when the
-    micro-epoch ends (always 0 under :meth:`MicroEpochService.serve`).
+    from the queue: all of them, since a seal empties it.
     """
 
     micro_epoch: int
     report: EpochReport
     ops: int
     batch_ops: int
-    queue_depth: int
     seconds: float
 
 
@@ -94,13 +91,11 @@ class MicroEpochService:
         self,
         problem: MCSSProblem,
         config: ServingConfig = ServingConfig(),
-        solver=None,
         clock=None,
     ) -> None:
         reprovisioner = IncrementalReprovisioner(
             problem,
             rebuild_threshold=config.rebuild_threshold,
-            solver=solver,
             fresh_solve_every=config.fresh_solve_every,
         )
         self._init_from(reprovisioner, config, clock)
@@ -122,9 +117,9 @@ class MicroEpochService:
         self._config = config
         self._clock = clock if clock is not None else time.perf_counter
         self._queue = ChurnIngestQueue()
-        self._metrics = ServingMetrics(clock=self._clock)
+        self._metrics = ServingMetrics()
         # The reprovisioner's epochs are micro-epochs already served.
-        self._metrics.registry.counter("serve.micro_epochs").inc(reprovisioner.epoch)
+        self._metrics.counters["micro_epochs"] = reprovisioner.epoch
         self._churn_model = None
 
     # ---- read surface ------------------------------------------------
@@ -145,7 +140,7 @@ class MicroEpochService:
 
     @property
     def queue_depth(self) -> int:
-        """Churn operations buffered and not yet sealed."""
+        """Churn operations offered and not yet sealed."""
         return self._queue.depth
 
     @property
@@ -198,12 +193,10 @@ class MicroEpochService:
             + delta.unsubscribed_topics.size
             + delta.changed_topics.size
         )
-        queue_depth = self._queue.depth
         self._metrics.record_epoch(
             report,
             ops=ops,
             batch_ops=batch_ops,
-            queue_depth=queue_depth,
             seconds=seconds,
             num_vms=self._reprovisioner.num_vms,
         )
@@ -215,7 +208,6 @@ class MicroEpochService:
             report=report,
             ops=ops,
             batch_ops=batch_ops,
-            queue_depth=queue_depth,
             seconds=seconds,
         )
 
@@ -241,15 +233,7 @@ class MicroEpochService:
     # ---- checkpoint / resume -----------------------------------------
     def serving_state(self) -> dict:
         """The serving counters that ride along in a checkpoint."""
-        reg = self._metrics.registry
-        return {
-            "micro_epochs": self.micro_epochs,
-            "ops": int(reg.counter("serve.ops").value),
-            "moves": int(reg.counter("serve.moves").value),
-            "pairs_added": int(reg.counter("serve.pairs_added").value),
-            "pairs_removed": int(reg.counter("serve.pairs_removed").value),
-            "rebuilds": int(reg.counter("serve.rebuilds").value),
-        }
+        return dict(self._metrics.counters, micro_epochs=self.micro_epochs)
 
     def checkpoint(self, path=None) -> str:
         """Persist the full serving state atomically; returns the path."""
@@ -269,7 +253,6 @@ class MicroEpochService:
         path,
         plan,
         config: ServingConfig = ServingConfig(),
-        solver=None,
         clock=None,
     ):
         """Restore ``(service, churn_model_or_None)`` from a checkpoint.
@@ -280,16 +263,14 @@ class MicroEpochService:
         Latency samples are wall-clock and start fresh -- quantiles
         describe the current process, not the dead one.
         """
-        reprovisioner, churn_model = load_checkpoint(path, plan, solver=solver)
+        reprovisioner, churn_model = load_checkpoint(path, plan)
         inst = cls.from_reprovisioner(reprovisioner, config, clock=clock)
         state = load_serving_state(path)
         if state is not None:
-            reg = inst._metrics.registry
-            reg.counter("serve.ops").inc(int(state["ops"]))
-            reg.counter("serve.moves").inc(int(state["moves"]))
-            reg.counter("serve.pairs_added").inc(int(state["pairs_added"]))
-            reg.counter("serve.pairs_removed").inc(int(state["pairs_removed"]))
-            reg.counter("serve.rebuilds").inc(int(state["rebuilds"]))
+            inst._metrics.counters.update(
+                {name: int(state[name]) for name in COUNTERS},
+                micro_epochs=inst.micro_epochs,
+            )
         if churn_model is not None:
             inst._churn_model = churn_model
         return inst, churn_model

@@ -4,35 +4,26 @@ Two formats:
 
 * ``.npz`` (:func:`save_workload` / :func:`load_workload`) -- compact
   binary: the CSR interest arrays plus a header record.  The native
-  format, **versioned**:
-
-  - *version 3* (current): ``version``, ``generator_version`` (the
-    :data:`repro.workloads.GENERATOR_VERSION` the writer ran), the CSR
-    arrays ``event_rates`` / ``interest_indptr`` / ``interest_topics``,
-    ``message_size_bytes``, and a ``digest_<member>`` CRC32 for each of
-    those payload members.  Loads verify the digests and raise
-    :class:`TraceCorruptionError` *naming the bad member*; writes go
-    through tmp-file + fsync + atomic rename
-    (:func:`repro.resilience.integrity.atomic_write`), so an
-    interrupted save never leaves a half-valid trace behind.  Written
-    *uncompressed* by default so that ``load_workload(path,
-    mmap=True)`` can hand back a
-    :class:`~repro.core.backend.MmapBackend`-backed
-    :class:`~repro.core.Workload` whose arrays are ``np.memmap`` views
-    straight into the file -- no pair-sized RAM allocation, the entry
-    ticket to the out-of-core sharded solves
-    (:mod:`repro.selection.sharded`).  The mmap path skips digest
-    verification by default (it would page in the whole trace); pass
-    ``verify=True`` to force it.
-  - *version 2*: identical payload without the digests.  Still loads
-    (including mmap); there is simply nothing to verify.
-  - *version 1* (legacy): same data under the older
-    ``interest_offsets`` key, always deflate-compressed.  Still loaded
-    (in RAM); a truncated file raises :class:`TraceCorruptionError`
-    naming the missing member, and asking to mmap it raises with a
-    re-save hint (re-saving writes format v3).
-  - anything newer raises a clear "unsupported version" error instead
-    of misreading the file.
+  format, **versioned**; this build reads and writes *version 3* only
+  and raises a clear "unsupported version" error on any other instead
+  of misreading the file.  A version-3 file holds ``version``,
+  ``generator_version`` (the
+  :data:`repro.workloads.GENERATOR_VERSION` the writer ran), the CSR
+  arrays ``event_rates`` / ``interest_indptr`` / ``interest_topics``,
+  ``message_size_bytes``, and a ``digest_<member>`` CRC32 for each of
+  those payload members.  Loads verify the digests and raise
+  :class:`TraceCorruptionError` *naming the bad member*, or the missing
+  digest; writes go through tmp-file + fsync + atomic rename
+  (:func:`repro.resilience.integrity.atomic_write`), so an interrupted
+  save never leaves a half-valid trace behind.  Written *uncompressed*
+  so that ``load_workload(path, mmap=True)`` can hand back a
+  :class:`~repro.core.backend.MmapBackend`-backed
+  :class:`~repro.core.Workload` whose arrays are ``np.memmap`` views
+  straight into the file -- no pair-sized RAM allocation, the entry
+  ticket to the out-of-core sharded solves
+  (:mod:`repro.selection.sharded`).  The mmap path skips digest
+  verification by default (it would page in the whole trace); pass
+  ``verify=True`` to force it.
 
 * CSV pair lists (:func:`save_workload_csv` /
   :func:`load_workload_csv`) -- the interchange format external traces
@@ -66,7 +57,6 @@ from ..core import MmapBackend, Workload, build_workload
 from ..resilience.integrity import (
     TraceCorruptionError,
     atomic_write,
-    member_digest,
     verified_member,
     write_npz_atomic,
 )
@@ -112,22 +102,16 @@ def _workload_members(
     }
 
 
-def save_workload(
-    workload: Workload,
-    path: Union[str, os.PathLike],
-    *,
-    compress: bool = False,
-) -> str:
+def save_workload(workload: Workload, path: Union[str, os.PathLike]) -> str:
     """Write a workload to ``path`` (``.npz`` appended if missing).
 
     Format version 3: the CSR arrays verbatim, a header record (format
     version and the writer's generator version), and a per-member
     CRC32.  The write is atomic (tmp file + fsync + rename): readers
     see the old file or the complete new one, never a prefix.
-    Uncompressed by default -- the members are then plain ``.npy``
-    blocks inside the zip and :func:`load_workload` can memory-map
-    them; pass ``compress=True`` to trade that ability for a smaller
-    file.  Returns the path actually written.
+    Uncompressed -- the members are plain ``.npy`` blocks inside the
+    zip, which :func:`load_workload` can memory-map.  Returns the path
+    actually written.
     """
     path = _resolve_npz_path(path)
     write_npz_atomic(
@@ -139,7 +123,6 @@ def save_workload(
             workload.message_size_bytes,
         ),
         digest_members=_PAYLOAD_MEMBERS,
-        compress=compress,
     )
     return path
 
@@ -156,8 +139,8 @@ def _mmap_npz_member(path: str, zf: zipfile.ZipFile, name: str) -> np.ndarray:
     info = zf.getinfo(member)
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(
-            f"cannot mmap compressed member {member!r}; re-save with "
-            "save_workload(..., compress=False)"
+            f"cannot mmap compressed member {member!r}; re-save it with "
+            "save_workload(), which writes uncompressed members"
         )
     with open(path, "rb") as fh:
         fh.seek(info.header_offset)
@@ -185,18 +168,6 @@ def _mmap_npz_member(path: str, zf: zipfile.ZipFile, name: str) -> np.ndarray:
     )
 
 
-def _v1_member(data, name: str, path: str) -> np.ndarray:
-    """Fetch a legacy-format member, diagnosing truncation by name."""
-    try:
-        return data[name]
-    except KeyError:
-        raise TraceCorruptionError(
-            f"legacy (v1) workload file {path!r} is truncated: member "
-            f"{name!r} is missing; re-generate it, or load an intact copy "
-            "and re-save with save_workload() (writes format v3)"
-        ) from None
-
-
 def load_workload(
     path: Union[str, os.PathLike],
     *,
@@ -205,52 +176,38 @@ def load_workload(
 ) -> Workload:
     """Read a workload previously written by :func:`save_workload`.
 
-    ``verify`` controls digest checking of format-v3 members: the
+    ``verify`` controls digest checking of the payload members: the
     default (``None``) verifies on in-RAM loads and skips on mmap
     loads (checking there would page in the whole trace up front);
-    ``verify=True`` forces the check everywhere and *requires* digests
-    (a v2 file then fails with an error naming the missing digest
-    member); ``verify=False`` skips it.  A failed check raises
-    :class:`TraceCorruptionError` naming the corrupt member.
+    ``verify=True`` forces the check everywhere; ``verify=False`` skips
+    it.  A check requires each digest, so a file missing one (damaged,
+    or built by hand) fails it.  A failed check raises
+    :class:`TraceCorruptionError` naming the corrupt member or the
+    missing digest.
 
-    With ``mmap=True`` (uncompressed v2/v3 files) the returned
+    With ``mmap=True`` (uncompressed members, as :func:`save_workload`
+    writes them) the returned
     workload is backed by a :class:`~repro.core.backend.MmapBackend`:
     its CSR arrays are read-only ``np.memmap`` views into the file, and
     pair-sized derived caches spill to ``<path>.cache/`` sidecar files
     instead of the Python heap.  The file is trusted on this path (it
     was written from an already-validated workload); the in-RAM path
-    keeps the historical full re-validation.  Unknown (future) format
-    versions raise ``ValueError``.
+    keeps the full re-validation.  Any format version but 3 raises
+    ``ValueError``.
     """
     path = os.fspath(path)
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
-        if version == 1:
-            if mmap:
-                raise ValueError(
-                    "workload format version 1 is compressed and cannot be "
-                    "memory-mapped; load it in RAM and re-save with "
-                    "save_workload() (writes format v3) to enable mmap=True"
-                )
-            return Workload.from_csr(
-                _v1_member(data, "event_rates", path),
-                _v1_member(data, "interest_offsets", path),
-                _v1_member(data, "interest_topics", path),
-                message_size_bytes=float(
-                    _v1_member(data, "message_size_bytes", path)
-                ),
-            )
-        if version not in (2, _FORMAT_VERSION):
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported workload format version {version} "
-                f"(this build reads versions 1-{_FORMAT_VERSION})"
+                f"(this build reads version {_FORMAT_VERSION})"
             )
         if not mmap:
-            check = verify is not False
             members = {
                 name: verified_member(
                     data, name, path,
-                    verify=check, require_digest=verify is True,
+                    verify=verify is not False, require_digest=True,
                 )
                 for name in _PAYLOAD_MEMBERS
             }
@@ -263,9 +220,10 @@ def load_workload(
         message_size = float(
             verified_member(
                 data, "message_size_bytes", path,
-                verify=bool(verify), require_digest=verify is True,
+                verify=bool(verify), require_digest=True,
             )
         )
+        digests = {n: data[n] for n in data.files if n.startswith("digest_")}
     with zipfile.ZipFile(path) as zf:
         rates = _mmap_npz_member(path, zf, "event_rates")
         indptr = _mmap_npz_member(path, zf, "interest_indptr")
@@ -273,25 +231,12 @@ def load_workload(
     if verify:
         # Explicit opt-in: stream every mapped member through the CRC
         # (pages the trace in once) before trusting it.
-        with np.load(path, allow_pickle=False) as data:
-            for name, arr in (
-                ("event_rates", rates),
-                ("interest_indptr", indptr),
-                ("interest_topics", flat),
-            ):
-                digest_name = "digest_" + name
-                if digest_name not in data.files:
-                    raise TraceCorruptionError(
-                        f"member {digest_name!r} is missing from {path!r}; "
-                        f"cannot verify {name!r}"
-                    )
-                want = int(np.uint32(data[digest_name]))
-                got = member_digest(arr)
-                if got != want:
-                    raise TraceCorruptionError(
-                        f"member {name!r} of {path!r} is corrupt: "
-                        f"crc32 {got:#010x} != recorded {want:#010x}"
-                    )
+        for name, arr in (
+            ("event_rates", rates),
+            ("interest_indptr", indptr),
+            ("interest_topics", flat),
+        ):
+            verified_member({**digests, name: arr}, name, path, require_digest=True)
     return Workload.from_csr(
         rates,
         indptr,

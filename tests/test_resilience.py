@@ -371,6 +371,87 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
             load_checkpoint(path, plan)
 
+    SCALARS = (
+        "num_vms",
+        "epoch",
+        "since_fresh",
+        "lb_ratio",
+        "tau",
+        "rebuild_threshold",
+        "fresh_solve_every",
+        "message_size_bytes",
+    )
+
+    def _stepped_checkpoint(self, path):
+        reprovisioner, plan, workload = self._reprovisioner()
+        churn = ChurnModel(workload, seed=0)
+        for _ in range(3):
+            reprovisioner.step(churn.step())
+        save_checkpoint(path, reprovisioner, churn)
+        return reprovisioner, plan
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("num_vms", 1),  # added to the stored value
+            ("epoch", 996),  # 3 -> 999
+            ("since_fresh", 1),
+            ("lb_ratio", 0.5),
+            ("tau", -90.0),  # 100 -> 10
+            ("rebuild_threshold", -0.65),  # 1.15 -> 0.5
+            ("fresh_solve_every", -8),  # 8 -> 0
+            ("message_size_bytes", 1.0),
+        ],
+    )
+    def test_altered_scalar_member_named_on_load(self, tmp_path, member, value):
+        path = str(tmp_path / "run.npz")
+        _, plan = self._stepped_checkpoint(path)
+        data = dict(np.load(path))
+        data[member] = data[member] + np.asarray(value, dtype=data[member].dtype)
+        np.savez(path, **data)  # stale digest now disagrees
+        with pytest.raises(TraceCorruptionError, match=f"member '{member}'"):
+            load_checkpoint(path, plan)
+
+    def test_checkpoint_without_scalar_digests_still_loads(self, tmp_path):
+        # Checkpoints written before the scalars were digested.
+        path = str(tmp_path / "run.npz")
+        reprovisioner, plan = self._stepped_checkpoint(path)
+        data = dict(np.load(path))
+        for member in self.SCALARS:
+            del data["digest_" + member]
+        np.savez(path, **data)
+        restored, churn = load_checkpoint(path, plan)
+        assert churn is not None
+        want, got = reprovisioner.snapshot(), restored.snapshot()
+        for member in self.SCALARS[:-1]:
+            assert got[member] == want[member], member
+        assert restored.selection() == reprovisioner.selection()
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("rebuild_threshold", 0.5),
+            ("rebuild_threshold", float("nan")),
+            ("fresh_solve_every", 0),
+            ("tau", -1.0),
+            ("tau", float("nan")),
+            ("epoch", -1),
+            ("since_fresh", -1),
+            ("since_fresh", 8),  # == fresh_solve_every: step resets it first
+            ("lb_ratio", 0.0),
+            ("lb_ratio", float("inf")),
+            ("lb_ratio", float("nan")),
+            ("num_vms", -1),
+        ],
+    )
+    def test_out_of_range_scalar_rejected_by_restore(self, field, bad):
+        reprovisioner, plan, _ = self._reprovisioner()
+        snap = reprovisioner.snapshot()
+        assert snap["fresh_solve_every"] == 8
+        snap[field] = bad
+        with pytest.raises(ValueError, match=f"^(snapshot )?{field} must"):
+            IncrementalReprovisioner.restore(snap, plan)
+
     def test_ragged_snapshot_rejected_by_restore(self):
         reprovisioner, plan, _ = self._reprovisioner()
         snap = reprovisioner.snapshot()

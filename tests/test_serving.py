@@ -10,9 +10,9 @@ Four contracts, all deterministic (no timing-flaky assertions):
   and after every step of random churn the reprovisioner's group table,
   used bytes and running Algorithm-5 bound equal a recomputation from
   its snapshot.
-* **Exact SLO metrics** -- a scripted fake clock drives the latency
-  recorder; p50/p95/p99 are exact nearest-rank quantiles, throughput
-  counters are monotonic, queue depth is accounted at seal time.
+* **Exact SLO metrics** -- a scripted fake clock drives the service's
+  epoch seconds; p50/p95/p99 are exact nearest-rank quantiles, and
+  every key and value of the metrics snapshot is pinned.
 * **Kill-mid-serve resume** -- a checkpointed-and-killed serving run
   continues bit-exactly (placements, costs, report fields, serving
   counters), mirroring ``TestCheckpointResumeEquivalence``.
@@ -44,7 +44,7 @@ from repro.serving import (
     ServingMetrics,
     split_delta,
 )
-from repro.serving.metrics import Counter, LatencyRecorder, MetricsRegistry
+from repro.serving.slo import COUNTERS, quantile
 from tests.test_vectorized_equivalence import (
     churn_problem,
     edgy_workload,
@@ -336,71 +336,81 @@ class TestEpochStateMaintenance:
         assert moved > 0 if sigma else moved == 0
 
 
+def epoch_report(epoch, *, rebuilt=False):
+    """A hand-made :class:`EpochReport` for feeding :class:`ServingMetrics`."""
+    from repro.core import SolutionCost
+    from repro.dynamic import EpochReport
+
+    cost = SolutionCost(num_vms=3, total_bytes=1e6, vm_usd=30.0, bandwidth_usd=3.0)
+    return EpochReport(
+        epoch=epoch,
+        cost=cost,
+        fresh_cost=cost,
+        pairs_added=5,
+        pairs_removed=2,
+        pairs_moved=1,
+        vms_opened=0,
+        vms_closed=0,
+        rebuilt=rebuilt,
+        seconds=0.0,
+    )
+
+
+def record(metrics, seconds):
+    """Record one micro-epoch per sample, in order."""
+    for i, s in enumerate(seconds):
+        metrics.record_epoch(
+            epoch_report(i + 1), ops=10, batch_ops=7, seconds=s, num_vms=3
+        )
+
+
 class TestServingMetrics:
-    """Exact quantiles, monotonic counters, deterministic clocks."""
+    """Exact nearest-rank quantiles over the recorded epoch seconds."""
 
-    def test_latency_recorder_exact_quantiles(self):
-        rec = LatencyRecorder(clock=FakeClock())
-        for s in [5.0, 1.0, 4.0, 2.0, 3.0]:
-            rec.observe(s)
-        assert rec.count == 5
-        assert rec.quantile(0.50) == 3.0  # nearest-rank: ceil(0.5*5) = 3rd
-        assert rec.quantile(0.0) == 1.0
-        assert rec.quantile(1.0) == 5.0
-        assert rec.max == 5.0
-        assert rec.mean == pytest.approx(3.0)
-        assert rec.total == pytest.approx(15.0)
+    def test_exact_quantiles_five_samples(self):
+        metrics = ServingMetrics()
+        record(metrics, [5.0, 1.0, 4.0, 2.0, 3.0])
+        samples = metrics.samples
+        assert samples == [5.0, 1.0, 4.0, 2.0, 3.0]  # arrival order
+        assert quantile(samples, 0.50) == 3.0  # nearest-rank: ceil(0.5*5) = 3rd
+        assert quantile(samples, 0.0) == 1.0
+        assert quantile(samples, 1.0) == 5.0
+        snap = metrics.snapshot()
+        assert snap["serve.epoch_latency.p50_s"] == 3.0
+        assert snap["serve.epoch_latency.count"] == 5.0
+        assert snap["serve.epoch_latency.max_s"] == 5.0
+        assert snap["serve.epoch_latency.mean_s"] == pytest.approx(3.0)
+        assert metrics.busy_seconds == pytest.approx(15.0)
 
-    def test_latency_recorder_percentiles_1_to_100(self):
-        rec = LatencyRecorder(clock=FakeClock())
-        for s in range(100, 0, -1):
-            rec.observe(float(s))
-        assert rec.quantile(0.50) == 50.0
-        assert rec.quantile(0.95) == 95.0
-        assert rec.quantile(0.99) == 99.0
+    def test_exact_percentiles_1_to_100(self):
+        metrics = ServingMetrics()
+        record(metrics, [float(s) for s in range(100, 0, -1)])
+        snap = metrics.snapshot()
+        assert snap["serve.epoch_latency.p50_s"] == 50.0
+        assert snap["serve.epoch_latency.p95_s"] == 95.0
+        assert snap["serve.epoch_latency.p99_s"] == 99.0
+        assert quantile(metrics.samples, 0.01) == 1.0
 
-    def test_latency_recorder_clocked_intervals(self):
-        clock = FakeClock(10.0, 12.5, 20.0, 20.25)
-        rec = LatencyRecorder(clock=clock)
-        rec.start()
-        assert rec.stop() == pytest.approx(2.5)
-        rec.start()
-        assert rec.stop() == pytest.approx(0.25)
-        assert rec.count == 2
-        with pytest.raises(RuntimeError, match="start"):
-            rec.stop()
-        with pytest.raises(ValueError):
-            rec.observe(-1.0)
-        with pytest.raises(ValueError):
-            rec.quantile(1.5)
+    def test_rejects_negative_seconds_and_bad_quantile(self):
+        metrics = ServingMetrics()
+        with pytest.raises(ValueError, match="non-negative"):
+            record(metrics, [-1.0])
+        assert metrics.samples == []  # nothing recorded
+        assert metrics.counters["micro_epochs"] == 0
+        with pytest.raises(ValueError, match="quantile"):
+            quantile([1.0], 1.5)
+        with pytest.raises(ValueError, match="quantile"):
+            quantile([], -0.1)
+        assert quantile([], 0.5) == 0.0
 
     def test_serving_metrics_exact_slo_view(self):
-        from repro.core import SolutionCost
-        from repro.dynamic import EpochReport
-
-        metrics = ServingMetrics(clock=FakeClock())
-        cost = SolutionCost(
-            num_vms=3, total_bytes=1e6, vm_usd=30.0, bandwidth_usd=3.0
-        )
+        metrics = ServingMetrics()
         seconds = [0.4, 0.1, 0.2, 0.3]
         for i, s in enumerate(seconds):
-            report = EpochReport(
-                epoch=i + 1,
-                cost=cost,
-                fresh_cost=cost,
-                pairs_added=5,
-                pairs_removed=2,
-                pairs_moved=1,
-                vms_opened=0,
-                vms_closed=0,
-                rebuilt=(i == 3),
-                seconds=s,
-            )
             metrics.record_epoch(
-                report,
+                epoch_report(i + 1, rebuilt=(i == 3)),
                 ops=10,
                 batch_ops=7 + i,
-                queue_depth=i % 2,
                 seconds=s,
                 num_vms=3,
             )
@@ -411,7 +421,6 @@ class TestServingMetrics:
         assert snap["serve.pairs_added"] == 20.0
         assert snap["serve.rebuilds"] == 1.0
         assert snap["serve.batch_ops"] == 10.0  # last seal's batch size
-        assert snap["serve.queue_depth"] == 1.0  # last seal's backlog
         assert snap["serve.epoch_latency.p50_s"] == 0.2
         assert snap["serve.epoch_latency.p99_s"] == 0.4
         assert snap["serve.epoch_latency.max_s"] == 0.4
@@ -421,27 +430,6 @@ class TestServingMetrics:
         assert metrics.check_slo(0.39) is False
         with pytest.raises(ValueError):
             metrics.check_slo(0.0)
-
-    def test_counters_stay_monotonic(self):
-        metrics = ServingMetrics(clock=FakeClock())
-        with pytest.raises(ValueError):
-            metrics.registry.counter("serve.ops").inc(-1)
-
-    def test_counter_up_only(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_registry_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(3)
-        reg.gauge("b").set(1.5)
-        snap = reg.snapshot()
-        assert snap["a"] == 3
-        assert snap["b"] == 1.5
 
 
 class TestMicroEpochService:
@@ -472,13 +460,74 @@ class TestMicroEpochService:
             # The seal drains the whole buffer: the batch is what was
             # queued, and no backlog is left behind it.
             assert micro.batch_ops == batch
-            assert micro.queue_depth == service.queue_depth == 0
+            assert service.queue_depth == 0
         snap = service.metrics_snapshot()
         assert snap["serve.batch_ops"] == float(batch)
-        assert snap["serve.queue_depth"] == 0.0
         assert snap["serve.epoch_latency.p99_s"] == pytest.approx(0.5)
         assert snap["serve.epoch_latency.p50_s"] == pytest.approx(0.25)
         assert service.micro_epochs == 2
+
+    def test_metrics_snapshot_pins_every_key_and_value(self):
+        workload, problem = self._problem(41)
+        clock = FakeClock()
+        service = MicroEpochService(
+            problem, ServingConfig(fresh_solve_every=2), clock=clock
+        )
+        model = ChurnModel(workload, CHURN, seed=1)
+        served = []
+        for start, stop in [(10.0, 10.5), (20.0, 20.25), (30.0, 31.0)]:
+            delta = model.step()
+            service.ingest_delta(delta)
+            clock.extend(start, stop)
+            served.append(
+                service.run_micro_epoch(delta.workload, delta.changed_topics)
+            )
+        snap = service.metrics_snapshot()
+
+        def total(field):
+            return float(sum(getattr(m.report, field) for m in served))
+
+        ops = float(sum(m.ops for m in served))
+        last = served[-1]
+        busy = 1.75  # 0.5 + 0.25 + 1.0 s, exact in binary
+        expected = {
+            "serve.micro_epochs": 3.0,
+            "serve.ops": ops,
+            "serve.moves": total("pairs_moved"),
+            "serve.pairs_added": total("pairs_added"),
+            "serve.pairs_removed": total("pairs_removed"),
+            "serve.rebuilds": total("rebuilt"),
+            "serve.batch_ops": float(last.batch_ops),
+            "serve.cost_usd": last.report.cost.total_usd,
+            "serve.drift": last.report.drift,
+            "serve.num_vms": float(service.reprovisioner.num_vms),
+            "serve.epoch_latency.p50_s": 0.5,
+            "serve.epoch_latency.p95_s": 1.0,
+            "serve.epoch_latency.p99_s": 1.0,
+            "serve.epoch_latency.mean_s": busy / 3,
+            "serve.epoch_latency.max_s": 1.0,
+            "serve.epoch_latency.count": 3.0,
+            "serve.ops_per_s": ops / busy,
+            "serve.moves_per_s": total("pairs_moved") / busy,
+        }
+        assert set(snap) == set(expected)
+        assert snap == expected
+
+    def test_queue_depth_is_the_backlog_between_offer_and_seal(self):
+        workload, problem = self._problem(41)  # 12 and 14 churn ops
+        service = MicroEpochService(problem, clock=FakeClock())
+        model = ChurnModel(workload, CHURN, seed=1)
+        assert service.queue_depth == 0
+        for _ in range(2):
+            delta = model.step()
+            depth = 0
+            for fragment in split_delta(delta, [1, 3]):
+                service.offer(fragment)
+                depth += fragment.num_ops
+                assert service.queue_depth == depth
+            micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
+            assert micro.batch_ops == depth
+            assert service.queue_depth == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
@@ -543,10 +592,7 @@ class TestServingCheckpointResume:
         assert churn_model is not None
         assert resumed.micro_epochs == 3
         # Carried counters: ops so far, not just since the resume.
-        assert (
-            resumed.metrics.registry.counter("serve.ops").value
-            == sum(r.ops for r in reports)
-        )
+        assert resumed.metrics.counters["ops"] == sum(r.ops for r in reports)
         reports += resumed.serve(churn_model, 3)
 
         assert len(reports) == len(ref_reports) == 6
@@ -556,10 +602,27 @@ class TestServingCheckpointResume:
         assert (
             resumed.reprovisioner.selection() == ref.reprovisioner.selection()
         )
-        assert (
-            resumed.metrics.registry.counter("serve.ops").value
-            == ref.metrics.registry.counter("serve.ops").value
+        assert resumed.metrics.counters["ops"] == ref.metrics.counters["ops"]
+
+    @pytest.mark.parametrize("name", COUNTERS)
+    def test_serving_state_round_trips_each_counter(self, name, tmp_path):
+        rng = np.random.default_rng(97)
+        workload = edgy_workload(rng)
+        problem = churn_problem(workload, rng)
+        service = MicroEpochService(problem)
+        service.serve(ChurnModel(workload, CHURN, seed=2), 2)
+        service.metrics.counters[name] += 1000  # a value no run reaches
+        state = service.serving_state()
+        # The micro-epoch count is the reprovisioner's epoch.
+        assert state[name] == (
+            service.micro_epochs
+            if name == "micro_epochs"
+            else service.metrics.counters[name]
         )
+        path = service.checkpoint(str(tmp_path / "state.npz"))
+        resumed, _ = MicroEpochService.resume(path, problem.plan)
+        assert resumed.metrics.counters == state
+        assert resumed.serving_state() == state
 
     @pytest.mark.parametrize("seed", range(3))
     def test_runner_resume_matches_uninterrupted(self, seed, tmp_path):
@@ -612,9 +675,9 @@ class TestServingCheckpointResume:
         service, churn_model = MicroEpochService.resume(path, problem.plan)
         assert churn_model is not None
         assert service.micro_epochs == reprov.epoch == 1
-        reg = service.metrics.registry
-        assert reg.counter("serve.micro_epochs").value == 1
-        assert reg.counter("serve.ops").value == 0  # no serving counters recorded
+        counters = service.metrics.counters
+        assert counters["micro_epochs"] == 1
+        assert counters["ops"] == 0  # no serving counters recorded
         service.serve(churn_model, 1)
         assert service.micro_epochs == 2
 

@@ -54,7 +54,7 @@ class TestIO:
 
 
 class TestFormatVersions:
-    """The versioned on-disk format: v3 header, v2/v1 legacy, mmap gating."""
+    """The versioned on-disk format: the v3 header and mmap gating."""
 
     def test_v3_header_fields(self, tmp_path, small_zipf):
         path = save_workload(small_zipf, tmp_path / "trace")
@@ -70,58 +70,12 @@ class TestFormatVersions:
             ):
                 assert "digest_" + member in data.files
 
-    def test_v2_file_still_loads(self, tmp_path, small_zipf):
-        # Hand-build a digest-less v2 file: payload members, no CRCs.
-        path = tmp_path / "v2.npz"
-        np.savez(
-            path,
-            version=np.int64(2),
-            generator_version=np.int64(GENERATOR_VERSION),
-            event_rates=small_zipf.event_rates,
-            interest_indptr=small_zipf.interest_indptr,
-            interest_topics=small_zipf.interest_topics,
-            message_size_bytes=np.float64(small_zipf.message_size_bytes),
-        )
-        loaded = load_workload(path)
-        assert np.array_equal(loaded.interest_topics, small_zipf.interest_topics)
-        mapped = load_workload(path, mmap=True)
-        assert np.array_equal(mapped.event_rates, small_zipf.event_rates)
-        # But an explicit verify=True has nothing to check against.
-        with pytest.raises(TraceCorruptionError, match="digest_"):
-            load_workload(path, verify=True)
-
-    def test_v1_legacy_file_still_loads(self, tmp_path, small_zipf):
-        # Hand-build a pre-versioning file: compressed, offsets key.
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            event_rates=small_zipf.event_rates,
-            interest_offsets=small_zipf.interest_indptr,
-            interest_topics=small_zipf.interest_topics,
-            message_size_bytes=np.float64(small_zipf.message_size_bytes),
-        )
-        loaded = load_workload(path)
-        assert np.array_equal(loaded.event_rates, small_zipf.event_rates)
-        assert np.array_equal(loaded.interest_topics, small_zipf.interest_topics)
-        assert loaded.message_size_bytes == small_zipf.message_size_bytes
-
-    def test_v1_mmap_rejected_with_resave_hint(self, tmp_path, small_zipf):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            event_rates=small_zipf.event_rates,
-            interest_offsets=small_zipf.interest_indptr,
-            interest_topics=small_zipf.interest_topics,
-            message_size_bytes=np.float64(small_zipf.message_size_bytes),
-        )
-        with pytest.raises(ValueError, match="re-save"):
-            load_workload(path, mmap=True)
-
-    def test_compressed_v2_roundtrips_but_rejects_mmap(self, tmp_path, small_zipf):
-        path = save_workload(small_zipf, tmp_path / "packed", compress=True)
-        loaded = load_workload(path)  # RAM load is fine
+    def test_compressed_v3_roundtrips_but_rejects_mmap(self, tmp_path, small_zipf):
+        # save_workload writes stored members; deflate them by hand.
+        path = save_workload(small_zipf, tmp_path / "packed")
+        members = dict(np.load(path))
+        np.savez_compressed(path, **members)
+        loaded = load_workload(path, verify=True)  # RAM load is fine
         assert np.array_equal(loaded.interest_topics, small_zipf.interest_topics)
         with pytest.raises(ValueError, match="mmap"):
             load_workload(path, mmap=True)
@@ -281,6 +235,22 @@ class TestTraceIntegrity:
         with pytest.raises(TraceCorruptionError, match=member):
             load_workload(path)
 
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_stripped_digest_refused_unless_unverified(
+        self, tmp_path, small_zipf, member
+    ):
+        path = save_workload(small_zipf, tmp_path / "trace")
+        data = dict(np.load(path))
+        del data["digest_" + member]
+        np.savez(path, **data)
+        for verify in (None, True):
+            with pytest.raises(TraceCorruptionError, match=f"'digest_{member}'"):
+                load_workload(path, verify=verify)
+        unverified = load_workload(path, verify=False)
+        assert np.array_equal(unverified.interest_topics, small_zipf.interest_topics)
+        mapped = load_workload(path, mmap=True)  # lazy: checks nothing
+        assert np.array_equal(mapped.event_rates, small_zipf.event_rates)
+
     def test_verify_false_skips_the_check(self, tmp_path, small_zipf):
         path = save_workload(small_zipf, tmp_path / "trace")
         _corrupt_member(path, "event_rates", lambda a: a.__setitem__(0, 1e9))
@@ -333,33 +303,6 @@ class TestTraceIntegrity:
             fh.seek(offset)
             fh.write(b"JUNK")
         with pytest.raises(ValueError, match="corrupt local header"):
-            load_workload(path, mmap=True)
-
-    def test_truncated_v1_raises_structured_error(self, tmp_path, small_zipf):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            event_rates=small_zipf.event_rates,
-            interest_topics=small_zipf.interest_topics,
-            message_size_bytes=np.float64(small_zipf.message_size_bytes),
-        )
-        with pytest.raises(TraceCorruptionError, match="interest_offsets"):
-            load_workload(path)
-        with pytest.raises(TraceCorruptionError, match="v3"):
-            load_workload(path)
-
-    def test_v1_mmap_hint_names_v3(self, tmp_path, small_zipf):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            event_rates=small_zipf.event_rates,
-            interest_offsets=small_zipf.interest_indptr,
-            interest_topics=small_zipf.interest_topics,
-            message_size_bytes=np.float64(small_zipf.message_size_bytes),
-        )
-        with pytest.raises(ValueError, match="v3"):
             load_workload(path, mmap=True)
 
 
