@@ -8,12 +8,15 @@ extension: a Twitter-like workload churns for twelve epochs
 reprovisioner patches the placement each epoch, falling back to a full
 re-solve only when it drifts more than 15% above a fresh solution.
 
-The expensive from-scratch reference solve no longer runs every epoch:
-a calibrated Algorithm-5 estimate prices each epoch in O(pairs) array
-work, and the real solve runs only on the ``fresh_solve_every`` cadence
-(the paper's periodic re-run as a safety net) or when the estimate
-suggests the fleet may have drifted past the threshold -- watch the
-"fresh" column to see which epochs actually paid for one.
+The fresh reference solve no longer runs every epoch: a calibrated
+Algorithm-5 estimate prices each epoch in O(pairs) array work, and the
+fresh solve runs only on the ``fresh_solve_every`` cadence (the paper's
+periodic re-run as a safety net) or when the estimate suggests the
+fleet may have drifted past the threshold -- watch the "fresh" column
+to see which epochs actually paid for one.  It does not select again:
+the maintained pairs already are GSP's selection of the epoch's
+workload, so it re-packs them with full CBP and audits the result,
+which costs exactly what a from-scratch solve would.
 
 Watch the columns: the incremental fleet tracks the fresh-solve cost
 closely while touching only a small fraction of the pairs per epoch --

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fresh-solve-every", type=int, default=8, metavar="K",
-        help="fresh reference solve cadence (1 = referee behavior)",
+        help="re-pack the live selection every K micro-epochs "
+        "(1 = referee behavior)",
     )
     serve.add_argument(
         "--slo-p99", type=float, default=0.0, metavar="SECONDS",

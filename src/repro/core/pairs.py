@@ -47,6 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from .segsearch import grouping_order
 from .workload import Pair, Workload
 
 __all__ = ["PairSelection"]
@@ -196,7 +197,7 @@ class PairSelection:
             raise ValueError("topics and subscribers must be parallel arrays")
         if t.size == 0:
             return cls({})
-        order = np.argsort(t, kind="stable")
+        order = grouping_order(t)
         s_t = t[order]
         starts = np.flatnonzero(np.concatenate(([True], s_t[1:] != s_t[:-1])))
         indptr = np.append(starts, s_t.size).astype(np.int64)

@@ -58,6 +58,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .backend import AdoptBackend, ArrayBackend, RamBackend
+from .segsearch import sorted_unique
 
 __all__ = ["Pair", "Workload", "WorkloadStats", "build_workload"]
 
@@ -601,10 +602,10 @@ class Workload:
         Topic ids are preserved; topics that lose their entire audience
         simply keep a zero audience.  Useful for sampling experiments.
         """
-        # np.unique = sort + dedup in one whole-array pass; the hot
-        # caller (incremental reselection) passes a large index array
-        # every epoch, so avoid the per-element Python set round trip.
-        keep = np.unique(np.asarray(
+        # Sort + dedup in one whole-array pass; the hot caller
+        # (incremental reselection) passes a large index array every
+        # epoch, so avoid the per-element Python set round trip.
+        keep = sorted_unique(np.asarray(
             subscribers if isinstance(subscribers, np.ndarray) else list(subscribers),
             dtype=np.int64,
         ))

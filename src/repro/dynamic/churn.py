@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core import Pair, Workload
-from ..core.segsearch import sorted_member
+from ..core.segsearch import sorted_member, sorted_unique
 
 __all__ = ["ChurnConfig", "WorkloadDelta", "ChurnModel", "LoopChurnModel"]
 
@@ -179,7 +179,7 @@ class WorkloadDelta:
     def touched_array(self) -> np.ndarray:
         """Sorted unique subscribers whose interest changed (cached)."""
         if self._touched is None:
-            self._touched = np.unique(
+            self._touched = sorted_unique(
                 np.concatenate(
                     [self.subscribed_subscribers, self.unsubscribed_subscribers]
                 )

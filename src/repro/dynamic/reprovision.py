@@ -53,11 +53,25 @@ is gated by the Algorithm-5 lower bound, kept as a running vector of
 per-subscriber terms (:func:`~repro.bounds.subscriber_bound_terms`):
 each epoch refreshes the touched subscribers' terms from the
 re-selection's own view and prices the vector, which equals
-``lower_bound(problem)`` bit for bit.  A full reference solve runs only
-every ``fresh_solve_every`` epochs (the paper's periodic re-run as a
-safety net) or when the calibrated estimate suggests the incremental
-fleet may have drifted past ``rebuild_threshold``.  See
-:class:`EpochReport` for how drift is reported on estimate-only epochs.
+``lower_bound(problem)`` bit for bit.  A fresh solve runs only every
+``fresh_solve_every`` epochs (the paper's periodic re-run as a safety
+net) or when the calibrated estimate suggests the incremental fleet may
+have drifted past ``rebuild_threshold``.  See :class:`EpochReport` for
+how drift is reported on estimate-only epochs.
+
+That fresh solve does not re-run Stage 1.  GSP decides each subscriber
+from its own interests and their rates, and a step re-selects every
+subscriber whose interests or topic rates changed (and drops those who
+left), so the held pair set already is GSP's selection of the current
+workload.  The fresh solve is therefore a cold Stage-2 pack of that
+selection (:meth:`MCSSSolver.solve_with_selection`), and it equals a
+from-scratch solve bit for bit: full CBP packs topics in the total
+order ``(-rate * count, -rate, topic)`` whatever the order of the
+selection's groups, and the subscriber-major table lists each topic's
+subscribers ascending, as GSP does.  The pack's audit
+(:func:`~repro.core.validate_placement`) therefore checks the held
+selection itself: a subscriber it leaves unserved fails the step with
+a ``ValueError`` naming it.
 
 A step whose workload holds a pair no VM can fit raises
 :class:`InfeasibleEpochError` before it changes anything.
@@ -88,7 +102,7 @@ import numpy as np
 
 from ..bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
 from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost
-from ..core.segsearch import segmented_left_search
+from ..core.segsearch import segmented_left_search, sorted_unique
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
@@ -129,9 +143,12 @@ class InfeasibleEpochError(ValueError):
 class EpochReport:
     """What one epoch of reprovisioning did.
 
-    ``fresh_cost`` is the cost of a from-scratch solve when one ran
-    this epoch (always, for the loop referee; on gated epochs for the
-    vectorized reprovisioner) and ``None`` otherwise.
+    ``fresh_cost`` is the cost of a fresh solve when one ran this epoch
+    and ``None`` otherwise.  The loop referee runs a from-scratch solve
+    every epoch.  The vectorized reprovisioner, on gated epochs, packs
+    its held selection afresh: a cold Stage-2 pack of the pair set it
+    maintains as GSP's selection, which costs what a from-scratch
+    solve costs.
     ``fresh_estimate_usd`` is the calibrated Algorithm-5 estimate of
     the fresh cost that gated the decision.  :attr:`drift` falls back
     to the estimate on estimate-only epochs; the skip condition
@@ -321,16 +338,18 @@ class IncrementalReprovisioner:
         Rebuild from scratch when the incremental cost exceeds a fresh
         solve by this factor (>= 1.0).
     fresh_solve_every:
-        Cadence of the guaranteed fresh reference solve (>= 1).  In
-        between, the fresh solve runs only when the calibrated
-        Algorithm-5 estimate says the fleet may have drifted past the
-        rebuild threshold; ``1`` reproduces the referee's
-        fresh-solve-every-epoch behavior exactly.
+        Cadence of the guaranteed fresh solve (>= 1): a cold full-CBP
+        pack of the held selection, audited.  In between, the fresh
+        solve runs only when the calibrated Algorithm-5 estimate says
+        the fleet may have drifted past the rebuild threshold; ``1``
+        reproduces the referee's fresh-solve-every-epoch behavior
+        exactly.
 
-    The initial and fresh solves are the paper configuration,
-    ``MCSSSolver.paper()`` (GSP + full CBP), and the incremental
-    re-selection is GSP, so the placed pair set is GSP's selection at
-    every epoch.
+    The initial solve is the paper configuration, ``MCSSSolver.paper()``
+    (GSP + full CBP), and the incremental re-selection is GSP, so the
+    placed pair set is GSP's selection at every epoch.  A fresh solve
+    therefore re-packs that set with the same solver's Stage 2 instead
+    of selecting again (see the module docstring).
     """
 
     def __init__(
@@ -508,8 +527,12 @@ class IncrementalReprovisioner:
         Accepts either a :class:`~repro.dynamic.churn.WorkloadDelta`
         (preferred: only touched subscribers are re-selected) or a bare
         :class:`~repro.core.workload.Workload` (every subscriber is
-        re-checked).  Raises :class:`InfeasibleEpochError`, with every
-        member unchanged, when a pair of the new workload fits no VM.
+        re-checked, and the pairs of subscribers past its end leave).
+        Raises :class:`InfeasibleEpochError`, with every member
+        unchanged, when a pair of the new workload fits no VM.  A fresh
+        solve whose audit finds the held selection leaves a subscriber
+        unserved raises ``ValueError`` naming it; the state is already
+        the new epoch's then, and it is not a feasible one.
         """
         t0 = time.perf_counter()
         from .churn import WorkloadDelta  # local import avoids a cycle
@@ -535,9 +558,10 @@ class IncrementalReprovisioner:
         )
 
         # ---- touched subscribers (vectorized rate-changed scan) ------
-        vanished = np.empty(0, dtype=np.int64)
         if delta is None:
             touched_idx = np.arange(n, dtype=np.int64)
+            # Subscribers past the new workload's end have left it.
+            vanished = np.arange(n, self._first.size - 1, dtype=np.int64)
         else:
             ta = delta.touched_array()
             vanished = ta[ta >= n]
@@ -689,7 +713,10 @@ class IncrementalReprovisioner:
             self._since_fresh >= self._fresh_every
             or cost.total_usd > estimate * self._rebuild_threshold
         ):
-            fresh = self._solver.solve(problem)
+            # The held pairs are GSP's selection of this workload, so a
+            # fresh pack of them is the fresh solve, and its audit
+            # checks that every subscriber is served.
+            fresh = self._solver.solve_with_selection(problem, self.selection())
             self._since_fresh = 0
             self._lb_ratio = fresh.cost.total_usd / lb if lb > 0 else 1.0
             if cost.total_usd > fresh.cost.total_usd * self._rebuild_threshold:
@@ -773,7 +800,7 @@ class IncrementalReprovisioner:
         # must see the VMs an earlier run of its topic filled.
         by_topic = np.argsort(g_t)
         h_t, h_vm = g_t[by_topic], g_vm[by_topic]
-        topics = np.unique(place_t)
+        topics = sorted_unique(place_t)
         lo = np.searchsorted(h_t, topics)
         hi = np.searchsorted(h_t, topics, side="right")
         hosts_of = {

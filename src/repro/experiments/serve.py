@@ -54,6 +54,7 @@ class ServeRunResult:
                 f"{r.seconds * 1e3:8.2f} ms  "
                 f"+{r.report.pairs_added} -{r.report.pairs_removed} "
                 f"~{r.report.pairs_moved} pairs"
+                + ("  [fresh]" if r.report.fresh_solved else "")
                 + ("  [rebuilt]" if r.report.rebuilt else "")
             )
         m = self.metrics

@@ -81,7 +81,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection
-from ..core.segsearch import segmented_left_search
+from ..core.segsearch import grouping_order, segmented_left_search
 from ..resilience.supervise import subscriber_shards, supervised_map
 from .base import SelectionAlgorithm, register_selector
 from .sharded import merge_shard_groups
@@ -146,18 +146,6 @@ def _segmented_ascending_search(
     return segmented_left_search(
         values, lo, hi, target, np.greater if strict else np.greater_equal
     )
-
-
-def _grouping_order(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of small non-negative int keys, radix when possible.
-
-    NumPy's stable sort is a radix sort for 1- and 2-byte integer
-    dtypes only, which is ~7x faster than the comparison sort used for
-    int64 -- worth the downcast whenever the key range allows it.
-    """
-    if keys.size and int(keys.max()) < (1 << 15):
-        return np.argsort(keys.astype(np.int16), kind="stable")
-    return np.argsort(keys, kind="stable")
 
 
 @register_selector("gsp")
@@ -412,7 +400,7 @@ class GreedySelectPairs(SelectionAlgorithm):
         # Group by topic: a stable argsort keeps ascending subscribers
         # inside each group (chosen_idx is subscriber-major), and the
         # per-group minimum rank is the topic's first appearance.
-        group_order = _grouping_order(t_sel)
+        group_order = grouping_order(t_sel)
         t_grouped = t_sel[group_order]
         starts = np.concatenate(
             ([0], np.flatnonzero(t_grouped[1:] != t_grouped[:-1]) + 1)
@@ -438,7 +426,7 @@ class GreedySelectPairs(SelectionAlgorithm):
         perm = np.argsort(first_seen, kind="stable")
         dest_rank = np.empty(perm.size, dtype=np.int64)
         dest_rank[perm] = np.arange(perm.size)
-        final = _grouping_order(np.repeat(dest_rank, sizes))
+        final = grouping_order(np.repeat(dest_rank, sizes))
         csr_indptr = np.zeros(perm.size + 1, dtype=np.int64)
         np.cumsum(sizes[perm], out=csr_indptr[1:])
         return PairSelection.from_csr(

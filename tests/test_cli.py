@@ -193,6 +193,19 @@ class TestServe:
         for line in lines:
             assert re.search(r"ops +\d+  \+\d+ -\d+ ~\d+ pairs$", line), line
 
+    def test_serve_tags_fresh_solve_epochs(self, capsys):
+        # The epochs that re-pack the live selection say so, as the
+        # p99 of a serve run is usually one of them.
+        assert main(SERVE + ["--epochs", "4", "--fresh-solve-every", "2"]) == 0
+        lines = epoch_lines(capsys.readouterr().out)
+        assert [line.endswith("pairs  [fresh]") for line in lines] == [
+            False, True, False, True,
+        ]
+        assert main(SERVE + ["--epochs", "2", "--fresh-solve-every", "1"]) == 0
+        lines = epoch_lines(capsys.readouterr().out)
+        assert len(lines) == 2
+        assert all("pairs  [fresh]" in line for line in lines)
+
     def test_serve_resume_prints_the_uninterrupted_lines(self, tmp_path, capsys):
         ckpt = str(tmp_path / "serve.npz")
         assert main(SERVE + ["--epochs", "6"]) == 0

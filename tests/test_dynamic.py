@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import MCSSProblem, Workload, validate_placement
+from repro.core import MCSSProblem, Placement, Workload, validate_placement
 from repro.dynamic import (
     ChurnConfig,
     ChurnModel,
@@ -311,6 +311,55 @@ class TestFreshSolveGating:
         for _ in range(3):
             report = reprov.step(model.step())
             assert report.fresh_solved and report.fresh_cost is not None
+
+
+class TestCadenceAudit:
+    """The fresh solve re-packs the held selection and audits it."""
+
+    def test_unserved_subscriber_fails_the_fresh_solve(self, problem):
+        # A snapshot that lost one subscriber's pairs, its used bytes
+        # recomputed so that restore accepts it.  A step that does not
+        # touch the subscriber keeps its loss; the fresh solve's audit
+        # of the held selection must name it.
+        snap = IncrementalReprovisioner(
+            problem, rebuild_threshold=10.0, fresh_solve_every=1
+        ).snapshot()
+        p_v = snap["pair_subscribers"]
+        victim = int(p_v[p_v.size // 2])
+        keep = p_v != victim
+        for key in ("pair_subscribers", "pair_topics", "pair_vms"):
+            snap[key] = snap[key][keep]
+        snap["used_bytes"] = Placement.from_pair_arrays(
+            problem.workload,
+            problem.capacity_bytes,
+            snap["pair_vms"],
+            snap["pair_topics"],
+            snap["pair_subscribers"],
+            num_vms=snap["num_vms"],
+        ).used_bytes_array()
+        restored = IncrementalReprovisioner.restore(snap, problem.plan)
+        still = WorkloadDelta.from_pairs(problem.workload, [], [], [])
+        with pytest.raises(ValueError, match=rf"unsatisfied subscribers: {victim}$"):
+            restored.step(still)
+
+    def test_bare_workload_drops_departed_subscribers(self):
+        # A bare workload that ends before the table's last subscriber:
+        # their pairs leave, so the held selection stays GSP's and the
+        # fresh re-pack costs what a from-scratch solve does.
+        from repro.solver import MCSSSolver
+
+        workload = zipf_workload(40, 120, mean_interest=6.0, seed=9)
+        problem = MCSSProblem(workload, 50, make_unit_plan(4.5e7))
+        reprov = IncrementalReprovisioner(
+            problem, rebuild_threshold=10.0, fresh_solve_every=1
+        )
+        held = reprov.selection().num_pairs
+        shrunk = workload.restrict_subscribers(range(100))
+        report = reprov.step(shrunk)
+        assert max(v for _t, v in reprov.selection()) < 100
+        assert report.pairs_removed == held - reprov.selection().num_pairs
+        assert report.fresh_cost == MCSSSolver.paper().solve(reprov.problem).cost
+        assert validate_placement(reprov.problem, reprov.placement()).ok
 
 
 class TestLoopReferees:

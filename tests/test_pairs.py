@@ -43,6 +43,28 @@ class TestFromCsr:
         assert sel.subscribers_of(1).tolist() == [0, 9]
         assert sel.subscribers_of(4).tolist() == [7, 2]
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0, 60), (32_700, 1 << 15), (32_730, 32_800), (1 << 40, (1 << 40) + 60)],
+        ids=["small-ids", "ids-up-to-2^15-1", "ids-across-2^15", "ids-past-2^32"],
+    )
+    def test_flat_pair_arm_matches_lexsort_grouping(self, low, high):
+        # The CSR a reference np.lexsort grouping gives: topics
+        # ascending, each group's subscribers in input order -- on both
+        # sides of the int16 radix sort's 2^15 key limit.
+        rng = np.random.default_rng(low % 997)
+        topics = rng.integers(low, high, size=400).astype(np.int64)
+        subscribers = rng.permutation(400).astype(np.int64)
+        order = np.lexsort((np.arange(topics.size), topics))
+        grouped = topics[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        for trusted in (False, True):
+            got = PairSelection.from_csr(topics, None, subscribers, trusted=trusted)
+            t, indptr, subs = got.csr_arrays()
+            np.testing.assert_array_equal(t, grouped[starts])
+            np.testing.assert_array_equal(indptr, np.r_[starts, topics.size])
+            np.testing.assert_array_equal(subs, subscribers[order])
+
     def test_flat_pair_arm_empty(self):
         sel = PairSelection.from_csr(
             np.empty(0, dtype=np.int64), None, np.empty(0, dtype=np.int64)

@@ -25,7 +25,8 @@ as executable specifications:
   ``LoopFFBinPacking`` (the ``ffbp-loop`` referee);
 * one shared GSP selection packed cold on every ladder rung (a)-(e),
   in either rung order  ==  each rung's own pack  ==  its loop referee,
-  with the selection left unchanged;
+  with the selection left unchanged; on rungs c-e, any order of its
+  topic groups packs the same placement;
 * ``build_social_graph`` (whole-array CSR construction,
   multinomial-and-shuffle draws)  ~=  ``build_social_graph_loop`` (the
   retained per-user referee) -- *distributional* equivalence (KS-style
@@ -43,7 +44,10 @@ as executable specifications:
   referee's every-epoch fresh solve)  ==
   ``LoopIncrementalReprovisioner`` (the retained ``reprovision-loop``
   referee) -- *identical epoch placements*, costs, EpochReport move
-  counts and rebuild decisions on shared-seed churn streams;
+  counts and rebuild decisions on shared-seed churn streams; at the
+  default cadence, its fresh solve (a re-pack of the held selection)
+  costs what ``MCSSSolver.paper().solve`` does and a rebuild adopts
+  that solve's placement;
 * ``MicroEpochService`` (the serving layer: churn fragments queued,
   sealed per micro-epoch, stepped through the merge-maintained group
   index; run with ``fresh_solve_every=1``)  ==
@@ -66,6 +70,7 @@ import pytest
 from repro.core import (
     MCSSProblem,
     PairSelection,
+    Placement,
     Workload,
     delivered_rate,
     delivered_rates,
@@ -99,6 +104,7 @@ from repro.selection import (
     LoopGreedySelectPairs,
     ReferenceGreedySelectPairs,
 )
+from repro.solver import MCSSSolver
 from repro.workloads import (
     build_social_graph,
     build_social_graph_loop,
@@ -524,6 +530,36 @@ class TestSharedSelectionPacking:
             packer, _ = rung_packers(rung)
             again = packer.pack(problem, selection)
             assert_identical_placements(again, forward[rung], problem)
+
+    @pytest.mark.parametrize("rung", ("c", "d", "e"))
+    def test_topic_group_order_is_irrelevant_from_rung_c(self, rung, run_window):
+        # Rungs c-e pack topics in the total order (-rate * count, -rate,
+        # topic), so any order of a selection's topic groups packs the
+        # same placement: the premise of the reprovisioner's fresh
+        # solve, which re-packs its held pairs grouped by ascending
+        # topic rather than in GSP's first-appearance order.  Rung b
+        # packs groups in input order; the reprovisioner never uses it.
+        packer = CustomBinPacking(CBPOptions.ladder(rung))
+        for seed in range(6):
+            rng = np.random.default_rng(21_000 + seed)
+            workload = edgy_workload(rng)
+            problem = packing_problem(workload, rng)
+            selection = GreedySelectPairs().select(problem)
+            topics, indptr, subs = selection.csr_arrays()
+            if not topics.size:
+                continue
+            want = packer.pack(problem, selection)
+            perm = rng.permutation(topics.size)
+            shuffled = PairSelection.from_csr(
+                topics[perm],
+                np.r_[0, np.cumsum(np.diff(indptr)[perm])],
+                np.concatenate([subs[indptr[i]:indptr[i + 1]] for i in perm]),
+            )
+            pair_topics, pair_subs = selection.pair_arrays()
+            ascending = PairSelection.from_csr(pair_topics, None, pair_subs)
+            for other in (shuffled, ascending):
+                assert other == selection
+                assert_identical_placements(packer.pack(problem, other), want, problem)
 
     @pytest.mark.parametrize("rung", LADDER_RUNGS)
     def test_placements_of_one_selection_independent(self, rung, tiny_problem):
@@ -1045,6 +1081,50 @@ class TestReprovisionEquivalence:
             moved += reprov.step(model.step()).pairs_moved
             assert_selection_is_gsp(reprov)
         assert moved > 0  # the stream keeps evicting
+
+    @pytest.mark.parametrize(
+        "sigma, bare, threshold",
+        [(0.0, False, 1.15), (0.02, False, 1.15), (0.02, False, 1.0), (0.02, True, 1.15)],
+        ids=["steady", "drift", "drift-rebuilding", "drift-bare-workloads"],
+    )
+    def test_fresh_repack_is_the_fresh_solve(self, sigma, bare, threshold):
+        # At the default cadence the fresh solve re-packs the held
+        # selection.  On every epoch that runs it, its cost must be a
+        # from-scratch solve's, and a rebuild must adopt exactly that
+        # solve's placement.  Threshold 1.0 rebuilds whenever the
+        # incremental fleet costs more than the fresh one.
+        workload = zipf_workload(
+            60, 3000, mean_interest=8.0, message_size_bytes=1.0, seed=3000
+        )
+        rates = workload.event_rates
+        capacity = max(2.5 * float(rates.max()), float(rates.sum()) / 8.0)
+        problem = MCSSProblem(workload, 100.0, make_unit_plan(capacity))
+        reprov = IncrementalReprovisioner(problem, rebuild_threshold=threshold)
+        model = ChurnModel(workload, ChurnConfig(0.01, 0.01, sigma), seed=7)
+        fresh = rebuilt = 0
+        for _ in range(17):
+            delta = model.step()
+            report = reprov.step(delta.workload if bare else delta)
+            if not report.fresh_solved:
+                continue
+            fresh += 1
+            solution = MCSSSolver.paper().solve(reprov.problem)
+            assert report.fresh_cost == solution.cost
+            if report.rebuilt:
+                rebuilt += 1
+                vms, topics, sizes, subs = solution.placement.assignment_arrays()
+                adopted = Placement.from_pair_arrays(
+                    reprov.problem.workload,
+                    problem.capacity_bytes,
+                    np.repeat(vms, sizes),
+                    np.repeat(topics, sizes),
+                    subs,
+                    num_vms=solution.placement.num_vms,
+                )
+                assert diff_placements(reprov.placement(), adopted) is None
+        assert fresh >= 2
+        if threshold == 1.0:
+            assert rebuilt > 0
 
 
 class TestBackendEquivalence:
