@@ -15,19 +15,21 @@ Vectorized engine
 The whole-population checks (:func:`delivered_rates`,
 :func:`satisfied_mask`, :func:`satisfaction_slack`) are whole-array
 NumPy reductions over flat ``(topic, subscriber)`` pair arrays rather
-than per-subscriber Python loops:
+than per-subscriber Python loops -- a sort-merge membership join
+(Blasgen & Eswaran, 1977) against the workload's own pairs:
 
-1. each delivered pair ``(t, v)`` is located inside the workload's
-   per-subscriber-sorted CSR interests
-   (:meth:`repro.core.workload.Workload.sorted_interest_topics`) by a
-   *segmented* vectorized binary search -- ``O(log |Tv|)`` bisection
-   steps executed for all pairs at once;
-2. pairs outside the subscriber's interest simply find no slot and are
-   dropped (Equation (3) only sums over ``t in Tv``);
-3. duplicates (a topic delivered from several VMs counts once) are
-   collapsed by scattering onto the found pair slots -- no sort;
+1. each delivered pair ``(t, v)`` becomes the packed key
+   ``v * num_topics + t``, and the keys are sorted in place;
+2. duplicates (a topic delivered from several VMs counts once) are
+   equal neighbours of the sorted keys, dropped by one neighbour mask;
+3. interest membership is one monotone ``np.searchsorted`` of the
+   sorted keys into :meth:`repro.core.workload.Workload.pair_keys`,
+   the workload's cached sorted pair keys: pairs outside the
+   subscriber's interest find no equal key and are dropped
+   (Equation (3) only sums over ``t in Tv``);
 4. per-subscriber delivered rates are a single ``np.bincount`` with
-   the topic rates as weights.
+   the topic rates as weights, adding each subscriber's topics in
+   ascending topic order.
 
 :func:`delivered_rates_from_arrays` is the raw entry point;
 the mapping-based functions convert their ``subscriber -> topics``
@@ -41,8 +43,10 @@ delivered-rate sums as the per-subscriber :func:`delivered_rate`
 referee, with summation order differences bounded by float rounding --
 bit-identical whenever the partial sums are exactly representable
 (e.g. integer-valued event rates, which is what every generator in
-:mod:`repro.workloads` produces).  The randomized suite in
-``tests/test_vectorized_equivalence.py`` pins this down.
+:mod:`repro.workloads` produces).  Whatever the rates, each
+subscriber's sum is a left-to-right sum over its distinct delivered
+interest topics in ascending order.  The randomized suite in
+``tests/test_vectorized_equivalence.py`` pins both.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import Iterable, List, Mapping, Set, Tuple
 import numpy as np
 
 from .pairs import PairSelection
-from .segsearch import segmented_left_search
 from .workload import Workload
 
 __all__ = [
@@ -109,31 +112,16 @@ def delivered_rate(
     return total
 
 
-def _segmented_find(
-    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Per-lane leftmost index ``i`` in ``[lo, hi)`` with ``values[i] >= target``.
-
-    ``values`` must be ascending inside every ``[lo, hi)`` window (the
-    per-subscriber sorted interests).  Returns ``hi`` when no element
-    qualifies.
-    """
-    return segmented_left_search(values, lo, hi, target, np.greater_equal)
-
-
 def delivered_rates_from_arrays(
     workload: Workload,
     pair_topics: np.ndarray,
     pair_subscribers: np.ndarray,
-    *,
-    assume_unique: bool = False,
 ) -> np.ndarray:
     """Vector of delivered rates from flat parallel pair arrays.
 
     ``pair_topics[i]`` was delivered to ``pair_subscribers[i]``.
-    Duplicate pairs count once (pass ``assume_unique=True`` to skip the
-    dedup when the caller guarantees it); pairs whose topic is not in
-    the subscriber's interest -- or that reference unknown ids -- are
+    Duplicate pairs count once; pairs whose topic is not in the
+    subscriber's interest -- or that reference unknown ids -- are
     ignored, matching :func:`delivered_rate`.
     """
     n = workload.num_subscribers
@@ -146,33 +134,42 @@ def delivered_rates_from_arrays(
     valid = (topics >= 0) & (topics < num_topics) & (subs >= 0) & (subs < n)
     if not valid.all():
         topics, subs = topics[valid], subs[valid]
+    keys = subs * np.int64(num_topics)
+    keys += topics
+    return _delivered_rates_of_keys(workload, keys)
 
-    # Locate each delivered pair inside the subscriber's sorted
-    # interest segment; misses (topic not in Tv) fall out naturally.
-    sorted_topics = workload.sorted_interest_topics()
-    indptr = workload.interest_indptr
-    lo = indptr[subs]
-    hi = indptr[subs + 1]
-    slot = _segmented_find(sorted_topics, lo, hi, topics)
-    slot_clipped = np.minimum(slot, sorted_topics.size - 1)
-    member = (slot < hi) & (sorted_topics[slot_clipped] == topics)
 
-    if assume_unique:
-        hit_subs = subs[member]
-        hit_topics = topics[member]
-    else:
-        # Dedup by scattering onto the found pair slots: a pair slot is
-        # unique per (v, t), and scattering beats sorting the keys.
-        seen = np.zeros(sorted_topics.size, dtype=bool)
-        seen[slot_clipped[member]] = True
-        hits = np.flatnonzero(seen)
-        hit_subs = workload.pair_subscribers()[hits]
-        hit_topics = sorted_topics[hits]
-    return np.bincount(
-        hit_subs,
-        weights=workload.event_rates[hit_topics],
-        minlength=n,
-    )
+def _delivered_rates_of_keys(workload: Workload, keys: np.ndarray) -> np.ndarray:
+    """Delivered rates from packed pair keys ``v * num_topics + t``.
+
+    Steps 1-4 of the module docstring.  ``keys`` must be int64 with
+    every id in range, and it is consumed: sorted, then overwritten.
+    """
+    n = workload.num_subscribers
+    pair_keys = workload.pair_keys()
+    if keys.size == 0 or pair_keys.size == 0:
+        return np.zeros(n, dtype=np.float64)
+    big_l = np.int64(workload.num_topics)
+    keys.sort()
+    # A key counts when it is the first of its run of equal keys (the
+    # dedup) and one of the workload's pairs (the membership test).
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    # One lane-sized scratch array holds, in turn, each key's insertion
+    # point, the pair key found there, its topic and its subscriber.
+    # ``take`` with ``mode="clip"`` gathers elementwise into its own
+    # index array without a buffer copy (``"raise"`` would copy).
+    found = np.searchsorted(pair_keys, keys)
+    np.take(pair_keys, found, out=found, mode="clip")
+    keep &= found == keys
+    np.remainder(keys, big_l, out=found)
+    weights = workload.event_rates[found]
+    # A dropped key weighs 0.0 and adds nothing to its subscriber's sum,
+    # so each subscriber sums its kept topics in ascending order.
+    weights[~keep] = 0.0
+    np.floor_divide(keys, big_l, out=found)
+    return np.bincount(found, weights=weights, minlength=n)
 
 
 def _mapping_to_pair_arrays(
@@ -255,7 +252,7 @@ def selection_satisfied_mask(
     """
     thresholds = subscriber_thresholds(workload, tau)
     topics, subs = selection.pair_arrays()
-    got = delivered_rates_from_arrays(workload, topics, subs, assume_unique=True)
+    got = delivered_rates_from_arrays(workload, topics, subs)
     return got >= thresholds * (1.0 - rel_tol)
 
 

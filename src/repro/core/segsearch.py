@@ -2,8 +2,8 @@
 
 Several hot paths bisect *per-subscriber windows* of one big flat
 array simultaneously -- the GSP sweep over rate-descending segments,
-the satisfaction membership test over sorted interest segments, the
-overshoot recovery over running skip counts.  They all reduce to the
+the overshoot recovery over running skip counts, the reprovisioner's
+order merge.  They all reduce to the
 same branchless lane-parallel bisection, differing only in the
 comparison that decides "answer is at or left of mid"; this module is
 its single implementation.

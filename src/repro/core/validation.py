@@ -14,12 +14,15 @@ Two implementations are provided:
 
 * :func:`validate_placement` -- the default: per-VM bandwidth via
   ``np.bincount`` over the flat assignment arrays, and the
-  satisfaction half via the vectorized pair-key reductions of
-  :mod:`repro.core.satisfaction` (dedup with ``np.unique``, interest
-  membership with ``np.searchsorted``, delivered rates with
-  ``np.bincount``).  O(P log P) whole-array work instead of a Python
-  loop over subscribers -- this is what makes ``solve()`` viable at
-  100k+ subscribers, where the loop referee dominated the runtime.
+  satisfaction half as the sort-merge of :mod:`repro.core.satisfaction`
+  (each delivered lane's pair key ``v * num_topics + t`` sorted in
+  place, duplicates dropped by a neighbour mask, interest membership
+  by one monotone ``np.searchsorted`` into the workload's sorted
+  :meth:`~repro.core.workload.Workload.pair_keys`, delivered rates
+  by ``np.bincount``).  O(P log P) whole-array work instead of a
+  Python loop over subscribers -- this is what makes ``solve()``
+  viable at 100k+ subscribers, where the loop referee dominated the
+  runtime.
 * :func:`validate_placement_loop` -- the original direct-style loop,
   deliberately sharing no code with the solvers *or* with the
   vectorized validator, kept as the slow referee.  The randomized
@@ -42,7 +45,7 @@ import numpy as np
 
 from .placement import Placement
 from .problem import MCSSProblem
-from .satisfaction import delivered_rates_from_arrays
+from .satisfaction import _delivered_rates_of_keys, delivered_rates_from_arrays
 
 __all__ = ["ValidationReport", "validate_placement", "validate_placement_loop"]
 
@@ -95,15 +98,23 @@ def validate_placement(problem: MCSSProblem, placement: Placement) -> Validation
     vm_arr, topic_arr, size_arr, all_subs = placement.assignment_arrays()
     topic_bytes = rates[topic_arr] * msg_bytes if topic_arr.size else np.empty(0)
 
+    # The satisfaction half reads the workload's sorted pair keys and
+    # interest rate sums: build them before any lane-sized array below
+    # is live, since out of core a cold build is a pair-sized transient.
+    thresholds = np.minimum(float(problem.tau), workload.interest_rate_sums())
+    workload.pair_keys()
+
     # Duplicate subscribers inside one (vm, topic) group: one global
     # sorted pass over (group, subscriber) keys instead of a np.unique
     # per assignment.
     messages: List[str] = []
+    low = high = 0
     if all_subs.size:
-        group_idx = np.repeat(np.arange(vm_arr.size, dtype=np.int64), size_arr)
-        low = int(all_subs.min())
-        span = np.int64(int(all_subs.max()) - low + 1)
-        gkeys = np.sort(group_idx * span + (all_subs - low))
+        low, high = int(all_subs.min()), int(all_subs.max())
+        span = np.int64(high - low + 1)
+        gkeys = np.repeat(np.arange(vm_arr.size, dtype=np.int64) * span - low, size_arr)
+        gkeys += all_subs
+        gkeys.sort()
         dup_pos = np.flatnonzero(gkeys[1:] == gkeys[:-1])
         if dup_pos.size:
             # repolint: allow(VL01): message formatting over duplicate-bearing groups (broken placements only)
@@ -112,6 +123,7 @@ def validate_placement(problem: MCSSProblem, placement: Placement) -> Validation
                     f"VM {vm_arr[g]} lists duplicate subscribers for "
                     f"topic {topic_arr[g]}"
                 )
+        del gkeys  # lane-sized: freed before the satisfaction keys
     accounting_ok = not messages
 
     # Capacity: Equation (2), per-VM out/in byte rates by bincount.
@@ -140,14 +152,24 @@ def validate_placement(problem: MCSSProblem, placement: Placement) -> Validation
             )
 
     # Satisfaction: Equation (3), a pair counts if assigned to >= 1 VM.
-    # Delivered (t, v) pairs, VM identity dropped; dedup + interest
-    # membership + per-subscriber sums all happen inside the vectorized
-    # reduction.
-    flat_topics = (
-        np.repeat(topic_arr, size_arr) if all_subs.size else np.empty(0, dtype=np.int64)
-    )
-    delivered = delivered_rates_from_arrays(workload, flat_topics, all_subs)
-    thresholds = np.minimum(float(problem.tau), workload.interest_rate_sums())
+    # Each delivered lane becomes its pair key ``v * num_topics + t``
+    # (VM identity dropped); dedup, interest membership and the
+    # per-subscriber sums are the sort-merge of those keys against the
+    # workload's pair keys.
+    if (
+        all_subs.size
+        and 0 <= low and high < workload.num_subscribers
+        and 0 <= int(topic_arr.min()) and int(topic_arr.max()) < workload.num_topics
+    ):
+        keys = np.repeat(topic_arr, size_arr)
+        keys += all_subs * np.int64(workload.num_topics)
+        delivered = _delivered_rates_of_keys(workload, keys)
+    else:
+        # Empty, or naming unknown ids: the array entry point drops
+        # those lanes.
+        delivered = delivered_rates_from_arrays(
+            workload, np.repeat(topic_arr, size_arr), all_subs
+        )
     unsat_mask = delivered < thresholds * (1.0 - _REL_TOL)
     unsatisfied = [int(v) for v in np.flatnonzero(unsat_mask)]
     if unsatisfied:

@@ -130,7 +130,6 @@ class Workload:
         "_pair_subscribers",
         "_pair_keys",
         "_rate_desc_pairs",
-        "_sorted_csr_topics",
         "_backend",
     )
 
@@ -268,7 +267,6 @@ class Workload:
         object.__setattr__(self, "_pair_subscribers", None)
         object.__setattr__(self, "_pair_keys", None)
         object.__setattr__(self, "_rate_desc_pairs", None)
-        object.__setattr__(self, "_sorted_csr_topics", None)
 
     @staticmethod
     def _validate_csr(num_topics: int, indptr: np.ndarray, flat: np.ndarray) -> None:
@@ -387,53 +385,29 @@ class Workload:
         return cached
 
     def pair_keys(self) -> np.ndarray:
-        """Sorted packed keys ``v * num_topics + t`` of every pair.
+        """Sorted packed keys ``v * num_topics + t`` of every pair (cached).
 
-        The sorted-key form supports O(log P) vectorized membership
-        tests ("is ``(t, v)`` one of the workload's pairs?") via
-        ``np.searchsorted`` -- the core primitive of the vectorized
-        satisfaction checks.  Empty when the workload has no topics.
+        The sorted-key form turns "is ``(t, v)`` one of the workload's
+        pairs?" into one ``np.searchsorted``: the churn model's
+        already-subscribed test and the satisfaction audit's sort-merge
+        membership join (:mod:`repro.core.satisfaction`) both read it.
+        Built in place, and the sort is skipped when every subscriber's
+        interests are already ascending (true for every bundled
+        generator), leaving one multiply-add; an
+        :class:`~repro.core.backend.MmapBackend` spills it to disk.
+        Empty when the workload has no topics.
         """
         cached = self._pair_keys
         if cached is None:
             if self.num_topics:
                 keys = self.pair_subscribers() * np.int64(self.num_topics)
-                keys = keys + self._flat_topics
-                keys = np.sort(keys)
+                keys += self._flat_topics
+                if not self._flat_is_subscriber_sorted():
+                    keys.sort()
             else:
                 keys = np.empty(0, dtype=np.int64)
             cached = self._backend.cache("pair_keys", keys)
             object.__setattr__(self, "_pair_keys", cached)
-        return cached
-
-    def sorted_interest_topics(self) -> np.ndarray:
-        """Flat interest topics, ascending *within* each subscriber.
-
-        Shares :attr:`interest_indptr` with the raw CSR view; cached.
-        Per-subscriber sortedness turns interest-membership queries
-        ("is topic ``t`` in ``Tv``?") into a segmented binary search of
-        ``O(log |Tv|)`` steps -- the primitive behind the vectorized
-        satisfaction reductions.
-        """
-        cached = self._sorted_csr_topics
-        if cached is None:
-            flat = self._flat_topics
-            if self.num_topics == 0:
-                cached = np.empty(0, dtype=np.int64)
-            elif self._flat_is_subscriber_sorted():
-                # Already ascending within every subscriber (true for
-                # every packed-key generator and v2 trace files): the
-                # raw CSR array *is* the sorted view.  Zero-copy --
-                # crucial for mmap-backed workloads, where building the
-                # pair_keys sort would cost pair-sized heap transients.
-                cached = flat
-            else:
-                # pair_keys is sorted by (subscriber, topic); taking the
-                # topic component back out yields the per-subscriber
-                # ascending order in one pass, sharing that cache.
-                cached = self.pair_keys() % np.int64(self.num_topics)
-                cached = self._backend.cache("sorted_interest_topics", cached)
-            object.__setattr__(self, "_sorted_csr_topics", cached)
         return cached
 
     def _flat_is_subscriber_sorted(self) -> bool:

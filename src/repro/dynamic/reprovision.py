@@ -71,10 +71,11 @@ selection's groups, and the subscriber-major table lists each topic's
 subscribers ascending, as GSP does.  The pack's audit
 (:func:`~repro.core.validate_placement`) therefore checks the held
 selection itself: a subscriber it leaves unserved fails the step with
-a ``ValueError`` naming it.
-
-A step whose workload holds a pair no VM can fit raises
-:class:`InfeasibleEpochError` before it changes anything.
+a ``ValueError`` naming it.  The fresh solve runs on the epoch's local
+tables before the step commits them, so that failure leaves the
+reprovisioner at the previous epoch, as does
+:class:`InfeasibleEpochError`, raised when a step's workload holds a
+pair no VM can fit.
 
 :class:`LoopIncrementalReprovisioner` (``reprovision-loop``) is the
 retained dict-of-sets referee.  Its only changes from the
@@ -531,8 +532,9 @@ class IncrementalReprovisioner:
         Raises :class:`InfeasibleEpochError`, with every member
         unchanged, when a pair of the new workload fits no VM.  A fresh
         solve whose audit finds the held selection leaves a subscriber
-        unserved raises ``ValueError`` naming it; the state is already
-        the new epoch's then, and it is not a feasible one.
+        unserved raises ``ValueError`` naming it, with every member
+        unchanged too: the fresh solve packs the epoch's local tables
+        before the step commits them.
         """
         t0 = time.perf_counter()
         from .churn import WorkloadDelta  # local import avoids a cycle
@@ -682,6 +684,36 @@ class IncrementalReprovisioner:
             p_vm = remap[p_vm]
         used = used[live]
 
+        # ---- Algorithm-5 bound + gated fresh solve --------------------
+        # Both read the epoch's local tables, so a failing audit raises
+        # before any member changes.
+        num_live = int(live.sum())
+        terms = np.zeros(n, dtype=np.float64)
+        terms[: min(n, self._terms.size)] = self._terms[:n]
+        # The touched subscribers' terms, from the view the re-selection
+        # read: the running bound is lower_bound(problem).
+        terms[touched_idx] = (
+            subscriber_bound_terms(sub_workload, self._tau)
+            if sub_workload is not None
+            else 0.0
+        )
+        cost = problem.cost_components(num_live, float(used.sum()))
+        since_fresh = self._since_fresh + 1
+        lb = terms_lower_bound(problem, terms).total_usd
+        estimate = lb * self._lb_ratio
+        fresh = None
+        if (
+            since_fresh >= self._fresh_every
+            or cost.total_usd > estimate * self._rebuild_threshold
+        ):
+            # The held pairs are GSP's selection of this workload, so a
+            # fresh pack of them is the fresh solve, and its audit
+            # checks that every subscriber is served.
+            fresh = self._solver.solve_with_selection(
+                problem, PairSelection.from_csr(p_t, None, p_v, trusted=True)
+            )
+            since_fresh = 0
+
         # ---- commit ---------------------------------------------------
         opened_before = self._num_vms
         self._epoch = epoch
@@ -689,35 +721,11 @@ class IncrementalReprovisioner:
         self._p_v, self._p_t, self._p_vm = p_v, p_t, p_vm
         self._first = first
         self._g_vm, self._g_t, self._g_cnt = g_vm, g_t, g_cnt
-        self._num_vms = int(live.sum())
-        if self._terms.size != n:
-            terms = np.zeros(n, dtype=np.float64)
-            terms[: min(n, self._terms.size)] = self._terms[:n]
-            self._terms = terms
-        # The touched subscribers' Algorithm-5 terms, from the view the
-        # re-selection read: the running bound is lower_bound(problem).
-        self._terms[touched_idx] = (
-            subscriber_bound_terms(sub_workload, self._tau)
-            if sub_workload is not None
-            else 0.0
-        )
-
-        # ---- cost + gated drift check --------------------------------
-        cost = problem.cost_components(self._num_vms, float(used.sum()))
-        self._since_fresh += 1
-        lb = terms_lower_bound(problem, self._terms).total_usd
-        estimate = lb * self._lb_ratio
-        fresh = None
+        self._num_vms = num_live
+        self._terms = terms
+        self._since_fresh = since_fresh
         rebuilt = False
-        if (
-            self._since_fresh >= self._fresh_every
-            or cost.total_usd > estimate * self._rebuild_threshold
-        ):
-            # The held pairs are GSP's selection of this workload, so a
-            # fresh pack of them is the fresh solve, and its audit
-            # checks that every subscriber is served.
-            fresh = self._solver.solve_with_selection(problem, self.selection())
-            self._since_fresh = 0
+        if fresh is not None:
             self._lb_ratio = fresh.cost.total_usd / lb if lb > 0 else 1.0
             if cost.total_usd > fresh.cost.total_usd * self._rebuild_threshold:
                 self._adopt(fresh.placement)

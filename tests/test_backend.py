@@ -135,23 +135,28 @@ class TestMmapWorkload:
         for v in range(100):
             np.testing.assert_array_equal(shard.interest(v), mapped.interest(50 + v))
 
-    def test_sorted_interest_topics_zero_copy_when_sorted(self, tmp_path, small_zipf):
+    def test_pair_keys_spilled_when_sorted(self, tmp_path):
         # Generators emit per-subscriber ascending interests, so the
-        # sorted view must be the raw CSR array itself -- the fast path
-        # that keeps pair_keys (a pair-sized sort) out of mmap solves.
-        path = save_workload(small_zipf, tmp_path / "trace")
+        # sorted pair keys are one multiply-add with no sort, and a
+        # mmap-backed workload spills them to its cache directory (the
+        # audit reads them out of core).
+        ram = zipf_workload(100, 30_000, mean_interest=6.0, seed=9)
+        path = save_workload(ram, tmp_path / "trace")
         mapped = load_workload(path, mmap=True)
-        assert mapped.sorted_interest_topics() is mapped.interest_topics
-        # And it matches the compute path bit for bit.
-        np.testing.assert_array_equal(
-            mapped.sorted_interest_topics(), small_zipf.sorted_interest_topics()
+        got = mapped.pair_keys()
+        assert got.nbytes >= 1 << 20  # above the spill threshold
+        assert is_mapped(got)
+        expected = np.sort(
+            ram.pair_subscribers() * ram.num_topics + ram.interest_topics
         )
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(ram.pair_keys(), expected)
 
-    def test_sorted_interest_topics_falls_back_when_unsorted(self):
+    def test_pair_keys_sorted_when_unsorted(self):
         w = Workload([1.0, 2.0, 3.0], [[2, 0], [1], [2, 1, 0]])
-        got = w.sorted_interest_topics()
-        assert got is not w.interest_topics
-        np.testing.assert_array_equal(got, [0, 2, 1, 0, 1, 2])
+        expected = np.sort(w.pair_subscribers() * 3 + w.interest_topics)
+        np.testing.assert_array_equal(w.pair_keys(), expected)
+        np.testing.assert_array_equal(w.pair_keys(), [0, 2, 4, 6, 7, 8])
 
     def test_restrict_subscribers_stays_subset_sized(self, tmp_path):
         # Slicing a few rows out of an mmap-backed workload must not

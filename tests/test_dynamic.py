@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.bounds import subscriber_bound_terms
 from repro.core import MCSSProblem, Placement, Workload, validate_placement
 from repro.dynamic import (
     ChurnConfig,
@@ -338,9 +339,36 @@ class TestCadenceAudit:
             num_vms=snap["num_vms"],
         ).used_bytes_array()
         restored = IncrementalReprovisioner.restore(snap, problem.plan)
-        still = WorkloadDelta.from_pairs(problem.workload, [], [], [])
+        # The step subscribes another subscriber to a topic cheaper than
+        # its interests, which moves that subscriber's Algorithm-5 term.
+        w = problem.workload
+        rates = w.event_rates
+        u = next(
+            v for v in range(w.num_subscribers)
+            if v != victim and (rates < rates[w.interest(v)].min()).any()
+        )
+        t = int(np.flatnonzero(rates < rates[w.interest(u)].min())[0])
+        grown = Workload(
+            rates,
+            [list(w.interest(v)) + ([t] if v == u else []) for v in range(w.num_subscribers)],
+            message_size_bytes=w.message_size_bytes,
+        )
+        assert subscriber_bound_terms(grown, problem.tau)[u] != restored._terms[u]
+        before = restored.snapshot()
+        terms = restored._terms.copy()
         with pytest.raises(ValueError, match=rf"unsatisfied subscribers: {victim}$"):
-            restored.step(still)
+            restored.step(WorkloadDelta.from_pairs(grown, [(t, u)], [], []))
+        # The audit runs before the commit: the failed step changed no
+        # member, so the reprovisioner is still at the restored epoch.
+        assert restored.epoch == snap["epoch"]
+        np.testing.assert_array_equal(restored._terms, terms)
+        after = restored.snapshot()
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(after[key], value, err_msg=key)
+            else:
+                assert after[key] == value, key
 
     def test_bare_workload_drops_departed_subscribers(self):
         # A bare workload that ends before the table's last subscriber:

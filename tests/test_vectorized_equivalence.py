@@ -10,7 +10,9 @@ as executable specifications:
   pair, including the grouped-by-topic insertion order that downstream
   packers iterate;
 * ``satisfied_mask`` / ``delivered_rates`` / ``satisfaction_slack``
-  (np.bincount reductions)  ==  the scalar ``delivered_rate`` referee;
+  (np.bincount reductions)  ==  the scalar ``delivered_rate`` referee,
+  and at any rates the sort-merge's per-subscriber sums  ==  a
+  left-to-right sum over the ascending delivered interest topics;
 * ``validate_placement`` (vectorized)  ==  ``validate_placement_loop``
   -- identical verdict fields on feasible *and* broken placements;
 * ``CustomBinPacking`` (CSR/whole-array Stage 2)  ==
@@ -74,6 +76,7 @@ from repro.core import (
     Workload,
     delivered_rate,
     delivered_rates,
+    delivered_rates_from_arrays,
     satisfaction_slack,
     satisfied_mask,
     selection_satisfied_mask,
@@ -205,6 +208,26 @@ class TestGSPEquivalence:
         assert sel.num_pairs == 2  # only subscriber 1, both topics
 
 
+def ascending_rate_sums(workload, topics, subs):
+    """Referee for the sort-merge reduction's summation order.
+
+    Per subscriber, a left-to-right Python sum over the distinct
+    delivered topics of its interest, in ascending topic order.
+    """
+    n = workload.num_subscribers
+    delivered = {}
+    for t, v in zip(topics.tolist(), subs.tolist()):
+        if 0 <= v < n and t in workload.interest(v).tolist():
+            delivered.setdefault(v, set()).add(t)
+    sums = np.zeros(n)
+    for v, got in delivered.items():
+        total = 0.0
+        for t in sorted(got):
+            total += float(workload.event_rates[t])
+        sums[v] = total
+    return sums
+
+
 class TestSatisfactionEquivalence:
     """np.bincount reductions == the scalar delivered_rate referee."""
 
@@ -236,6 +259,44 @@ class TestSatisfactionEquivalence:
             np.testing.assert_array_equal(mask, loop_mask)
             slack = satisfaction_slack(workload, mapping, tau)
             np.testing.assert_allclose(slack, expected - thresholds)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sort_merge_sums_ascending_topics_bit_exact(self, seed):
+        # Non-integer rates and interests unsorted within a subscriber;
+        # every chosen pair delivered twice (a cross-VM replica), plus
+        # non-interest pairs and unknown ids, all shuffled.
+        rng = np.random.default_rng(6000 + seed)
+        num_topics = int(rng.integers(1, 16))
+        num_subscribers = int(rng.integers(1, 20))
+        rates = rng.uniform(0.1, 10.0, size=num_topics)
+        interests = [
+            rng.permutation(num_topics)[: int(rng.integers(0, num_topics + 1))]
+            for _ in range(num_subscribers)
+        ]
+        workload = Workload(rates, interests)
+        pick = rng.random(workload.num_pairs) < 0.7
+        pair_t = workload.interest_topics[pick]
+        pair_v = workload.pair_subscribers()[pick]
+        topics = np.concatenate(
+            [pair_t, pair_t, rng.integers(-1, num_topics + 1, size=10)]
+        )
+        subs = np.concatenate(
+            [pair_v, pair_v, rng.integers(-1, num_subscribers + 1, size=10)]
+        )
+        order = rng.permutation(topics.size)
+        got = delivered_rates_from_arrays(workload, topics[order], subs[order])
+        assert got.tobytes() == ascending_rate_sums(workload, topics, subs).tobytes()
+
+    @pytest.mark.parametrize(
+        "workload",
+        [Workload.from_csr([], [0, 0, 0], []), Workload([1.5, 2.5], [[], []])],
+        ids=["topicless", "pairless"],
+    )
+    def test_sort_merge_without_pairs_delivers_nothing(self, workload):
+        got = delivered_rates_from_arrays(
+            workload, np.array([0, 1, 1]), np.array([0, 1, 1])
+        )
+        assert got.tobytes() == np.zeros(workload.num_subscribers).tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_selection_mask_matches_mapping_mask(self, seed):

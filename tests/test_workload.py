@@ -176,7 +176,6 @@ class TestFromCsr:
         w = Workload.from_csr([], [0, 0, 0], [])
         assert w.num_subscribers == 2 and w.num_topics == 0
         assert w.pair_keys().size == 0
-        assert w.sorted_interest_topics().size == 0
         assert w.interest(1).size == 0
 
 
