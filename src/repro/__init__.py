@@ -67,7 +67,7 @@ from .selection import (
 )
 from .solver import MCSSSolution, MCSSSolver
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "best_lower_bound",

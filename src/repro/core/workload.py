@@ -58,12 +58,15 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .backend import AdoptBackend, ArrayBackend, RamBackend
-from .segsearch import sorted_unique
+from .segsearch import ranges, sorted_unique
 
 __all__ = ["Pair", "Workload", "WorkloadStats", "build_workload"]
 
 _RAM_BACKEND = RamBackend()
 _ADOPT_BACKEND = AdoptBackend()
+
+#: Pairs per ``np.bincount`` of :meth:`Workload.interest_rate_sums`.
+_RATE_SUM_CHUNK = 1 << 18
 
 
 Pair = Tuple[int, int]
@@ -432,9 +435,11 @@ class Workload:
         Returns ``(topics, subscribers, rates, cumsum)``: every pair,
         ordered per subscriber by descending event rate with topic ids
         ascending inside equal rates -- the exact scan order of the GSP
-        sweep -- plus the global running sum of the sorted rates
-        (strictly increasing, so per-segment run ends are a plain
-        ``np.searchsorted``).  tau-independent, hence cached on the
+        sweep -- plus the global running sum of the sorted rates.  The
+        rates are positive, so the sum never decreases (neighbours can
+        be equal where a tiny rate is absorbed by a huge sum), and a
+        per-segment run end is one plain ``np.searchsorted`` clamped
+        into the segment.  tau-independent, hence cached on the
         workload: the cost ladder re-selects for several taus and pays
         the sort once.
 
@@ -525,11 +530,23 @@ class Workload:
     def _rate_sums(self) -> np.ndarray:
         cached = self._interest_rate_sums
         if cached is None:
-            sums = np.bincount(
-                self.pair_subscribers(),
-                weights=self._event_rates[self._flat_topics],
-                minlength=self.num_subscribers,
+            # One bincount per chunk of whole subscribers, ~_RATE_SUM_CHUNK
+            # pairs each, so the subscriber ids and rate weights are only
+            # ever chunk-sized.  Bincount adds in index order, so every
+            # sum is bit-identical to a single pass over all pairs.
+            indptr = self._indptr
+            n = self.num_subscribers
+            sums = np.zeros(n)
+            cuts = np.searchsorted(
+                indptr, np.arange(_RATE_SUM_CHUNK, self.num_pairs, _RATE_SUM_CHUNK)
             )
+            edges = sorted_unique(np.concatenate(([0], cuts, [n]))).tolist()
+            for a, b in zip(edges[:-1], edges[1:]):
+                sums[a:b] = np.bincount(
+                    np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1])),
+                    weights=self._event_rates[self._flat_topics[indptr[a] : indptr[b]]],
+                    minlength=b - a,
+                )
             sums.setflags(write=False)
             cached = sums
             object.__setattr__(self, "_interest_rate_sums", cached)
@@ -594,11 +611,8 @@ class Workload:
         indptr = np.zeros(keep.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         if keep.size and int(indptr[-1]):
-            # Gather every kept subscriber's flat range in one pass:
-            # global positions are the new offsets shifted segment-wise
-            # to each kept subscriber's old start.
-            shift = np.repeat(self._indptr[keep] - indptr[:-1], counts)
-            flat = self._flat_topics[np.arange(int(indptr[-1])) + shift]
+            # Gather every kept subscriber's flat range in one pass.
+            flat = self._flat_topics[ranges(self._indptr[keep], counts)]
         else:
             flat = np.empty(0, dtype=np.int64)
         labels = (

@@ -103,7 +103,7 @@ import numpy as np
 
 from ..bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
 from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost
-from ..core.segsearch import segmented_left_search, sorted_unique
+from ..core.segsearch import ranges, segmented_left_search, sorted_unique
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
@@ -234,12 +234,6 @@ def _check_settings(rebuild_threshold: float, fresh_solve_every: int) -> None:
         raise ValueError("fresh_solve_every must be >= 1")
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + c)`` over ``zip(starts, counts)``."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-
-
 def _id_span(p_v: np.ndarray, num_subscribers: int) -> int:
     """Subscriber ids the row offsets cover: the workload's and the table's."""
     return max(num_subscribers, int(p_v[-1]) + 1 if p_v.size else 0)
@@ -276,7 +270,7 @@ def _evict_overloaded(
         return over
     lo = np.searchsorted(g_vm, over)
     size = np.searchsorted(g_vm, over, side="right") - lo
-    groups = _ranges(lo, size)
+    groups = ranges(lo, size)
     owner = np.repeat(np.arange(over.size), size)
     groups = groups[np.lexsort((rates[g_t[groups]] * g_cnt[groups], owner))]
     freed = rates[g_t[groups]] * (g_cnt[groups] + 1) * msg
@@ -292,7 +286,7 @@ def _evict_overloaded(
             (left[active] > capacity + 1e-6) & (taken[active] < size[active])
         ]
     used[over] = left
-    return groups[_ranges(first, taken)]
+    return groups[ranges(first, taken)]
 
 
 def _evicted_rows(
@@ -587,7 +581,7 @@ class IncrementalReprovisioner:
         first = self._first
         leaving = np.concatenate([touched_idx, vanished])
         leaving = leaving[leaving < first.size - 1]
-        rows = _ranges(first[leaving], first[leaving + 1] - first[leaving])
+        rows = ranges(first[leaving], first[leaving + 1] - first[leaving])
         old_keys = p_v[rows] * big_l + p_t[rows]
         if touched_idx.size and workload.num_pairs:
             sub_workload = workload.restrict_subscribers(touched_idx)

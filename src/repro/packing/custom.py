@@ -78,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection, Placement
+from ..core.segsearch import ranges
 from ..pricing import PricingPlan
 from .base import PackingAlgorithm, register_packer
 
@@ -378,8 +379,7 @@ class CustomBinPacking(PackingAlgorithm):
         members = flat_subs
         if self.options.expensive_topic_first:
             # Each topic's CSR slice, laid end to end in pack order.
-            starts = indptr[:-1][order] - (np.cumsum(counts) - counts)
-            members = flat_subs[np.repeat(starts, counts) + np.arange(flat_subs.size)]
+            members = flat_subs[ranges(indptr[:-1][order], counts)]
         return Placement.from_groups(
             problem.workload,
             problem.capacity_bytes,

@@ -40,19 +40,21 @@ into one descending sweep over the subscriber's topics.
 
 How the vectorized version works
 --------------------------------
-One global ``np.lexsort`` orders all (subscriber, topic, rate) triples
-subscriber-major with rates descending (ids ascending inside equal
-rates) -- exactly the order the per-subscriber sweep scans.  The sweep
-itself is replaced by rounds of whole-array *run extraction* over the
-still-active subscribers:
+One global sort, cached on the workload
+(:meth:`~repro.core.Workload.rate_descending_pairs`), orders all
+(subscriber, topic, rate) triples subscriber-major with rates
+descending (ids ascending inside equal rates) -- exactly the order the
+per-subscriber sweep scans.  The sweep itself is replaced by rounds of
+whole-array *run extraction* over the still-active subscribers:
 
 1. a vectorized segmented binary search finds, per subscriber, the
    next scan position whose rate fits the remaining need (the items
    jumped over are precisely the ones the loop would skip);
-2. because the global cumulative sum of sorted rates is strictly
-   increasing, one ``np.searchsorted`` then yields the *longest
-   chosen run* from that position -- the maximal stretch of
-   consecutive items the sweep would take back to back;
+2. the global running sum of the sorted rates never decreases (rates
+   are positive), so one ``np.searchsorted`` over it, clamped into the
+   subscriber's window, yields the *longest chosen run* from that
+   position -- the maximal stretch of consecutive items the sweep
+   would take back to back;
 3. subscribers whose remaining need drops to zero retire; the rest
    re-enter the next round at the position after their run.
 
@@ -60,9 +62,16 @@ The number of rounds equals the maximum number of chosen *runs* of any
 subscriber (not the number of chosen items), which is tiny in practice
 -- subscribers whose threshold is met by a prefix finish in round one.
 Subscribers that exhaust their scan still unsatisfied receive their
-smallest-rate skipped topic (smallest id on ties), recovered post-hoc
-from the chosen mask with two more searchsorted passes -- identical to
-the loop's running ``best_skip`` tracking.
+smallest-rate skipped topic (smallest id on ties) -- identical to the
+loop's running ``best_skip`` tracking.  The sweep carries each
+subscriber's last skipped scan position, which holds that rate; the
+topic is the first skipped position of its equal-rate range, found by
+two bisections over the dry subscribers alone (and none where the
+position's left neighbour has a larger rate, the common case).
+
+The chosen pairs are then grouped by topic with one stable sort, and
+the groups reordered by first appearance with one gather of their
+concatenated ranges.
 
 Equivalence contract: selections are identical to
 :class:`ReferenceGreedySelectPairs` -- pair for pair, including the
@@ -81,7 +90,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection
-from ..core.segsearch import grouping_order, segmented_left_search
+from ..core.segsearch import grouping_order, ranges, segmented_left_search
 from ..resilience.supervise import subscriber_shards, supervised_map
 from .base import SelectionAlgorithm, register_selector
 from .sharded import merge_shard_groups
@@ -130,22 +139,21 @@ def _segmented_first_leq(
     return segmented_left_search(values, lo, hi, target, np.less_equal)
 
 
-def _segmented_ascending_search(
-    values: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    target: np.ndarray,
-    *,
-    strict: bool,
+def _run_ends(
+    cums: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
-    """Leftmost index in ``[lo, hi)`` with ``values[i] > target`` (or ``>=``).
+    """Per-lane leftmost index ``i`` in ``[lo, hi)`` with ``cums[i] > target``.
 
-    Same lane-parallel bisection as :func:`_segmented_first_leq`, but
-    over windows of *ascending* values (running sums, running counts).
+    Returns ``hi`` for lanes with no such index; ``lo <= hi`` in every
+    lane.  ``cums`` is the running sum of positive rates, so it never
+    decreases along the whole array (neighbours may be equal once a
+    tiny rate is absorbed by a huge sum): one global ``np.searchsorted``
+    finds each lane's first position past ``target``, and clamping it
+    into ``[lo, hi]`` gives exactly the segmented bisection's answer
+    on any float input.
     """
-    return segmented_left_search(
-        values, lo, hi, target, np.greater if strict else np.greater_equal
-    )
+    end = np.searchsorted(cums, target, side="right")
+    return np.clip(end, lo, hi, out=end)
 
 
 @register_selector("gsp")
@@ -216,8 +224,8 @@ class GreedySelectPairs(SelectionAlgorithm):
 
         # Global scan order: subscriber-major, rates descending, topic
         # ids ascending inside equal rates (the documented tie-break),
-        # with the strictly increasing global running sum -- all cached
-        # on the workload (tau-independent).
+        # with the non-decreasing global running sum -- all cached on
+        # the workload (tau-independent).
         s_topics, s_subs, s_rates, cums = workload.rate_descending_pairs()
 
         tau_v = np.minimum(tau, workload.interest_rate_sums())
@@ -225,6 +233,9 @@ class GreedySelectPairs(SelectionAlgorithm):
         pos = indptr[:-1][active].astype(np.int64)
         lim = indptr[1:][active].astype(np.int64)
         rem = tau_v[active]
+        # Last skipped scan position per lane (-1: none yet).  Rates
+        # descend, so it holds the lane's smallest skipped rate.
+        skip = np.full(pos.size, -1, dtype=np.int64)
 
         # Round-1 fast path (most subscribers finish in one run): with
         # rem == tau_v the first fitting index is known in closed form
@@ -241,7 +252,7 @@ class GreedySelectPairs(SelectionAlgorithm):
 
         run_starts: List[np.ndarray] = []
         run_ends: List[np.ndarray] = []
-        overshoot_lim: List[np.ndarray] = []
+        dry_skips: List[np.ndarray] = []
 
         first_round = True
         # repolint: allow(VL01): segmented sweep -- each round is whole-array over all active subscribers
@@ -253,21 +264,20 @@ class GreedySelectPairs(SelectionAlgorithm):
                 first_round = False
             else:
                 i = _segmented_first_leq(s_rates, pos, lim, rem + _EPS)
+            skip = np.where(i > pos, i - 1, skip)
             exhausted = i >= lim
             if exhausted.any():
                 # Scan ran dry while unsatisfied: overshoot needed.
-                overshoot_lim.append(lim[exhausted])
-                keep = ~exhausted
-                i, rem, lim = i[keep], rem[keep], lim[keep]
+                dry_skips.append(skip[exhausted])
+                keep = np.flatnonzero(~exhausted)
+                i, rem, lim, skip = i[keep], rem[keep], lim[keep], skip[keep]
             if i.size == 0:
                 break
             # (2) Longest chosen run from i: consecutive items are taken
             # while the running sum stays within the remaining need
             # (item i itself fits, so the search starts at i + 1).
             base = np.where(i > 0, cums[i - 1], 0.0)
-            end = _segmented_ascending_search(
-                cums, i + 1, lim, rem + base + _EPS, strict=True
-            )
+            end = _run_ends(cums, i + 1, lim, rem + base + _EPS)
             run_starts.append(i)
             run_ends.append(end)
             # (3) Update lanes; those satisfied retire, the rest rescan.
@@ -276,13 +286,13 @@ class GreedySelectPairs(SelectionAlgorithm):
             unsat = rem > _EPS
             dry = unsat & (pos >= lim)
             if dry.any():
-                overshoot_lim.append(lim[dry])
-            cont = unsat & (pos < lim)
-            pos, lim, rem = pos[cont], lim[cont], rem[cont]
+                dry_skips.append(skip[dry])
+            cont = np.flatnonzero(unsat & (pos < lim))
+            pos, lim, rem, skip = pos[cont], lim[cont], rem[cont], skip[cont]
 
         chosen = self._chosen_mask(num_pairs, run_starts, run_ends)
         overshoot_idx = self._overshoot_indices(
-            chosen, s_rates, overshoot_lim, indptr, s_subs
+            chosen, s_rates, dry_skips, indptr, s_subs
         )
         if overshoot_idx.size:
             chosen[overshoot_idx] = True
@@ -302,64 +312,47 @@ class GreedySelectPairs(SelectionAlgorithm):
             # indices are distinct and all end indices are distinct:
             # plain fancy updates apply every increment (no need for
             # the much slower np.add.at), and the running sum stays in
-            # {0, 1} so int8 cannot overflow.
+            # {0, 1}: it accumulates in int8 and reads as a bool mask.
             marks[starts] += 1
             marks[ends] -= 1
-        return np.cumsum(marks[:-1]) > 0
+        return np.cumsum(marks[:-1], dtype=np.int8).view(bool)
 
     @staticmethod
     def _overshoot_indices(
         chosen: np.ndarray,
         s_rates: np.ndarray,
-        overshoot_lim: List[np.ndarray],
+        dry_skips: List[np.ndarray],
         indptr: np.ndarray,
         s_subs: np.ndarray,
     ) -> np.ndarray:
         """Smallest-rate (then smallest-id) skipped topic per dry subscriber.
 
-        Replays the loop's ``best_skip`` tracking post hoc: with the
-        chosen mask in hand, the minimum skipped rate of a subscriber
-        is the rate at its last skipped position (rates descend), and
-        the id tie-break selects the first skipped position inside that
-        equal-rate range.  Both lookups are searchsorted over the
-        global running count of skipped items.
+        Replays the loop's ``best_skip`` tracking post hoc.  The sweep
+        hands over each dry lane's last skipped position ``q``; rates
+        descend, so ``q`` holds the minimum skipped rate.  The id
+        tie-break selects the first skipped position of the equal-rate
+        range containing ``q``, and chosen items precede skipped ones
+        inside such a range (the need only shrinks).  Where ``q``'s
+        left neighbour in its segment has a larger rate, ``q`` is that
+        position; for the other dry lanes two bisections find it: the
+        range's start, then its first unchosen position.
         """
-        if not overshoot_lim:
-            return np.empty(0, dtype=np.int64)
-        lim = np.concatenate(overshoot_lim)
-        # Segment bounds of each dry subscriber.
-        sub_of = s_subs[lim - 1]
-        seg_lo = indptr[:-1][sub_of]
-        seg_hi = lim
-
-        # Global inclusive running count of skipped items.
-        count_t = np.int32 if chosen.size < (1 << 31) else np.int64
-        chosen_cum = np.cumsum(chosen, dtype=count_t)
-        skipped_cum = np.arange(1, chosen.size + 1, dtype=count_t) - chosen_cum
-
-        before_seg = np.where(seg_lo > 0, skipped_cum[seg_lo - 1], 0)
-        has_skip = skipped_cum[seg_hi - 1] > before_seg
-        if not has_skip.all():
-            # Degenerate float-noise case (everything chosen yet still
-            # nominally unsatisfied): nothing left to add.
-            seg_lo, seg_hi = seg_lo[has_skip], seg_hi[has_skip]
-        if seg_lo.size == 0:
-            return np.empty(0, dtype=np.int64)
-
-        # Last skipped position q -> minimal skipped rate rho.
-        q = _segmented_ascending_search(
-            skipped_cum, seg_lo, seg_hi, skipped_cum[seg_hi - 1], strict=False
-        )
+        q = np.concatenate(dry_skips) if dry_skips else np.empty(0, dtype=np.int64)
+        # A lane that skipped nothing is a float-noise case (everything
+        # chosen yet still nominally unsatisfied): nothing left to add.
+        q = q[q >= 0]
+        if q.size == 0:
+            return q
+        seg_lo = indptr[:-1][s_subs[q]]
         rho = s_rates[q]
-        # First position of the equal-rate range containing q.
-        j0 = _segmented_first_leq(s_rates, seg_lo, seg_hi, rho)
-        # First *skipped* position at or after j0 (the smallest id among
-        # minimal-rate skips -- chosen items of the same rate precede
-        # skipped ones inside an equal-rate range).
-        before_j0 = np.where(j0 > 0, skipped_cum[j0 - 1], 0)
-        return _segmented_ascending_search(
-            skipped_cum, j0, seg_hi, before_j0, strict=True
-        )
+        tied = np.flatnonzero((q > seg_lo) & (s_rates[q - 1] <= rho))
+        if tied.size:
+            qt = q[tied]
+            # First position of the equal-rate range containing q ...
+            j0 = _segmented_first_leq(s_rates, seg_lo[tied], qt + 1, rho[tied])
+            # ... and its first skipped position (q itself is skipped).
+            q[tied] = segmented_left_search(chosen, j0, qt + 1, np.False_, np.equal)
+        return q
 
     @staticmethod
     def _group_chosen(
@@ -374,11 +367,10 @@ class GreedySelectPairs(SelectionAlgorithm):
         The loop referees append each subscriber's picks in sweep order
         with the overshoot pick last, keying the by-topic dict by first
         appearance.  The rank computed here encodes that sweep order
-        exactly; :meth:`_finalize_groups` turns the per-group minimum
-        rank back into the dict insertion order, keeping downstream
-        packers (whose iteration order follows the group order)
-        bit-compatible.  Two stable small-key argsorts, no per-topic
-        dictionary of arrays.
+        exactly; :meth:`_finalize_groups` turns it back into the dict
+        insertion order, keeping downstream packers (whose iteration
+        order follows the group order) bit-compatible.  One stable
+        grouping sort, no per-topic dictionary of arrays.
         """
         chosen_idx = np.flatnonzero(chosen)
         if chosen_idx.size == 0:
@@ -386,28 +378,28 @@ class GreedySelectPairs(SelectionAlgorithm):
         t_sel = s_topics[chosen_idx]
         v_sel = s_subs[chosen_idx]
 
-        # Pick-order rank: regular picks keep (twice) their scan
-        # position; an overshoot pick ranks after every regular pick of
-        # its subscriber but before the next subscriber's.
-        rank = chosen_idx * 2
-        if overshoot_idx.size:
-            is_over = np.zeros(chosen.size, dtype=bool)
-            is_over[overshoot_idx] = True
-            ov_sel = is_over[chosen_idx]
-            rank = rank.copy()
-            rank[ov_sel] = 2 * indptr[v_sel[ov_sel] + 1] - 1
-
-        # Group by topic: a stable argsort keeps ascending subscribers
-        # inside each group (chosen_idx is subscriber-major), and the
-        # per-group minimum rank is the topic's first appearance.
+        # Group by topic: a stable sort keeps ascending subscribers
+        # inside each group (chosen_idx is subscriber-major).
         group_order = grouping_order(t_sel)
         t_grouped = t_sel[group_order]
         starts = np.concatenate(
             ([0], np.flatnonzero(t_grouped[1:] != t_grouped[:-1]) + 1)
         )
         group_topics = t_grouped[starts]
-        first_seen = np.minimum.reduceat(rank[group_order], starts)
         sizes = np.diff(np.append(starts, t_grouped.size))
+
+        # Pick-order rank: regular picks keep (twice) their scan
+        # position; an overshoot pick ranks after every regular pick of
+        # its subscriber but before the next subscriber's.  Ranks
+        # increase with the subscriber, so a group's first member --
+        # its smallest subscriber -- holds the group's first appearance.
+        first_idx = chosen_idx[group_order[starts]]
+        first_seen = first_idx * 2
+        if overshoot_idx.size:
+            is_over = np.zeros(chosen.size, dtype=bool)
+            is_over[overshoot_idx] = True
+            ov = is_over[first_idx]
+            first_seen[ov] = 2 * indptr[s_subs[first_idx[ov]] + 1] - 1
         return group_topics, sizes, first_seen, v_sel[group_order]
 
     @staticmethod
@@ -419,18 +411,20 @@ class GreedySelectPairs(SelectionAlgorithm):
     ) -> PairSelection:
         """Order the topic groups by first appearance and emit the CSR.
 
-        Reorders whole groups by their first-appearance rank: give
-        every pair its group's destination rank and stable-sort on that
-        small key (order inside each group is preserved).
+        Reorders whole groups by their first-appearance rank with one
+        gather of their concatenated ranges (order inside each group
+        is preserved).
         """
-        perm = np.argsort(first_seen, kind="stable")
-        dest_rank = np.empty(perm.size, dtype=np.int64)
-        dest_rank[perm] = np.arange(perm.size)
-        final = grouping_order(np.repeat(dest_rank, sizes))
+        perm = grouping_order(first_seen)
+        sizes_p = sizes[perm]
+        group_starts = np.cumsum(sizes) - sizes
         csr_indptr = np.zeros(perm.size + 1, dtype=np.int64)
-        np.cumsum(sizes[perm], out=csr_indptr[1:])
+        np.cumsum(sizes_p, out=csr_indptr[1:])
         return PairSelection.from_csr(
-            group_topics[perm], csr_indptr, subscribers[final], trusted=True
+            group_topics[perm],
+            csr_indptr,
+            subscribers[ranges(group_starts[perm], sizes_p)],
+            trusted=True,
         )
 
 

@@ -42,6 +42,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..core.segsearch import ranges
+
 __all__ = ["merge_shard_groups"]
 
 _Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -75,14 +77,8 @@ def merge_shard_groups(groups: List[_Groups]) -> _Groups:
     # Scatter the shard chunks into topic-grouped layout in O(P): sort
     # the *chunks* by destination topic (stable, so shard order -- i.e.
     # ascending subscribers -- survives within a topic); laying the
-    # sorted chunks end to end is then exactly the grouped output, and
-    # one repeat+arange turns chunk copies into a single fancy gather.
-    src_starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    # sorted chunks end to end is then exactly the grouped output, one
+    # fancy gather of their concatenated ranges.
+    src_starts = np.cumsum(sizes) - sizes
     corder = np.argsort(dest, kind="stable")
-    sizes_sorted = sizes[corder]
-    out_starts = np.concatenate(([0], np.cumsum(sizes_sorted[:-1])))
-    gather = (
-        np.repeat(src_starts[corder] - out_starts, sizes_sorted)
-        + np.arange(all_subs.size, dtype=np.int64)
-    )
-    return g_topics, g_sizes, g_first, all_subs[gather]
+    return g_topics, g_sizes, g_first, all_subs[ranges(src_starts[corder], sizes[corder])]

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MCSSProblem, Workload, all_satisfied
+from repro.core.segsearch import grouping_order
 from repro.selection import (
     GreedySelectPairs,
+    LoopGreedySelectPairs,
     ReferenceGreedySelectPairs,
     SelectionAlgorithm,
     benefit_cost_ratio,
@@ -111,7 +113,7 @@ class TestFastMatchesReference:
         assert fast == reference
 
     def test_wide_topic_ids_match_reference(self):
-        # Topic ids past the int16 range take the int64 grouping sort.
+        # Topic ids past the int16 range take the packed-key grouping sort.
         rng = np.random.default_rng(7)
         num_topics = 40_000
         rates = rng.integers(1, 20, size=num_topics).astype(float)
@@ -126,6 +128,11 @@ class TestFastMatchesReference:
         assert int(fast.pair_arrays()[0].max()) >= 1 << 15
         assert fast == ReferenceGreedySelectPairs().select(problem)
         assert all_satisfied(workload, fast.topics_by_subscriber(), 25)
+        # The group order and each group's subscriber order, too.
+        loop = LoopGreedySelectPairs().select(problem)
+        assert list(fast.topics) == list(loop.topics)
+        for t in fast.topics:
+            assert fast.subscribers_of(t).tolist() == loop.subscribers_of(t).tolist()
 
     @given(
         rates=st.lists(
@@ -144,6 +151,27 @@ class TestFastMatchesReference:
         fast = GreedySelectPairs().select(problem)
         reference = ReferenceGreedySelectPairs().select(problem)
         assert fast == reference
+
+
+class TestGroupingOrder:
+    """``grouping_order`` == ``np.argsort(kind="stable")`` on every path."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([3, 1, 2, 0, 1, 3], dtype=np.int64),  # radix, below 2**15
+            np.array([(1 << 15) - 1, 0, 7, (1 << 15) - 1]),  # radix, at the edge
+            np.array([1 << 15, 40_000, 5, 1 << 15, 97_000, 0]),  # packed keys
+            np.array([9, 9, 9, 9, 70_000, 70_000, 9]),  # duplicate keys
+            np.random.default_rng(3).integers(0, 1 << 17, size=5000),  # many ties
+            np.array([], dtype=np.int64),  # empty
+            np.array([1 << 62, 3, 1 << 62, 0]),  # (max + 1) * n overflows
+        ],
+        ids=["small", "int16-edge", "wide", "duplicates", "random", "empty", "overflow"],
+    )
+    def test_matches_stable_argsort(self, keys):
+        order = grouping_order(keys)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 class TestRegistry:

@@ -102,11 +102,13 @@ from repro.dynamic import (
     LoopIncrementalReprovisioner,
     WorkloadDelta,
 )
+from repro.core.segsearch import segmented_left_search
 from repro.selection import (
     GreedySelectPairs,
     LoopGreedySelectPairs,
     ReferenceGreedySelectPairs,
 )
+from repro.selection.greedy import _run_ends
 from repro.solver import MCSSSolver
 from repro.workloads import (
     build_social_graph,
@@ -152,6 +154,25 @@ def taus_for(workload: Workload, rng: np.random.Generator):
     return [0.0, 1.0, float(rng.integers(1, 10)), max(total - 1.0, 1.0), total + 10.0]
 
 
+def assert_same_gsp(workload: Workload, tau: float) -> PairSelection:
+    """Vectorized GSP == loop GSP == Algorithm 2, group order included."""
+    capacity = max(1e12, 4.0 * float(workload.event_rates.max(initial=0.0)))
+    problem = MCSSProblem(workload, tau, make_unit_plan(capacity))
+    fast = GreedySelectPairs().select(problem)
+    loop = LoopGreedySelectPairs().select(problem)
+    assert fast == loop, f"tau={tau}"
+    assert fast == ReferenceGreedySelectPairs().select(problem), f"tau={tau}"
+    # Stronger than set equality: the by-topic insertion order and
+    # per-topic subscriber order drive downstream packers, so they
+    # must match the loop exactly too.
+    assert list(fast.topics) == list(loop.topics), f"tau={tau}"
+    for t in fast.topics:
+        assert (
+            fast.subscribers_of(t).tolist() == loop.subscribers_of(t).tolist()
+        ), f"tau={tau} topic={t}"
+    return fast
+
+
 class TestGSPEquivalence:
     """Vectorized GSP == loop GSP == literal Algorithm 2."""
 
@@ -160,21 +181,102 @@ class TestGSPEquivalence:
         rng = np.random.default_rng(1000 + seed)
         workload = edgy_workload(rng)
         for tau in taus_for(workload, rng):
-            problem = MCSSProblem(workload, tau, make_unit_plan(1e12))
-            fast = GreedySelectPairs().select(problem)
-            loop = LoopGreedySelectPairs().select(problem)
-            reference = ReferenceGreedySelectPairs().select(problem)
-            assert fast == loop, f"tau={tau}"
-            assert fast == reference, f"tau={tau}"
-            # Stronger than set equality: the by-topic insertion order
-            # and per-topic subscriber order drive downstream packers,
-            # so they must match the loop exactly too.
-            assert list(fast.topics) == list(loop.topics), f"tau={tau}"
-            for t in fast.topics:
-                assert (
-                    fast.subscribers_of(t).tolist()
-                    == loop.subscribers_of(t).tolist()
-                ), f"tau={tau} topic={t}"
+            assert_same_gsp(workload, tau)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dyadic_rates(self, seed):
+        # Rates k/4: not integers, yet every partial sum is exact, so
+        # the run-end search and the loop's running need still agree
+        # bit for bit.
+        rng = np.random.default_rng(5000 + seed)
+        num_topics = 30
+        rates = rng.integers(1, 40, size=num_topics) / 4.0
+        interests = [
+            sorted(rng.choice(num_topics, size=int(k), replace=False).tolist())
+            for k in rng.integers(0, num_topics + 1, size=40)
+        ]
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        total = float(rates.sum())
+        for tau in (0.25, 1.75, float(rng.integers(1, 160)) / 4.0, 20.5, total - 0.25):
+            assert_same_gsp(workload, tau)
+
+    def test_equal_rate_range_split_between_chosen_and_skipped(self):
+        # tau = 10.  Inside an equal-rate range the sweep takes items
+        # until the need shrinks below the rate, then skips the rest;
+        # the overshoot pick is the range's first skipped item.
+        rates = [4.0, 4.0, 4.0, 6.0, 3.0, 3.0, 3.0, 5.0, 5.0]
+        interests = [
+            [0, 1, 2],  # 4+4, skip 4: the pick follows two chosen 4s
+            [3, 4, 5, 6],  # 6+3, skip 3, 3: the first skipped 3
+            [7, 8, 0],  # 5+5: satisfied, no overshoot
+            [3, 7, 8],  # 6, skip 5, 5: the range's first item
+            [3, 7],  # 6, skip 5: alone in its equal-rate range
+        ]
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        picks = assert_same_gsp(workload, 10.0).topics_by_subscriber()
+        assert [sorted(picks[v]) for v in range(5)] == [
+            [0, 1, 2],
+            [3, 4, 5],
+            [7, 8],
+            [3, 7],
+            [3, 7],
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_subscriber_overshoots(self, seed):
+        # Every rate exceeds tau: each subscriber skips its whole scan
+        # and takes its smallest rate (smallest id on ties) -- with few
+        # distinct rates, usually from a long equal-rate range.
+        rng = np.random.default_rng(6000 + seed)
+        num_topics = 25
+        rates = rng.choice([5.0, 7.0, 7.0, 9.0], size=num_topics)
+        interests = [
+            sorted(rng.choice(num_topics, size=int(k), replace=False).tolist())
+            for k in rng.integers(1, num_topics + 1, size=30)
+        ]
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        picks = assert_same_gsp(workload, 4.0).topics_by_subscriber()
+        for v, interest in enumerate(interests):
+            smallest = min(interest, key=lambda t: (rates[t], t))
+            assert sorted(picks[v]) == [smallest]
+
+    def test_absorbed_running_sum_adds_no_overshoot(self):
+        # After a 2**60 rate the scan order's running sum absorbs every
+        # later rate, so subscribers 1 and 2 take their whole scans in
+        # one run yet stay nominally unsatisfied.  They skipped nothing,
+        # so they get no overshoot pick -- in particular none resolved
+        # in a neighbour's segment -- and the selection, group order
+        # included, is still the loop's.
+        rates = [2.0**60, 3.0, 3.0, 1.0, 0.5]
+        workload = Workload(rates, [[0], [1, 2], [3, 4]], message_size_bytes=1.0)
+        fast = assert_same_gsp(workload, 10.0)
+        assert list(fast.topics) == [0, 1, 2, 3, 4]
+
+    def test_run_ends_with_equal_cumsum_neighbours(self):
+        # A tiny rate absorbed by a huge running sum leaves equal
+        # neighbours in the scan order's cumsum; the clamped global
+        # searchsorted must still equal the segmented bisection over
+        # the same windows, for every window start and target.
+        rates = [2.0**60, 1.0, 0.5, 3.0, 1.0, 2.0]
+        interests = [[0, 1, 2], [1, 3, 4, 5], [0, 3, 5], [2, 4]]
+        workload = Workload(rates, interests, message_size_bytes=1.0)
+        cums = workload.rate_descending_pairs()[3]
+        assert (np.diff(cums) == 0).any()
+        indptr = workload.interest_indptr
+        lo, hi, target = [], [], []
+        probes = np.concatenate(
+            (cums, np.nextafter(cums, -np.inf), np.nextafter(cums, np.inf), [0.0, -1.0])
+        )
+        for v in range(workload.num_subscribers):
+            for start in range(int(indptr[v]), int(indptr[v + 1]) + 1):
+                lo += [start] * probes.size
+                hi += [int(indptr[v + 1])] * probes.size
+                target += probes.tolist()
+        lo, hi, target = np.array(lo), np.array(hi), np.array(target)
+        assert np.array_equal(
+            _run_ends(cums, lo, hi, target),
+            segmented_left_search(cums, lo, hi, target, np.greater),
+        )
 
     def test_all_rates_exceed_tau_overshoot(self):
         # Every topic overshoots: each subscriber must get exactly its

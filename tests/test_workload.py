@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.core.workload as workload_module
 from repro.core import Workload, build_workload
 from repro.core.workload import WorkloadError
 
@@ -94,6 +97,42 @@ class TestDerivedViews:
 
     def test_interest_rate_sums_vector(self, tiny_workload):
         assert tiny_workload.interest_rate_sums().tolist() == [30.0, 30.0, 10.0]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    def test_interest_rate_sums_chunked_bit_identical(self, monkeypatch, chunk):
+        # One bincount per chunk adds each subscriber's rates in the
+        # same order as one bincount over every pair, so non-integer
+        # sums agree to the last bit.
+        monkeypatch.setattr(workload_module, "_RATE_SUM_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(0, 40, size=300)
+        sizes[10] = 500  # wider than several chunks
+        sizes[-5:] = 0  # trailing empty subscribers
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        flat = np.concatenate(
+            [np.sort(rng.choice(1000, size=k, replace=False)) for k in sizes]
+        )
+        rates = rng.random(1000) * 100 + 1e-3
+        w = Workload.from_csr(rates, indptr, flat)
+        single = np.bincount(w.pair_subscribers(), weights=rates[flat], minlength=300)
+        got = w.interest_rate_sums()
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in single]
+
+    def test_cold_interest_rate_sums_peak_is_chunk_sized(self):
+        # A cold build holds chunk-sized temporaries: no pair-sized
+        # subscriber ids, weights or copy of a read-only cache.
+        n, k = 100_000, 40
+        indptr = np.arange(0, n * k + 1, k, dtype=np.int64)
+        flat = np.tile(np.arange(k, dtype=np.int64), n)
+        w = Workload.from_csr(np.linspace(0.5, 3.0, k), indptr, flat, validate=False)
+        tracemalloc.start()
+        try:
+            w.interest_rate_sums()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pair_array_bytes = 8 * n * k
+        assert peak < pair_array_bytes // 4
 
     def test_iter_pairs(self, tiny_workload):
         pairs = set(tiny_workload.iter_pairs())
