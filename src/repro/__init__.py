@@ -35,7 +35,6 @@ from .core import (
     VirtualMachine,
     Workload,
     WorkloadStats,
-    build_workload,
     validate_placement,
 )
 from .packing import (
@@ -67,7 +66,7 @@ from .selection import (
 )
 from .solver import MCSSSolution, MCSSSolver
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "best_lower_bound",
@@ -83,7 +82,6 @@ __all__ = [
     "VirtualMachine",
     "Workload",
     "WorkloadStats",
-    "build_workload",
     "validate_placement",
     "BestFitBinPacking",
     "CBPOptions",

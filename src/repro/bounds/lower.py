@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import MCSSProblem, SolutionCost, Workload
+from ..core import MCSSProblem, SolutionCost, Workload, subscriber_thresholds
 
 __all__ = [
     "lower_bound",
@@ -56,7 +56,7 @@ def subscriber_bound_terms(workload: Workload, tau: float) -> np.ndarray:
     if flat.size == 0:
         return terms
     nonempty = np.diff(indptr) > 0
-    tau_v = np.minimum(float(tau), workload.interest_rate_sums())[nonempty]
+    tau_v = subscriber_thresholds(workload, tau)[nonempty]
     mins = np.minimum.reduceat(rates[flat], indptr[:-1][nonempty])
     # With tau_v <= 0 the subscriber is satisfied by receiving nothing;
     # the min-rate clause of Theorem A.1 only applies when something
@@ -91,7 +91,7 @@ def lower_bound_bytes(problem: MCSSProblem, include_forced_ingest: bool = False)
     if include_forced_ingest and flat.size:
         sums = workload.interest_rate_sums()
         nonempty = np.diff(indptr) > 0
-        forced_subs = nonempty & (sums <= tau) & (np.minimum(tau, sums) > 0)
+        forced_subs = nonempty & (sums <= tau) & (subscriber_thresholds(workload, tau) > 0)
         if forced_subs.any():
             forced_pairs = forced_subs[workload.pair_subscribers()]
             forced_topics = np.unique(flat[forced_pairs])

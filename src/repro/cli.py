@@ -151,9 +151,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"naive baseline: {baseline.cost}")
     bound = lower_bound(problem)
     print(f"lower bound:    {bound}")
-    saving = 1.0 - solution.cost.total_usd / baseline.cost.total_usd
-    gap = solution.cost.total_usd / bound.total_usd - 1.0
-    print(f"saving vs naive: {saving * 100:.1f}%   gap to bound: {gap * 100:.1f}%")
+    ours, naive = solution.cost.total_usd, baseline.cost.total_usd
+    # At tau 0 nothing need be delivered: every cost, and so each
+    # ratio's denominator, is $0.
+    saving = f"{(1.0 - ours / naive) * 100:.1f}%" if naive else "n/a"
+    gap = f"{(ours / bound.total_usd - 1.0) * 100:.1f}%" if bound.total_usd else "n/a"
+    print(f"saving vs naive: {saving}   gap to bound: {gap}")
     return 0
 
 

@@ -14,17 +14,11 @@ from .satisfaction import (
     delivered_rate,
     delivered_rates,
     delivered_rates_from_arrays,
-    is_satisfied,
-    satisfaction_slack,
     satisfied_mask,
-    selection_all_satisfied,
-    selection_satisfied_mask,
-    subscriber_threshold,
     subscriber_thresholds,
-    unsatisfied_subscribers,
 )
 from .validation import ValidationReport, validate_placement, validate_placement_loop
-from .workload import Pair, Workload, WorkloadStats, build_workload
+from .workload import Pair, Workload, WorkloadStats
 
 __all__ = [
     "AdoptBackend",
@@ -41,19 +35,12 @@ __all__ = [
     "delivered_rate",
     "delivered_rates",
     "delivered_rates_from_arrays",
-    "is_satisfied",
-    "satisfaction_slack",
     "satisfied_mask",
-    "selection_all_satisfied",
-    "selection_satisfied_mask",
-    "subscriber_threshold",
     "subscriber_thresholds",
-    "unsatisfied_subscribers",
     "ValidationReport",
     "validate_placement",
     "validate_placement_loop",
     "Pair",
     "Workload",
     "WorkloadStats",
-    "build_workload",
 ]

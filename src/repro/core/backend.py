@@ -19,8 +19,8 @@ those arrays no longer fit comfortably in one process's RAM, so the
   Python-allocator memory, which is exactly the accounting we want for
   out-of-core solves.
 * :class:`AdoptBackend` -- trusted zero-copy adoption; used internally
-  for derived views (subscriber shards, message-size rebinds) whose
-  arrays are already frozen slices of a live workload.
+  for subscriber shards (:meth:`~repro.core.workload.Workload.subscriber_range`),
+  whose arrays are already frozen slices of a live workload.
 
 Backends never change *values*, only residency: every solver path is
 bit-exact across backends (pinned by the backend-parametrized cases in
@@ -91,11 +91,10 @@ class RamBackend(ArrayBackend):
 class AdoptBackend(ArrayBackend):
     """Trusted zero-copy adoption: arrays are kept exactly as passed.
 
-    For internal derived views (:meth:`Workload.subscriber_range`,
-    :meth:`Workload.with_message_size`) whose inputs are already
-    immutable slices of a live workload -- copying them would densify
-    an mmap-backed parent.  Derived caches stay in RAM (they are
-    sized to the view, not to the parent).
+    For the subscriber shards of :meth:`Workload.subscriber_range`,
+    whose inputs are already immutable slices of a live workload --
+    copying them would densify an mmap-backed parent.  Derived caches
+    stay in RAM (they are sized to the shard, not to the parent).
     """
 
     def adopt(self, arr: np.ndarray, tag: str) -> np.ndarray:

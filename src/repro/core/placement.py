@@ -22,8 +22,8 @@ Array-backed core
 The hot-path state is held in NumPy arrays so the vectorized Stage-2
 packers never loop over VMs in Python:
 
-* :meth:`Placement.used_bytes_array` / :meth:`free_bytes_array` --
-  per-VM byte accounting as one float64 vector (geometrically grown);
+* :meth:`Placement.used_bytes_array` -- per-VM byte accounting as
+  one float64 vector (geometrically grown);
 * :meth:`Placement.hosts_mask` -- the "which VMs ingest topic t"
   bitset, served from a per-topic VM index kept incrementally;
 * :meth:`Placement.assign_range` -- batch assignment of a flat
@@ -443,10 +443,6 @@ class Placement:
         view.setflags(write=False)
         return view
 
-    def free_bytes_array(self) -> np.ndarray:
-        """Per-VM ``BC - bw_b`` as a fresh float64 vector (a snapshot)."""
-        return self.capacity_bytes - self._used[: self._num_vms]
-
     def hosts_mask(self, topic: int) -> np.ndarray:
         """Boolean vector over VMs: does VM ``b`` ingest ``topic``?"""
         self._fleet()
@@ -456,20 +452,10 @@ class Placement:
             mask[hosting] = True
         return mask
 
-    def hosting_vms(self, topic: int) -> List[int]:
-        """Indices of the VMs ingesting ``topic``, in first-host order."""
-        self._fleet()
-        return list(self._topic_vms.get(int(topic), ()))
-
     @property
     def total_bytes(self) -> float:
         """``sum(bw_b)`` in bytes per time unit."""
         return float(self._used[: self._num_vms].sum())
-
-    @property
-    def total_outgoing_bytes(self) -> float:
-        """Aggregate outgoing byte rate over the fleet."""
-        return sum(vm.outgoing_bytes for vm in self._fleet())
 
     @property
     def total_incoming_bytes(self) -> float:

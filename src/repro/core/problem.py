@@ -21,9 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..pricing import PricingPlan, paper_plan
-from .pairs import PairSelection
 from .placement import Placement
-from .satisfaction import subscriber_thresholds
 from .workload import Workload
 
 __all__ = ["MCSSProblem", "SolutionCost"]
@@ -72,7 +70,7 @@ class MCSSProblem:
     plan: PricingPlan = field(default_factory=paper_plan)
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("tau must be non-negative")
         # A single pair must always be placeable: the largest topic's
         # byte rate (outgoing + one incoming copy) has to fit in a VM.
@@ -90,10 +88,6 @@ class MCSSProblem:
     def capacity_bytes(self) -> float:
         """``BC`` in bytes per billing period."""
         return self.plan.capacity_bytes
-
-    def thresholds(self) -> np.ndarray:
-        """Vector of ``tau_v`` over all subscribers."""
-        return subscriber_thresholds(self.workload, self.tau)
 
     def topic_bytes_array(self) -> np.ndarray:
         """Per-topic byte rate of one event-stream copy (``ev_t * msg``).
@@ -126,16 +120,6 @@ class MCSSProblem:
             vm_usd=self.plan.c1(num_vms),
             bandwidth_usd=self.plan.c2(total_bytes),
         )
-
-    def selection_is_sufficient(self, selection: PairSelection) -> bool:
-        """Whether a Stage-1 selection satisfies every subscriber.
-
-        Runs on the selection's flat pair arrays (vectorized), so no
-        per-subscriber dictionary is materialized.
-        """
-        from .satisfaction import selection_all_satisfied
-
-        return selection_all_satisfied(self.workload, selection, self.tau)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

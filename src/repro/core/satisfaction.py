@@ -9,14 +9,17 @@ subscriber-specific threshold
 where ``tau`` is the system-wide satisfaction threshold.  Delivering
 more than ``tau_v`` brings no extra benefit (the subscriber is a human
 reader), which is exactly the slack the MCSS optimization exploits.
+:func:`subscriber_thresholds` is the one implementation of that rule:
+the placement audit, GSP's sweep and the Algorithm-5 lower bound all
+call it.
 
 Vectorized engine
 -----------------
 The whole-population checks (:func:`delivered_rates`,
-:func:`satisfied_mask`, :func:`satisfaction_slack`) are whole-array
-NumPy reductions over flat ``(topic, subscriber)`` pair arrays rather
-than per-subscriber Python loops -- a sort-merge membership join
-(Blasgen & Eswaran, 1977) against the workload's own pairs:
+:func:`satisfied_mask`) are whole-array NumPy reductions over flat
+``(topic, subscriber)`` pair arrays rather than per-subscriber Python
+loops -- a sort-merge membership join (Blasgen & Eswaran, 1977)
+against the workload's own pairs:
 
 1. each delivered pair ``(t, v)`` becomes the packed key
    ``v * num_topics + t``, and the keys are sorted in place;
@@ -31,12 +34,9 @@ than per-subscriber Python loops -- a sort-merge membership join
    the topic rates as weights, adding each subscriber's topics in
    ascending topic order.
 
-:func:`delivered_rates_from_arrays` is the raw entry point;
-the mapping-based functions convert their ``subscriber -> topics``
-mapping to flat arrays first, and :func:`selection_satisfied_mask` /
-:func:`selection_all_satisfied` consume a
-:class:`~repro.core.pairs.PairSelection` with no Python-level
-per-subscriber work at all.
+:func:`delivered_rates_from_arrays` is the raw entry point; the
+mapping-based functions convert their ``subscriber -> topics`` mapping
+to flat arrays first.
 
 Equivalence contract: the vectorized reductions compute the same
 delivered-rate sums as the per-subscriber :func:`delivered_rate`
@@ -55,35 +55,26 @@ from typing import Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
-from .pairs import PairSelection
 from .workload import Workload
 
 __all__ = [
-    "subscriber_threshold",
     "subscriber_thresholds",
     "delivered_rate",
     "delivered_rates",
     "delivered_rates_from_arrays",
-    "is_satisfied",
     "satisfied_mask",
     "all_satisfied",
-    "unsatisfied_subscribers",
-    "satisfaction_slack",
-    "selection_satisfied_mask",
-    "selection_all_satisfied",
 ]
 
 
-def subscriber_threshold(workload: Workload, subscriber: int, tau: float) -> float:
-    """Return ``tau_v = min(tau, sum(ev_t for t in Tv))`` for one subscriber."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    return min(float(tau), workload.interest_rate_sum(subscriber))
-
-
 def subscriber_thresholds(workload: Workload, tau: float) -> np.ndarray:
-    """Vector of ``tau_v`` for every subscriber."""
-    if tau < 0:
+    """Vector of ``tau_v = min(tau, sum(ev_t for t in Tv))`` for every subscriber.
+
+    ``tau`` must be a non-negative number.  NaN is rejected: every
+    comparison with a NaN threshold is False, so GSP would select
+    nothing for it and the audit would flag no one.
+    """
+    if not tau >= 0:
         raise ValueError("tau must be non-negative")
     return np.minimum(float(tau), workload.interest_rate_sums())
 
@@ -205,25 +196,6 @@ def delivered_rates(
     return delivered_rates_from_arrays(workload, topics, subs)
 
 
-def is_satisfied(
-    workload: Workload,
-    subscriber: int,
-    delivered_topics: Iterable[int],
-    tau: float,
-    *,
-    rel_tol: float = 1e-9,
-) -> bool:
-    """Check Equation (3) for a single subscriber.
-
-    A small relative tolerance absorbs floating-point accumulation
-    error; the threshold comparison in the paper is exact because the
-    original implementation used integer event counts.
-    """
-    threshold = subscriber_threshold(workload, subscriber, tau)
-    got = delivered_rate(workload, subscriber, delivered_topics)
-    return got >= threshold * (1.0 - rel_tol)
-
-
 def satisfied_mask(
     workload: Workload,
     topics_by_subscriber: Mapping[int, Iterable[int]],
@@ -231,42 +203,15 @@ def satisfied_mask(
     *,
     rel_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Boolean vector ``f_v`` over all subscribers (Equation (3))."""
+    """Boolean vector ``f_v`` over all subscribers (Equation (3)).
+
+    A small relative tolerance absorbs floating-point accumulation
+    error; the threshold comparison in the paper is exact because the
+    original implementation used integer event counts.
+    """
     thresholds = subscriber_thresholds(workload, tau)
     got = delivered_rates(workload, topics_by_subscriber)
     return got >= thresholds * (1.0 - rel_tol)
-
-
-def selection_satisfied_mask(
-    workload: Workload,
-    selection: PairSelection,
-    tau: float,
-    *,
-    rel_tol: float = 1e-9,
-) -> np.ndarray:
-    """:func:`satisfied_mask` straight from a :class:`PairSelection`.
-
-    Uses the selection's cached flat pair arrays, so no per-subscriber
-    dictionary is ever materialized -- the fast path for Stage-1
-    sufficiency checks on large workloads.
-    """
-    thresholds = subscriber_thresholds(workload, tau)
-    topics, subs = selection.pair_arrays()
-    got = delivered_rates_from_arrays(workload, topics, subs)
-    return got >= thresholds * (1.0 - rel_tol)
-
-
-def selection_all_satisfied(
-    workload: Workload,
-    selection: PairSelection,
-    tau: float,
-    *,
-    rel_tol: float = 1e-9,
-) -> bool:
-    """Whether a selection satisfies every subscriber (Equation (2))."""
-    return bool(
-        selection_satisfied_mask(workload, selection, tau, rel_tol=rel_tol).all()
-    )
 
 
 def all_satisfied(
@@ -280,31 +225,3 @@ def all_satisfied(
     return bool(
         satisfied_mask(workload, topics_by_subscriber, tau, rel_tol=rel_tol).all()
     )
-
-
-def unsatisfied_subscribers(
-    workload: Workload,
-    topics_by_subscriber: Mapping[int, Iterable[int]],
-    tau: float,
-    *,
-    rel_tol: float = 1e-9,
-) -> List[int]:
-    """Return the ids of unsatisfied subscribers (useful in error messages)."""
-    mask = satisfied_mask(workload, topics_by_subscriber, tau, rel_tol=rel_tol)
-    return [int(v) for v in np.flatnonzero(~mask)]
-
-
-def satisfaction_slack(
-    workload: Workload,
-    topics_by_subscriber: Mapping[int, Iterable[int]],
-    tau: float,
-) -> np.ndarray:
-    """Per-subscriber slack ``delivered - tau_v`` (negative = unsatisfied).
-
-    The aggregate positive slack measures how much bandwidth a selection
-    "wastes" beyond the satisfaction requirement; Stage 1's greedy
-    heuristic tries to keep this small.
-    """
-    thresholds = subscriber_thresholds(workload, tau)
-    got = delivered_rates(workload, topics_by_subscriber)
-    return got - thresholds

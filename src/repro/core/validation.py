@@ -45,7 +45,11 @@ import numpy as np
 
 from .placement import Placement
 from .problem import MCSSProblem
-from .satisfaction import _delivered_rates_of_keys, delivered_rates_from_arrays
+from .satisfaction import (
+    _delivered_rates_of_keys,
+    delivered_rates_from_arrays,
+    subscriber_thresholds,
+)
 
 __all__ = ["ValidationReport", "validate_placement", "validate_placement_loop"]
 
@@ -101,7 +105,7 @@ def validate_placement(problem: MCSSProblem, placement: Placement) -> Validation
     # The satisfaction half reads the workload's sorted pair keys and
     # interest rate sums: build them before any lane-sized array below
     # is live, since out of core a cold build is a pair-sized transient.
-    thresholds = np.minimum(float(problem.tau), workload.interest_rate_sums())
+    thresholds = subscriber_thresholds(workload, problem.tau)
     workload.pair_keys()
 
     # Duplicate subscribers inside one (vm, topic) group: one global

@@ -31,14 +31,14 @@ loops with whole-array ``np.lexsort`` / ``np.bincount`` /
 tuple-of-arrays view (:meth:`interest` / :attr:`interests`) is
 materialized lazily as read-only slices of the same flat array.
 
-Construction validation (id range, per-subscriber duplicates) is also
-performed as whole-array passes, so building a million-subscriber
-workload does not loop over subscribers for anything but the initial
-per-subscriber ``np.asarray`` conversion.  :meth:`Workload.from_csr`
-skips even that when the caller already has flat arrays -- it is the
-entry point of every bulk generator (the synthetic Zipf/uniform draws
-and, since generator version 3, the social-graph compaction in
-:mod:`repro.workloads.social`).
+Construction validation (finite positive rates, id range,
+per-subscriber duplicates) is also performed as whole-array passes, so
+building a million-subscriber workload does not loop over subscribers
+for anything but the initial per-subscriber ``np.asarray`` conversion.
+:meth:`Workload.from_csr` skips even that when the caller already has
+flat arrays -- it is the entry point of every bulk generator (the
+synthetic Zipf/uniform draws and, since generator version 3, the
+social-graph compaction in :mod:`repro.workloads.social`).
 
 Units
 -----
@@ -53,14 +53,14 @@ meaning (e.g. a 10-day trace period) to the time unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backend import AdoptBackend, ArrayBackend, RamBackend
 from .segsearch import ranges, sorted_unique
 
-__all__ = ["Pair", "Workload", "WorkloadStats", "build_workload"]
+__all__ = ["Pair", "Workload", "WorkloadStats"]
 
 _RAM_BACKEND = RamBackend()
 _ADOPT_BACKEND = AdoptBackend()
@@ -107,8 +107,8 @@ class Workload:
     Parameters
     ----------
     event_rates:
-        Array of length ``l`` with the event rate ``ev_t > 0`` of every
-        topic (events per time unit).
+        Array of length ``l`` with the finite event rate ``ev_t > 0`` of
+        every topic (events per time unit).
     interests:
         One integer array per subscriber listing the topics the
         subscriber follows (``Tv``).  Subscribers with empty interests
@@ -116,8 +116,6 @@ class Workload:
     message_size_bytes:
         Mean size of one event message.  The paper uses 200 bytes for
         both the Twitter and the Spotify experiments (Section IV-A).
-    topic_labels / subscriber_labels:
-        Optional human-readable names, purely cosmetic.
     """
 
     __slots__ = (
@@ -126,8 +124,6 @@ class Workload:
         "_flat_topics",
         "_interests",
         "_message_size_bytes",
-        "_topic_labels",
-        "_subscriber_labels",
         "_subscribers_of",
         "_interest_rate_sums",
         "_pair_subscribers",
@@ -141,8 +137,6 @@ class Workload:
         event_rates: Sequence[float],
         interests: Sequence[Sequence[int]],
         message_size_bytes: float = 200.0,
-        topic_labels: Optional[Sequence[str]] = None,
-        subscriber_labels: Optional[Sequence[str]] = None,
     ) -> None:
         arrays = [np.asarray(topics, dtype=np.int64) for topics in interests]
         counts = np.fromiter(
@@ -154,15 +148,7 @@ class Workload:
             flat = np.concatenate(arrays) if indptr[-1] else np.empty(0, np.int64)
         else:
             flat = np.empty(0, dtype=np.int64)
-        self._init_common(
-            event_rates,
-            indptr,
-            flat,
-            message_size_bytes,
-            topic_labels,
-            subscriber_labels,
-            validate=True,
-        )
+        self._init_common(event_rates, indptr, flat, message_size_bytes, validate=True)
 
     @classmethod
     def from_csr(
@@ -171,8 +157,6 @@ class Workload:
         indptr: Sequence[int],
         topics: Sequence[int],
         message_size_bytes: float = 200.0,
-        topic_labels: Optional[Sequence[str]] = None,
-        subscriber_labels: Optional[Sequence[str]] = None,
         validate: bool = True,
         backend: Optional[ArrayBackend] = None,
     ) -> "Workload":
@@ -203,14 +187,7 @@ class Workload:
         if flat.ndim != 1 or flat.size != int(ip[-1]):
             raise WorkloadError("topics length must equal indptr[-1]")
         self._init_common(
-            event_rates,
-            ip,
-            flat,
-            message_size_bytes,
-            topic_labels,
-            subscriber_labels,
-            validate=validate,
-            backend=backend,
+            event_rates, ip, flat, message_size_bytes, validate=validate, backend=backend
         )
         return self
 
@@ -220,8 +197,6 @@ class Workload:
         indptr: np.ndarray,
         flat: np.ndarray,
         message_size_bytes: float,
-        topic_labels: Optional[Sequence[str]],
-        subscriber_labels: Optional[Sequence[str]],
         validate: bool,
         backend: Optional[ArrayBackend] = None,
     ) -> None:
@@ -229,17 +204,15 @@ class Workload:
         rates = np.asarray(event_rates, dtype=np.float64)
         if rates.ndim != 1:
             raise WorkloadError("event_rates must be one-dimensional")
-        if rates.size and rates.min() <= 0:
+        if not (np.isfinite(rates) & (rates > 0)).all():
             raise WorkloadError(
-                "event rates must be strictly positive (paper assumes ev_t > 0)"
+                "event rates must be finite and strictly positive "
+                "(paper assumes ev_t > 0)"
             )
         if message_size_bytes <= 0:
             raise WorkloadError("message_size_bytes must be positive")
-        num_topics = rates.size
-        num_subscribers = indptr.size - 1
-
         if validate and flat.size:
-            self._validate_csr(num_topics, indptr, flat)
+            self._validate_csr(rates.size, indptr, flat)
 
         rates = backend.adopt(rates, "event_rates")
         flat = backend.adopt(flat, "interest_topics")
@@ -250,19 +223,6 @@ class Workload:
         object.__setattr__(self, "_indptr", indptr)
         object.__setattr__(self, "_flat_topics", flat)
         object.__setattr__(self, "_message_size_bytes", float(message_size_bytes))
-
-        if topic_labels is not None and len(topic_labels) != num_topics:
-            raise WorkloadError("topic_labels length mismatch")
-        if subscriber_labels is not None and len(subscriber_labels) != num_subscribers:
-            raise WorkloadError("subscriber_labels length mismatch")
-        object.__setattr__(
-            self, "_topic_labels", tuple(topic_labels) if topic_labels else None
-        )
-        object.__setattr__(
-            self,
-            "_subscriber_labels",
-            tuple(subscriber_labels) if subscriber_labels else None,
-        )
         # Lazy caches.
         object.__setattr__(self, "_interests", None)
         object.__setattr__(self, "_subscribers_of", None)
@@ -441,7 +401,9 @@ class Workload:
         per-segment run end is one plain ``np.searchsorted`` clamped
         into the segment.  tau-independent, hence cached on the
         workload: the cost ladder re-selects for several taus and pays
-        the sort once.
+        the sort once.  The sort permutes pairs only inside each
+        subscriber's segment, so the subscriber column is the
+        :meth:`pair_subscribers` cache itself, not a second copy.
 
         Implemented as a single ``np.argsort`` over the packed key
         ``v * l + rank(t)`` where ``rank`` orders topics by
@@ -458,17 +420,14 @@ class Workload:
             key = key + rank[self._flat_topics]
             order = np.argsort(key)  # keys are unique: stability not needed
             s_topics = self._flat_topics[order]
-            s_subs = self.pair_subscribers()[order]
             s_rates = rates[s_topics]
             cums = np.cumsum(s_rates)
-            cached = tuple(
-                self._backend.cache(f"rate_desc_{tag}", arr)
-                for tag, arr in (
-                    ("topics", s_topics),
-                    ("subscribers", s_subs),
-                    ("rates", s_rates),
-                    ("cumsum", cums),
-                )
+            cache = self._backend.cache
+            cached = (
+                cache("rate_desc_topics", s_topics),
+                self.pair_subscribers(),
+                cache("rate_desc_rates", s_rates),
+                cache("rate_desc_cumsum", cums),
             )
             object.__setattr__(self, "_rate_desc_pairs", cached)
         return cached
@@ -476,18 +435,6 @@ class Workload:
     def interest_sizes(self) -> np.ndarray:
         """``|Tv|`` for every subscriber (one ``np.diff`` over indptr)."""
         return np.diff(self._indptr)
-
-    def topic_label(self, topic: int) -> str:
-        """Human-readable name of a topic (falls back to ``t<idx>``)."""
-        if self._topic_labels is not None:
-            return self._topic_labels[topic]
-        return f"t{topic}"
-
-    def subscriber_label(self, subscriber: int) -> str:
-        """Human-readable name of a subscriber (falls back to ``v<idx>``)."""
-        if self._subscriber_labels is not None:
-            return self._subscriber_labels[subscriber]
-        return f"v{subscriber}"
 
     # ------------------------------------------------------------------
     # Derived (cached) views
@@ -519,15 +466,12 @@ class Workload:
         """Number of subscribers per topic (``|Vt|`` for every topic)."""
         return np.bincount(self._flat_topics, minlength=self.num_topics)
 
-    def interest_rate_sum(self, subscriber: int) -> float:
-        """Return ``sum(ev_t for t in Tv)`` for a subscriber.
+    def interest_rate_sums(self) -> np.ndarray:
+        """Vector of ``sum(ev_t for t in Tv)`` for all subscribers (cached).
 
-        This is the maximum event rate the subscriber could ever
-        receive, and caps the satisfaction threshold ``tau_v``.
+        Each sum is the most a subscriber could ever receive, and caps
+        its satisfaction threshold ``tau_v``.
         """
-        return float(self._rate_sums()[subscriber])
-
-    def _rate_sums(self) -> np.ndarray:
         cached = self._interest_rate_sums
         if cached is None:
             # One bincount per chunk of whole subscribers, ~_RATE_SUM_CHUNK
@@ -551,10 +495,6 @@ class Workload:
             cached = sums
             object.__setattr__(self, "_interest_rate_sums", cached)
         return cached
-
-    def interest_rate_sums(self) -> np.ndarray:
-        """Vector of ``sum(ev_t for t in Tv)`` for all subscribers."""
-        return self._rate_sums()
 
     @property
     def num_pairs(self) -> int:
@@ -615,18 +555,11 @@ class Workload:
             flat = self._flat_topics[ranges(self._indptr[keep], counts)]
         else:
             flat = np.empty(0, dtype=np.int64)
-        labels = (
-            [self._subscriber_labels[v] for v in keep.tolist()]
-            if self._subscriber_labels is not None
-            else None
-        )
         return Workload.from_csr(
             self._event_rates,
             indptr,
             flat,
             message_size_bytes=self._message_size_bytes,
-            topic_labels=self._topic_labels,
-            subscriber_labels=labels,
             validate=False,
         )
 
@@ -649,36 +582,11 @@ class Workload:
         offsets = self._indptr[lo : hi + 1]
         indptr = offsets - offsets[0]
         flat = self._flat_topics[int(self._indptr[lo]) : int(self._indptr[hi])]
-        labels = (
-            self._subscriber_labels[lo:hi]
-            if self._subscriber_labels is not None
-            else None
-        )
         return Workload.from_csr(
             self._event_rates,
             indptr,
             flat,
             message_size_bytes=self._message_size_bytes,
-            topic_labels=self._topic_labels,
-            subscriber_labels=labels,
-            validate=False,
-            backend=_ADOPT_BACKEND,
-        )
-
-    def with_message_size(self, message_size_bytes: float) -> "Workload":
-        """Return a copy of the workload with a different message size.
-
-        The CSR arrays are shared (adopted read-only, never copied), so
-        this stays cheap -- and non-densifying -- for mmap-backed
-        workloads.
-        """
-        return Workload.from_csr(
-            self._event_rates,
-            self._indptr,
-            self._flat_topics,
-            message_size_bytes=message_size_bytes,
-            topic_labels=self._topic_labels,
-            subscriber_labels=self._subscriber_labels,
             validate=False,
             backend=_ADOPT_BACKEND,
         )
@@ -688,42 +596,3 @@ class Workload:
             f"Workload(topics={self.num_topics}, "
             f"subscribers={self.num_subscribers}, pairs={self.num_pairs})"
         )
-
-
-def build_workload(
-    subscriptions: Mapping[int, Sequence[int]],
-    event_rates: Mapping[int, float],
-    message_size_bytes: float = 200.0,
-) -> Workload:
-    """Build a :class:`Workload` from sparse mappings.
-
-    ``subscriptions`` maps *subscriber id -> iterable of topic ids* and
-    ``event_rates`` maps *topic id -> rate*.  Ids may be arbitrary
-    non-negative integers; they are compacted into dense ranges and the
-    original ids are preserved as labels.
-
-    This is the friendly entry point for users loading their own traces
-    (the generators in :mod:`repro.workloads` construct dense
-    :class:`Workload` objects directly).
-    """
-    topic_ids = sorted(event_rates)
-    topic_index = {t: i for i, t in enumerate(topic_ids)}
-    rates = [float(event_rates[t]) for t in topic_ids]
-
-    subscriber_ids = sorted(subscriptions)
-    interests: List[List[int]] = []
-    for v in subscriber_ids:
-        try:
-            interests.append(sorted(topic_index[t] for t in subscriptions[v]))
-        except KeyError as exc:  # re-raise with context
-            raise WorkloadError(
-                f"subscriber {v} subscribes to unknown topic {exc.args[0]}"
-            ) from exc
-
-    return Workload(
-        rates,
-        interests,
-        message_size_bytes=message_size_bytes,
-        topic_labels=[str(t) for t in topic_ids],
-        subscriber_labels=[str(v) for v in subscriber_ids],
-    )

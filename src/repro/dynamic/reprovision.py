@@ -437,7 +437,10 @@ class IncrementalReprovisioner:
         the same :class:`ProvisioningPlan` the original run used.  The
         scalars must pass :meth:`__init__`'s rules and lie in the ranges
         :meth:`step` maintains; a violation raises ``ValueError`` naming
-        the field.  The stored ``used_bytes`` is recomputed from the
+        the field.  The pair table must be strictly ascending by
+        (subscriber, topic), the order :meth:`snapshot` writes; one
+        permuted in all three arrays at once would pass the byte
+        cross-check.  The stored ``used_bytes`` is recomputed from the
         pair arrays and cross-checked, catching a snapshot whose members
         were swapped or tampered with after the per-member digests were
         stripped.
@@ -484,6 +487,14 @@ class IncrementalReprovisioner:
             and 0 <= p_vm.min() and p_vm.max() < num_vms
         ):
             raise ValueError("snapshot pairs name topics or VMs that do not exist")
+        # _set_table derives each subscriber's rows from counts, which
+        # holds only for a table sorted by (subscriber, topic).
+        v_lo, v_hi, t_lo, t_hi = p_v[:-1], p_v[1:], p_t[:-1], p_t[1:]
+        if not ((v_hi > v_lo) | ((v_hi == v_lo) & (t_hi > t_lo))).all():
+            raise ValueError(
+                "snapshot pair_subscribers/pair_topics are not strictly "
+                "ascending by (subscriber, topic)"
+            )
         # Derived state -- the group table and the bound terms -- is
         # rebuilt rather than persisted, keeping the checkpoint format.
         inst._set_table(p_v, p_t, p_vm, num_vms)

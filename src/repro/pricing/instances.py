@@ -4,9 +4,9 @@ The paper evaluates with *On-Demand, Compute Optimized -- Current
 Generation* instances, specifically ``c3.large`` ($0.15/hour, 64 mbps
 bandwidth cap) and ``c3.xlarge`` ($0.30/hour, 128 mbps), because these
 types have documented bandwidth limits [13].  We ship the full c3
-family (prices from the 2014 price sheet the paper cites) plus a
-``custom`` constructor so experiments can sweep capacity independently
-of price.
+family (prices from the 2014 price sheet the paper cites);
+:meth:`repro.pricing.PricingPlan.scaled` sweeps capacity and price
+together, and a plain :class:`InstanceType` builds any other type.
 """
 
 from __future__ import annotations
@@ -59,18 +59,6 @@ class InstanceType:
         if period_hours < 0:
             raise ValueError("period must be non-negative")
         return self.hourly_price_usd * period_hours
-
-    @classmethod
-    def custom(
-        cls,
-        name: str,
-        hourly_price_usd: float,
-        bandwidth_mbps: float,
-        vcpus: int = 2,
-        memory_gib: float = 4.0,
-    ) -> "InstanceType":
-        """Create an ad-hoc instance type (for sweeps and tests)."""
-        return cls(name, hourly_price_usd, bandwidth_mbps, vcpus, memory_gib)
 
 
 # 2014 us-east-1 On-Demand prices for the Compute Optimized (c3) family,

@@ -90,10 +90,6 @@ class PricingPlan:
         return self.bandwidth_cost
 
     # ------------------------------------------------------------------
-    def total_cost(self, num_vms: int, total_bytes: float) -> float:
-        """Evaluate the MCSS objective ``C1(|B|) + C2(sum bw_b)``."""
-        return self.c1(num_vms) + self.c2(total_bytes)
-
     def scaled(self, fraction: float) -> "PricingPlan":
         """Scale the plan to a down-sampled trace.
 
@@ -118,15 +114,6 @@ class PricingPlan:
             capacity_bytes_override=self.capacity_bytes * fraction,
             vm_cost=LinearVMCost(base_price * fraction),
         )
-
-    def with_instance(self, name_or_instance) -> "PricingPlan":
-        """Return a copy of the plan with a different instance type."""
-        inst = (
-            name_or_instance
-            if isinstance(name_or_instance, InstanceType)
-            else get_instance(name_or_instance)
-        )
-        return replace(self, instance=inst)
 
     def describe(self) -> str:
         """One-line human summary for experiment logs."""

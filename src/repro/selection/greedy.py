@@ -89,7 +89,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import MCSSProblem, PairSelection
+from ..core import MCSSProblem, PairSelection, subscriber_thresholds
 from ..core.segsearch import grouping_order, ranges, segmented_left_search
 from ..resilience.supervise import subscriber_shards, supervised_map
 from .base import SelectionAlgorithm, register_selector
@@ -228,7 +228,7 @@ class GreedySelectPairs(SelectionAlgorithm):
         # the workload (tau-independent).
         s_topics, s_subs, s_rates, cums = workload.rate_descending_pairs()
 
-        tau_v = np.minimum(tau, workload.interest_rate_sums())
+        tau_v = subscriber_thresholds(workload, tau)
         active = np.flatnonzero(tau_v > 0)
         pos = indptr[:-1][active].astype(np.int64)
         lim = indptr[1:][active].astype(np.int64)

@@ -110,11 +110,6 @@ class ChurnIngestQueue:
         """Pending operations across all buffered fragments."""
         return self._depth
 
-    @property
-    def fragments_pending(self) -> int:
-        """Number of buffered fragments."""
-        return len(self._fragments)
-
     def offer(self, fragment: ChurnFragment) -> None:
         """Enqueue one fragment."""
         if not isinstance(fragment, ChurnFragment):

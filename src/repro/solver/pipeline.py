@@ -2,8 +2,10 @@
 
 :class:`MCSSSolver` composes a Stage-1 selection algorithm with a
 Stage-2 packing algorithm, times both stages separately (Figures 4-7
-report them separately), validates and times the audit, and returns a
-:class:`MCSSSolution` carrying everything the experiment harness needs.
+report them separately), times the audit and raises on an invalid
+placement, and returns a :class:`MCSSSolution` carrying everything the
+experiment harness needs.  Every solve is audited: an infeasible
+placement is a solver bug, never a result.
 
 The paper's named configurations are available as presets:
 
@@ -54,15 +56,6 @@ class MCSSSolution:
     packer_name: str
     validation: ValidationReport
 
-    @property
-    def total_seconds(self) -> float:
-        """Stage 1 + Stage 2 time, as Figures 4-7 report it.
-
-        Leaves out the audit (:attr:`validation_seconds`) and the cost
-        evaluation, which are not part of the paper's heuristic.
-        """
-        return self.selection_seconds + self.packing_seconds
-
     def summary(self) -> str:
         """One-line result for logs and the CLI."""
         return (
@@ -75,15 +68,9 @@ class MCSSSolution:
 class MCSSSolver:
     """A (selection, packing) pipeline for MCSS."""
 
-    def __init__(
-        self,
-        selector: SelectionAlgorithm,
-        packer: PackingAlgorithm,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, selector: SelectionAlgorithm, packer: PackingAlgorithm) -> None:
         self.selector = selector
         self.packer = packer
-        self.validate = validate
 
     # ------------------------------------------------------------------
     # Presets
@@ -110,17 +97,17 @@ class MCSSSolver:
         return cls(GreedySelectPairs(), CustomBinPacking(CBPOptions.ladder(rung)))
 
     @classmethod
-    def from_names(cls, selector: str, packer: str, **kwargs) -> "MCSSSolver":
+    def from_names(cls, selector: str, packer: str) -> "MCSSSolver":
         """Build from registry names (CLI entry point)."""
-        return cls(get_selector(selector), get_packer(packer), **kwargs)
+        return cls(get_selector(selector), get_packer(packer))
 
     # ------------------------------------------------------------------
     def solve(self, problem: MCSSProblem) -> MCSSSolution:
         """Run both stages and audit the result.
 
-        Raises ``ValueError`` if validation is enabled and the produced
-        placement violates capacity or satisfaction -- a solver bug, by
-        construction, so it must never pass silently.
+        Raises ``ValueError`` if the produced placement violates
+        capacity or satisfaction -- a solver bug, by construction, so it
+        must never pass silently.
 
         A workload wider than one ``MCSS_SHARD_SIZE`` of subscribers is
         solved out of core with the same result: GSP selects shard by
@@ -165,8 +152,7 @@ class MCSSSolver:
 
         report = validate_placement(problem, placement)
         t3 = time.perf_counter()
-        if self.validate:
-            report.raise_if_invalid()
+        report.raise_if_invalid()
 
         return MCSSSolution(
             problem=problem,

@@ -9,17 +9,11 @@ docs/ARCHITECTURE.md).
 workloads for tests and ablations.
 """
 
-from .distributions import (
-    glitched_following_counts,
-    lognormal_rates,
-    truncated_power_law,
-)
+from .distributions import glitched_following_counts, truncated_power_law
 from .io import (
     TraceCorruptionError,
     load_workload,
-    load_workload_csv,
     save_workload,
-    save_workload_csv,
     save_zipf_workload_chunked,
 )
 from .sampling import sample_subscribers
@@ -43,13 +37,10 @@ from .twitter import TwitterConfig, TwitterWorkloadGenerator
 
 __all__ = [
     "glitched_following_counts",
-    "lognormal_rates",
     "truncated_power_law",
     "TraceCorruptionError",
     "load_workload",
-    "load_workload_csv",
     "save_workload",
-    "save_workload_csv",
     "save_zipf_workload_chunked",
     "sample_subscribers",
     "SocialGraph",

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "truncated_power_law",
     "glitched_following_counts",
-    "lognormal_rates",
 ]
 
 
@@ -83,28 +82,3 @@ def glitched_following_counts(
     clamp = over & (rng.random(size) < cap_overflow_prob)
     counts[clamp] = cap
     return counts
-
-
-def lognormal_rates(
-    rng: np.random.Generator,
-    means: np.ndarray,
-    sigma: float = 1.0,
-) -> np.ndarray:
-    """Integer event counts, lognormal around per-user target means.
-
-    ``means`` are the desired expected values; the underlying normal is
-    shifted by ``-sigma^2 / 2`` so that ``E[exp(N)] = mean`` holds.
-    Counts are floored; zeros are legal (inactive users are filtered by
-    the generators, mirroring the paper's "active users only" rule).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    means = np.asarray(means, dtype=np.float64)
-    if means.size and means.min() < 0:
-        raise ValueError("means must be non-negative")
-    mu = np.log(np.maximum(means, 1e-12)) - sigma * sigma / 2.0
-    # Draw with per-element mu: exp(mu + sigma * Z).
-    z = rng.standard_normal(means.size)
-    draws = np.exp(mu + sigma * z)
-    draws[means <= 0] = 0.0
-    return np.floor(draws).astype(np.int64)

@@ -1,35 +1,28 @@
 """Workload (de)serialization.
 
-Two formats:
-
-* ``.npz`` (:func:`save_workload` / :func:`load_workload`) -- compact
-  binary: the CSR interest arrays plus a header record.  The native
-  format, **versioned**; this build reads and writes *version 3* only
-  and raises a clear "unsupported version" error on any other instead
-  of misreading the file.  A version-3 file holds ``version``,
-  ``generator_version`` (the
-  :data:`repro.workloads.GENERATOR_VERSION` the writer ran), the CSR
-  arrays ``event_rates`` / ``interest_indptr`` / ``interest_topics``,
-  ``message_size_bytes``, and a ``digest_<member>`` CRC32 for each of
-  those payload members.  Loads verify the digests and raise
-  :class:`TraceCorruptionError` *naming the bad member*, or the missing
-  digest; writes go through tmp-file + fsync + atomic rename
-  (:func:`repro.resilience.integrity.atomic_write`), so an interrupted
-  save never leaves a half-valid trace behind.  Written *uncompressed*
-  so that ``load_workload(path, mmap=True)`` can hand back a
-  :class:`~repro.core.backend.MmapBackend`-backed
-  :class:`~repro.core.Workload` whose arrays are ``np.memmap`` views
-  straight into the file -- no pair-sized RAM allocation, the entry
-  ticket to the out-of-core sharded solves
-  (:mod:`repro.selection.sharded`).  The mmap path skips digest
-  verification by default (it would page in the whole trace); pass
-  ``verify=True`` to force it.
-
-* CSV pair lists (:func:`save_workload_csv` /
-  :func:`load_workload_csv`) -- the interchange format external traces
-  usually arrive in: one ``topic,subscriber`` pair per line plus a
-  ``topic,rate`` side file, mirroring how the paper's Twitter tarball
-  was laid out.
+One format, ``.npz`` (:func:`save_workload` / :func:`load_workload`):
+the CSR interest arrays plus a header record, compact and
+**versioned**.  This build reads and writes *version 3* only and raises
+a clear "unsupported version" error on any other instead of misreading
+the file.  A version-3 file holds ``version``, ``generator_version``
+(the :data:`repro.workloads.GENERATOR_VERSION` the writer ran), the CSR
+arrays ``event_rates`` / ``interest_indptr`` / ``interest_topics``,
+``message_size_bytes``, and a ``digest_<member>`` CRC32 for each of
+those payload members.  Loads verify the digests and raise
+:class:`TraceCorruptionError` *naming the bad member*, or the missing
+digest; writes go through tmp-file + fsync + atomic rename
+(:func:`repro.resilience.integrity.atomic_write`), so an interrupted
+save never leaves a half-valid trace behind.  Written *uncompressed* so
+that ``load_workload(path, mmap=True)`` can hand back a
+:class:`~repro.core.backend.MmapBackend`-backed
+:class:`~repro.core.Workload` whose arrays are ``np.memmap`` views
+straight into the file -- no pair-sized RAM allocation, the entry
+ticket to the out-of-core sharded solves
+(:mod:`repro.selection.sharded`).  The mmap path skips digest
+verification by default (it would page in the whole trace); pass
+``verify=True`` to force it.  Digests check a file's bytes, not its
+values: the :class:`~repro.core.Workload` constructor still rejects a
+non-finite or non-positive event rate.
 
 :func:`save_zipf_workload_chunked` generates a Zipf workload directly
 *into* a format-3 file, one subscriber chunk at a time, so traces
@@ -43,7 +36,6 @@ cleans both up once the final trace is atomically in place.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import shutil
@@ -53,7 +45,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 from numpy.lib import format as npformat
 
-from ..core import MmapBackend, Workload, build_workload
+from ..core import MmapBackend, Workload
 from ..resilience.integrity import (
     TraceCorruptionError,
     atomic_write,
@@ -66,8 +58,6 @@ __all__ = [
     "TraceCorruptionError",
     "save_workload",
     "load_workload",
-    "save_workload_csv",
-    "load_workload_csv",
     "save_zipf_workload_chunked",
 ]
 
@@ -407,55 +397,3 @@ def save_zipf_workload_chunked(
             os.unlink(leftover)
     shutil.rmtree(parts_dir, ignore_errors=True)
     return path
-
-
-def save_workload_csv(
-    workload: Workload,
-    pairs_path: Union[str, os.PathLike],
-    rates_path: Union[str, os.PathLike],
-) -> None:
-    """Write the pair list and the topic-rate table as CSV files.
-
-    ``pairs_path`` gets ``topic,subscriber`` rows; ``rates_path`` gets
-    ``topic,rate`` rows.  Message size is not representable in this
-    interchange format -- the loader takes it as a parameter.
-    """
-    with open(pairs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "subscriber"])
-        for v in range(workload.num_subscribers):
-            for t in workload.interest(v).tolist():
-                writer.writerow([t, v])
-    with open(rates_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "rate"])
-        for t in range(workload.num_topics):
-            writer.writerow([t, workload.event_rate(t)])
-
-
-def load_workload_csv(
-    pairs_path: Union[str, os.PathLike],
-    rates_path: Union[str, os.PathLike],
-    message_size_bytes: float = 200.0,
-) -> Workload:
-    """Read a workload from the CSV interchange format.
-
-    Topic/subscriber ids may be arbitrary non-negative integers; they
-    are compacted like :func:`repro.core.build_workload` does.  Pairs
-    referencing topics missing from the rate table raise.
-    """
-    rates: Dict[int, float] = {}
-    with open(rates_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rates[int(row["topic"])] = float(row["rate"])
-    subscriptions: Dict[int, List[int]] = {}
-    with open(pairs_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            subscriptions.setdefault(int(row["subscriber"]), []).append(
-                int(row["topic"])
-            )
-    return build_workload(
-        subscriptions, rates, message_size_bytes=message_size_bytes
-    )

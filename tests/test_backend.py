@@ -8,6 +8,7 @@ feeds the out-of-core pipeline.
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 import zipfile
 
@@ -151,6 +152,24 @@ class TestMmapWorkload:
         )
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(ram.pair_keys(), expected)
+
+    def test_scan_order_spills_no_subscriber_copy(self, tmp_path):
+        # The scan order's subscriber column is the pair_subscribers()
+        # cache: three scan-order sidecars, not four, with the RAM
+        # workload's values.
+        ram = zipf_workload(100, 30_000, mean_interest=6.0, seed=9)
+        path = save_workload(ram, tmp_path / "trace")
+        mapped = load_workload(path, mmap=True)
+        scan = mapped.rate_descending_pairs()
+        assert scan[1] is mapped.pair_subscribers()
+        assert sorted(os.listdir(path + ".cache")) == [
+            "pair_subscribers.npy",
+            "rate_desc_cumsum.npy",
+            "rate_desc_rates.npy",
+            "rate_desc_topics.npy",
+        ]
+        for got, want in zip(scan, ram.rate_descending_pairs()):
+            assert got.tobytes() == want.tobytes()
 
     def test_pair_keys_sorted_when_unsorted(self):
         w = Workload([1.0, 2.0, 3.0], [[2, 0], [1], [2, 1, 0]])

@@ -75,6 +75,11 @@ class TestSubscriberTerms:
         np.testing.assert_array_equal(subscriber_bound_terms(w, 5.0), [0.0, 10.0, 5.0])
         np.testing.assert_array_equal(subscriber_bound_terms(w, 0.0), [0.0, 0.0, 0.0])
 
+    def test_nan_tau_rejected(self, tiny_workload):
+        # NaN thresholds would zero every term: a $0 bound.
+        with pytest.raises(ValueError, match="tau"):
+            subscriber_bound_terms(tiny_workload, float("nan"))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_view_terms_and_priced_sum_are_bitwise(self, seed):
         rng = np.random.default_rng(700 + seed)

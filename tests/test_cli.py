@@ -76,6 +76,17 @@ class TestCommands:
         assert "saving vs naive" in out
         assert "lower bound" in out
 
+    def test_solve_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="tau"):
+            main(["solve", "--tau", "nan", "--users", "400"])
+
+    def test_solve_tau_zero_prints_no_ratios(self, capsys):
+        # At tau 0 nothing need be delivered: every cost is $0, so
+        # neither the saving nor the gap has a denominator.
+        assert main(["solve", "--tau", "0", "--users", "400"]) == 0
+        out = capsys.readouterr().out
+        assert "saving vs naive: n/a   gap to bound: n/a" in out
+
     def test_solve_with_explicit_algorithms(self, capsys):
         code = main(
             ["solve", "--trace", "twitter", "--tau", "10", "--users", "600",
@@ -178,9 +189,10 @@ class TestServe:
             (["--checkpoint-every", "2"], "needs a checkpoint_path"),
             (["--resume"], "resume requires"),
             (["--epochs", "-1"], "micro_epochs must be"),
+            (["--tau", "nan"], "tau must be"),
         ],
         ids=["zero-cadence", "cadence-without-path", "resume-without-path",
-             "negative-epochs"],
+             "negative-epochs", "nan-tau"],
     )
     def test_serve_rejects_bad_flags(self, flags, match):
         with pytest.raises(ValueError, match=match):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import subscriber_thresholds
 from repro.exact import (
     dcss_answer,
     partition_has_solution,
@@ -47,7 +48,8 @@ class TestReducedInstance:
     def test_every_pair_forced(self):
         problem = partition_to_mcss([3, 5, 4])
         # tau_v = min(max, x_i) = x_i: only the dedicated topic serves v.
-        assert problem.thresholds().tolist() == [3.0, 5.0, 4.0]
+        thresholds = subscriber_thresholds(problem.workload, problem.tau)
+        assert thresholds.tolist() == [3.0, 5.0, 4.0]
 
     def test_oversized_element_rejected_by_constructor(self):
         with pytest.raises(ValueError):

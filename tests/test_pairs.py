@@ -228,5 +228,10 @@ class TestBandwidth:
 
     def test_message_size_scales_bytes(self, tiny_workload):
         sel = PairSelection.full(tiny_workload)
-        w2 = tiny_workload.with_message_size(200.0)
+        w2 = Workload.from_csr(
+            tiny_workload.event_rates,
+            tiny_workload.interest_indptr,
+            tiny_workload.interest_topics,
+            message_size_bytes=200.0,
+        )
         assert sel.single_vm_bytes(w2) == 100 * 200

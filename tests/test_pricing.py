@@ -49,7 +49,7 @@ class TestInstances:
         assert len(prices) == len(EC2_CATALOG) == 5
 
     def test_custom_instance(self):
-        it = InstanceType.custom("tiny", 0.01, 1.0)
+        it = InstanceType("tiny", 0.01, 1.0)
         assert it.bandwidth_bytes_per_hour == pytest.approx(4.5e8)
 
     def test_invalid_instance_rejected(self):
@@ -141,10 +141,6 @@ class TestPricingPlan:
         assert plan.c1(1) == pytest.approx(36.0)
         assert plan.c2(1e9) == pytest.approx(0.12)
 
-    def test_total_cost(self):
-        plan = paper_plan()
-        assert plan.total_cost(2, 1e9) == pytest.approx(72.12)
-
     def test_capacity_override(self):
         plan = PricingPlan(
             instance=get_instance("c3.large"),
@@ -159,11 +155,6 @@ class TestPricingPlan:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             PricingPlan(instance=get_instance("c3.large"), period_hours=0)
-
-    def test_with_instance(self):
-        plan = paper_plan().with_instance("c3.xlarge")
-        assert plan.instance.name == "c3.xlarge"
-        assert plan.capacity_bytes == pytest.approx(2 * 6.912e12)
 
     def test_scaled_preserves_price_per_capacity(self):
         plan = paper_plan()

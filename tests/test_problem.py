@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MCSSProblem, PairSelection, Workload
+from repro.core import MCSSProblem, subscriber_thresholds
 from tests.conftest import make_unit_plan
 
 
@@ -17,6 +17,12 @@ class TestProblem:
         with pytest.raises(ValueError):
             MCSSProblem(tiny_workload, -1, unit_plan)
 
+    def test_nan_tau_rejected(self, tiny_workload, unit_plan):
+        # NaN passes a `< 0` test, and every comparison with it is
+        # False: GSP would select nothing and the audit flag no one.
+        with pytest.raises(ValueError, match="tau"):
+            MCSSProblem(tiny_workload, float("nan"), unit_plan)
+
     def test_infeasible_largest_pair_rejected(self, tiny_workload):
         # Most expensive pair needs 2*20 = 40 bytes.
         with pytest.raises(ValueError, match="infeasible"):
@@ -24,18 +30,13 @@ class TestProblem:
         MCSSProblem(tiny_workload, 30, make_unit_plan(40.0))  # boundary ok
 
     def test_thresholds_vector(self, tiny_problem):
-        assert tiny_problem.thresholds().tolist() == [30.0, 30.0, 10.0]
+        thresholds = subscriber_thresholds(tiny_problem.workload, tiny_problem.tau)
+        assert thresholds.tolist() == [30.0, 30.0, 10.0]
 
     def test_empty_placement_bound_to_problem(self, tiny_problem):
         p = tiny_problem.empty_placement()
         assert p.capacity_bytes == tiny_problem.capacity_bytes
         assert p.workload is tiny_problem.workload
-
-    def test_selection_is_sufficient(self, tiny_problem):
-        assert tiny_problem.selection_is_sufficient(
-            PairSelection.full(tiny_problem.workload)
-        )
-        assert not tiny_problem.selection_is_sufficient(PairSelection({1: [0]}))
 
 
 class TestSolutionCost:

@@ -35,6 +35,7 @@ from repro.resilience import (
     save_checkpoint,
     supervised_map,
 )
+from repro.resilience.integrity import member_digest
 from repro.selection import GreedySelectPairs
 from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload
@@ -329,11 +330,11 @@ class TestAtomicWrite:
 
 
 class TestCheckpointIntegrity:
-    def _reprovisioner(self):
+    def _reprovisioner(self, tau=100.0):
         workload = zipf_workload(30, 80, mean_interest=4.0, seed=3)
         max_rate = float(workload.event_rates.max())
         plan = make_unit_plan(16.0 * max_rate * workload.message_size_bytes)
-        problem = MCSSProblem(workload, 100.0, plan)
+        problem = MCSSProblem(workload, tau, plan)
         return IncrementalReprovisioner(problem), plan, workload
 
     def test_corrupt_member_named_on_load(self, tmp_path):
@@ -476,6 +477,45 @@ class TestCheckpointIntegrity:
         snap["used_bytes"] = snap["used_bytes"] + 1.0
         with pytest.raises(ValueError, match="used_bytes"):
             IncrementalReprovisioner.restore(snap, plan)
+
+    @staticmethod
+    def _permuted(snap, how):
+        """The snapshot with its three pair arrays permuted together."""
+        v, t = snap["pair_subscribers"], snap["pair_topics"]
+        assert (v[1:] == v[:-1]).any()  # some subscriber holds 2+ pairs
+        order = {
+            "shuffled": np.random.default_rng(0).permutation(v.size),
+            "subscribers-descending": np.argsort(-v, kind="stable"),
+            "topics-descending": np.lexsort((-t, v)),
+        }[how]
+        for member in ("pair_subscribers", "pair_topics", "pair_vms"):
+            snap[member] = snap[member][order]
+        return snap
+
+    @pytest.mark.parametrize(
+        "how", ["shuffled", "subscribers-descending", "topics-descending"]
+    )
+    def test_unsorted_pair_table_rejected_by_restore(self, how):
+        # Permuted together, the arrays keep every pair on its VM, so
+        # the used-bytes cross-check passes; the row offsets restore
+        # derives assume (subscriber, topic) order.  At tau 1e9 every
+        # subscriber takes its whole interest, so many hold 2+ pairs.
+        reprovisioner, plan, _ = self._reprovisioner(tau=1e9)
+        snap = self._permuted(reprovisioner.snapshot(), how)
+        with pytest.raises(ValueError, match="pair_subscribers/pair_topics"):
+            IncrementalReprovisioner.restore(snap, plan)
+
+    def test_unsorted_pair_table_rejected_on_load(self, tmp_path):
+        # The same table in a checkpoint file whose digests match it.
+        reprovisioner, plan, workload = self._reprovisioner(tau=1e9)
+        path = str(tmp_path / "run.npz")
+        save_checkpoint(path, reprovisioner, ChurnModel(workload, seed=0))
+        data = self._permuted(dict(np.load(path)), "shuffled")
+        for member in ("pair_subscribers", "pair_topics", "pair_vms"):
+            data["digest_" + member] = np.uint32(member_digest(data[member]))
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="pair_subscribers/pair_topics"):
+            load_checkpoint(path, plan)
 
     def test_checkpoint_leaves_no_tmp_debris(self, tmp_path):
         reprovisioner, plan, workload = self._reprovisioner()

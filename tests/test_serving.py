@@ -99,7 +99,6 @@ class TestQueueReassembly:
             queue.offer(fragment)
             depth += fragment.num_ops
             assert queue.depth == depth
-        assert queue.fragments_pending == len(fragments)
 
         sealed = queue.seal_epoch(delta.workload, delta.changed_topics)
         for name in (
@@ -114,7 +113,6 @@ class TestQueueReassembly:
             )
         assert sealed.workload is delta.workload
         assert queue.depth == 0
-        assert queue.fragments_pending == 0
 
     def test_empty_seal_is_a_quiet_epoch(self, tiny_workload):
         queue = ChurnIngestQueue()

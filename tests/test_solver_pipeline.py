@@ -75,9 +75,6 @@ class TestSolve:
         assert solution.packer_name == "cbp"
         assert solution.selection_seconds >= 0
         assert solution.packing_seconds >= 0
-        assert solution.total_seconds == pytest.approx(
-            solution.selection_seconds + solution.packing_seconds
-        )
         assert solution.validation.ok
 
     def test_cost_matches_placement(self, problem):
@@ -114,7 +111,6 @@ class TestSolve:
         assert solution.selection_seconds == 1.0
         assert solution.packing_seconds == 2.0
         assert solution.validation_seconds == 3.0
-        assert solution.total_seconds == 3.0  # Stage 1 + Stage 2 only
 
     def test_solve_audit_and_cost_build_no_vm_objects(self, small_zipf, monkeypatch):
         # CBP decides over per-VM byte arrays and the audit and cost
@@ -170,12 +166,6 @@ class TestSolveWithSelection:
     def test_insufficient_selection_rejected(self, problem):
         with pytest.raises(ValueError):
             MCSSSolver.paper().solve_with_selection(problem, PairSelection({}))
-
-    def test_validation_off_reports_without_raising(self, problem):
-        solver = MCSSSolver(GreedySelectPairs(), CustomBinPacking(), validate=False)
-        solution = solver.solve_with_selection(problem, PairSelection({}))
-        assert not solution.validation.ok
-        assert solution.placement.num_vms == 0
 
     @pytest.mark.parametrize("rung", ["a", "b", "c", "d", "e"])
     def test_each_rung_reproduces_its_own_solve(self, problem, rung):
@@ -261,11 +251,3 @@ class TestPackAndAudit:
         force_shards(50, workers=2)
         with pytest.raises(ValueError, match="invalid placement"):
             solver.solve(problem)
-
-    def test_sharded_path_reports_when_validation_off(self, problem, force_shards):
-        solver = MCSSSolver(GreedySelectPairs(), _EmptyPacker(), validate=False)
-        force_shards(50, workers=2)
-        solution = solver.solve(problem)
-        assert not solution.validation.ok
-        assert solution.packer_name == "empty"
-        assert solution.selection.num_pairs > 0

@@ -19,7 +19,12 @@ from repro.workloads import (
 class TestMergeWorkloads:
     def test_disjoint_union(self, tiny_workload):
         other = Workload([5.0], [[0]], message_size_bytes=1.0)
-        tiny = tiny_workload.with_message_size(1.0)
+        tiny = Workload.from_csr(
+            tiny_workload.event_rates,
+            tiny_workload.interest_indptr,
+            tiny_workload.interest_topics,
+            message_size_bytes=1.0,
+        )
         merged = merge_workloads(tiny, other)
         assert merged.num_topics == 3
         assert merged.num_subscribers == 4
@@ -80,6 +85,14 @@ class TestScaleAndSlice:
     def test_scale_invalid(self, tiny_workload):
         with pytest.raises(ValueError):
             scale_rates(tiny_workload, 0)
+
+    @pytest.mark.parametrize(
+        "factor", [float("nan"), float("inf"), 1e308], ids=["nan", "inf", "overflow"]
+    )
+    def test_scale_to_non_finite_rates_rejected(self, tiny_workload, factor):
+        # A NaN factor passes the `<= 0` check, and 20 * 1e308 overflows.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            scale_rates(tiny_workload, factor)
 
     def test_top_subscribers(self, tiny_workload):
         top = top_subscribers(tiny_workload, 2)

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    glitched_following_counts,
-    lognormal_rates,
-    truncated_power_law,
-)
+from repro.workloads import glitched_following_counts, truncated_power_law
 
 
 @pytest.fixture
@@ -78,21 +74,3 @@ class TestGlitchedFollowings:
         )
         assert (xs > 2000).sum() > 0
         assert (xs == 2000).sum() > (xs == 1999).sum()
-
-
-class TestLognormalRates:
-    def test_mean_preserved(self):
-        rng = np.random.default_rng(9)
-        means = np.full(200_000, 50.0)
-        draws = lognormal_rates(rng, means, sigma=1.0)
-        assert draws.mean() == pytest.approx(50.0, rel=0.1)
-
-    def test_zero_mean_gives_zero(self, rng):
-        draws = lognormal_rates(rng, np.array([0.0, 10.0]), sigma=1.0)
-        assert draws[0] == 0
-
-    def test_invalid(self, rng):
-        with pytest.raises(ValueError):
-            lognormal_rates(rng, np.array([1.0]), sigma=0)
-        with pytest.raises(ValueError):
-            lognormal_rates(rng, np.array([-1.0]))

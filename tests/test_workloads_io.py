@@ -1,4 +1,4 @@
-"""Tests for workload serialization (npz and CSV) and sampling."""
+"""Tests for workload serialization (npz) and sampling."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core import Workload
+from repro.core.workload import WorkloadError
+from repro.resilience.integrity import member_digest
 from repro.workloads import (
     GENERATOR_VERSION,
     TraceCorruptionError,
     load_workload,
-    load_workload_csv,
     sample_subscribers,
     save_workload,
-    save_workload_csv,
     save_zipf_workload_chunked,
     uniform_workload,
     zipf_workload,
@@ -88,37 +88,6 @@ class TestFormatVersions:
         assert np.array_equal(mapped.interest_indptr, plain.interest_indptr)
         assert np.array_equal(mapped.interest_topics, plain.interest_topics)
         assert mapped.message_size_bytes == plain.message_size_bytes
-
-
-class TestCSVInterchange:
-    def test_roundtrip(self, tmp_path):
-        w = zipf_workload(12, 30, seed=4)
-        pairs = tmp_path / "pairs.csv"
-        rates = tmp_path / "rates.csv"
-        save_workload_csv(w, pairs, rates)
-        loaded = load_workload_csv(pairs, rates, message_size_bytes=w.message_size_bytes)
-        assert loaded.num_subscribers == w.num_subscribers
-        assert loaded.num_pairs == w.num_pairs
-        # Topics without subscribers survive via the rate table.
-        assert loaded.num_topics == w.num_topics
-        assert loaded.event_rates.sum() == pytest.approx(w.event_rates.sum())
-
-    def test_solves_after_roundtrip(self, tmp_path):
-        from repro.core import MCSSProblem
-        from repro.solver import MCSSSolver
-        from tests.conftest import make_unit_plan
-
-        w = zipf_workload(12, 30, seed=4)
-        save_workload_csv(w, tmp_path / "p.csv", tmp_path / "r.csv")
-        loaded = load_workload_csv(tmp_path / "p.csv", tmp_path / "r.csv")
-        problem = MCSSProblem(loaded, 50, make_unit_plan(5e7))
-        assert MCSSSolver.paper().solve(problem).validation.ok
-
-    def test_unknown_topic_in_pairs_rejected(self, tmp_path):
-        (tmp_path / "rates.csv").write_text("topic,rate\n1,5.0\n")
-        (tmp_path / "pairs.csv").write_text("topic,subscriber\n9,0\n")
-        with pytest.raises(Exception):
-            load_workload_csv(tmp_path / "pairs.csv", tmp_path / "rates.csv")
 
 
 class TestSampling:
@@ -214,6 +183,23 @@ class TestTraceIntegrity:
         "interest_topics",
         "message_size_bytes",
     )
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["ram", "mmap"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rate_behind_valid_digests_rejected(
+        self, tmp_path, small_zipf, mmap, bad
+    ):
+        # Digests check a file's bytes, not its values: a writer that
+        # stored a NaN digested the NaN.
+        path = save_workload(small_zipf, tmp_path / "trace")
+        members = dict(np.load(path))
+        rates = members["event_rates"].copy()
+        rates[3] = bad
+        members["event_rates"] = rates
+        members["digest_event_rates"] = np.uint32(member_digest(rates))
+        np.savez(path, **members)
+        with pytest.raises(WorkloadError, match="finite"):
+            load_workload(path, mmap=mmap, verify=True)
 
     @pytest.mark.parametrize("member", MEMBERS)
     def test_corrupt_member_detected_by_name(self, tmp_path, small_zipf, member):
