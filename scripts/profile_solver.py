@@ -30,9 +30,8 @@ bench-smoke job uploads that file as a workflow artifact.
 The out-of-core path's Stage 1 (``MCSSSolver.solve`` on a workload
 wider than one ``MCSS_SHARD_SIZE`` selects shard by shard) is asserted
 bit-identical to the in-RAM selection under a forced multi-shard
-configuration, forked workers, and an mmap-backed reload of the same
-workload.  The supervised fan-out's happy-path overhead
-over the ideal schedule is held to at most 1.10x.
+configuration, two shard threads, and an mmap-backed reload of the
+same workload.
 
 Usage::
 
@@ -91,13 +90,12 @@ from repro.pricing import (
     PricingPlan,
     get_instance,
 )
-from repro.resilience import (
+from repro.selection import GreedySelectPairs, LoopGreedySelectPairs
+from repro.selection.sharded import (
     default_shard_size,
     default_workers,
     subscriber_shards,
-    supervised_map,
 )
-from repro.selection import GreedySelectPairs, LoopGreedySelectPairs
 from repro.solver import MCSSSolver
 from repro.workloads import (
     build_social_graph,
@@ -135,31 +133,8 @@ def _timed(fn, repeats: int = 3):
     return out, best
 
 
-def _bench_piece(seconds: float) -> float:
-    """One fan-out piece of pure wall-clock work (module-level for fork)."""
-    time.sleep(seconds)
-    return seconds
-
-
-def _time_supervised() -> float:
-    """Happy-path overhead ratio: supervised_map / the ideal schedule.
-
-    Four 0.15 s sleep pieces over 2 workers cannot finish sooner than
-    two rounds of 0.15 s, so the best-of-3 wall time over that ideal
-    isolates the supervision machinery itself (per-piece processes,
-    pipes, exit polling).  Where fork is unavailable the pieces run
-    serially and the ratio is ~2.
-    """
-    pieces = [0.15] * 4
-    workers = 2
-    ideal_s = -(-len(pieces) // workers) * pieces[0]
-    out, best_s = _timed(lambda: supervised_map(_bench_piece, pieces, workers))
-    assert out == pieces
-    return best_s / ideal_s
-
-
 def _forced_shards(shard_size: int):
-    """Solve out of core on two workers inside the block; knobs restored after."""
+    """Solve out of core on two threads inside the block; knobs restored after."""
     return mock.patch.dict(
         os.environ, {"MCSS_SHARD_SIZE": str(shard_size), "MCSS_SHARD_WORKERS": "2"}
     )
@@ -276,8 +251,8 @@ def _sharded_equivalence(problem, selection) -> None:
 
     Untimed by design: the default shard configuration runs one shard
     at profiling scale, so the interesting machinery (multi-shard
-    merge, forked workers, mmap-backed reload) is exercised here under
-    a forced four-shard, two-worker configuration.
+    merge, shard threads, mmap-backed reload) is exercised here under
+    a forced four-shard, two-thread configuration.
     """
     workload = problem.workload
     forced = max(1, -(-workload.num_subscribers // 4))
@@ -604,15 +579,8 @@ def main(argv) -> int:
     assert report.ok, f"solver produced an invalid placement: {report}"
     rows.append(("validate_placement", fast_val_s, loop_val_s))
 
-    print("checking sharded/mmap equivalence (forced shards, forked workers) ...")
+    print("checking sharded/mmap equivalence (forced shards, shard threads) ...")
     _sharded_equivalence(problem, selection)
-
-    print("timing supervised fan-out overhead (supervised_map vs the ideal schedule) ...")
-    supervised_overhead = _time_supervised()
-    print(
-        f"  supervised wall time over the ideal schedule of the sleep pieces: "
-        f"{supervised_overhead:.3f}x"
-    )
 
     print("timing dynamic epoch step (churn -> incremental reprovision) ...")
     epoch_s, epoch_loop_s, epoch_gated_s = _time_epochs(problem)
@@ -665,7 +633,6 @@ def main(argv) -> int:
             "epoch_loop_s": round(epoch_loop_s, 6),
             "epoch_speedup": round(epoch_speedup, 2),
             "epoch_gated_s": round(epoch_gated_s, 6),
-            "supervised_overhead": round(supervised_overhead, 3),
             "num_vms": placement.num_vms,
             "total_cost_usd": round(cost.total_usd, 4),
         }
@@ -680,31 +647,18 @@ def main(argv) -> int:
     pack_target = float(os.environ.get("MCSS_PACK_TARGET", "18"))
     gen_target = float(os.environ.get("MCSS_GEN_TARGET", "10"))
     epoch_target = float(os.environ.get("MCSS_EPOCH_TARGET", "10"))
-    # Supervision is gated the other way around: it is pure overhead on
-    # the happy path.  The pieces sleep, so the bar holds at any scale:
-    # four 0.15 s pieces over 2 workers may take at most 1.10x their
-    # ideal two-round schedule (supervised_map ran at 1.04-1.09x on
-    # 2-vCPU hosts).  The former bar, 1.05x a raw pool that ran at
-    # 1.03-1.07x the ideal schedule, meant 1.08-1.12x, so 1.10 is up to
-    # ~2% looser on a quiet host and up to ~2% stricter on a loaded one.
-    # The gate assumes the fork start method: without it the pieces run
-    # serially and the ratio is ~2.
-    sup_target = 1.10
     ok = (
         combined >= target
         and pack_speedup >= pack_target
         and gen_speedup >= gen_target
         and epoch_speedup >= epoch_target
-        and supervised_overhead <= sup_target
     )
     verdict = "PASS" if ok else "BELOW TARGET"
     print(
         f"acceptance (select+validate >= {target:.0f}x: {combined:.1f}x, "
         f"pack >= {pack_target:.1f}x: {pack_speedup:.1f}x, "
         f"construction >= {gen_target:.1f}x: {gen_speedup:.1f}x, "
-        f"epoch >= {epoch_target:.1f}x: {epoch_speedup:.1f}x, "
-        f"supervised <= {sup_target:.2f}x: {supervised_overhead:.2f}x): "
-        f"{verdict}"
+        f"epoch >= {epoch_target:.1f}x: {epoch_speedup:.1f}x): {verdict}"
     )
     return 0 if ok else 1
 

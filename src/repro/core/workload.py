@@ -209,7 +209,7 @@ class Workload:
                 "event rates must be finite and strictly positive "
                 "(paper assumes ev_t > 0)"
             )
-        if message_size_bytes <= 0:
+        if not message_size_bytes > 0:  # NaN fails too
             raise WorkloadError("message_size_bytes must be positive")
         if validate and flat.size:
             self._validate_csr(rates.size, indptr, flat)

@@ -437,7 +437,8 @@ class IncrementalReprovisioner:
         the same :class:`ProvisioningPlan` the original run used.  The
         scalars must pass :meth:`__init__`'s rules and lie in the ranges
         :meth:`step` maintains; a violation raises ``ValueError`` naming
-        the field.  The pair table must be strictly ascending by
+        the field.  The pair table must name only subscribers, topics
+        and VMs that exist, and be strictly ascending by
         (subscriber, topic), the order :meth:`snapshot` writes; one
         permuted in all three arrays at once would pass the byte
         cross-check.  The stored ``used_bytes`` is recomputed from the
@@ -483,10 +484,13 @@ class IncrementalReprovisioner:
         if not (p_v.shape == p_t.shape == p_vm.shape):
             raise ValueError("snapshot pair arrays disagree in length")
         if p_t.size and not (
-            0 <= p_t.min() and p_t.max() < inst._workload.num_topics
+            0 <= p_v.min() and p_v.max() < inst._workload.num_subscribers
+            and 0 <= p_t.min() and p_t.max() < inst._workload.num_topics
             and 0 <= p_vm.min() and p_vm.max() < num_vms
         ):
-            raise ValueError("snapshot pairs name topics or VMs that do not exist")
+            raise ValueError(
+                "snapshot pairs name subscribers, topics or VMs that do not exist"
+            )
         # _set_table derives each subscriber's rows from counts, which
         # holds only for a table sorted by (subscriber, topic).
         v_lo, v_hi, t_lo, t_hi = p_v[:-1], p_v[1:], p_t[:-1], p_t[1:]

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bounds import lower_bound
 from ..core import MCSSProblem, Workload
-from ..resilience.supervise import supervised_map
 from ..pricing import PricingPlan
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
@@ -117,18 +116,9 @@ def _solvers() -> Dict[str, MCSSSolver]:
 
 
 def _ladder_tau_cells(
-    args: "Tuple[Workload, PricingPlan, float, frozenset]",
+    workload: Workload, plan: PricingPlan, tau: float, wanted: frozenset
 ) -> Dict[str, LadderCell]:
-    """All wanted variants' cells for one tau (one fan-out work item).
-
-    Every tau is fully independent -- its own problem, its own shared
-    GSP selection -- which is what makes the tau axis the natural
-    process fan-out for Stage 2: CBP itself is sequential, but the
-    ladder's taus never were.  Module-level so
-    :func:`repro.resilience.supervise.supervised_map` can dispatch it
-    to forked workers.
-    """
-    workload, plan, tau, wanted = args
+    """All wanted variants' cells for one tau, sharing one GSP selection."""
     solvers = {
         name: solver for name, solver in _solvers().items() if name in wanted
     }
@@ -172,7 +162,6 @@ def run_cost_ladder(
     taus: Sequence[float],
     trace_name: str = "trace",
     variants: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
 ) -> LadderResult:
     """Run the ladder; ``variants`` may restrict to a subset (tests).
 
@@ -181,15 +170,9 @@ def run_cost_ladder(
     across variants (a)-(e) via
     :meth:`~repro.solver.MCSSSolver.solve_with_selection` -- the ladder
     re-packs six ways but never re-selects.  Only the naive baseline
-    keeps its own (random) Stage 1.
-
-    ``workers > 1`` (default: the ``MCSS_SHARD_WORKERS`` knob) fans the
-    *taus* out across forked worker processes -- each tau's cells are
-    computed by :func:`_ladder_tau_cells` exactly as the sequential
-    ladder computes them, so the result is identical whichever way the
-    work is scheduled.  A workload wider than one ``MCSS_SHARD_SIZE``
-    still shards its GSP inside each tau's worker, serially there:
-    nested fan-outs do not fork.
+    keeps its own (random) Stage 1.  Taus run in order in this process,
+    so the workload's lazy caches (spilled to disk when it is
+    mmap-backed) are built once and shared by every later tau.
     """
     wanted = frozenset(variants) if variants is not None else frozenset(LADDER_VARIANTS)
     unknown = wanted - set(LADDER_VARIANTS)
@@ -207,12 +190,7 @@ def run_cost_ladder(
         if name in wanted:
             result.cells[name] = {}
 
-    per_tau = supervised_map(
-        _ladder_tau_cells,
-        [(workload, plan, tau, wanted) for tau in taus],
-        workers,
-    )
-    for tau, cells in zip(taus, per_tau):
-        for name, cell in cells.items():
+    for tau in taus:
+        for name, cell in _ladder_tau_cells(workload, plan, tau, wanted).items():
             result.cells[name][tau] = cell
     return result

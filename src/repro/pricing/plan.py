@@ -64,10 +64,13 @@ class PricingPlan:
     capacity_bytes_override: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.period_hours <= 0:
+        # ``not x > 0`` so NaN fails here, not later inside CBP.
+        if not self.period_hours > 0:
             raise ValueError("period_hours must be positive")
-        if self.capacity_bytes_override is not None and self.capacity_bytes_override <= 0:
-            raise ValueError("capacity override must be positive")
+        if self.capacity_bytes_override is not None and not (
+            self.capacity_bytes_override > 0
+        ):
+            raise ValueError("capacity_bytes_override must be positive")
 
     # ------------------------------------------------------------------
     @property

@@ -4,7 +4,7 @@ Every env knob in the repo is read through :func:`env_int` /
 :func:`env_float` / :func:`env_str` so a garbage value like
 ``MCSS_SHARD_WORKERS=two`` fails with an error *naming the variable*
 instead of a bare ``ValueError: invalid literal for int()`` from deep
-inside a fan-out.  The registry itself lives in docs/BENCHMARKS.md and
+inside a solve.  The registry itself lives in docs/BENCHMARKS.md and
 is cross-checked both ways by repolint's EK01 rule, which recognizes
 these helpers as knob reads.
 

@@ -85,15 +85,16 @@ this on randomized workloads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import MCSSProblem, PairSelection, subscriber_thresholds
 from ..core.segsearch import grouping_order, ranges, segmented_left_search
-from ..resilience.supervise import subscriber_shards, supervised_map
 from .base import SelectionAlgorithm, register_selector
-from .sharded import merge_shard_groups
+from .sharded import default_workers, merge_shard_groups, subscriber_shards
 
 __all__ = [
     "GreedySelectPairs",
@@ -162,16 +163,27 @@ class GreedySelectPairs(SelectionAlgorithm):
 
     def select(self, problem: MCSSProblem) -> PairSelection:
         """The whole-array sweep, or -- for a workload spanning more than
-        one :func:`~repro.resilience.supervise.subscriber_shards` range --
+        one :func:`~repro.selection.sharded.subscriber_shards` range --
         one sweep per shard, merged exactly (:mod:`repro.selection.sharded`).
+
+        The shard sweeps run on ``min(MCSS_SHARD_WORKERS, shards)``
+        threads, or in a plain loop when that is 1.  Results come back
+        in shard order either way, so the selection is identical, and
+        an exception a shard raises propagates from here unchanged.
         """
         shards = subscriber_shards(problem.workload.num_subscribers)
         if len(shards) <= 1:
             grouped = self.select_grouped(problem)
         else:
-            pieces = supervised_map(
-                self._select_shard, [(problem, lo, hi) for lo, hi in shards]
-            )
+            workers = min(default_workers(), len(shards))
+            los, his = zip(*shards)
+            if workers <= 1:
+                pieces = list(map(self._select_shard, repeat(problem), los, his))
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    pieces = list(
+                        pool.map(self._select_shard, repeat(problem), los, his)
+                    )
             groups = [g for g in pieces if g is not None]
             grouped = merge_shard_groups(groups) if groups else None
         if grouped is None:
@@ -179,10 +191,9 @@ class GreedySelectPairs(SelectionAlgorithm):
         return self._finalize_groups(*grouped)
 
     def _select_shard(
-        self, args: "Tuple[MCSSProblem, int, int]"
+        self, problem: MCSSProblem, lo: int, hi: int
     ) -> "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
         """Grouped GSP on subscribers ``[lo, hi)``, rebased to global ids."""
-        problem, lo, hi = args
         workload = problem.workload
         grouped = self.select_grouped(
             MCSSProblem(workload.subscriber_range(lo, hi), problem.tau, problem.plan)

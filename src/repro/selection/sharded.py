@@ -1,7 +1,7 @@
-"""Sharded GSP: the exact merge behind out-of-core Stage 1.
+"""Sharded GSP: the shard rule and the exact merge behind out-of-core Stage 1.
 
 When a workload spans more than one ``MCSS_SHARD_SIZE`` subscriber
-range (:func:`repro.resilience.supervise.subscriber_shards`),
+range (:func:`subscriber_shards`),
 :meth:`repro.selection.greedy.GreedySelectPairs.select` splits the
 subscriber axis into contiguous shards, runs the vectorized sweep on
 each shard's zero-copy sub-view
@@ -9,12 +9,14 @@ each shard's zero-copy sub-view
 per-shard topic groups here into exactly the selection the whole-array
 sweep emits.  With an mmap-backed workload no shard ever materializes
 pair-sized arrays beyond its own slice, which is what makes 100M-pair
-solves fit a small RAM budget; with ``MCSS_SHARD_WORKERS > 1`` shards
-additionally run across forked, supervised worker processes
-(:func:`repro.resilience.supervise.supervised_map`: dead-child
-detection, per-piece timeouts, seeded-backoff retries, and a
-degrade-to-serial fallback -- all result-neutral because the merge
-below is order-independent).
+solves fit a small RAM budget.  With ``MCSS_SHARD_WORKERS > 1`` the
+shard sweeps run on a thread pool: NumPy releases the interpreter
+lock inside its kernels, the shards share no mutable state (each
+sub-view keeps its derived caches in RAM, GSP keeps none), and the
+pool hands the merge its groups in shard order whichever shard
+finishes first -- so no locks are needed and the result is the
+serial one.  Each running thread holds its shard's working set at
+once, so two workers trade memory for time.
 
 Why the merge is bit-exact
 --------------------------
@@ -43,10 +45,48 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.segsearch import ranges
+from ..resilience.knobs import env_int
 
-__all__ = ["merge_shard_groups"]
+__all__ = [
+    "default_shard_size",
+    "default_workers",
+    "merge_shard_groups",
+    "shard_bounds",
+    "subscriber_shards",
+]
 
 _Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def default_shard_size() -> int:
+    """Subscribers per shard (``MCSS_SHARD_SIZE``, default 1,000,000)."""
+    return env_int("MCSS_SHARD_SIZE", 1_000_000, minimum=1)
+
+
+def default_workers() -> int:
+    """Threads for the shard sweeps (``MCSS_SHARD_WORKERS``, default 1)."""
+    return env_int("MCSS_SHARD_WORKERS", 1, minimum=0)
+
+
+def shard_bounds(n: int, shard_size: int) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` ranges covering ``range(n)``.
+
+    Every shard has ``shard_size`` items except possibly the last.
+    ``n == 0`` yields no shards.
+    """
+    if shard_size <= 0:
+        raise ValueError("shard_size must be positive")
+    return [(lo, min(lo + shard_size, n)) for lo in range(0, n, shard_size)]
+
+
+def subscriber_shards(num_subscribers: int) -> List[Tuple[int, int]]:
+    """The ``MCSS_SHARD_SIZE`` subscriber ranges of a workload.
+
+    More than one range means the workload is solved out of core:
+    Stage 1 runs per shard (on ``MCSS_SHARD_WORKERS`` threads) and
+    merges bit-exactly.
+    """
+    return shard_bounds(num_subscribers, default_shard_size())
 
 
 def merge_shard_groups(groups: List[_Groups]) -> _Groups:

@@ -46,10 +46,11 @@ def force_shards(monkeypatch):
     """``force_shards(shard_size, workers=None)``: solve out of core in this test.
 
     Sets the ``MCSS_SHARD_SIZE`` knob that ``MCSSSolver.solve`` and GSP
-    read at call time, and ``MCSS_SHARD_WORKERS`` only when ``workers``
-    is given -- otherwise the worker count follows the environment, so
-    a suite run under ``MCSS_SHARD_WORKERS=2`` forks these tests too.
-    monkeypatch restores both after the test.
+    read at call time, and ``MCSS_SHARD_WORKERS`` (the threads that run
+    the shard sweeps) only when ``workers`` is given -- otherwise the
+    worker count follows the environment, so a suite run under
+    ``MCSS_SHARD_WORKERS=2`` threads these tests too.  monkeypatch
+    restores both after the test.
     """
 
     def force(shard_size: int, workers: Optional[int] = None) -> None:

@@ -148,13 +148,17 @@ class TestPricingPlan:
         )
         assert plan.capacity_bytes == 123.0
 
-    def test_invalid_override(self):
-        with pytest.raises(ValueError):
-            PricingPlan(instance=get_instance("c3.large"), capacity_bytes_override=0)
+    @pytest.mark.parametrize("capacity", [0.0, -5.0, float("nan")])
+    def test_invalid_override(self, capacity):
+        with pytest.raises(ValueError, match="capacity_bytes_override"):
+            PricingPlan(
+                instance=get_instance("c3.large"), capacity_bytes_override=capacity
+            )
 
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            PricingPlan(instance=get_instance("c3.large"), period_hours=0)
+    @pytest.mark.parametrize("hours", [0.0, -1.0, float("nan")])
+    def test_invalid_period(self, hours):
+        with pytest.raises(ValueError, match="period_hours"):
+            PricingPlan(instance=get_instance("c3.large"), period_hours=hours)
 
     def test_scaled_preserves_price_per_capacity(self):
         plan = paper_plan()

@@ -23,8 +23,8 @@ import pytest
 from repro.core import MCSSProblem, validate_placement
 from repro.core.backend import is_mapped
 from repro.packing import CBPOptions, CustomBinPacking
-from repro.resilience import subscriber_shards
 from repro.selection import GreedySelectPairs
+from repro.selection.sharded import subscriber_shards
 from repro.solver import MCSSSolver
 from repro.workloads import (
     TwitterConfig,

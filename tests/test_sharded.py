@@ -1,7 +1,7 @@
 """Out-of-core solves == the in-RAM paths, exactly.
 
-The out-of-core pipeline (subscriber-sharded GSP, forked fan-outs,
-mmap-backed workloads, and the same whole-array audit) claims
+The out-of-core pipeline (subscriber-sharded GSP, threaded shard
+sweeps, mmap-backed workloads, and the same whole-array audit) claims
 *bit-exactness* with the in-RAM single-process solve -- not
 statistical agreement.  These tests pin that claim on the edgy
 randomized workloads of the equivalence suite, including merges over
@@ -13,14 +13,18 @@ through the ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import MCSSProblem, validate_placement, validate_placement_loop
 from repro.core.backend import is_mapped
 from repro.packing import FFBinPacking, diff_placements
-from repro.resilience import shard_bounds, subscriber_shards
+from repro.resilience import TraceCorruptionError
 from repro.selection import GreedySelectPairs, merge_shard_groups
+from repro.selection.sharded import shard_bounds, subscriber_shards
 from repro.solver import MCSSSolver
 from repro.workloads import load_workload, save_workload, zipf_workload
 from tests.conftest import make_unit_plan
@@ -55,7 +59,7 @@ class TestShardMerge:
             gsp = GreedySelectPairs()
             groups = [
                 g
-                for g in (gsp._select_shard((problem, lo, hi)) for lo, hi in bounds)
+                for g in (gsp._select_shard(problem, lo, hi) for lo, hi in bounds)
                 if g is not None
             ]
             if not groups:
@@ -81,9 +85,9 @@ class TestShardMerge:
         seen = []
         real = GreedySelectPairs._select_shard
 
-        def spy(self, args):
-            seen.append(args[1:])
-            return real(self, args)
+        def spy(self, problem, lo, hi):
+            seen.append((lo, hi))
+            return real(self, problem, lo, hi)
 
         monkeypatch.setattr(GreedySelectPairs, "_select_shard", spy)
         force_shards(small_zipf.num_subscribers, workers=1)
@@ -93,13 +97,64 @@ class TestShardMerge:
         GreedySelectPairs().select(problem)
         assert seen == [(0, 50), (50, 100), (100, 150), (150, 200)]
 
-    def test_forked_workers_match_serial(self, small_zipf, force_shards):
-        problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
-        force_shards(17, workers=1)
+    @pytest.mark.parametrize(
+        "shard_size, workers",
+        # 12 shards on 2 threads; 29 shards on 4 threads, more than a
+        # 2-vCPU host has cores; 2 shards with 3 workers asked for.
+        [(17, 2), (7, 4), (100, 3)],
+    )
+    def test_threaded_workers_match_serial(
+        self, shard_size, workers, backed_small_zipf, force_shards
+    ):
+        problem = MCSSProblem(backed_small_zipf, 100.0, make_unit_plan(1e12))
+        force_shards(shard_size, workers=1)
         serial = GreedySelectPairs().select(problem)
-        force_shards(17, workers=2)
-        forked = GreedySelectPairs().select(problem)
-        assert_same_csr(forked, serial)
+        force_shards(shard_size, workers=workers)
+        # Switch threads every microsecond: the shards read the parent
+        # workload and share nothing mutable, so no interleaving may
+        # change the selection.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = GreedySelectPairs().select(problem)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_csr(threaded, serial)
+
+    @pytest.mark.parametrize("seed", range(NUM_RANDOM_WORKLOADS))
+    def test_threaded_select_matches_unsharded(self, seed, force_shards):
+        # Random shard sizes down to one subscriber, over workloads with
+        # empty interest rows, so some shards select nothing.
+        rng = np.random.default_rng(33_000 + seed)
+        workload = edgy_workload(rng)
+        problems = [
+            MCSSProblem(workload, tau, make_unit_plan(1e12))
+            for tau in taus_for(workload, rng)
+        ]
+        expected = [GreedySelectPairs().select(problem) for problem in problems]
+        n = workload.num_subscribers
+        force_shards(int(rng.integers(1, max(n, 2))), workers=2)
+        for problem, want in zip(problems, expected):
+            assert_same_csr(GreedySelectPairs().select(problem), want)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_shard_error_surfaces_unchanged(
+        self, workers, small_zipf, force_shards, monkeypatch
+    ):
+        problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
+        error = TraceCorruptionError("member 'interest_topics' failed its digest")
+        real = GreedySelectPairs._select_shard
+
+        def failing(self, problem, lo, hi):
+            if lo == 100:
+                raise error
+            return real(self, problem, lo, hi)
+
+        monkeypatch.setattr(GreedySelectPairs, "_select_shard", failing)
+        force_shards(50, workers=workers)
+        with pytest.raises(TraceCorruptionError) as raised:
+            GreedySelectPairs().select(problem)
+        assert raised.value is error
 
     def test_rejects_bad_shard_size(self, small_zipf, force_shards):
         problem = MCSSProblem(small_zipf, 100.0, make_unit_plan(1e12))
@@ -151,33 +206,29 @@ class TestSolveSharded:
         assert sharded.selector_name == "gsp"
 
 
-class TestLadderWorkers:
-    @staticmethod
-    def _ladder(workers):
-        from repro.experiments import run_cost_ladder
+class TestMmapLadder:
+    def test_mmap_ladder_matches_ram(self, tmp_path):
+        from repro.experiments import LADDER_VARIANTS, run_cost_ladder
 
-        workload = zipf_workload(25, 120, mean_interest=4.0, seed=6)
+        # ~195k pairs: the pair-sized caches pass MmapBackend's 1 MiB
+        # spill floor, so every tau after the first reads them from disk.
+        workload = zipf_workload(200, 30_000, mean_interest=8.0, seed=6)
         capacity_bytes = (
             4.0 * float(workload.event_rates.max()) * workload.message_size_bytes
         )
         plan = make_unit_plan(capacity_bytes)
-        return run_cost_ladder(workload, plan, [10.0, 100.0], workers=workers)
-
-    def test_forked_taus_match_serial(self):
-        serial = self._ladder(workers=1)
-        forked = self._ladder(workers=2)
-        assert serial.cells.keys() == forked.cells.keys()
-        for variant, by_tau in serial.cells.items():
-            for tau, cell in by_tau.items():
-                assert forked.cells[variant][tau] == cell, (variant, tau)
-
-    def test_forked_taus_with_sharded_gsp_match_serial(self, force_shards):
-        # Each forked tau's GSP spans three shards: the nested fan-out
-        # runs serially inside the tau's child.
-        serial = self._ladder(workers=1)
-        force_shards(40, workers=2)
-        assert len(subscriber_shards(120)) == 3
-        assert self._ladder(workers=2).cells == serial.cells
+        taus = [10.0, 100.0, 1000.0]
+        # The CBP rungs and the bound; first-fit would dominate the time.
+        variants = LADDER_VARIANTS[2:]
+        expected = run_cost_ladder(workload, plan, taus, variants=variants)
+        path = save_workload(workload, tmp_path / "ladder")
+        # Twice over the same file: the second run re-spills its caches
+        # over the first run's.
+        for _ in range(2):
+            mapped = load_workload(path, mmap=True)
+            got = run_cost_ladder(mapped, plan, taus, variants=variants)
+            assert got.cells == expected.cells
+        assert os.listdir(f"{path}.cache")
 
 
 class TestShardBounds:

@@ -20,8 +20,8 @@ from repro.packing import (
     PackingAlgorithm,
     diff_placements,
 )
-from repro.resilience import subscriber_shards
 from repro.selection import GreedySelectPairs, RandomSelectPairs
+from repro.selection.sharded import subscriber_shards
 from repro.solver import MCSSSolver, pipeline
 from tests.conftest import make_unit_plan
 

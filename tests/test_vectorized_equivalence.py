@@ -1332,7 +1332,7 @@ class TestShardedMmapPin:
     One 100k-subscriber zipf instance solved twice -- the plain
     single-process in-RAM path, and the out-of-core path (forced by the
     ``MCSS_SHARD_SIZE`` / ``MCSS_SHARD_WORKERS`` knobs) on an
-    mmap-backed reload of the same workload with forked workers --
+    mmap-backed reload of the same workload with two shard threads --
     must agree on the selection (group order included), the per-VM
     placements, and the costs, exactly.
     """

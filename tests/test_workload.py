@@ -64,9 +64,10 @@ class TestConstruction:
         with pytest.raises(WorkloadError, match="duplicate"):
             Workload([1.0, 2.0], [[0, 0]])
 
-    def test_bad_message_size_rejected(self):
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("nan")])
+    def test_bad_message_size_rejected(self, size):
         with pytest.raises(WorkloadError, match="message_size"):
-            Workload([1.0], [[0]], message_size_bytes=0)
+            Workload([1.0], [[0]], message_size_bytes=size)
 
     def test_empty_interest_allowed(self):
         w = Workload([1.0], [[], [0]])

@@ -81,7 +81,6 @@ GENERATORS: "Dict[str, Tuple[str, ...]]" = {
 RNG_SEAM_PREFIXES: "Tuple[str, ...]" = (
     "src/repro/workloads/",
     "src/repro/dynamic/churn.py",
-    "src/repro/resilience/",
     "src/repro/selection/random_.py",
     "scripts/",
     "examples/",
