@@ -66,7 +66,7 @@ from .selection import (
 )
 from .solver import MCSSSolution, MCSSSolver
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "best_lower_bound",

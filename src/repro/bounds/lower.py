@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import MCSSProblem, SolutionCost, Workload, subscriber_thresholds
+from ..core.segsearch import sorted_unique
 
 __all__ = [
     "lower_bound",
@@ -51,7 +52,7 @@ def subscriber_bound_terms(workload: Workload, tau: float) -> np.ndarray:
     ``np.minimum.reduceat`` for the per-subscriber minimum rates).
     """
     rates = workload.event_rates
-    indptr, flat = workload.interest_csr()
+    indptr, flat = workload.interest_indptr, workload.interest_topics
     terms = np.zeros(workload.num_subscribers, dtype=np.float64)
     if flat.size == 0:
         return terms
@@ -87,14 +88,14 @@ def lower_bound_bytes(problem: MCSSProblem, include_forced_ingest: bool = False)
     tau = float(problem.tau)
     total_rate = _terms_rate(subscriber_bound_terms(workload, tau))
 
-    indptr, flat = workload.interest_csr()
+    indptr, flat = workload.interest_indptr, workload.interest_topics
     if include_forced_ingest and flat.size:
         sums = workload.interest_rate_sums()
         nonempty = np.diff(indptr) > 0
         forced_subs = nonempty & (sums <= tau) & (subscriber_thresholds(workload, tau) > 0)
         if forced_subs.any():
             forced_pairs = forced_subs[workload.pair_subscribers()]
-            forced_topics = np.unique(flat[forced_pairs])
+            forced_topics = sorted_unique(flat[forced_pairs])
             total_rate += float(workload.event_rates[forced_topics].sum())
 
     return total_rate * workload.message_size_bytes

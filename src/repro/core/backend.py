@@ -9,18 +9,19 @@ those arrays no longer fit comfortably in one process's RAM, so the
 * :class:`RamBackend` -- the default.  Arrays are owned in RAM with the
   historical defensive-copy semantics: any array the workload does not
   own outright is copied once at construction, then frozen.
-* :class:`MmapBackend` -- arrays stay where they are (typically
+* :class:`AdoptBackend` -- trusted zero-copy adoption: arrays are kept
+  exactly as passed, derived caches stay in RAM.  Used internally for
+  subscriber shards (:meth:`~repro.core.workload.Workload.subscriber_range`),
+  whose arrays are already frozen slices of a live workload.
+* :class:`MmapBackend` -- adopts the same way (the arrays are typically
   ``np.memmap`` views into an uncompressed ``.npz`` written by
-  :func:`repro.workloads.io.save_workload`), and *derived* pair-sized
-  caches (the rate-descending scan order, sorted pair keys, ...) are
-  spilled to ``.npy`` sidecar files and re-opened as read-only maps, so
-  the OS page cache -- not the Python heap -- holds the bulk data.
+  :func:`repro.workloads.io.save_workload`), but spills *derived*
+  pair-sized caches (the rate-descending scan order, sorted pair keys,
+  ...) to ``.npy`` sidecar files and re-opens them as read-only maps,
+  so the OS page cache -- not the Python heap -- holds the bulk data.
   ``tracemalloc`` (the slow-suite memory referee) only counts
   Python-allocator memory, which is exactly the accounting we want for
   out-of-core solves.
-* :class:`AdoptBackend` -- trusted zero-copy adoption; used internally
-  for subscriber shards (:meth:`~repro.core.workload.Workload.subscriber_range`),
-  whose arrays are already frozen slices of a live workload.
 
 Backends never change *values*, only residency: every solver path is
 bit-exact across backends (pinned by the backend-parametrized cases in
@@ -98,36 +99,28 @@ class AdoptBackend(ArrayBackend):
     """
 
     def adopt(self, arr: np.ndarray, tag: str) -> np.ndarray:
+        # A map (or a view into one) stays on disk: copying here is
+        # exactly the densification zero-copy adoption exists to avoid.
         return _frozen(arr)
 
     def cache(self, tag: str, arr: np.ndarray) -> np.ndarray:
         return _frozen(arr)
 
 
-class MmapBackend(ArrayBackend):
+class MmapBackend(AdoptBackend):
     """Disk-resident arrays: adopt maps as-is, spill derived caches.
 
     Parameters
     ----------
     cache_dir:
         Directory for spilled derived caches (created on first use).
-        ``None`` disables spilling -- base arrays still stay mapped,
-        but derived caches live in RAM (useful when only the base
-        arrays are large).
     """
 
-    def __init__(self, cache_dir: Union[str, os.PathLike, None] = None) -> None:
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-
-    def adopt(self, arr: np.ndarray, tag: str) -> np.ndarray:
-        # Adopt as-is: a map (or a view into one) stays on disk, and
-        # copying here is exactly the densification this backend
-        # exists to avoid.  RAM-resident inputs are adopted too -- the
-        # caller chose this backend to keep construction zero-copy.
-        return _frozen(arr)
+    def __init__(self, cache_dir: Union[str, os.PathLike]) -> None:
+        self.cache_dir = os.fspath(cache_dir)
 
     def cache(self, tag: str, arr: np.ndarray) -> np.ndarray:
-        if self.cache_dir is None or arr.nbytes < (1 << 20):
+        if arr.nbytes < (1 << 20):
             # Small caches (indptr-sized, topic-sized) are cheaper in
             # RAM than as one file each.
             return _frozen(arr)

@@ -29,9 +29,6 @@ Array construction has one coherent surface:
   the arrays without checks or copies -- the fast path the vectorized
   GSP emits; the default re-validates the CSR contract with whole-array
   passes.
-* ``PairSelection(by_topic, trusted=True)`` likewise adopts
-  pre-validated per-topic subscriber arrays (one concatenate, no
-  per-topic ``np.unique``).
 * :meth:`PairSelection.csr_arrays` / :meth:`PairSelection.pair_arrays`
   expose the grouped and the flat forms back.
 
@@ -47,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .segsearch import grouping_order
+from .segsearch import grouping_order, sorted_unique
 from .workload import Pair, Workload
 
 __all__ = ["PairSelection"]
@@ -61,25 +58,20 @@ class PairSelection:
 
     __slots__ = ("_topics", "_indptr", "_subs", "_topic_pos", "_pair_arrays")
 
-    def __init__(
-        self, by_topic: Mapping[int, Sequence[int]], *, trusted: bool = False
-    ) -> None:
+    def __init__(self, by_topic: Mapping[int, Sequence[int]]) -> None:
         """Build from a ``topic -> subscribers`` mapping.
 
-        ``trusted=True`` skips the per-topic duplicate check: the
-        caller vouches that every value is a non-empty int64 array with
-        no duplicate subscribers and every key a non-negative topic id
-        (one concatenate builds the CSR core, no ``np.unique``).
+        Empty groups are dropped; a group listing a subscriber twice
+        raises ``ValueError``.
         """
         topics: List[int] = []
         groups: List[np.ndarray] = []
         for t, subs in by_topic.items():
             arr = np.asarray(subs, dtype=np.int64)
-            if not trusted:
-                if arr.size == 0:
-                    continue
-                if np.unique(arr).size != arr.size:
-                    raise ValueError(f"duplicate subscribers for topic {t}")
+            if arr.size == 0:
+                continue
+            if sorted_unique(arr).size != arr.size:
+                raise ValueError(f"duplicate subscribers for topic {t}")
             topics.append(int(t))
             groups.append(arr)
         self._adopt_groups(topics, groups)
@@ -175,7 +167,7 @@ class PairSelection:
             raise ValueError("indptr must be strictly increasing (no empty groups)")
         if v.size != int(ip[-1]):
             raise ValueError("subscribers length must equal indptr[-1]")
-        if t.size and ((t < 0).any() or np.unique(t).size != t.size):
+        if t.size and ((t < 0).any() or sorted_unique(t).size != t.size):
             raise ValueError("topics must be distinct non-negative ids")
         if v.size:
             group_idx = np.repeat(np.arange(t.size, dtype=np.int64), np.diff(ip))
@@ -224,12 +216,13 @@ class PairSelection:
 
     @classmethod
     def full(cls, workload: Workload) -> "PairSelection":
-        """The selection containing *every* pair of the workload."""
-        topics = [
-            t for t in range(workload.num_topics)
-            if workload.subscribers_of(t).size
-        ]
-        return cls({t: workload.subscribers_of(t) for t in topics}, trusted=True)
+        """The selection containing *every* pair of the workload.
+
+        Groups in ascending topic order, subscribers ascending in each.
+        """
+        return cls.from_csr(
+            workload.interest_topics, None, workload.pair_subscribers(), trusted=True
+        )
 
     # ------------------------------------------------------------------
     # Views

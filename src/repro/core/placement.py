@@ -24,27 +24,22 @@ packers never loop over VMs in Python:
 
 * :meth:`Placement.used_bytes_array` -- per-VM byte accounting as
   one float64 vector (geometrically grown);
-* :meth:`Placement.hosts_mask` -- the "which VMs ingest topic t"
-  bitset, served from a per-topic VM index kept incrementally;
-* :meth:`Placement.assign_range` -- batch assignment of a flat
-  subscriber array slice: O(1) accounting plus one adopted array
-  chunk, instead of per-subscriber list work;
 * :meth:`Placement.from_groups` -- adopt a finished placement as flat
   per-(vm, topic) group arrays plus the caller's own per-VM bytes, in
   O(groups) array work; CBP builds its result this way, and
   :meth:`Placement.from_pair_arrays` (flat per-pair input, one
-  lexsort) feeds it too;
-* :meth:`Placement.new_vms` -- deploy a batch of VMs at once.
+  lexsort) feeds it too.
 
 Per-(vm, topic) subscriber identities are retained as lists of array
 chunks (appended, never extended element-wise) so the placement can be
 audited (satisfaction, duplicate-assignment).  The per-VM
-:class:`VirtualMachine` objects remain the scalar accounting/query API;
-each batch assignment updates exactly one of them in O(1).  A placement
-adopted through :meth:`~Placement.from_groups` builds those objects and
-the member/host dicts only on the first call that needs them: the
-solve path (audit, cost) reads only the flat group arrays and the
-per-VM bytes vector.
+:class:`VirtualMachine` objects remain the scalar accounting/query API
+and the one record of which topics each VM ingests (Equation (2)'s
+incoming term); each :meth:`Placement.assign` updates exactly one of
+them in O(1).  A placement adopted through
+:meth:`~Placement.from_groups` builds those objects and the member
+dict only on the first call that needs them: the solve path (audit,
+cost) reads only the flat group arrays and the per-VM bytes vector.
 """
 
 from __future__ import annotations
@@ -182,7 +177,7 @@ class Placement:
     """A complete assignment of selected pairs to a VM fleet.
 
     Stage-2 algorithms build a placement incrementally through
-    :meth:`assign` / :meth:`assign_range` / :meth:`new_vm`, or hand a
+    :meth:`assign` / :meth:`new_vm`, or hand a
     finished one over in one batch through :meth:`from_groups`;
     analysis code reads the aggregate properties.  See the module
     docstring for the array-backed core.
@@ -197,8 +192,6 @@ class Placement:
         self._vms: List[VirtualMachine] = []
         # Array core: per-VM used bytes (geometrically grown buffer).
         self._used = np.zeros(8, dtype=np.float64)
-        # topic -> indices of the VMs hosting it (appended on first host).
-        self._topic_vms: Dict[int, List[int]] = {}
         # (vm index, topic) -> adopted subscriber-array chunks.
         self._members: Dict[Tuple[int, int], List[np.ndarray]] = {}
         self._num_pairs = 0
@@ -236,8 +229,8 @@ class Placement:
         caller must pass the values its decisions ran on, not values
         derived from the groups.
 
-        The :class:`VirtualMachine` objects and the member/host dicts
-        are built on the first call that needs them; the audit and
+        The :class:`VirtualMachine` objects and the member dict are
+        built on the first call that needs them; the audit and
         :meth:`MCSSProblem.cost_of` never do.
         """
         placement = cls(workload, capacity_bytes)
@@ -285,7 +278,7 @@ class Placement:
         regardless of how many pairs each group holds.  The sort is
         stable: subscribers keep their input order inside each group.
         ``np.bincount`` adds each VM's groups in order, the same chain
-        of sums one :meth:`assign_range` per group would run.  Raises
+        of sums one :meth:`assign` per group would run.  Raises
         :class:`CapacityError` if a VM's groups exceed its capacity.
 
         This is the batch materialization path of the dynamic
@@ -315,7 +308,7 @@ class Placement:
         out_bytes = np.bincount(g_vm, weights=topic_bytes * sizes, minlength=count)
         in_bytes = np.bincount(g_vm, weights=topic_bytes, minlength=count)
         if g_vm.size:
-            # Each VM's last group is its last assign_range: re-run that
+            # Each VM's last group is its last assign: re-run that
             # step's check on the bytes of the groups before it.
             last = np.append(g_vm[1:] != g_vm[:-1], True)
             head = ~last
@@ -340,9 +333,9 @@ class Placement:
     def _fleet(self) -> List[VirtualMachine]:
         """The per-VM objects, built on first use after :meth:`from_groups`.
 
-        Also fills the member and host dicts from the adopted groups,
-        in group order -- the state the same groups assigned one
-        :meth:`assign_range` at a time would leave.
+        Also fills the member dict from the adopted groups, in group
+        order -- the state the same groups assigned one :meth:`assign`
+        at a time would leave.
         """
         pending = self._pending
         if pending is not None:
@@ -357,63 +350,39 @@ class Placement:
                 vm_ids.tolist(), topics.tolist(), [0] + ends[:-1], ends
             ):
                 vms[b]._pair_counts[t] = hi - lo
-                self._topic_vms.setdefault(t, []).append(b)
                 self._members[(b, t)] = [subs[lo:hi]]
             self._vms = vms
         return self._vms
 
     def new_vm(self) -> int:
         """Deploy a new empty VM; returns its index."""
-        return self.new_vms(1)
-
-    def new_vms(self, count: int) -> int:
-        """Deploy ``count`` new empty VMs; returns the first index."""
-        if count <= 0:
-            raise ValueError("count must be positive")
         vms = self._fleet()
-        first = self._num_vms
-        total = first + count
-        if total > self._used.size:
-            grown = np.zeros(max(2 * self._used.size, total), dtype=np.float64)
-            grown[:first] = self._used[:first]
+        index = self._num_vms
+        if index == self._used.size:
+            grown = np.zeros(max(2 * index, 8), dtype=np.float64)
+            grown[:index] = self._used
             self._used = grown
         else:
-            self._used[first:total] = 0.0
-        for _ in range(count):
-            vms.append(VirtualMachine(self.capacity_bytes))
-        self._num_vms = total
-        return first
+            self._used[index] = 0.0
+        vms.append(VirtualMachine(self.capacity_bytes))
+        self._num_vms = index + 1
+        return index
 
     def assign(self, vm_index: int, topic: int, subscribers: Sequence[int]) -> None:
-        """Assign pairs ``(topic, v) for v in subscribers`` to a VM."""
-        self.assign_range(
-            vm_index, topic, np.asarray(list(subscribers), dtype=np.int64)
-        )
+        """Assign pairs ``(topic, v) for v in subscribers`` to a VM.
 
-    def assign_range(
-        self, vm_index: int, topic: int, subscribers: np.ndarray
-    ) -> None:
-        """Batch-assign a flat subscriber array to one VM.
-
-        The array is adopted (not copied) when it is already read-only
-        -- the contract of the CSR slices the vectorized packers pass
-        -- and defensively copied otherwise.  Accounting is O(1) in the
-        number of subscribers: one :meth:`VirtualMachine.add_pairs`
-        update plus one chunk append.
+        The subscribers are copied once into a read-only chunk.
+        Accounting is O(1) in their number: one
+        :meth:`VirtualMachine.add_pairs` update plus one chunk append.
         """
-        subs = np.asarray(subscribers, dtype=np.int64)
+        subs = np.array(list(subscribers), dtype=np.int64)
         if subs.size == 0:
             return
-        if subs.flags.writeable:
-            subs = subs.copy()
-            subs.setflags(write=False)
+        subs.setflags(write=False)
         topic = int(topic)
         vm = self._fleet()[vm_index]
-        new_topic = not vm.hosts_topic(topic)
         vm.add_pairs(topic, self.topic_bytes(topic), int(subs.size))
         self._used[vm_index] = vm.used_bytes
-        if new_topic:
-            self._topic_vms.setdefault(topic, []).append(vm_index)
         self._members.setdefault((vm_index, topic), []).append(subs)
         self._num_pairs += int(subs.size)
         self._mutations += 1
@@ -445,12 +414,12 @@ class Placement:
 
     def hosts_mask(self, topic: int) -> np.ndarray:
         """Boolean vector over VMs: does VM ``b`` ingest ``topic``?"""
-        self._fleet()
-        mask = np.zeros(self._num_vms, dtype=bool)
-        hosting = self._topic_vms.get(int(topic))
-        if hosting:
-            mask[hosting] = True
-        return mask
+        topic = int(topic)
+        return np.fromiter(
+            (vm.hosts_topic(topic) for vm in self._fleet()),
+            dtype=bool,
+            count=self._num_vms,
+        )
 
     @property
     def total_bytes(self) -> float:
@@ -484,8 +453,7 @@ class Placement:
 
     def topic_replicas(self, topic: int) -> int:
         """Number of VMs ingesting ``topic`` (replication degree)."""
-        self._fleet()
-        return len(self._topic_vms.get(int(topic), ()))
+        return int(self.hosts_mask(topic).sum())
 
     def iter_assignments(self) -> Iterator[Tuple[int, int, List[int]]]:
         """Yield ``(vm_index, topic, subscribers)`` triples."""

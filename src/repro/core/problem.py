@@ -104,13 +104,7 @@ class MCSSProblem:
 
     def cost_of(self, placement: Placement) -> SolutionCost:
         """Evaluate the objective for a placement."""
-        total_bytes = placement.total_bytes
-        return SolutionCost(
-            num_vms=placement.num_vms,
-            total_bytes=total_bytes,
-            vm_usd=self.plan.c1(placement.num_vms),
-            bandwidth_usd=self.plan.c2(total_bytes),
-        )
+        return self.cost_components(placement.num_vms, placement.total_bytes)
 
     def cost_components(self, num_vms: int, total_bytes: float) -> SolutionCost:
         """Evaluate the objective from raw components (for bounds)."""

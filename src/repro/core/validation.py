@@ -50,6 +50,7 @@ from .satisfaction import (
     delivered_rates_from_arrays,
     subscriber_thresholds,
 )
+from .segsearch import sorted_unique
 
 __all__ = ["ValidationReport", "validate_placement", "validate_placement_loop"]
 
@@ -122,7 +123,7 @@ def validate_placement(problem: MCSSProblem, placement: Placement) -> Validation
         dup_pos = np.flatnonzero(gkeys[1:] == gkeys[:-1])
         if dup_pos.size:
             # repolint: allow(VL01): message formatting over duplicate-bearing groups (broken placements only)
-            for g in np.unique(gkeys[dup_pos] // span).tolist():
+            for g in sorted_unique(gkeys[dup_pos] // span).tolist():
                 messages.append(
                     f"VM {vm_arr[g]} lists duplicate subscribers for "
                     f"topic {topic_arr[g]}"

@@ -11,9 +11,10 @@ This module implements the notation of Section II-B of the paper:
 * ``Vt`` -- the subscribers of topic ``t`` (derived from the interests).
 
 A :class:`Workload` is immutable once constructed.  All derived
-quantities (reverse index, per-subscriber rate sums, pair counts) are
-computed lazily and cached, because the experiment harness frequently
-builds large workloads and only touches some of the derived views.
+quantities (sorted pair keys, per-subscriber rate sums, the GSP scan
+order) are computed lazily and cached, because the experiment harness
+frequently builds large workloads and only touches some of the derived
+views.
 
 CSR interest representation
 ---------------------------
@@ -124,7 +125,6 @@ class Workload:
         "_flat_topics",
         "_interests",
         "_message_size_bytes",
-        "_subscribers_of",
         "_interest_rate_sums",
         "_pair_subscribers",
         "_pair_keys",
@@ -225,7 +225,6 @@ class Workload:
         object.__setattr__(self, "_message_size_bytes", float(message_size_bytes))
         # Lazy caches.
         object.__setattr__(self, "_interests", None)
-        object.__setattr__(self, "_subscribers_of", None)
         object.__setattr__(self, "_interest_rate_sums", None)
         object.__setattr__(self, "_pair_subscribers", None)
         object.__setattr__(self, "_pair_keys", None)
@@ -325,10 +324,6 @@ class Workload:
     def interest_topics(self) -> np.ndarray:
         """Flat topic ids of every ``(t, v)`` pair, subscriber-major."""
         return self._flat_topics
-
-    def interest_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(indptr, topics)`` -- the CSR interest arrays."""
-        return self._indptr, self._flat_topics
 
     def pair_subscribers(self) -> np.ndarray:
         """Subscriber id of every flat pair (``np.repeat`` of ``arange``).
@@ -439,29 +434,6 @@ class Workload:
     # ------------------------------------------------------------------
     # Derived (cached) views
     # ------------------------------------------------------------------
-    def subscribers_of(self, topic: int) -> np.ndarray:
-        """Return ``Vt``: the subscribers of ``topic``.
-
-        Built lazily for the whole workload on first use (a single
-        O(pairs log pairs) vectorized pass), then served from the cache.
-        """
-        return self._audience_index()[topic]
-
-    def _audience_index(self) -> Tuple[np.ndarray, ...]:
-        cached = self._subscribers_of
-        if cached is None:
-            flat = self._flat_topics
-            # Stable sort by topic keeps subscribers ascending within
-            # each topic (the flat arrays are subscriber-major).
-            order = np.argsort(flat, kind="stable")
-            subs_sorted = self.pair_subscribers()[order]
-            subs_sorted.setflags(write=False)
-            counts = np.bincount(flat, minlength=self.num_topics)
-            bounds = np.cumsum(counts)[:-1].tolist()
-            cached = tuple(np.split(subs_sorted, bounds))
-            object.__setattr__(self, "_subscribers_of", cached)
-        return cached
-
     def audience_sizes(self) -> np.ndarray:
         """Number of subscribers per topic (``|Vt|`` for every topic)."""
         return np.bincount(self._flat_topics, minlength=self.num_topics)

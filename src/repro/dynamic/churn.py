@@ -73,6 +73,19 @@ def _as_pair_array(pairs: Sequence[Pair]) -> Tuple[np.ndarray, np.ndarray]:
     return topics, subs
 
 
+def frozen_int64(arr) -> np.ndarray:
+    """``arr`` as a read-only int64 array, leaving caller buffers writable.
+
+    When ``np.asarray`` would alias a writable caller array, a private
+    copy is frozen instead.
+    """
+    a = np.asarray(arr, dtype=np.int64)
+    if a is arr and a.flags.writeable:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 class WorkloadDelta:
     """What changed between two epochs, carried as flat arrays.
 
@@ -113,14 +126,7 @@ class WorkloadDelta:
             ("unsubscribed_subscribers", unsubscribed_subscribers),
             ("changed_topics", changed_topics),
         ):
-            a = np.asarray(arr, dtype=np.int64)
-            # Freeze a private copy when asarray aliased the caller's
-            # (writable) array -- the delta must be immutable without
-            # side effects on caller-owned buffers.
-            if a is arr and a.flags.writeable:
-                a = a.copy()
-            a.setflags(write=False)
-            setattr(self, name, a)
+            setattr(self, name, frozen_int64(arr))
         if self.subscribed_topics.size != self.subscribed_subscribers.size:
             raise ValueError("subscribed pair arrays must be parallel")
         if self.unsubscribed_topics.size != self.unsubscribed_subscribers.size:

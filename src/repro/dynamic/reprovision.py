@@ -124,7 +124,9 @@ class InfeasibleEpochError(ValueError):
 
     Raised by :meth:`IncrementalReprovisioner.step` before it changes
     any state: the reprovisioner stays at epoch ``epoch - 1``, and a
-    feasible next workload steps from there.
+    feasible next workload steps from there.  A delta's churn is not
+    applied either: the next delta must carry it too, as
+    :meth:`~repro.serving.MicroEpochService.run_micro_epoch` does.
     """
 
     def __init__(
@@ -627,7 +629,7 @@ class IncrementalReprovisioner:
             # Stale pairs (no longer selected) are dropped, not re-placed.
             valid = ~_sorted_member(removed_keys, mv * big_l + mt)
             mt, mv = mt[valid], mv[valid]
-            dropped = np.union1d(removed_rows, evicted_rows)
+            dropped = sorted_unique(np.concatenate((removed_rows, evicted_rows)))
         else:
             mt = mv = np.empty(0, dtype=np.int64)
             dropped = removed_rows

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import MCSSProblem, Workload
 from ..pricing import PricingPlan, paper_plan
 from ..workloads import (
@@ -69,12 +71,11 @@ class ExperimentScale:
 
 def all_pairs_bytes(workload: Workload) -> float:
     """Single-copy volume of the full workload (outgoing + ingest)."""
-    total = 0.0
-    rates = workload.event_rates
-    for t in range(workload.num_topics):
-        audience = workload.subscribers_of(t).size
-        if audience:
-            total += float(rates[t]) * (audience + 1)
+    audience = workload.audience_sizes()
+    held = audience > 0
+    per_topic = workload.event_rates[held] * (audience[held] + 1)
+    # A running sum in topic order, not numpy's pairwise one.
+    total = float(np.cumsum(per_topic)[-1]) if per_topic.size else 0.0
     return total * workload.message_size_bytes
 
 

@@ -48,7 +48,7 @@ class ServeRunResult:
             )
         for r in self.reports:
             lines.append(
-                f"micro-epoch {r.micro_epoch:4d}  "
+                f"micro-epoch {r.report.epoch:4d}  "
                 f"cost ${r.report.cost.total_usd:10.2f}  "
                 f"vms {r.report.cost.num_vms:4d}  ops {r.ops:5d}  "
                 f"{r.seconds * 1e3:8.2f} ms  "
@@ -128,7 +128,7 @@ def run_serving_experiment(
         1
         for r in result.reports
         if config.checkpoint_every
-        and r.micro_epoch % config.checkpoint_every == 0
+        and r.report.epoch % config.checkpoint_every == 0
     )
     result.metrics = service.metrics_snapshot()
     if config.slo_p99_seconds > 0:

@@ -22,6 +22,7 @@ from ..analysis import (
     mean_sc_by_followings,
     subscription_cardinality_ccdf,
 )
+from ..core.segsearch import sorted_unique
 from ..workloads import GeneratedTrace
 from .tables import format_table
 
@@ -54,7 +55,7 @@ class TraceFigure:
             x = np.asarray(x, dtype=np.float64)
             y = np.asarray(y, dtype=np.float64)
             if x.size > points:
-                idx = np.unique(
+                idx = sorted_unique(
                     np.geomspace(1, x.size, points).astype(int) - 1
                 )
             else:

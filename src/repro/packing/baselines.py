@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from ..core import MCSSProblem, PairSelection, Placement
 from .base import PackingAlgorithm, register_packer
-from .first_fit import iter_pairs_subscriber_major
+from .first_fit import first_fit, iter_pairs_subscriber_major
 
 __all__ = ["BestFitBinPacking", "FirstFitDecreasingBinPacking"]
 
@@ -61,24 +61,7 @@ class FirstFitDecreasingBinPacking(PackingAlgorithm):
     """
 
     def pack(self, problem: MCSSProblem, selection: PairSelection) -> Placement:
-        placement = problem.empty_placement()
-        workload = problem.workload
-        msg_bytes = workload.message_size_bytes
-        rates = workload.event_rates
-
+        rates = problem.workload.event_rates
         pairs: List[Tuple[int, int]] = list(iter_pairs_subscriber_major(selection))
         pairs.sort(key=lambda tv: (-float(rates[tv[0]]), tv[0], tv[1]))
-
-        for t, v in pairs:
-            topic_bytes = float(rates[t]) * msg_bytes
-            placed = False
-            for b, vm in enumerate(placement.vms):
-                if vm.fits(topic_bytes, 1, not vm.hosts_topic(t)):
-                    placement.assign(b, t, [v])
-                    placed = True
-                    break
-            if not placed:
-                b = placement.new_vm()
-                placement.assign(b, t, [v])
-
-        return placement
+        return first_fit(problem, pairs)

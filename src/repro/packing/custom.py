@@ -289,7 +289,7 @@ class _Bins:
         self.size_log: "list[np.ndarray | list[int]]" = []
         self.logged = 0  # rows in the log
 
-    def new_vms(self, count: int) -> int:
+    def deploy(self, count: int) -> int:
         """Deploy ``count`` empty VMs; returns the first index."""
         first = self.n
         self.n += count
@@ -366,7 +366,7 @@ class CustomBinPacking(PackingAlgorithm):
             problem.capacity_bytes, problem.topic_bytes_array()[pack_topics], counts
         )
 
-        current = bins.new_vms(1)
+        current = bins.deploy(1)
         pos = 0
         # repolint: allow(VL01): one step per run or spilled topic -- a sequential chain
         while pos < order.size:
@@ -492,7 +492,7 @@ class CustomBinPacking(PackingAlgorithm):
         if per_fresh <= 0:  # pragma: no cover - excluded by problem checks
             raise ValueError("topic does not fit in an empty VM")
         num_new = -(-count // per_fresh)
-        first = bins.new_vms(num_new)
+        first = bins.deploy(num_new)
         takes = np.full(num_new, per_fresh, dtype=np.int64)
         takes[-1] = count - per_fresh * (num_new - 1)
         bins.out[first:bins.n] = topic_bytes * takes

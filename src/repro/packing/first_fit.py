@@ -29,7 +29,7 @@ the randomized equivalence suite pins both to identical placements.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -63,33 +63,39 @@ def iter_pairs_subscriber_major(selection: PairSelection) -> Iterator[Tuple[int,
     yield from zip(topics.tolist(), subs.tolist())
 
 
+def first_fit(problem: MCSSProblem, pairs: Iterable[Tuple[int, int]]) -> Placement:
+    """Algorithm 3's scan: each ``(t, v)``, in order, on the first VM with room.
+
+    The one first-fit scan: FFBP feeds it the arrival order, FFD the
+    rate-sorted pairs.
+    """
+    placement = problem.empty_placement()
+    topic_bytes_all = problem.topic_bytes_array()
+
+    # repolint: allow(VL01): FFBP is the paper's quadratic baseline by design (module docstring)
+    for t, v in pairs:
+        topic_bytes = float(topic_bytes_all[t])
+        # Lines 3-6: first already-deployed VM with room.
+        # repolint: allow(VL01): per-pair first-fit fleet scan -- the baseline's defining behaviour
+        for b in range(placement.num_vms):
+            vm = placement.vm(b)
+            if vm.fits(topic_bytes, 1, not vm.hosts_topic(t)):
+                break
+        else:
+            # Lines 8-11: deploy a new VM.  Problem feasibility
+            # guarantees a single pair always fits in an empty VM.
+            b = placement.new_vm()
+        placement.assign(b, t, [v])
+
+    return placement
+
+
 @register_packer("ffbp")
 class FFBinPacking(PackingAlgorithm):
     """First-fit bin packing over individual pairs (Algorithm 3)."""
 
     def pack(self, problem: MCSSProblem, selection: PairSelection) -> Placement:
-        placement = problem.empty_placement()
-        topic_bytes_all = problem.topic_bytes_array()
-
-        # repolint: allow(VL01): FFBP is the paper's quadratic baseline by design (module docstring)
-        for t, v in iter_pairs_subscriber_major(selection):
-            topic_bytes = float(topic_bytes_all[t])
-            placed = False
-            # Lines 3-6: first already-deployed VM with room.
-            # repolint: allow(VL01): per-pair first-fit fleet scan -- the baseline's defining behaviour
-            for b in range(placement.num_vms):
-                vm = placement.vm(b)
-                if vm.fits(topic_bytes, 1, not vm.hosts_topic(t)):
-                    placement.assign(b, t, [v])
-                    placed = True
-                    break
-            if not placed:
-                # Lines 8-11: deploy a new VM.  Problem feasibility
-                # guarantees a single pair always fits in an empty VM.
-                b = placement.new_vm()
-                placement.assign(b, t, [v])
-
-        return placement
+        return first_fit(problem, iter_pairs_subscriber_major(selection))
 
 
 @register_packer("ffbp-loop")

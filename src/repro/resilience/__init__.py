@@ -25,7 +25,7 @@ from .integrity import (
     verified_member,
     write_npz_atomic,
 )
-from .knobs import KnobError, env_float, env_int, env_str
+from .knobs import KnobError, env_float, env_int
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -34,7 +34,6 @@ __all__ = [
     "atomic_write",
     "env_float",
     "env_int",
-    "env_str",
     "load_checkpoint",
     "load_serving_state",
     "member_digest",

@@ -1,7 +1,7 @@
 """Validated `MCSS_*` environment-knob parsing.
 
 Every env knob in the repo is read through :func:`env_int` /
-:func:`env_float` / :func:`env_str` so a garbage value like
+:func:`env_float` so a garbage value like
 ``MCSS_SHARD_WORKERS=two`` fails with an error *naming the variable*
 instead of a bare ``ValueError: invalid literal for int()`` from deep
 inside a solve.  The registry itself lives in docs/BENCHMARKS.md and
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-__all__ = ["KnobError", "env_float", "env_int", "env_str"]
+__all__ = ["KnobError", "env_float", "env_int"]
 
 
 class KnobError(ValueError):
@@ -65,9 +65,3 @@ def env_float(
     value = _parse(name, raw, float, "number")
     _check_minimum(name, value, minimum)
     return value
-
-
-def env_str(name: str, default: str) -> str:
-    """Read a string knob (exists for symmetry and EK01 registration)."""
-    raw = os.environ.get(name)
-    return default if raw is None else raw

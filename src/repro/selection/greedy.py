@@ -128,18 +128,6 @@ def benefit_cost_ratio(event_rate: float, remaining: float) -> float:
     return 1.0 / (2.0 * event_rate)
 
 
-def _segmented_first_leq(
-    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Per-lane leftmost index ``i`` in ``[lo, hi)`` with ``values[i] <= target``.
-
-    ``values`` must be non-increasing inside every ``[lo, hi)`` window
-    (the per-subscriber descending rate order).  Returns ``hi`` for
-    lanes with no such index.
-    """
-    return segmented_left_search(values, lo, hi, target, np.less_equal)
-
-
 def _run_ends(
     cums: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
@@ -228,7 +216,7 @@ class GreedySelectPairs(SelectionAlgorithm):
         rates = workload.event_rates
         tau = float(problem.tau)
 
-        indptr, _ = workload.interest_csr()
+        indptr = workload.interest_indptr
         num_pairs = workload.num_pairs
         if num_pairs == 0 or tau <= 0:
             return None
@@ -274,7 +262,7 @@ class GreedySelectPairs(SelectionAlgorithm):
                 i = i_first
                 first_round = False
             else:
-                i = _segmented_first_leq(s_rates, pos, lim, rem + _EPS)
+                i = segmented_left_search(s_rates, pos, lim, rem + _EPS, np.less_equal)
             skip = np.where(i > pos, i - 1, skip)
             exhausted = i >= lim
             if exhausted.any():
@@ -360,7 +348,9 @@ class GreedySelectPairs(SelectionAlgorithm):
         if tied.size:
             qt = q[tied]
             # First position of the equal-rate range containing q ...
-            j0 = _segmented_first_leq(s_rates, seg_lo[tied], qt + 1, rho[tied])
+            j0 = segmented_left_search(
+                s_rates, seg_lo[tied], qt + 1, rho[tied], np.less_equal
+            )
             # ... and its first skipped position (q itself is skipped).
             q[tied] = segmented_left_search(chosen, j0, qt + 1, np.False_, np.equal)
         return q

@@ -25,17 +25,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..dynamic.churn import WorkloadDelta
+from ..core.segsearch import sorted_unique
+from ..dynamic.churn import WorkloadDelta, frozen_int64
 
 __all__ = ["ChurnFragment", "ChurnIngestQueue", "split_delta"]
 
-
-def _frozen_i64(arr) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.int64)
-    if a is arr and a.flags.writeable:
-        a = a.copy()
-    a.setflags(write=False)
-    return a
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class ChurnFragment:
             "subscribed_topics",
             "subscribed_subscribers",
         ):
-            object.__setattr__(self, name, _frozen_i64(getattr(self, name)))
+            object.__setattr__(self, name, frozen_int64(getattr(self, name)))
         if self.unsubscribed_topics.size != self.unsubscribed_subscribers.size:
             raise ValueError("unsubscribed pair arrays must be parallel")
         if self.subscribed_topics.size != self.subscribed_subscribers.size:
@@ -104,6 +100,8 @@ class ChurnIngestQueue:
     def __init__(self) -> None:
         self._fragments: List[ChurnFragment] = []
         self._depth = 0
+        # Re-priced topics of an unsealed batch, owed to the next seal.
+        self._changed = _EMPTY
 
     @property
     def depth(self) -> int:
@@ -124,26 +122,54 @@ class ChurnIngestQueue:
         ``changed_topics`` its re-priced topic ids (rate drift applies
         at the epoch boundary, not per fragment).  Field-wise
         concatenation in arrival order restores the original draw-order
-        arrays because fragments are contiguous stream slices.
+        arrays because fragments are contiguous stream slices.  After
+        an :meth:`unseal`, the delta also carries the handed-back
+        batch: its operations lead, and its re-priced topics join
+        ``changed_topics`` (sorted, distinct).
         """
+        if self._changed.size:
+            changed_topics = sorted_unique(
+                np.concatenate((self._changed, np.asarray(changed_topics, np.int64)))
+            )
+            self._changed = _EMPTY
         fragments = self._fragments
-        empty = np.empty(0, dtype=np.int64)
         delta = WorkloadDelta(
             workload,
             np.concatenate([f.subscribed_topics for f in fragments])
             if fragments
-            else empty,
+            else _EMPTY,
             np.concatenate([f.subscribed_subscribers for f in fragments])
             if fragments
-            else empty,
+            else _EMPTY,
             np.concatenate([f.unsubscribed_topics for f in fragments])
             if fragments
-            else empty,
+            else _EMPTY,
             np.concatenate([f.unsubscribed_subscribers for f in fragments])
             if fragments
-            else empty,
+            else _EMPTY,
             changed_topics,
         )
         self._fragments = []
         self._depth = 0
         return delta
+
+    def unseal(self, delta: WorkloadDelta) -> None:
+        """Hand back a sealed delta whose step raised, to be sealed again.
+
+        Its operations return to the head of the queue as one fragment,
+        ahead of anything offered since, and its re-priced topics are
+        owed to the next seal.  A step that raised changed nothing, so
+        the next seal must carry this batch or its subscribers are
+        never re-selected.
+        """
+        self._fragments.insert(
+            0,
+            ChurnFragment(
+                delta.unsubscribed_topics,
+                delta.unsubscribed_subscribers,
+                delta.subscribed_topics,
+                delta.subscribed_subscribers,
+            ),
+        )
+        self._depth += self._fragments[0].num_ops
+        self._changed = delta.changed_topics

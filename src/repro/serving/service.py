@@ -12,7 +12,8 @@ long-running service:
   reprovisioner once -- thanks to the lossless reassembly, the
   resulting placements are bit-identical to the batch pipeline (and,
   with ``fresh_solve_every=1``, to the ``reprovision-loop`` referee)
-  however the stream was fragmented;
+  however the stream was fragmented.  A step that raises leaves the
+  sealed batch queued, so the next micro-epoch carries it;
 * every micro-epoch feeds the :class:`~repro.serving.slo.ServingMetrics`
   SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, sealed
   batch size, cost drift);
@@ -74,10 +75,10 @@ class MicroEpochReport:
     """One micro-epoch's outcome, as seen by the serving layer.
 
     ``batch_ops`` is the number of churn operations the seal drained
-    from the queue: all of them, since a seal empties it.
+    from the queue: all of them, since a seal empties it.  The
+    micro-epoch is ``report.epoch``.
     """
 
-    micro_epoch: int
     report: EpochReport
     ops: int
     batch_ops: int
@@ -181,12 +182,21 @@ class MicroEpochService:
 
         ``workload`` is the epoch's resulting workload and
         ``changed_topics`` its re-priced topics (both from the churn
-        source; rate drift applies at the seal, not per fragment).
+        source; rate drift applies at the seal, not per fragment).  If
+        the step raises (:class:`~repro.dynamic.InfeasibleEpochError`,
+        or the cadence audit's ``ValueError``), the placement is
+        unchanged and the sealed batch goes back to the queue, changed
+        topics included, so the next call carries it; the error
+        propagates.
         """
         batch_ops = self._queue.depth
         delta = self._queue.seal_epoch(workload, changed_topics)
         t0 = self._clock()
-        report = self._reprovisioner.step(delta)
+        try:
+            report = self._reprovisioner.step(delta)
+        except ValueError:  # InfeasibleEpochError, or the cadence audit
+            self._queue.unseal(delta)
+            raise
         seconds = self._clock() - t0
         ops = int(
             delta.subscribed_topics.size
@@ -204,7 +214,6 @@ class MicroEpochService:
         if cfg.checkpoint_every and self.micro_epochs % cfg.checkpoint_every == 0:
             self.checkpoint(cfg.checkpoint_path)
         return MicroEpochReport(
-            micro_epoch=self.micro_epochs,
             report=report,
             ops=ops,
             batch_ops=batch_ops,

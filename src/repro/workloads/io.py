@@ -46,6 +46,7 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from ..core import MmapBackend, Workload
+from ..core.segsearch import sorted_unique
 from ..resilience.integrity import (
     TraceCorruptionError,
     atomic_write,
@@ -261,7 +262,7 @@ def _draw_zipf_chunk(
     # exactly as the in-RAM generator does -- global subscriber ids
     # keep the chunks' key ranges disjoint and ascending, so the
     # concatenated flats are already subscriber-major CSR data.
-    keys = np.unique(subs * num_topics + picks)
+    keys = sorted_unique(subs * num_topics + picks)
     chunk_counts = np.bincount(keys // num_topics - lo, minlength=hi - lo)
     return chunk_counts.astype(np.int64), keys % num_topics
 

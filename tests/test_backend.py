@@ -77,10 +77,17 @@ class TestBackends:
         assert backend.cache("tiny", small) is small
         assert not (tmp_path / "cache").exists()
 
-    def test_mmap_backend_without_cache_dir_never_spills(self):
-        backend = MmapBackend(None)
-        big = np.arange(200_000, dtype=np.int64)
-        assert backend.cache("pair_keys", big) is big
+    def test_mmap_backend_requires_a_cache_dir(self):
+        with pytest.raises(TypeError):
+            MmapBackend()
+        with pytest.raises(TypeError):
+            MmapBackend(None)
+
+    def test_mmap_backend_adopts_as_adopt_backend_does(self, tmp_path):
+        view = np.arange(10, dtype=np.int64)[1:9]
+        assert isinstance(MmapBackend(tmp_path), AdoptBackend)
+        assert MmapBackend(tmp_path).adopt(view, "x") is view
+        assert not view.flags.writeable
 
     def test_is_mapped_walks_view_chains(self, tmp_path):
         path = tmp_path / "arr.npy"

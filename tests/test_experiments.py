@@ -352,7 +352,7 @@ class TestRunnerValidation:
             serving_config=config, resume=True,
         )
         assert result.resumed_from_micro_epoch == 0
-        assert [r.micro_epoch for r in result.reports] == [1, 2, 3, 4]
+        assert [r.report.epoch for r in result.reports] == [1, 2, 3, 4]
         assert result.checkpoints_written == 2
         again = run_serving_experiment(
             problem.workload, problem.plan, problem.tau, 4,

@@ -237,22 +237,13 @@ class TestFromPairArrays:
 
 
 class TestBatchAssignment:
-    """new_vms / assign_range: the batch core the vectorized packers drive."""
+    """new_vm / assign: the incremental core the per-pair packers drive."""
 
-    def test_new_vms_returns_first_index(self, tiny_workload):
+    def test_new_vm_returns_consecutive_indices(self, tiny_workload):
         p = Placement(tiny_workload, 100.0)
-        assert p.new_vms(3) == 0
-        assert p.new_vms(2) == 3
-        assert p.new_vm() == 5
+        assert [p.new_vm() for _ in range(6)] == list(range(6))
         assert p.num_vms == 6
         np.testing.assert_array_equal(p.used_bytes_array(), np.zeros(6))
-
-    def test_new_vms_rejects_non_positive_count(self, tiny_workload):
-        p = Placement(tiny_workload, 100.0)
-        for count in (0, -2):
-            with pytest.raises(ValueError):
-                p.new_vms(count)
-        assert p.num_vms == 0
 
     def test_growth_keeps_used_bytes(self, tiny_workload):
         # The per-VM used-bytes buffer starts at 8 slots; deploying past
@@ -260,7 +251,7 @@ class TestBatchAssignment:
         p = Placement(tiny_workload, 100.0)
         a = p.new_vm()
         p.assign(a, 0, [0, 1])  # 2*20 out + 20 in
-        assert p.new_vms(20) == 1
+        assert [p.new_vm() for _ in range(20)] == list(range(1, 21))
         assert p.num_vms == 21
         used = p.used_bytes_array()
         assert used[0] == 60.0
@@ -269,14 +260,14 @@ class TestBatchAssignment:
         assert p.used_bytes_array()[20] == 20.0
         assert p.vm(20).used_bytes == 20.0
 
-    def test_assign_range_accounting(self, tiny_workload):
+    def test_assign_accounting(self, tiny_workload):
         p = Placement(tiny_workload, 200.0)
-        a = p.new_vms(2)
-        b = a + 1
-        p.assign_range(b, 1, np.asarray([0, 1]))  # 2*10 out + 10 in
-        p.assign_range(a, 1, np.asarray([2]))  # 10 out + 10 in
-        p.assign_range(b, 0, np.asarray([0]))  # 20 out + 20 in
-        p.assign_range(b, 0, np.asarray([1]))  # hosted already: 20 out
+        a = p.new_vm()
+        b = p.new_vm()
+        p.assign(b, 1, np.asarray([0, 1]))  # 2*10 out + 10 in
+        p.assign(a, 1, [2])  # 10 out + 10 in
+        p.assign(b, 0, (0,))  # 20 out + 20 in
+        p.assign(b, 0, [1])  # hosted already: 20 out
         assert p.used_bytes_array().tolist() == [20.0, 90.0]
         assert p.hosts_mask(0).tolist() == [False, True]
         assert p.hosts_mask(1).tolist() == [True, True]
@@ -284,33 +275,24 @@ class TestBatchAssignment:
         assert p.members(b, 0) == [0, 1]
         assert p.num_pairs == 5
 
-    def test_assign_range_copies_writeable_input(self, tiny_workload):
-        p = Placement(tiny_workload, 200.0)
-        b = p.new_vm()
-        subs = np.asarray([0, 1], dtype=np.int64)
-        p.assign_range(b, 0, subs)
-        subs[:] = 2
-        assert p.members(b, 0) == [0, 1]
-
-    def test_assign_range_adopts_read_only_input(self, tiny_workload):
-        # The CSR slices the packers pass are read-only: adopted, not
-        # copied, so the group's members are the caller's buffer.
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_assign_copies_its_input(self, tiny_workload, writeable):
         p = Placement(tiny_workload, 200.0)
         b = p.new_vm()
         buffer = np.asarray([0, 1], dtype=np.int64)
         subs = buffer.view()
-        subs.setflags(write=False)
-        p.assign_range(b, 0, subs)
+        subs.setflags(write=writeable)
+        p.assign(b, 0, subs)
         buffer[:] = 2
-        assert p.members(b, 0) == [2, 2]
+        assert p.members(b, 0) == [0, 1]
 
     def test_capacity_error_leaves_placement_unchanged(self, tiny_workload):
         p = Placement(tiny_workload, 50.0)
         b = p.new_vm()
-        p.assign_range(b, 1, np.asarray([0, 1]))  # 30 of 50 B used
+        p.assign(b, 1, [0, 1])  # 30 of 50 B used
         groups = list(p.iter_assignments())
         with pytest.raises(CapacityError):
-            p.assign_range(b, 0, np.asarray([0]))  # needs 40 B more
+            p.assign(b, 0, [0])  # needs 40 B more
         assert p.num_pairs == 2
         assert p.used_bytes_array().tolist() == [30.0]
         assert list(p.iter_assignments()) == groups
@@ -320,10 +302,10 @@ class TestBatchAssignment:
     def test_assignment_arrays_refresh_after_assign(self, tiny_workload):
         p = Placement(tiny_workload, 200.0)
         b = p.new_vm()
-        p.assign_range(b, 1, np.asarray([0, 1]))
+        p.assign(b, 1, [0, 1])
         cached = p.assignment_arrays()
         assert p.assignment_arrays() is cached  # until the next mutation
-        p.assign_range(b, 0, np.asarray([1]))
+        p.assign(b, 0, [1])
         vm_ids, topics, sizes, subscribers = p.assignment_arrays()
         assert vm_ids.tolist() == [b, b]
         assert topics.tolist() == [1, 0]
@@ -370,9 +352,10 @@ class TestFromGroups:
     def _pair(self):
         workload = Workload([20.0, 10.0], [[0, 1], [0, 1], [0, 1], [1]], 1.0)
         manual = Placement(workload, 200.0)
-        manual.new_vms(3)
+        for _ in range(3):
+            manual.new_vm()
         for b, t, subs in self.GROUPS:
-            manual.assign_range(b, t, np.asarray(subs))
+            manual.assign(b, t, subs)
         batch = Placement.from_groups(
             workload,
             200.0,
@@ -392,10 +375,21 @@ class TestFromGroups:
     def test_views_match_after_the_same_mutations(self):
         batch, manual = self._pair()
         for p in (batch, manual):
-            p.assign_range(p.new_vm(), 0, np.asarray([0, 1]))
-            p.assign_range(2, 0, np.asarray([3]))
-            p.assign_range(1, 1, np.asarray([2]))
+            p.assign(p.new_vm(), 0, [0, 1])
+            p.assign(2, 0, [3])
+            p.assign(1, 1, [2])
         assert _views(batch) == _views(manual)
+
+    def test_hosting_agrees_with_incremental_construction(self):
+        # Which VMs ingest a topic is read off each VM's own record,
+        # whether the fleet was adopted as groups or assigned.
+        batch, manual = self._pair()
+        for t in range(batch.workload.num_topics):
+            assert batch.hosts_mask(t).tolist() == manual.hosts_mask(t).tolist()
+            assert batch.topic_replicas(t) == manual.topic_replicas(t)
+        assert [batch.topic_replicas(t) for t in (0, 1)] == [2, 3]
+        assert batch.hosts_mask(0).tolist() == [True, True, False]
+        assert batch.hosts_mask(1).tolist() == [True, True, True]
 
     def test_first_per_vm_call_builds_the_fleet(self):
         batch, manual = self._pair()
@@ -447,7 +441,8 @@ class TestDiffPlacements:
             list(rates), [[0, 1], [0, 1], [1]], message_size_bytes=1.0
         )
         placement = Placement(workload, 1000.0)
-        placement.new_vms(num_vms)
+        for _ in range(num_vms):
+            placement.new_vm()
         for vm, topic, subs in groups:
             placement.assign(vm, topic, subs)
         return placement

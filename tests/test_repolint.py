@@ -488,6 +488,89 @@ class TestDL01:
 
 
 # ---------------------------------------------------------------------------
+# UQ01 sorted-distinct primitive
+
+
+class TestUQ01:
+    def _run(self, tmp_path, body, rel="src/mod.py", **cfg):
+        return run(make_repo(tmp_path, {rel: body}, **cfg), select=["UQ01"])
+
+    def test_hash_path_calls_flagged(self, tmp_path):
+        report = self._run(tmp_path, """
+            import numpy
+            import numpy as np
+            from numpy import setdiff1d as diff
+
+            def f(a, b):
+                keys = np.unique(a)
+                both = numpy.union1d(a, b)
+                return keys, both, np.intersect1d(a, b), np.setxor1d(a, b), diff(a, b)
+        """)
+        assert rule_ids(report) == ["UQ01"] * 5
+        assert [f.line for f in report.findings] == [7, 8, 9, 9, 9]
+        assert "sorted_unique" in report.findings[0].message
+
+    def test_return_keyword_calls_exempt(self, tmp_path):
+        report = self._run(tmp_path, """
+            import numpy as np
+
+            def f(a):
+                values, counts = np.unique(a, return_counts=True)
+                first = np.unique(a, return_index=True)[1]
+                return values, counts, first, np.unique(a, return_inverse=True)
+        """)
+        assert rule_ids(report) == []
+
+    def test_referee_body_exempt(self, tmp_path):
+        report = self._run(
+            tmp_path,
+            """
+            import numpy as np
+
+            def f_loop(a, b):
+                return np.setdiff1d(np.unique(a), b)
+
+            def f(a):
+                return np.unique(a)
+            """,
+            referees={"src/mod.py": ("f_loop",)},
+        )
+        assert [(f.rule, f.line) for f in report.findings] == [("UQ01", 8)]
+
+    def test_generator_body_exempt(self, tmp_path):
+        report = self._run(
+            tmp_path,
+            """
+            import numpy as np
+
+            def draw(rng, n):
+                return np.unique(rng.integers(0, 9, size=n))
+            """,
+            generators={"src/mod.py": ("draw",)},
+        )
+        assert rule_ids(report) == []
+
+    def test_inline_suppression(self, tmp_path):
+        report = self._run(tmp_path, """
+            import numpy as np
+
+            def f(a):
+                return np.unique(a)  # repolint: allow(UQ01): float labels, not ids
+        """)
+        assert report.findings == []
+        assert [s.reason for _, s in report.suppressed] == ["float labels, not ids"]
+
+    def test_outside_src_ignored(self, tmp_path):
+        report = self._run(
+            tmp_path,
+            "import numpy as np\nkeys = np.unique([3, 1])\n",
+            rel="scripts/tool.py",
+            scan_roots=("src", "scripts"),
+        )
+        assert rule_ids(report) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression machinery + baseline round-trip
 
 
@@ -615,7 +698,7 @@ class TestRealRepo:
         payload = json.loads(json_path.read_text())
         assert payload["counts"]["findings"] == 0
         assert payload["selected_rules"] == [
-            "RF01", "RF02", "VL01", "RN01", "EK01", "DL01",
+            "RF01", "RF02", "VL01", "RN01", "EK01", "DL01", "UQ01",
         ]
 
     def test_cli_select_dl01(self):

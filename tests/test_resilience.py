@@ -21,7 +21,6 @@ from repro.resilience import (
     atomic_write,
     env_float,
     env_int,
-    env_str,
     load_checkpoint,
     save_checkpoint,
 )
@@ -41,7 +40,6 @@ class TestKnobs:
         monkeypatch.delenv(_KNOB, raising=False)
         assert env_int(_KNOB, 7) == 7
         assert env_float(_KNOB, 0.5) == 0.5
-        assert env_str(_KNOB, "x") == "x"
 
     def test_empty_string_means_default(self, monkeypatch):
         monkeypatch.setenv(_KNOB, "")

@@ -23,19 +23,24 @@ lives in ``tests/test_vectorized_equivalence.py``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
-from repro.core import Workload, validate_placement
+from repro.core import MCSSProblem, Workload, validate_placement
 from repro.dynamic import (
     ChurnConfig,
     ChurnModel,
     IncrementalReprovisioner,
+    InfeasibleEpochError,
     WorkloadDelta,
 )
 from repro.dynamic.reprovision import advance_orders
 from repro.packing import diff_placements
+from repro.pricing import paper_plan
+from repro.selection import GreedySelectPairs
 from repro.serving import (
     ChurnFragment,
     ChurnIngestQueue,
@@ -45,6 +50,7 @@ from repro.serving import (
     split_delta,
 )
 from repro.serving.slo import COUNTERS, quantile
+from repro.workloads import zipf_workload
 from tests.test_vectorized_equivalence import (
     churn_problem,
     edgy_workload,
@@ -119,6 +125,37 @@ class TestQueueReassembly:
         sealed = queue.seal_epoch(tiny_workload, np.empty(0, dtype=np.int64))
         assert sealed.subscribed_topics.size == 0
         assert sealed.unsubscribed_topics.size == 0
+
+    def test_unsealed_batch_leads_the_next_seal(self):
+        first, _rng = random_delta(5)
+        second, _rng = random_delta(6)
+        queue = ChurnIngestQueue()
+        for fragment in split_delta(first, [3]):
+            queue.offer(fragment)
+        sealed = queue.seal_epoch(first.workload, [4, 1])
+        queue.offer(split_delta(second)[0])
+        queue.unseal(sealed)
+        assert queue.depth == (
+            sum(f.num_ops for f in split_delta(first))
+            + sum(f.num_ops for f in split_delta(second))
+        )
+        merged = queue.seal_epoch(second.workload, [1, 0])
+        for name in (
+            "subscribed_topics",
+            "subscribed_subscribers",
+            "unsubscribed_topics",
+            "unsubscribed_subscribers",
+        ):
+            np.testing.assert_array_equal(
+                getattr(merged, name),
+                np.concatenate((getattr(first, name), getattr(second, name))),
+                err_msg=name,
+            )
+        assert merged.changed_topics.tolist() == [0, 1, 4]
+        assert merged.workload is second.workload
+        assert queue.depth == 0
+        # Owed topics are paid once: the seal after that is plain.
+        assert queue.seal_epoch(second.workload, [7]).changed_topics.tolist() == [7]
 
     def test_out_of_range_cuts_rejected(self):
         delta, _rng = random_delta(7)
@@ -465,6 +502,48 @@ class TestMicroEpochService:
         assert snap["serve.epoch_latency.p50_s"] == pytest.approx(0.25)
         assert service.micro_epochs == 2
 
+    def test_raised_micro_epoch_keeps_its_batch(self):
+        # A sealed batch whose step raises stays queued: the next
+        # micro-epoch re-selects its subscribers, and the held
+        # selection ends equal to GSP's.  Losing it left 428 stray and
+        # 365 missing pairs and 156 unsatisfied subscribers here.
+        workload = zipf_workload(400, 20000, seed=11)
+        msg = workload.message_size_bytes
+        capacity = 2.5 * float(workload.event_rates.max()) * msg
+        plan = replace(paper_plan(), capacity_bytes_override=capacity)
+        service = MicroEpochService(
+            MCSSProblem(workload, 100.0, plan),
+            ServingConfig(fresh_solve_every=1000),
+        )
+        delta = ChurnModel(workload, ChurnConfig(0.02, 0.02, 0.0), seed=3).step()
+        assert (delta.subscribed_topics.size, delta.unsubscribed_topics.size) == (
+            1327,
+            1755,
+        )
+        hot = int(np.argmax(delta.workload.event_rates))
+        rates = np.array(delta.workload.event_rates)
+        rates[hot] = capacity / msg
+        spiked = Workload.from_csr(
+            rates,
+            delta.workload.interest_indptr,
+            delta.workload.interest_topics,
+            message_size_bytes=msg,
+        )
+        service.ingest_delta(delta)
+        with pytest.raises(InfeasibleEpochError):
+            service.run_micro_epoch(spiked, [hot])
+        assert service.queue_depth == 3082
+        assert service.micro_epochs == 0
+
+        micro = service.run_micro_epoch(delta.workload, [hot])
+        assert (micro.report.epoch, micro.batch_ops) == (1, 3082)
+        assert service.queue_depth == 0
+        problem = MCSSProblem(delta.workload, 100.0, plan)
+        assert service.reprovisioner.selection() == GreedySelectPairs().select(
+            problem
+        )
+        assert validate_placement(problem, service.placement()).ok
+
     def test_metrics_snapshot_pins_every_key_and_value(self):
         workload, problem = self._problem(41)
         clock = FakeClock()
@@ -706,7 +785,7 @@ class TestServingCheckpointResume:
             serving_config=ServingConfig(checkpoint_path=path), resume=True,
         )
         assert resumed.resumed_from_micro_epoch == 4
-        assert [r.micro_epoch for r in resumed.reports] == [5, 6]
+        assert [r.report.epoch for r in resumed.reports] == [5, 6]
         for got, want in zip(resumed.reports, ref.reports[4:]):
             self._assert_same_report(got, want)
         assert diff_placements(
@@ -734,6 +813,6 @@ class TestServingCheckpointResume:
         assert service.micro_epochs == 2
         assert service.config.checkpoint_every == 3
         served = service.serve(model, 1)
-        assert served[0].micro_epoch == service.micro_epochs == 3
+        assert served[0].report.epoch == service.micro_epochs == 3
         assert service.metrics_snapshot()["serve.micro_epochs"] == 3
         assert load_serving_state(path)["micro_epochs"] == 3

@@ -414,13 +414,6 @@ class TestSatisfactionEquivalence:
         topics, subs = sel.pair_arrays()
         assert sorted(zip(topics.tolist(), subs.tolist())) == [(0, 2), (3, 1), (3, 2)]
 
-    def test_trusted_arrays_constructor(self):
-        by_topic = {2: np.asarray([0, 3], dtype=np.int64)}
-        sel = PairSelection(by_topic, trusted=True)
-        assert sel.num_pairs == 2
-        assert (2, 3) in sel
-        assert sel == PairSelection({2: [0, 3]})
-
 
 def assert_identical_placements(fast, loop, problem):
     """Placement identity: the pinning contract of the packing referees.
@@ -733,7 +726,7 @@ class TestSharedSelectionPacking:
         groups = list(second.iter_assignments())
         # Replicate one group of the first placement onto a fresh VM.
         _, t, subs = groups[0]
-        first.assign_range(first.new_vm(), t, np.asarray(subs))
+        first.assign(first.new_vm(), t, subs)
         assert list(second.iter_assignments()) == groups
         assert second.num_vms == first.num_vms - 1
         assert selection == GreedySelectPairs().select(tiny_problem)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.core.workload as workload_module
-from repro.core import Workload
+from repro.core import PairSelection, Workload
 from repro.core.workload import WorkloadError
 
 
@@ -85,9 +85,11 @@ class TestConstruction:
 
 
 class TestDerivedViews:
-    def test_subscribers_of(self, tiny_workload):
-        assert tiny_workload.subscribers_of(0).tolist() == [0, 1]
-        assert tiny_workload.subscribers_of(1).tolist() == [0, 1, 2]
+    def test_full_selection_lists_each_audience(self, tiny_workload):
+        full = PairSelection.full(tiny_workload)
+        assert full.topics == (0, 1)
+        assert full.subscribers_of(0).tolist() == [0, 1]
+        assert full.subscribers_of(1).tolist() == [0, 1, 2]
 
     def test_audience_sizes(self, tiny_workload):
         assert tiny_workload.audience_sizes().tolist() == [2, 3]
@@ -155,7 +157,8 @@ class TestDerivedViews:
 
     def test_audience_of_unsubscribed_topic_empty(self):
         w = Workload([1.0, 2.0], [[0]])
-        assert w.subscribers_of(1).size == 0
+        assert w.audience_sizes().tolist() == [1, 0]
+        assert PairSelection.full(w).subscribers_of(1).size == 0
 
 
 class TestTransforms:

@@ -292,6 +292,27 @@ class TestTraceIntegrity:
             load_workload(path, mmap=True)
 
 
+class TestChunkedDigests:
+    def test_member_digests_pinned(self, tmp_path):
+        # The chunk writer's distinct keys come from one sort; the file
+        # must carry the digests the earlier np.unique-based writer did.
+        path = save_zipf_workload_chunked(
+            tmp_path / "z", 300, 30_000, seed=5, chunk_subscribers=10_000
+        )
+        with np.load(path) as data:
+            digests = {
+                name: int(data[name])
+                for name in data.files
+                if name.startswith("digest_")
+            }
+        assert digests == {
+            "digest_event_rates": 3340084768,
+            "digest_interest_indptr": 4260836696,
+            "digest_interest_topics": 2248848529,
+            "digest_message_size_bytes": 2814463511,
+        }
+
+
 class TestChunkedResume:
     """Interrupted chunked generation resumes bit-exactly from parts."""
 

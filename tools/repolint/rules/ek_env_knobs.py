@@ -2,7 +2,7 @@
 
 Every ``MCSS_*`` environment knob read anywhere in the scanned trees
 (``os.environ.get``/``os.environ[...]``/``os.getenv``, or the
-validated helpers ``env_int``/``env_float``/``env_str`` from
+validated helpers ``env_int``/``env_float`` from
 ``repro.resilience.knobs``) must be documented in docs/BENCHMARKS.md,
 and every ``MCSS_*`` token the doc mentions must actually be read
 somewhere -- the two-directional check ROADMAP.md asked for ("link
@@ -38,7 +38,7 @@ def _literal_knob(node: ast.AST, prefix: str) -> "str | None":
 
 #: The validated read helpers of repro.resilience.knobs: a literal
 #: first argument at their call sites is an env-knob read.
-_KNOB_HELPERS = ("env_int", "env_float", "env_str")
+_KNOB_HELPERS = ("env_int", "env_float")
 
 
 def collect_env_reads(ctx: Context) -> "List[Tuple[str, int, str]]":
