@@ -91,6 +91,7 @@ from repro.pricing import (
     PricingPlan,
     get_instance,
 )
+from repro.resilience.knobs import env_float, env_int
 from repro.selection import GreedySelectPairs, LoopGreedySelectPairs
 from repro.selection.sharded import (
     default_shard_size,
@@ -425,7 +426,6 @@ def _serve(num_users: int) -> int:
     """
     from repro.dynamic import ChurnConfig
     from repro.experiments.serve import run_serving_experiment
-    from repro.resilience.knobs import env_float, env_int
 
     num_topics = max(100, num_users // 50)
     tau = 100.0
@@ -543,6 +543,15 @@ def main(argv) -> int:
         return _out_of_core(int(argv[2]) if len(argv) > 2 else 10_000_000)
     if len(argv) > 1 and argv[1] == "--serve":
         return _serve(int(argv[2]) if len(argv) > 2 else 1_000_000)
+    # MCSS_PROFILE_TARGET=0 / MCSS_PACK_TARGET=1 / MCSS_GEN_TARGET=1 /
+    # MCSS_EPOCH_TARGET=1 relax only the speedup bars (CI smoke at tiny
+    # scales); the equivalence/validity assertions below always hold
+    # the exit code hostage.  Read before the profile runs, so a bad
+    # value fails at once and names its variable.
+    target = env_float("MCSS_PROFILE_TARGET", 10.0, minimum=0.0)
+    pack_target = env_float("MCSS_PACK_TARGET", 18.0, minimum=0.0)
+    gen_target = env_float("MCSS_GEN_TARGET", 10.0, minimum=0.0)
+    epoch_target = env_float("MCSS_EPOCH_TARGET", 10.0, minimum=0.0)
     num_users = int(argv[1]) if len(argv) > 1 else 100_000
     tau = float(argv[2]) if len(argv) > 2 else 100.0
     num_topics = max(100, num_users // 50)
@@ -645,14 +654,6 @@ def main(argv) -> int:
     )
     print(f"appended trajectory entry to {BENCH_PATH.name}")
 
-    # MCSS_PROFILE_TARGET=0 / MCSS_PACK_TARGET=1 / MCSS_GEN_TARGET=1 /
-    # MCSS_EPOCH_TARGET=1 relax only the speedup bars (CI smoke at tiny
-    # scales); the equivalence/validity assertions above always hold
-    # the exit code hostage.
-    target = float(os.environ.get("MCSS_PROFILE_TARGET", "10"))
-    pack_target = float(os.environ.get("MCSS_PACK_TARGET", "18"))
-    gen_target = float(os.environ.get("MCSS_GEN_TARGET", "10"))
-    epoch_target = float(os.environ.get("MCSS_EPOCH_TARGET", "10"))
     ok = (
         combined >= target
         and pack_speedup >= pack_target

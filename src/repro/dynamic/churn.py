@@ -223,7 +223,7 @@ class ChurnModel:
         Together with :meth:`set_rng_state` this is the
         checkpoint/resume seam: restoring the state makes the next
         :meth:`step` draw exactly what an uninterrupted run would have
-        drawn (see :mod:`repro.resilience.checkpoint`).
+        drawn (see :mod:`repro.serving.checkpoint`).
         """
         return self._rng.bit_generator.state
 

@@ -102,7 +102,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
-from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost
+from ..core import MCSSProblem, Pair, PairSelection, Placement, SolutionCost, Workload
 from ..core.segsearch import ranges, segmented_left_search, sorted_unique
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
@@ -405,41 +405,60 @@ class IncrementalReprovisioner:
         """Current fleet size (without materializing the placement)."""
         return self._num_vms
 
-    def snapshot(self) -> dict:
-        """The complete mutable state as a dict of arrays and scalars.
+    @property
+    def rebuild_threshold(self) -> float:
+        """The factor over a fresh solve's cost past which the fleet is rebuilt."""
+        return self._rebuild_threshold
+
+    @property
+    def fresh_solve_every(self) -> int:
+        """The cadence of the guaranteed fresh solve, in epochs."""
+        return self._fresh_every
+
+    def snapshot(self) -> Dict[str, object]:
+        """The complete mutable state, member by member as a checkpoint writes it.
 
         Everything :meth:`restore` needs to continue the run bit-exactly
-        without re-solving: the sorted pair arrays, fleet size, epoch
-        counters, the calibration ratio, the solve parameters, and the
-        current workload (carried by reference -- persist its CSR arrays
-        through the backend seam; see
-        :mod:`repro.resilience.checkpoint`).  ``used_bytes`` is derived
-        state included as an integrity cross-check.
+        without re-solving: the sorted pair arrays (copies), the fleet
+        size, the epoch counters, the calibration ratio and the solve
+        parameters (NumPy scalars), and the current workload as its CSR
+        arrays (its own read-only ones) and message size.
+        ``used_bytes`` is derived state included as an integrity
+        cross-check.  :mod:`repro.serving.checkpoint` writes these
+        members as they are, one digest each.
         """
+        workload = self._workload
         return {
             "pair_subscribers": self._p_v.copy(),
             "pair_topics": self._p_t.copy(),
             "pair_vms": self._p_vm.copy(),
             "used_bytes": self._used_bytes(),
-            "num_vms": int(self._num_vms),
-            "epoch": int(self._epoch),
-            "since_fresh": int(self._since_fresh),
-            "lb_ratio": float(self._lb_ratio),
-            "tau": float(self._tau),
-            "rebuild_threshold": float(self._rebuild_threshold),
-            "fresh_solve_every": int(self._fresh_every),
-            "workload": self._workload,
+            "num_vms": np.int64(self._num_vms),
+            "epoch": np.int64(self._epoch),
+            "since_fresh": np.int64(self._since_fresh),
+            "lb_ratio": np.float64(self._lb_ratio),
+            "tau": np.float64(self._tau),
+            "rebuild_threshold": np.float64(self._rebuild_threshold),
+            "fresh_solve_every": np.int64(self._fresh_every),
+            "event_rates": workload.event_rates,
+            "interest_indptr": workload.interest_indptr,
+            "interest_topics": workload.interest_topics,
+            "message_size_bytes": np.float64(workload.message_size_bytes),
         }
 
     @classmethod
-    def restore(cls, snapshot: dict, plan) -> "IncrementalReprovisioner":
+    def restore(cls, snapshot, plan) -> "IncrementalReprovisioner":
         """Rebuild from a :meth:`snapshot` without re-solving epoch 0.
 
+        ``snapshot`` is a :meth:`snapshot` dict, or any mapping that
+        looks its members up by name, as a checkpoint load does.
         ``plan`` is configuration, not run state, so the caller passes
         the same :class:`ProvisioningPlan` the original run used.  The
-        scalars must pass :meth:`__init__`'s rules and lie in the ranges
-        :meth:`step` maintains; a violation raises ``ValueError`` naming
-        the field.  The pair table must name only subscribers, topics
+        workload is rebuilt through :meth:`Workload.from_csr`, which
+        validates its CSR arrays.  The scalars must pass
+        :meth:`__init__`'s rules and lie in the ranges :meth:`step`
+        maintains; a violation raises ``ValueError`` naming the field.
+        The pair table must name only subscribers, topics
         and VMs that exist, and be strictly ascending by
         (subscriber, topic), the order :meth:`snapshot` writes; one
         permuted in all three arrays at once would pass the byte
@@ -479,7 +498,12 @@ class IncrementalReprovisioner:
         inst._epoch = epoch
         inst._since_fresh = since_fresh
         inst._lb_ratio = lb_ratio
-        inst._workload = snapshot["workload"]
+        inst._workload = Workload.from_csr(
+            snapshot["event_rates"],
+            snapshot["interest_indptr"],
+            snapshot["interest_topics"],
+            message_size_bytes=float(snapshot["message_size_bytes"]),
+        )
         p_v = np.asarray(snapshot["pair_subscribers"], dtype=np.int64)
         p_t = np.asarray(snapshot["pair_topics"], dtype=np.int64)
         p_vm = np.asarray(snapshot["pair_vms"], dtype=np.int64)

@@ -6,7 +6,7 @@
 :class:`~repro.serving.MicroEpochService` one epoch per micro-epoch
 for a fixed number of micro-epochs, checkpointing on cadence and
 resuming bit-exactly -- from the service's own checkpoints or from any
-:func:`~repro.resilience.save_checkpoint` that carries the churn
+:func:`~repro.serving.checkpoint.save_checkpoint` that carries the churn
 stream.  It returns the per-micro-epoch reports (cost, fleet size,
 pairs added / removed / moved) plus the SLO metrics snapshot (exact
 p50/p95/p99 micro-epoch latency, ops/s, moves/s, sealed batch size,
@@ -91,8 +91,10 @@ def run_serving_experiment(
     With ``resume=True`` and an existing checkpoint at
     ``serving_config.checkpoint_path``, the service restores from it --
     placement trajectory and churn stream position bit-identical to the
-    run that was never killed, serving counters carried over -- and
-    only the remaining micro-epochs run; ``resume=True`` without a
+    run that was never killed, queued churn and serving counters
+    carried over -- and only the remaining micro-epochs run; the
+    config's solve parameters must be the checkpoint's (a
+    ``ValueError`` names each that disagrees); ``resume=True`` without a
     checkpoint path is rejected, and a checkpoint file that does not
     exist yet starts a fresh run.  An SLO verdict is recorded when
     ``serving_config.slo_p99_seconds > 0``.

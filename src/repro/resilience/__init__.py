@@ -1,23 +1,17 @@
-"""Fault tolerance for on-disk artifacts and long-running serving.
+"""Fault tolerance for on-disk artifacts and environment knobs.
 
-Three small substrates:
+Two small substrates:
 
 * :mod:`~repro.resilience.knobs` — validated ``MCSS_*`` env parsing
   with errors that name the variable.
 * :mod:`~repro.resilience.integrity` — atomic writes and per-member
   content digests for every on-disk artifact.
-* :mod:`~repro.resilience.checkpoint` — atomic checkpoint/restore so
-  killed serving runs resume bit-exactly.
 
-See the "Failure model & recovery" section of docs/ARCHITECTURE.md.
+Serving checkpoints build on both and live with what they save, in
+:mod:`repro.serving.checkpoint`.  See the "Failure model & recovery"
+section of docs/ARCHITECTURE.md.
 """
 
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    load_checkpoint,
-    load_serving_state,
-    save_checkpoint,
-)
 from .integrity import (
     TraceCorruptionError,
     atomic_write,
@@ -28,16 +22,12 @@ from .integrity import (
 from .knobs import KnobError, env_float, env_int
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "KnobError",
     "TraceCorruptionError",
     "atomic_write",
     "env_float",
     "env_int",
-    "load_checkpoint",
-    "load_serving_state",
     "member_digest",
-    "save_checkpoint",
     "verified_member",
     "write_npz_atomic",
 ]

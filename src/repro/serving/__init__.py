@@ -13,6 +13,9 @@ bit-exactness discipline:
   p50/p95/p99 micro-epoch latency plus throughput counters and SLO
   gates, kept as plain values over the seconds the service measures
   on its injectable clock.
+* :mod:`~repro.serving.checkpoint` -- ``save_checkpoint`` /
+  ``load_checkpoint``: everything the service holds in one digested,
+  atomically written ``.npz``.
 
 ``tests/test_serving.py`` pins the whole path against the
 ``reprovision-loop`` referee across randomized fragment splits.

@@ -21,7 +21,7 @@ identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -33,10 +33,22 @@ __all__ = ["ChurnFragment", "ChurnIngestQueue", "split_delta"]
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
+# A fragment's arrays, in field order.
+_FIELDS = (
+    "unsubscribed_topics",
+    "unsubscribed_subscribers",
+    "subscribed_topics",
+    "subscribed_subscribers",
+)
+
 
 @dataclass(frozen=True)
 class ChurnFragment:
-    """A contiguous slice of one epoch's churn-operation stream."""
+    """A contiguous slice of one epoch's churn-operation stream.
+
+    Ids must be non-negative: a ``ValueError`` names the first field
+    that holds a negative one.
+    """
 
     unsubscribed_topics: np.ndarray
     unsubscribed_subscribers: np.ndarray
@@ -44,13 +56,11 @@ class ChurnFragment:
     subscribed_subscribers: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in (
-            "unsubscribed_topics",
-            "unsubscribed_subscribers",
-            "subscribed_topics",
-            "subscribed_subscribers",
-        ):
-            object.__setattr__(self, name, frozen_int64(getattr(self, name)))
+        for name in _FIELDS:
+            ids = frozen_int64(getattr(self, name))
+            if ids.size and ids.min() < 0:
+                raise ValueError(f"{name} must hold non-negative ids")
+            object.__setattr__(self, name, ids)
         if self.unsubscribed_topics.size != self.unsubscribed_subscribers.size:
             raise ValueError("unsubscribed pair arrays must be parallel")
         if self.subscribed_topics.size != self.subscribed_subscribers.size:
@@ -60,6 +70,17 @@ class ChurnFragment:
     def num_ops(self) -> int:
         """Operations carried (unsubscribes + subscribes)."""
         return int(self.unsubscribed_topics.size + self.subscribed_topics.size)
+
+
+def topic_ids(name: str, ids, num_topics: int) -> np.ndarray:
+    """``ids`` as int64, checked to be topic ids in ``[0, num_topics)``.
+
+    A ``ValueError`` names ``name`` when one is not.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < num_topics):
+        raise ValueError(f"{name} must be topic ids in [0, {num_topics})")
+    return ids
 
 
 def split_delta(
@@ -115,16 +136,23 @@ class ChurnIngestQueue:
         self._fragments.append(fragment)
         self._depth += fragment.num_ops
 
+    def _pending(self) -> ChurnFragment:
+        """The buffered fragments concatenated field-wise, in arrival order."""
+        return ChurnFragment(
+            *(
+                np.concatenate([_EMPTY, *(getattr(f, name) for f in self._fragments)])
+                for name in _FIELDS
+            )
+        )
+
     def seal_epoch(self, workload, changed_topics) -> WorkloadDelta:
         """Drain the queue into one exact :class:`WorkloadDelta`.
 
         ``workload`` is the epoch's resulting workload and
         ``changed_topics`` its re-priced topic ids (rate drift applies
-        at the epoch boundary, not per fragment).  Field-wise
-        concatenation in arrival order restores the original draw-order
-        arrays because fragments are contiguous stream slices.  After
-        an :meth:`unseal`, the delta also carries the handed-back
-        batch: its operations lead, and its re-priced topics join
+        at the epoch boundary, not per fragment).  After an
+        :meth:`unseal`, the delta also carries the handed-back batch:
+        its operations lead, and its re-priced topics join
         ``changed_topics`` (sorted, distinct).
         """
         if self._changed.size:
@@ -132,21 +160,13 @@ class ChurnIngestQueue:
                 np.concatenate((self._changed, np.asarray(changed_topics, np.int64)))
             )
             self._changed = _EMPTY
-        fragments = self._fragments
+        pending = self._pending()
         delta = WorkloadDelta(
             workload,
-            np.concatenate([f.subscribed_topics for f in fragments])
-            if fragments
-            else _EMPTY,
-            np.concatenate([f.subscribed_subscribers for f in fragments])
-            if fragments
-            else _EMPTY,
-            np.concatenate([f.unsubscribed_topics for f in fragments])
-            if fragments
-            else _EMPTY,
-            np.concatenate([f.unsubscribed_subscribers for f in fragments])
-            if fragments
-            else _EMPTY,
+            pending.subscribed_topics,
+            pending.subscribed_subscribers,
+            pending.unsubscribed_topics,
+            pending.unsubscribed_subscribers,
             changed_topics,
         )
         self._fragments = []
@@ -163,13 +183,35 @@ class ChurnIngestQueue:
         never re-selected.
         """
         self._fragments.insert(
-            0,
-            ChurnFragment(
-                delta.unsubscribed_topics,
-                delta.unsubscribed_subscribers,
-                delta.subscribed_topics,
-                delta.subscribed_subscribers,
-            ),
+            0, ChurnFragment(*(getattr(delta, name) for name in _FIELDS))
         )
         self._depth += self._fragments[0].num_ops
         self._changed = delta.changed_topics
+
+    def snapshot(self) -> Dict[str, np.ndarray]:
+        """The queue's members, as a checkpoint writes them.
+
+        The buffered operations' four arrays in arrival order, each as
+        ``pending_<field>``, and the re-priced topics owed to the next
+        seal, ``pending_changed_topics``.
+        """
+        pending = self._pending()
+        members = {"pending_" + name: getattr(pending, name) for name in _FIELDS}
+        members["pending_changed_topics"] = self._changed
+        return members
+
+    @classmethod
+    def restore(cls, members, num_topics: int) -> "ChurnIngestQueue":
+        """A queue holding a :meth:`snapshot`'s churn and owed topics.
+
+        ``members`` maps the snapshot's names to arrays.  The churn is
+        queued as one fragment, as :meth:`unseal` re-queues a batch, so
+        the next seal drains exactly what the saved queue would have.
+        The owed topics must be topic ids of the ``num_topics``-topic
+        workload the run resumes at.
+        """
+        queue = cls()
+        queue.offer(ChurnFragment(*(members["pending_" + name] for name in _FIELDS)))
+        name = "pending_changed_topics"
+        queue._changed = frozen_int64(topic_ids(name, members[name], num_topics))
+        return queue

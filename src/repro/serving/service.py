@@ -17,11 +17,11 @@ long-running service:
 * every micro-epoch feeds the :class:`~repro.serving.slo.ServingMetrics`
   SLO view (exact p50/p95/p99 epoch latency, ops/s, moves/s, sealed
   batch size, cost drift);
-* on cadence the service checkpoints through
-  :mod:`repro.resilience.checkpoint` and :meth:`resume` continues a
-  killed run bit-exactly, serving counters included.  The micro-epoch
-  count is the reprovisioner's epoch, so a checkpoint without serving
-  counters resumes at the right micro-epoch too.
+* on cadence the service checkpoints everything it holds through
+  :mod:`repro.serving.checkpoint` -- the reprovisioner, the churn
+  model, the queued churn and the serving counters -- and
+  :meth:`resume` continues a killed run bit-exactly.  The micro-epoch
+  count is the reprovisioner's epoch, the one count the service keeps.
 
 The service constructs no RNGs: churn randomness lives in the caller's
 :class:`~repro.dynamic.churn.ChurnModel`, keeping the serving layer
@@ -36,13 +36,9 @@ from typing import List, Optional, Sequence
 
 from ..core import MCSSProblem
 from ..dynamic.reprovision import EpochReport, IncrementalReprovisioner
-from ..resilience.checkpoint import (
-    load_checkpoint,
-    load_serving_state,
-    save_checkpoint,
-)
-from .queue import ChurnFragment, ChurnIngestQueue, split_delta
-from .slo import COUNTERS, ServingMetrics
+from .checkpoint import load_checkpoint, save_checkpoint
+from .queue import ChurnFragment, ChurnIngestQueue, split_delta, topic_ids
+from .slo import ServingMetrics
 
 __all__ = [
     "MicroEpochReport",
@@ -108,7 +104,20 @@ class MicroEpochService:
         config: ServingConfig = ServingConfig(),
         clock=None,
     ) -> "MicroEpochService":
-        """Wrap an existing reprovisioner (e.g. a restored one)."""
+        """Wrap an existing reprovisioner (e.g. a restored one).
+
+        ``config``'s solve parameters must be the reprovisioner's: a
+        ``ValueError`` names each field that disagrees, so
+        :attr:`config` never reports a cadence the run does not keep.
+        """
+        wrong = [
+            f"{name} is {getattr(config, name)!r} in the config but "
+            f"{getattr(reprovisioner, name)!r} in the reprovisioner"
+            for name in ("rebuild_threshold", "fresh_solve_every")
+            if getattr(config, name) != getattr(reprovisioner, name)
+        ]
+        if wrong:
+            raise ValueError("; ".join(wrong))
         inst = cls.__new__(cls)
         inst._init_from(reprovisioner, config, clock)
         return inst
@@ -119,8 +128,6 @@ class MicroEpochService:
         self._clock = clock if clock is not None else time.perf_counter
         self._queue = ChurnIngestQueue()
         self._metrics = ServingMetrics()
-        # The reprovisioner's epochs are micro-epochs already served.
-        self._metrics.counters["micro_epochs"] = reprovisioner.epoch
         self._churn_model = None
 
     # ---- read surface ------------------------------------------------
@@ -159,7 +166,7 @@ class MicroEpochService:
 
     def metrics_snapshot(self) -> dict:
         """Flat metrics view (see :meth:`ServingMetrics.snapshot`)."""
-        return self._metrics.snapshot()
+        return self._metrics.snapshot(self.micro_epochs)
 
     # ---- ingestion ---------------------------------------------------
     def offer(self, fragment: ChurnFragment) -> None:
@@ -182,15 +189,18 @@ class MicroEpochService:
 
         ``workload`` is the epoch's resulting workload and
         ``changed_topics`` its re-priced topics (both from the churn
-        source; rate drift applies at the seal, not per fragment).  If
-        the step raises (:class:`~repro.dynamic.InfeasibleEpochError`,
+        source; rate drift applies at the seal, not per fragment).  A
+        re-priced topic outside ``workload`` raises a ``ValueError``
+        before the seal, leaving the queue and the epoch as they were.
+        If the step raises (:class:`~repro.dynamic.InfeasibleEpochError`,
         or the cadence audit's ``ValueError``), the placement is
         unchanged and the sealed batch goes back to the queue, changed
         topics included, so the next call carries it; the error
         propagates.
         """
+        changed = topic_ids("changed_topics", changed_topics, workload.num_topics)
         batch_ops = self._queue.depth
-        delta = self._queue.seal_epoch(workload, changed_topics)
+        delta = self._queue.seal_epoch(workload, changed)
         t0 = self._clock()
         try:
             report = self._reprovisioner.step(delta)
@@ -240,20 +250,17 @@ class MicroEpochService:
         return reports
 
     # ---- checkpoint / resume -----------------------------------------
-    def serving_state(self) -> dict:
-        """The serving counters that ride along in a checkpoint."""
-        return dict(self._metrics.counters, micro_epochs=self.micro_epochs)
-
     def checkpoint(self, path=None) -> str:
-        """Persist the full serving state atomically; returns the path."""
+        """Persist everything the service holds atomically; returns the path."""
         path = path or self._config.checkpoint_path
         if not path:
             raise ValueError("no checkpoint path configured")
         return save_checkpoint(
             path,
             self._reprovisioner,
-            churn_model=self._churn_model,
-            serving_state=self.serving_state(),
+            self._churn_model,
+            self._queue,
+            self._metrics.counters,
         )
 
     @classmethod
@@ -266,20 +273,18 @@ class MicroEpochService:
     ):
         """Restore ``(service, churn_model_or_None)`` from a checkpoint.
 
-        The reprovisioner resumes bit-exactly, and the micro-epoch count
-        with it; the other serving counters continue from their
-        checkpointed values, or from 0 when the checkpoint carries none.
-        Latency samples are wall-clock and start fresh -- quantiles
-        describe the current process, not the dead one.
+        Everything the service held resumes bit-exactly: the
+        reprovisioner (and with it the micro-epoch count), the churn
+        offered and not yet applied with the re-priced topics owed to
+        the next seal, and the serving counters (zero in a checkpoint
+        written without them).  ``config``'s solve parameters must be
+        the checkpoint's (see :meth:`from_reprovisioner`).  Latency
+        samples are wall-clock and start fresh -- quantiles describe the
+        current process, not the dead one.
         """
-        reprovisioner, churn_model = load_checkpoint(path, plan)
+        reprovisioner, churn_model, queue, counters = load_checkpoint(path, plan)
         inst = cls.from_reprovisioner(reprovisioner, config, clock=clock)
-        state = load_serving_state(path)
-        if state is not None:
-            inst._metrics.counters.update(
-                {name: int(state[name]) for name in COUNTERS},
-                micro_epochs=inst.micro_epochs,
-            )
-        if churn_model is not None:
-            inst._churn_model = churn_model
+        inst._queue = queue
+        inst._metrics.counters.update(counters)
+        inst._churn_model = churn_model
         return inst, churn_model

@@ -5,9 +5,9 @@ sample per micro-epoch), so :class:`ServingMetrics` keeps plain values:
 
 * **latency** -- every micro-epoch's seconds in arrival order, with
   p50/p95/p99 from :func:`quantile` (exact nearest-rank), mean and max;
-* **throughput** -- the :data:`COUNTERS` (micro-epochs, churn
-  operations, pair moves, adds, removals and rebuilds), plus derived
-  ``ops_per_s`` / ``moves_per_s`` over the summed epoch time;
+* **throughput** -- the :data:`COUNTERS` (churn operations, pair
+  moves, adds, removals and rebuilds), plus derived ``ops_per_s`` /
+  ``moves_per_s`` over the summed epoch time;
 * **state** -- the :data:`GAUGES`: the last seal's batch size
   (``batch_ops``), fleet cost, cost drift vs the fresh-solve reference
   and fleet size.
@@ -26,10 +26,10 @@ from ..dynamic.reprovision import EpochReport
 
 __all__ = ["COUNTERS", "GAUGES", "ServingMetrics", "quantile"]
 
-# In snapshot order, where each name gets a ``serve.`` prefix.  The
-# counter names are also the fields of a checkpoint's ``serving_state``.
+# In snapshot order, where each name gets a ``serve.`` prefix.  A
+# checkpoint saves each counter as a ``serve_<counter>`` member.  The
+# micro-epochs served are the reprovisioner's epoch, not a counter.
 COUNTERS = (
-    "micro_epochs",
     "ops",
     "moves",
     "pairs_added",
@@ -73,7 +73,6 @@ class ServingMetrics:
         self.samples.append(float(seconds))
         self.busy_seconds += seconds
         counters = self.counters
-        counters["micro_epochs"] += 1
         counters["ops"] += int(ops)
         counters["moves"] += report.pairs_moved
         counters["pairs_added"] += report.pairs_added
@@ -92,12 +91,15 @@ class ServingMetrics:
             raise ValueError("p99 bound must be positive")
         return quantile(self.samples, 0.99) <= p99_bound_seconds
 
-    def snapshot(self) -> Dict[str, float]:
-        """Flat name -> value view: counters, gauges, exact quantiles."""
-        out = {
-            "serve." + name: float(value)
-            for name, value in (*self.counters.items(), *self.gauges.items())
-        }
+    def snapshot(self, micro_epochs: int = 0) -> Dict[str, float]:
+        """Flat name -> value view: counters, gauges, exact quantiles.
+
+        ``micro_epochs`` is the caller's count (the service passes its
+        reprovisioner's epoch).
+        """
+        out = {"serve.micro_epochs": float(micro_epochs)}
+        for name, value in (*self.counters.items(), *self.gauges.items()):
+            out["serve." + name] = float(value)
         samples, busy = self.samples, self.busy_seconds
         out["serve.epoch_latency.p50_s"] = quantile(samples, 0.50)
         out["serve.epoch_latency.p95_s"] = quantile(samples, 0.95)

@@ -16,7 +16,7 @@ from repro.cli import build_parser, main
 from repro.core import MCSSProblem
 from repro.dynamic import ChurnConfig, ChurnModel, IncrementalReprovisioner
 from repro.experiments import ExperimentScale, make_plan, make_trace
-from repro.resilience import save_checkpoint
+from repro.serving.checkpoint import save_checkpoint
 from repro.serving import ServingMetrics
 
 # A Spotify draw small enough that one serve run takes milliseconds.
@@ -232,6 +232,22 @@ class TestServe:
         out = capsys.readouterr().out
         assert "resumed from micro-epoch 4" in out
         assert first + epoch_lines(out) == ref
+
+    def test_serve_resume_keeps_the_checkpoint_cadence(self, tmp_path):
+        # The resumed run keeps the checkpoint's cadence, so a different
+        # --fresh-solve-every is an error, not a setting silently ignored.
+        ckpt = str(tmp_path / "serve.npz")
+        assert main(
+            SERVE + ["--epochs", "2", "--checkpoint", ckpt,
+                     "--checkpoint-every", "2"]
+        ) == 0
+        with pytest.raises(
+            ValueError, match="fresh_solve_every is 2 in the config but 8 "
+        ):
+            main(
+                SERVE + ["--epochs", "4", "--checkpoint", ckpt, "--resume",
+                         "--fresh-solve-every", "2"]
+            )
 
     def test_serve_resumes_a_checkpoint_without_serving_counters(
         self, tmp_path, capsys

@@ -32,7 +32,7 @@ from repro.dynamic import IncrementalReprovisioner
 from repro.experiments import run_serving_experiment
 from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
-from repro.resilience import save_checkpoint
+from repro.serving.checkpoint import save_checkpoint
 from repro.serving import ServingConfig
 from repro.solver import MCSSSolver
 from repro.workloads import zipf_workload

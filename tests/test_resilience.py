@@ -21,11 +21,10 @@ from repro.resilience import (
     atomic_write,
     env_float,
     env_int,
-    load_checkpoint,
-    save_checkpoint,
 )
 from repro.resilience.integrity import member_digest
 from repro.selection.sharded import default_shard_size, default_workers
+from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.workloads import zipf_workload
 from tests.conftest import make_unit_plan
 
@@ -119,36 +118,40 @@ class TestCheckpointIntegrity:
         with pytest.raises(TraceCorruptionError, match="pair_topics"):
             load_checkpoint(path, plan)
 
-    def test_missing_member_named_on_load(self, tmp_path):
+    # No member is optional: one of each owner's, and a scalar's digest.
+    @pytest.mark.parametrize(
+        "member",
+        [
+            "used_bytes",
+            "pending_subscribed_topics",
+            "pending_changed_topics",
+            "serve_ops",
+            "churn_state",
+            "digest_epoch",
+        ],
+    )
+    def test_missing_member_named_on_load(self, tmp_path, member):
         reprovisioner, plan, workload = self._reprovisioner()
         path = str(tmp_path / "run.npz")
         save_checkpoint(path, reprovisioner)
         data = dict(np.load(path))
-        del data["used_bytes"]
+        del data[member]
         np.savez(path, **data)
-        with pytest.raises(TraceCorruptionError, match="used_bytes"):
+        with pytest.raises(TraceCorruptionError, match=f"member '{member}'"):
             load_checkpoint(path, plan)
 
-    def test_unsupported_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])  # 1: before the queue was saved
+    def test_unsupported_version_rejected(self, tmp_path, version):
         reprovisioner, plan, _ = self._reprovisioner()
         path = str(tmp_path / "run.npz")
         save_checkpoint(path, reprovisioner)
         data = dict(np.load(path))
-        data["checkpoint_version"] = np.int64(99)
+        data["checkpoint_version"] = np.int64(version)
         np.savez(path, **data)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+        with pytest.raises(
+            ValueError, match=f"unsupported checkpoint version {version} "
+        ):
             load_checkpoint(path, plan)
-
-    SCALARS = (
-        "num_vms",
-        "epoch",
-        "since_fresh",
-        "lb_ratio",
-        "tau",
-        "rebuild_threshold",
-        "fresh_solve_every",
-        "message_size_bytes",
-    )
 
     def _stepped_checkpoint(self, path):
         reprovisioner, plan, workload = self._reprovisioner()
@@ -179,21 +182,6 @@ class TestCheckpointIntegrity:
         np.savez(path, **data)  # stale digest now disagrees
         with pytest.raises(TraceCorruptionError, match=f"member '{member}'"):
             load_checkpoint(path, plan)
-
-    def test_checkpoint_without_scalar_digests_still_loads(self, tmp_path):
-        # Checkpoints written before the scalars were digested.
-        path = str(tmp_path / "run.npz")
-        reprovisioner, plan = self._stepped_checkpoint(path)
-        data = dict(np.load(path))
-        for member in self.SCALARS:
-            del data["digest_" + member]
-        np.savez(path, **data)
-        restored, churn = load_checkpoint(path, plan)
-        assert churn is not None
-        want, got = reprovisioner.snapshot(), restored.snapshot()
-        for member in self.SCALARS[:-1]:
-            assert got[member] == want[member], member
-        assert restored.selection() == reprovisioner.selection()
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -243,7 +231,7 @@ class TestCheckpointIntegrity:
         if bad == "num_subscribers":
             # On the last pair the table stays ascending, so only the
             # range check can catch it.
-            snap[member][-1] = snap["workload"].num_subscribers
+            snap[member][-1] = reprovisioner.problem.workload.num_subscribers
         else:
             snap[member][0] = bad
         with pytest.raises(ValueError, match="do not exist"):
@@ -282,6 +270,23 @@ class TestCheckpointIntegrity:
         snap = self._permuted(reprovisioner.snapshot(), how)
         with pytest.raises(ValueError, match="pair_subscribers/pair_topics"):
             IncrementalReprovisioner.restore(snap, plan)
+
+    @pytest.mark.parametrize("bad", [-1, 30])  # 30: one past the last topic
+    def test_out_of_range_owed_topic_rejected_on_load(self, tmp_path, bad):
+        # A member rewritten with a matching digest: the owed topics are
+        # range-checked against the restored workload, as the pair ids are.
+        reprovisioner, plan, _ = self._reprovisioner()
+        path = str(tmp_path / "run.npz")
+        save_checkpoint(path, reprovisioner)
+        data = dict(np.load(path))
+        owed = np.array([bad], dtype=np.int64)
+        data["pending_changed_topics"] = owed
+        data["digest_pending_changed_topics"] = np.uint32(member_digest(owed))
+        np.savez(path, **data)
+        with pytest.raises(
+            ValueError, match=r"^pending_changed_topics must be topic ids in \[0, 30\)"
+        ):
+            load_checkpoint(path, plan)
 
     def test_unsorted_pair_table_rejected_on_load(self, tmp_path):
         # The same table in a checkpoint file whose digests match it.

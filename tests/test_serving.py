@@ -1,6 +1,7 @@
 """The serving layer: queue reassembly, epoch state, SLO metrics, resume.
 
-Four contracts, all deterministic (no timing-flaky assertions):
+Five contracts, none of them timing-dependent (no timing-flaky
+assertions):
 
 * **Lossless ingestion** -- however an epoch's operation stream is
   fragmented, the sealed :class:`WorkloadDelta` is bit-identical to the
@@ -15,7 +16,11 @@ Four contracts, all deterministic (no timing-flaky assertions):
   every key and value of the metrics snapshot is pinned.
 * **Kill-mid-serve resume** -- a checkpointed-and-killed serving run
   continues bit-exactly (placements, costs, report fields, serving
-  counters), mirroring ``TestCheckpointResumeEquivalence``.
+  counters, queued churn), mirroring ``TestCheckpointResumeEquivalence``.
+* **The serving API as a state machine** -- ``ServingMachine`` mixes
+  fragment offers, plain, empty and raising micro-epochs and
+  checkpoint/resume, against its own model of the queue and the
+  ``reprovision-loop`` referee.
 
 The end-to-end referee pin (randomized splits vs ``reprovision-loop``)
 lives in ``tests/test_vectorized_equivalence.py``.
@@ -23,10 +28,21 @@ lives in ``tests/test_vectorized_equivalence.py``.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import os
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
 from repro.core import MCSSProblem, Workload, validate_placement
@@ -35,6 +51,7 @@ from repro.dynamic import (
     ChurnModel,
     IncrementalReprovisioner,
     InfeasibleEpochError,
+    LoopIncrementalReprovisioner,
     WorkloadDelta,
 )
 from repro.dynamic.reprovision import advance_orders
@@ -49,6 +66,7 @@ from repro.serving import (
     ServingMetrics,
     split_delta,
 )
+from repro.serving.checkpoint import save_checkpoint
 from repro.serving.slo import COUNTERS, quantile
 from repro.workloads import zipf_workload
 from tests.test_vectorized_equivalence import (
@@ -181,6 +199,13 @@ class TestQueueReassembly:
                 np.array([]), np.array([]), np.array([4, 5]), np.array([1])
             )
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(ChurnFragment)])
+    def test_fragment_rejects_negative_ids(self, field):
+        arrays = {f.name: np.array([2]) for f in fields(ChurnFragment)}
+        arrays[field] = np.array([-1])
+        with pytest.raises(ValueError, match=f"^{field} must hold non-negative"):
+            ChurnFragment(**arrays)
+
 
 class TestEpochStateMaintenance:
     """The pair table, group table and bound a step maintains in place."""
@@ -256,7 +281,7 @@ class TestEpochStateMaintenance:
     def _assert_matches_snapshot(reprov, report=None):
         """Indexes, used bytes and bound == a recomputation from the snapshot."""
         snap = reprov.snapshot()
-        workload = snap["workload"]
+        workload = reprov.problem.workload
         p_v = snap["pair_subscribers"]
         p_t = snap["pair_topics"]
         p_vm = snap["pair_vms"]
@@ -431,7 +456,7 @@ class TestServingMetrics:
         with pytest.raises(ValueError, match="non-negative"):
             record(metrics, [-1.0])
         assert metrics.samples == []  # nothing recorded
-        assert metrics.counters["micro_epochs"] == 0
+        assert metrics.counters == dict.fromkeys(COUNTERS, 0)
         with pytest.raises(ValueError, match="quantile"):
             quantile([1.0], 1.5)
         with pytest.raises(ValueError, match="quantile"):
@@ -450,7 +475,6 @@ class TestServingMetrics:
                 num_vms=3,
             )
         snap = metrics.snapshot()
-        assert snap["serve.micro_epochs"] == 4.0
         assert snap["serve.ops"] == 40.0
         assert snap["serve.moves"] == 4.0
         assert snap["serve.pairs_added"] == 20.0
@@ -502,11 +526,13 @@ class TestMicroEpochService:
         assert snap["serve.epoch_latency.p50_s"] == pytest.approx(0.25)
         assert service.micro_epochs == 2
 
-    def test_raised_micro_epoch_keeps_its_batch(self):
-        # A sealed batch whose step raises stays queued: the next
-        # micro-epoch re-selects its subscribers, and the held
-        # selection ends equal to GSP's.  Losing it left 428 stray and
-        # 365 missing pairs and 156 unsatisfied subscribers here.
+    @staticmethod
+    def _raise_spiked_epoch():
+        """The lost-batch probe up to its raised micro-epoch.
+
+        Returns the service, the churn delta, its hottest topic and the
+        plan.
+        """
         workload = zipf_workload(400, 20000, seed=11)
         msg = workload.message_size_bytes
         capacity = 2.5 * float(workload.event_rates.max()) * msg
@@ -532,9 +558,10 @@ class TestMicroEpochService:
         service.ingest_delta(delta)
         with pytest.raises(InfeasibleEpochError):
             service.run_micro_epoch(spiked, [hot])
-        assert service.queue_depth == 3082
-        assert service.micro_epochs == 0
+        return service, delta, hot, plan
 
+    @staticmethod
+    def _assert_next_epoch_carries_the_batch(service, delta, hot, plan):
         micro = service.run_micro_epoch(delta.workload, [hot])
         assert (micro.report.epoch, micro.batch_ops) == (1, 3082)
         assert service.queue_depth == 0
@@ -543,6 +570,27 @@ class TestMicroEpochService:
             problem
         )
         assert validate_placement(problem, service.placement()).ok
+
+    def test_raised_micro_epoch_keeps_its_batch(self):
+        # A sealed batch whose step raises stays queued: the next
+        # micro-epoch re-selects its subscribers, and the held
+        # selection ends equal to GSP's.  Losing it left 428 stray and
+        # 365 missing pairs and 156 unsatisfied subscribers here.
+        service, delta, hot, plan = self._raise_spiked_epoch()
+        assert service.queue_depth == 3082
+        assert service.micro_epochs == 0
+        self._assert_next_epoch_carries_the_batch(service, delta, hot, plan)
+
+    def test_raised_batch_survives_checkpoint_and_resume(self, tmp_path):
+        # The handed-back batch is state: a checkpoint saves it and a
+        # resume queues it again.  Without it the resumed queue read 0
+        # and the next micro-epoch left 156 subscribers unsatisfied.
+        service, delta, hot, plan = self._raise_spiked_epoch()
+        path = service.checkpoint(str(tmp_path / "raised.npz"))
+        resumed, _ = MicroEpochService.resume(path, plan, service.config)
+        assert resumed.queue_depth == 3082
+        assert resumed.micro_epochs == 0
+        self._assert_next_epoch_carries_the_batch(resumed, delta, hot, plan)
 
     def test_metrics_snapshot_pins_every_key_and_value(self):
         workload, problem = self._problem(41)
@@ -624,6 +672,42 @@ class TestMicroEpochService:
         with pytest.raises(ValueError, match="no checkpoint path"):
             MicroEpochService(problem).checkpoint()
 
+    @staticmethod
+    def _small_service():
+        """``zipf_workload(50, 2000, seed=11)``, capacity 2.5x its largest pair."""
+        workload = zipf_workload(50, 2000, seed=11)
+        msg = workload.message_size_bytes
+        capacity = 2.5 * float(workload.event_rates.max()) * msg
+        plan = replace(paper_plan(), capacity_bytes_override=capacity)
+        delta = ChurnModel(workload, ChurnConfig(0.01, 0.01, 0.0), seed=3).step()
+        return MicroEpochService(MCSSProblem(workload, 100.0, plan)), delta
+
+    def test_negative_ids_rejected_before_the_queue(self):
+        # A queued poison fragment made every later micro-epoch raise
+        # NumPy's "repeats may not contain negative values" and hand
+        # its batch back, so the backlog grew and the epoch stayed at 0.
+        service, delta = self._small_service()
+        with pytest.raises(ValueError, match="subscribed_subscribers"):
+            service.offer(ChurnFragment([], [], [3], [-1]))
+        assert service.queue_depth == 0
+        service.ingest_delta(delta)
+        micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
+        assert (micro.report.epoch, service.queue_depth) == (1, 0)
+
+    @pytest.mark.parametrize("bad", [50, -1])
+    def test_out_of_range_changed_topic_rejected_before_the_seal(self, bad):
+        # Topic 50 (one past the last) raised IndexError after the seal
+        # and lost the batch; -1 silently re-priced the last topic.
+        service, delta = self._small_service()
+        service.ingest_delta(delta)
+        depth = service.queue_depth
+        assert depth > 0
+        with pytest.raises(ValueError, match=r"changed_topics .* \[0, 50\)"):
+            service.run_micro_epoch(delta.workload, [bad])
+        assert (service.queue_depth, service.micro_epochs) == (depth, 0)
+        micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
+        assert (micro.report.epoch, micro.batch_ops) == (1, depth)
+
 
 class TestServingCheckpointResume:
     """Kill-mid-serve == never-killed, bit for bit (+ carried counters)."""
@@ -689,17 +773,10 @@ class TestServingCheckpointResume:
         service = MicroEpochService(problem)
         service.serve(ChurnModel(workload, CHURN, seed=2), 2)
         service.metrics.counters[name] += 1000  # a value no run reaches
-        state = service.serving_state()
-        # The micro-epoch count is the reprovisioner's epoch.
-        assert state[name] == (
-            service.micro_epochs
-            if name == "micro_epochs"
-            else service.metrics.counters[name]
-        )
+        state = dict(service.metrics.counters)
         path = service.checkpoint(str(tmp_path / "state.npz"))
         resumed, _ = MicroEpochService.resume(path, problem.plan)
         assert resumed.metrics.counters == state
-        assert resumed.serving_state() == state
 
     @pytest.mark.parametrize("seed", range(3))
     def test_runner_resume_matches_uninterrupted(self, seed, tmp_path):
@@ -735,11 +812,9 @@ class TestServingCheckpointResume:
         ) is None
         assert resumed.metrics["serve.ops"] == ref.metrics["serve.ops"]
 
-    def test_old_checkpoints_without_serving_state_load(self, tmp_path):
-        # A churn-era checkpoint (no serving_state member) must resume
-        # with counters starting at the reprovisioner's epoch.
-        from repro.resilience import save_checkpoint
-
+    def test_bare_checkpoint_resumes_with_zero_counters(self, tmp_path):
+        # A checkpoint of a bare reprovisioner and churn stream resumes
+        # at the reprovisioner's epoch, with zero serving counters.
         rng = np.random.default_rng(99)
         workload = edgy_workload(rng)
         problem = churn_problem(workload, rng)
@@ -752,9 +827,9 @@ class TestServingCheckpointResume:
         service, churn_model = MicroEpochService.resume(path, problem.plan)
         assert churn_model is not None
         assert service.micro_epochs == reprov.epoch == 1
-        counters = service.metrics.counters
-        assert counters["micro_epochs"] == 1
-        assert counters["ops"] == 0  # no serving counters recorded
+        assert service.metrics_snapshot()["serve.micro_epochs"] == 1
+        assert service.metrics.counters == dict.fromkeys(COUNTERS, 0)
+        assert service.queue_depth == 0
         service.serve(churn_model, 1)
         assert service.micro_epochs == 2
 
@@ -765,7 +840,6 @@ class TestServingCheckpointResume:
         # A bare reprovisioner + churn-stream checkpoint, four epochs in,
         # continues at micro-epoch 5 exactly as the uninterrupted run.
         from repro.experiments import run_serving_experiment
-        from repro.resilience import save_checkpoint
 
         rng = np.random.default_rng(19_000 + seed)
         workload = edgy_workload(rng)
@@ -794,11 +868,39 @@ class TestServingCheckpointResume:
         assert resumed.service.reprovisioner.epoch == 6
         assert resumed.metrics["serve.micro_epochs"] == 6
 
-    def test_wrapped_reprovisioner_counts_from_its_epoch(self, tmp_path):
-        # One counter: a wrapped reprovisioner's epochs are micro-epochs
-        # already served, for the reports and the checkpoint cadence.
-        from repro.resilience import load_serving_state
+    def test_resume_rejects_other_solve_parameters(self, tmp_path):
+        # The resumed reprovisioner keeps the checkpoint's solve
+        # parameters.  A config naming others used to be kept as well,
+        # so the service reported fresh_solve_every=2 while the next
+        # four micro-epochs ran no fresh solve.
+        workload = zipf_workload(100, 3000, mean_interest=8.0, seed=5)
+        rates = workload.event_rates
+        capacity = max(2.5 * float(rates.max()), float(rates.sum()) / 8.0)
+        plan = replace(
+            paper_plan(),
+            capacity_bytes_override=capacity * workload.message_size_bytes,
+        )
+        config = ServingConfig(fresh_solve_every=8)
+        service = MicroEpochService(MCSSProblem(workload, 100.0, plan), config)
+        service.serve(ChurnModel(workload, ChurnConfig(0.01, 0.01, 0.0), seed=3), 3)
+        path = service.checkpoint(str(tmp_path / "run.npz"))
+        with pytest.raises(
+            ValueError,
+            match=r"^rebuild_threshold is 3\.0 in the config but 1\.15 in the "
+            r"reprovisioner; fresh_solve_every is 2 in the config but 8 ",
+        ):
+            MicroEpochService.resume(
+                path, plan, ServingConfig(fresh_solve_every=2, rebuild_threshold=3.0)
+            )
+        with pytest.raises(ValueError, match="^fresh_solve_every is 2 .* 8 in"):
+            MicroEpochService.resume(path, plan, ServingConfig(fresh_solve_every=2))
+        resumed, _ = MicroEpochService.resume(path, plan, config)
+        assert resumed.reprovisioner.fresh_solve_every == 8
+        assert resumed.micro_epochs == 3
 
+    def test_wrapped_reprovisioner_counts_from_its_epoch(self, tmp_path):
+        # One count: a wrapped reprovisioner's epochs are micro-epochs
+        # already served, for the reports and the checkpoint cadence.
         rng = np.random.default_rng(98)
         workload = edgy_workload(rng)
         problem = churn_problem(workload, rng)
@@ -815,4 +917,134 @@ class TestServingCheckpointResume:
         served = service.serve(model, 1)
         assert served[0].report.epoch == service.micro_epochs == 3
         assert service.metrics_snapshot()["serve.micro_epochs"] == 3
-        assert load_serving_state(path)["micro_epochs"] == 3
+        resumed, _ = MicroEpochService.resume(path, problem.plan)
+        assert resumed.metrics_snapshot()["serve.micro_epochs"] == 3
+
+
+class ServingMachine(RuleBasedStateMachine):
+    """The serving API against a model of its queue and the referee.
+
+    A small service at ``fresh_solve_every=1`` takes whole churn deltas
+    cut at random positions, runs micro-epochs (plain, empty, or on a
+    spiked workload whose step raises), and is checkpointed and resumed
+    into a new service.  The machine keeps its own model of the queue:
+    the fragments offered and not yet applied, and the re-priced topics
+    owed to the next seal.  After every micro-epoch that steps, the
+    ``reprovision-loop`` referee steps the delta that seal must have
+    built, and the placements must agree.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.tmp.cleanup()
+
+    @initialize(seed=st.integers(0, 2**16 - 1))
+    def start(self, seed):
+        rng = np.random.default_rng(seed)
+        workload = edgy_workload(rng)
+        self.problem = churn_problem(workload, rng)
+        self.config = ServingConfig(fresh_solve_every=1)
+        self.service = MicroEpochService(self.problem, self.config)
+        self.loop = LoopIncrementalReprovisioner(
+            self.problem, rebuild_threshold=self.config.rebuild_threshold
+        )
+        self.model = ChurnModel(workload, CHURN, seed=seed)
+        self.workload = workload  # the last offered delta's workload
+        self.pending = []  # fragments offered and not yet applied
+        self.owed = np.empty(0, dtype=np.int64)  # from a raised seal
+        self.changed = np.empty(0, dtype=np.int64)  # of deltas since
+
+    @rule(cuts=st.lists(st.integers(0, 1000), max_size=4))
+    def offer(self, cuts):
+        delta = self.model.step()
+        num_ops = delta.subscribed_topics.size + delta.unsubscribed_topics.size
+        fragments = split_delta(delta, [c % (num_ops + 1) for c in cuts])
+        for fragment in fragments:
+            self.service.offer(fragment)
+        self.pending += fragments
+        self.workload = delta.workload
+        self.changed = np.union1d(self.changed, delta.changed_topics)
+
+    @rule()
+    def micro_epoch(self):
+        self._step(self.changed)
+
+    @precondition(lambda self: not self.pending and not self.changed.size)
+    @rule()
+    def empty_micro_epoch(self):
+        self._step([])
+
+    @rule()
+    def spiked_micro_epoch(self):
+        workload = self.workload
+        rates = np.array(workload.event_rates)
+        hot = int(np.argmax(rates))
+        # Past half a VM: the step raises before it changes anything.
+        rates[hot] = self.problem.plan.capacity_bytes / workload.message_size_bytes
+        spiked = Workload.from_csr(
+            rates,
+            workload.interest_indptr,
+            workload.interest_topics,
+            message_size_bytes=workload.message_size_bytes,
+        )
+        changed = np.union1d(self.changed, [hot])
+        epoch = self.service.micro_epochs
+        with pytest.raises(InfeasibleEpochError):
+            self.service.run_micro_epoch(spiked, changed)
+        assert self.service.micro_epochs == epoch
+        self.owed = np.union1d(self.owed, changed)
+        self.changed = np.empty(0, dtype=np.int64)
+
+    @rule()
+    def checkpoint_and_resume(self):
+        def state(service):
+            counters = dict(service.metrics.counters)
+            return service.queue_depth, service.micro_epochs, counters
+
+        before = state(self.service)
+        path = self.service.checkpoint(os.path.join(self.tmp.name, "serve.npz"))
+        self.service, _ = MicroEpochService.resume(
+            path, self.problem.plan, self.config
+        )
+        assert state(self.service) == before
+
+    @invariant()
+    def queue_depth_is_the_pending_churn(self):
+        assert self.service.queue_depth == sum(f.num_ops for f in self.pending)
+
+    def _step(self, changed):
+        micro = self.service.run_micro_epoch(self.workload, changed)
+        if self.owed.size:
+            changed = np.union1d(self.owed, changed)
+
+        def pending(name):
+            arrays = [getattr(f, name) for f in self.pending]
+            return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+
+        sealed = WorkloadDelta(
+            self.workload,
+            pending("subscribed_topics"),
+            pending("subscribed_subscribers"),
+            pending("unsubscribed_topics"),
+            pending("unsubscribed_subscribers"),
+            changed,
+        )
+        assert micro.batch_ops == sum(f.num_ops for f in self.pending)
+        assert micro.ops == (
+            sealed.subscribed_topics.size
+            + sealed.unsubscribed_topics.size
+            + sealed.changed_topics.size
+        )
+        self.loop.step(sealed)
+        assert diff_placements(self.service.placement(), self.loop.placement()) is None
+        self.pending = []
+        self.owed = self.changed = np.empty(0, dtype=np.int64)
+
+
+ServingMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None
+)
+TestServingMachine = ServingMachine.TestCase

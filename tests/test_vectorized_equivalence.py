@@ -1444,7 +1444,7 @@ class TestCheckpointResumeEquivalence:
 
     The checkpoint carries the reprovisioner's complete pair state,
     cadence counters, and the churn model's bit-generator position
-    (:mod:`repro.resilience.checkpoint`), so resuming draws exactly
+    (:mod:`repro.serving.checkpoint`), so resuming draws exactly
     what an undisturbed run would have drawn -- the pin is per-epoch
     report fields, costs, placements, and final selection identity.
     """
@@ -1470,7 +1470,7 @@ class TestCheckpointResumeEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_snapshot_roundtrip_mid_run(self, seed, tmp_path):
-        from repro.resilience import load_checkpoint, save_checkpoint
+        from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 
         rng = np.random.default_rng(14_000 + seed)
         workload = edgy_workload(rng)
@@ -1487,7 +1487,7 @@ class TestCheckpointResumeEquivalence:
         path = str(tmp_path / "mid.npz")
         save_checkpoint(path, reprov, model)
         del reprov, model  # the "kill": nothing survives but the file
-        reprov, model = load_checkpoint(path, problem.plan)
+        reprov, model, _queue, _counters = load_checkpoint(path, problem.plan)
         assert reprov.epoch == 3
         reports += [reprov.step(model.step()) for _ in range(3)]
 
