@@ -42,7 +42,7 @@ def test_dynamic_reprovisioning_epochs(benchmark, twitter_trace, twitter_plans):
         epochs = []
         for _ in range(10):
             delta = model.step()
-            churn_pairs = len(delta.subscribed) + len(delta.unsubscribed)
+            churn_pairs = delta.subscribed_topics.size + delta.unsubscribed_topics.size
             epoch = reprov.step(delta)
             audit = validate_placement(reprov.problem, reprov.placement())
             assert audit.ok, str(audit)

@@ -24,8 +24,7 @@ batch is deduplicated and membership-tested with one ``searchsorted``
 against the surviving keys, and the next epoch's workload is rebuilt
 through :meth:`Workload.from_csr` without ever materializing a Python
 set per subscriber.  The resulting :class:`WorkloadDelta` carries flat
-NumPy arrays; the tuple-of-pairs views remain available as lazy
-properties.
+NumPy arrays, checked to be ids of its workload.
 
 :class:`LoopChurnModel` (``churn-loop``) is the retained per-subscriber
 referee: dict-of-sets surgery, one Python set per subscriber and a list
@@ -73,28 +72,45 @@ def _as_pair_array(pairs: Sequence[Pair]) -> Tuple[np.ndarray, np.ndarray]:
     return topics, subs
 
 
-def frozen_int64(arr) -> np.ndarray:
-    """``arr`` as a read-only int64 array, leaving caller buffers writable.
+def id_array(name: str, ids, workload: Optional[Workload] = None) -> np.ndarray:
+    """``ids`` as a read-only int64 array of ``workload``'s ids.
 
-    When ``np.asarray`` would alias a writable caller array, a private
-    copy is frozen instead.
+    The one id rule of the churn path: ids are integers in ``[0,
+    bound)``, where ``bound`` is ``workload``'s topic count for a field
+    ``name`` ending in ``_topics`` and its subscriber count otherwise.
+    Without a workload the ids need only be non-negative.  A
+    fractional, negative or out-of-range id raises ``ValueError`` naming
+    ``name``; an empty list is legal.  A writable caller array is copied
+    rather than frozen.
     """
-    a = np.asarray(arr, dtype=np.int64)
-    if a is arr and a.flags.writeable:
-        a = a.copy()
-    a.setflags(write=False)
-    return a
+    bound = None
+    if workload is not None:
+        topics = name.endswith("_topics")
+        bound = workload.num_topics if topics else workload.num_subscribers
+    a = np.asarray(ids)
+    if a.size and (
+        a.dtype.kind not in "iu"
+        or a.min() < 0
+        or (bound is not None and a.max() >= bound)
+    ):
+        if bound is None:
+            raise ValueError(f"{name} must hold non-negative integer ids")
+        raise ValueError(f"{name} must hold integer ids in [0, {bound})")
+    frozen = a.astype(np.int64, copy=False)
+    if frozen is ids and frozen.flags.writeable:
+        frozen = frozen.copy()
+    frozen.setflags(write=False)
+    return frozen
 
 
 class WorkloadDelta:
     """What changed between two epochs, carried as flat arrays.
 
-    The native representation is four parallel int64 arrays (subscribed
-    and unsubscribed pairs, in draw order) plus the changed-topic id
-    array -- the form the vectorized reprovisioner consumes directly.
-    The historical tuple-of-pairs views (:attr:`subscribed`,
-    :attr:`unsubscribed`, :attr:`rate_changed_topics`) are materialized
-    lazily for compatibility and for small-scale test code.
+    Four parallel int64 arrays (subscribed and unsubscribed pairs, in
+    draw order) plus the changed-topic id array -- the form the
+    vectorized reprovisioner consumes directly.  Every id must be one of
+    ``workload``'s: a ``ValueError`` names the first field that holds
+    another.
     """
 
     __slots__ = (
@@ -104,8 +120,6 @@ class WorkloadDelta:
         "unsubscribed_topics",
         "unsubscribed_subscribers",
         "changed_topics",
-        "_subscribed",
-        "_unsubscribed",
         "_touched",
     )
 
@@ -119,20 +133,18 @@ class WorkloadDelta:
         changed_topics: np.ndarray,
     ) -> None:
         self.workload = workload
-        for name, arr in (
+        for name, ids in (
             ("subscribed_topics", subscribed_topics),
             ("subscribed_subscribers", subscribed_subscribers),
             ("unsubscribed_topics", unsubscribed_topics),
             ("unsubscribed_subscribers", unsubscribed_subscribers),
             ("changed_topics", changed_topics),
         ):
-            setattr(self, name, frozen_int64(arr))
+            setattr(self, name, id_array(name, ids, workload))
         if self.subscribed_topics.size != self.subscribed_subscribers.size:
             raise ValueError("subscribed pair arrays must be parallel")
         if self.unsubscribed_topics.size != self.unsubscribed_subscribers.size:
             raise ValueError("unsubscribed pair arrays must be parallel")
-        self._subscribed: Optional[Tuple[Pair, ...]] = None
-        self._unsubscribed: Optional[Tuple[Pair, ...]] = None
         self._touched: Optional[np.ndarray] = None
 
     @classmethod
@@ -146,31 +158,7 @@ class WorkloadDelta:
         """Build from pair tuples (the loop referee's native output)."""
         st, sv = _as_pair_array(subscribed)
         ut, uv = _as_pair_array(unsubscribed)
-        return cls(
-            workload, st, sv, ut, uv, np.asarray(changed_topics, dtype=np.int64)
-        )
-
-    # -- compatibility views -------------------------------------------
-    @property
-    def subscribed(self) -> Tuple[Pair, ...]:
-        """New ``(t, v)`` pairs as tuples, in draw order (lazy view)."""
-        if self._subscribed is None:
-            self._subscribed = tuple(
-                zip(self.subscribed_topics.tolist(), self.subscribed_subscribers.tolist())
-            )
-        return self._subscribed
-
-    @property
-    def unsubscribed(self) -> Tuple[Pair, ...]:
-        """Dropped ``(t, v)`` pairs as tuples, in draw order (lazy view)."""
-        if self._unsubscribed is None:
-            self._unsubscribed = tuple(
-                zip(
-                    self.unsubscribed_topics.tolist(),
-                    self.unsubscribed_subscribers.tolist(),
-                )
-            )
-        return self._unsubscribed
+        return cls(workload, st, sv, ut, uv, changed_topics)
 
     @property
     def rate_changed_topics(self) -> Tuple[int, ...]:

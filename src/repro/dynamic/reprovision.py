@@ -7,7 +7,11 @@ in the most natural form compatible with the two-stage structure:
 
 * per epoch, Stage 1 is re-run **only for subscribers whose interest
   or threshold changed** (selection is per-subscriber independent, so
-  the untouched selections remain optimal w.r.t. the greedy);
+  the untouched selections remain optimal w.r.t. the greedy): those a
+  :class:`~repro.dynamic.churn.WorkloadDelta` touches, and every
+  subscriber of a topic whose rate differs from the held workload's.
+  A delta keeps the run's subscriber and topic ids; a subscriber who
+  leaves keeps its id with an empty interest row;
 * removed pairs are plucked out of their VMs; new pairs are placed
   preferring VMs that already host the topic (no extra ingest), then
   the most-free VM, then a fresh VM;
@@ -61,10 +65,10 @@ how drift is reported on estimate-only epochs.
 
 That fresh solve does not re-run Stage 1.  GSP decides each subscriber
 from its own interests and their rates, and a step re-selects every
-subscriber whose interests or topic rates changed (and drops those who
-left), so the held pair set already is GSP's selection of the current
-workload.  The fresh solve is therefore a cold Stage-2 pack of that
-selection (:meth:`MCSSSolver.solve_with_selection`), and it equals a
+subscriber whose interests or topic rates changed, so the held pair set
+already is GSP's selection of the current workload.  The fresh solve is
+therefore a cold Stage-2 pack of that selection
+(:meth:`MCSSSolver.solve_with_selection`), and it equals a
 from-scratch solve bit for bit: full CBP packs topics in the total
 order ``(-rate * count, -rate, topic)`` whatever the order of the
 selection's groups, and the subscriber-major table lists each topic's
@@ -107,6 +111,7 @@ from ..core.segsearch import ranges, segmented_left_search, sorted_unique
 from ..core.segsearch import sorted_member as _sorted_member
 from ..selection import GreedySelectPairs
 from ..solver import MCSSSolver
+from .churn import WorkloadDelta
 
 __all__ = [
     "EpochReport",
@@ -234,11 +239,6 @@ def _check_settings(rebuild_threshold: float, fresh_solve_every: int) -> None:
         raise ValueError("rebuild_threshold must be >= 1.0")
     if fresh_solve_every < 1:
         raise ValueError("fresh_solve_every must be >= 1")
-
-
-def _id_span(p_v: np.ndarray, num_subscribers: int) -> int:
-    """Subscriber ids the row offsets cover: the workload's and the table's."""
-    return max(num_subscribers, int(p_v[-1]) + 1 if p_v.size else 0)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -379,6 +379,11 @@ class IncrementalReprovisioner:
     def problem(self) -> MCSSProblem:
         """The current epoch's MCSS instance."""
         return MCSSProblem(self._workload, self._tau, self._plan)
+
+    @property
+    def workload(self) -> Workload:
+        """The current epoch's workload (without building the problem)."""
+        return self._workload
 
     def placement(self) -> Placement:
         """Materialize the current assignment as a Placement."""
@@ -557,25 +562,35 @@ class IncrementalReprovisioner:
             * workload.message_size_bytes
         )
 
-    def step(self, new_workload) -> EpochReport:
-        """Adapt to a new epoch's workload; returns the epoch report.
+    def step(self, delta: WorkloadDelta) -> EpochReport:
+        """Adapt to the next epoch's churn; returns the epoch report.
 
-        Accepts either a :class:`~repro.dynamic.churn.WorkloadDelta`
-        (preferred: only touched subscribers are re-selected) or a bare
-        :class:`~repro.core.workload.Workload` (every subscriber is
-        re-checked, and the pairs of subscribers past its end leave).
-        Raises :class:`InfeasibleEpochError`, with every member
-        unchanged, when a pair of the new workload fits no VM.  A fresh
-        solve whose audit finds the held selection leaves a subscriber
-        unserved raises ``ValueError`` naming it, with every member
-        unchanged too: the fresh solve packs the epoch's local tables
-        before the step commits them.
+        ``delta``'s workload must keep the run's ids, the subscribers and
+        topics of the workload this reprovisioner was built or restored
+        with (a subscriber who leaves keeps its id, with an empty
+        interest row): other counts raise ``ValueError``, and an object
+        other than a :class:`~repro.dynamic.churn.WorkloadDelta` raises
+        ``TypeError``.  The step re-selects the subscribers the delta
+        touches and every subscriber of a topic whose rate differs from
+        the held workload's, whether or not ``delta.changed_topics``
+        names it.  Raises :class:`InfeasibleEpochError` when a pair of
+        the new workload fits no VM, and ``ValueError`` naming a
+        subscriber the fresh solve's audit finds unserved (it packs the
+        epoch's local tables before the step commits them).  Every raise
+        leaves every member unchanged.
         """
         t0 = time.perf_counter()
-        from .churn import WorkloadDelta  # local import avoids a cycle
-
-        delta = new_workload if isinstance(new_workload, WorkloadDelta) else None
-        workload = delta.workload if delta is not None else new_workload
+        if not isinstance(delta, WorkloadDelta):
+            raise TypeError("step() takes a WorkloadDelta")
+        workload = delta.workload
+        held = self._workload
+        n = workload.num_subscribers
+        if (n, workload.num_topics) != (held.num_subscribers, held.num_topics):
+            raise ValueError(
+                f"the delta's workload has {n} subscribers and "
+                f"{workload.num_topics} topics, but the run has "
+                f"{held.num_subscribers} and {held.num_topics}"
+            )
         epoch = self._epoch + 1
         rates = workload.event_rates
         msg = workload.message_size_bytes
@@ -587,42 +602,30 @@ class IncrementalReprovisioner:
             if needed > capacity:
                 raise InfeasibleEpochError(epoch, hottest, needed, capacity)
         problem = MCSSProblem(workload, self._tau, self._plan)
-        n = workload.num_subscribers
         p_v, p_t, p_vm = self._p_v, self._p_t, self._p_vm
         g_vm, g_t, g_cnt = self._g_vm, self._g_t, self._g_cnt
-        big_l = np.int64(
-            max(workload.num_topics, int(g_t.max()) + 1 if g_t.size else 0, 1)
-        )
+        big_l = np.int64(max(workload.num_topics, 1))
 
         # ---- touched subscribers (vectorized rate-changed scan) ------
-        if delta is None:
-            touched_idx = np.arange(n, dtype=np.int64)
-            # Subscribers past the new workload's end have left it.
-            vanished = np.arange(n, self._first.size - 1, dtype=np.int64)
-        else:
-            ta = delta.touched_array()
-            vanished = ta[ta >= n]
-            touched_idx = ta[ta < n]
-            changed = delta.changed_topics
-            if changed.size:
-                # Rate changes move thresholds, so every subscriber of
-                # a re-priced topic must be re-checked: one boolean
-                # gather over the CSR interest arrays replaces the old
-                # per-subscriber set intersection.
-                lut = np.zeros(workload.num_topics, dtype=bool)
-                lut[changed] = True
-                touched = np.zeros(n, dtype=bool)
-                touched[touched_idx] = True
-                touched[workload.pair_subscribers()[lut[workload.interest_topics]]] = True
-                touched_idx = np.flatnonzero(touched)
+        touched_idx = delta.touched_array()
+        changed = np.flatnonzero(rates != held.event_rates)
+        if changed.size:
+            # Rate changes move thresholds, so every subscriber of a
+            # re-priced topic must be re-checked: one boolean gather
+            # over the CSR interest arrays replaces the old
+            # per-subscriber set intersection.
+            lut = np.zeros(workload.num_topics, dtype=bool)
+            lut[changed] = True
+            touched = np.zeros(n, dtype=bool)
+            touched[touched_idx] = True
+            touched[workload.pair_subscribers()[lut[workload.interest_topics]]] = True
+            touched_idx = np.flatnonzero(touched)
 
         # ---- Stage 1: batched incremental re-selection ---------------
         # Old selection == placed pairs: the touched subscribers' rows,
         # one contiguous run each.
         first = self._first
-        leaving = np.concatenate([touched_idx, vanished])
-        leaving = leaving[leaving < first.size - 1]
-        rows = ranges(first[leaving], first[leaving + 1] - first[leaving])
+        rows = ranges(first[touched_idx], first[touched_idx + 1] - first[touched_idx])
         old_keys = p_v[rows] * big_l + p_t[rows]
         if touched_idx.size and workload.num_pairs:
             sub_workload = workload.restrict_subscribers(touched_idx)
@@ -703,15 +706,15 @@ class IncrementalReprovisioner:
         live = np.bincount(g_vm, minlength=num_vms) > 0
         closed = int(num_vms - int(live.sum()))
         # Per-subscriber row counts move by the added and dropped rows.
-        ids = max(first.size - 1, n)
-        counts = np.bincount(place_v, minlength=ids) - np.bincount(
-            p_v[dropped], minlength=ids
+        counts = (
+            np.diff(first)
+            + np.bincount(place_v, minlength=n)
+            - np.bincount(p_v[dropped], minlength=n)
         )
-        counts[: first.size - 1] += np.diff(first)
         p_v, p_t, p_vm = advance_orders(
             p_v, p_t, p_vm, dropped, place_v, place_t, placed_vm
         )
-        first = _offsets(counts[: _id_span(p_v, n)])
+        first = _offsets(counts)
         if closed:
             # Monotone remap: both tables keep their sort orders.
             remap = np.cumsum(live) - 1
@@ -723,8 +726,7 @@ class IncrementalReprovisioner:
         # Both read the epoch's local tables, so a failing audit raises
         # before any member changes.
         num_live = int(live.sum())
-        terms = np.zeros(n, dtype=np.float64)
-        terms[: min(n, self._terms.size)] = self._terms[:n]
+        terms = self._terms.copy()
         # The touched subscribers' terms, from the view the re-selection
         # read: the running bound is lower_bound(problem).
         terms[touched_idx] = (
@@ -913,7 +915,7 @@ class IncrementalReprovisioner:
         """
         self._p_v, self._p_t, self._p_vm = p_v, p_t, p_vm
         self._first = _offsets(
-            np.bincount(p_v, minlength=_id_span(p_v, self._workload.num_subscribers))
+            np.bincount(p_v, minlength=self._workload.num_subscribers)
         )
         self._num_vms = num_vms
         big_l = np.int64(int(p_t.max()) + 1 if p_t.size else 1)

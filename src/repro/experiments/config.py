@@ -21,10 +21,8 @@ docs/ARCHITECTURE.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 from ..core import MCSSProblem, Workload
 from ..pricing import PricingPlan, paper_plan
@@ -56,10 +54,10 @@ PAPER_INSTANCES: Tuple[str, ...] = ("c3.large", "c3.xlarge")
 class ExperimentScale:
     """How large to draw a trace and how big a fleet to aim for.
 
-    ``target_vms`` is the fleet size the *all-pairs* workload should
-    need on the baseline instance (c3.large); actual runs select
-    subsets and use fewer, matching how the paper's counts vary with
-    tau.  Defaults mirror the paper's fleet magnitudes (Spotify peaks
+    ``target_vms`` is the fleet size the GSP selection at tau = 1000
+    should need on the baseline instance (c3.large); runs at smaller
+    thresholds select subsets and use fewer, matching how the paper's
+    counts vary with tau.  Defaults mirror the paper's fleet magnitudes (Spotify peaks
     near 180 VMs, Twitter near 550) at a size that keeps the slow
     FFBP baseline runnable.
     """
@@ -67,16 +65,6 @@ class ExperimentScale:
     num_users: int = 8_000
     seed: int = 42
     target_vms: int = 120
-
-
-def all_pairs_bytes(workload: Workload) -> float:
-    """Single-copy volume of the full workload (outgoing + ingest)."""
-    audience = workload.audience_sizes()
-    held = audience > 0
-    per_topic = workload.event_rates[held] * (audience[held] + 1)
-    # A running sum in topic order, not numpy's pairwise one.
-    total = float(np.cumsum(per_topic)[-1]) if per_topic.size else 0.0
-    return total * workload.message_size_bytes
 
 
 def selected_volume_bytes(workload: Workload, tau: float) -> float:
@@ -100,32 +88,18 @@ def selected_volume_bytes(workload: Workload, tau: float) -> float:
     return GreedySelectPairs().select(problem).single_vm_bytes(workload)
 
 
-def calibrate_fraction(
-    workload: Workload,
-    target_vms: int,
-    reference_plan: Optional[PricingPlan] = None,
-    reference_tau: Optional[float] = None,
-) -> float:
+def calibrate_fraction(workload: Workload, target_vms: int) -> float:
     """Scale factor making the reference workload fill ``target_vms``.
 
-    The reference volume is the GSP selection at ``reference_tau``
-    (default: the largest paper threshold, 1000); pass ``None`` via
-    ``reference_tau=0`` semantics is not supported -- use the all-pairs
-    volume by passing ``reference_tau=float("inf")``.
-
-    Computed against the c3.large reference so both instance types of
-    an experiment share one factor (the xlarge then fits the same
-    workload in about half the VMs, as in Figures 2b/3b).
+    The reference volume is the GSP selection at the largest paper
+    threshold, 1000.  Computed against the c3.large reference so both
+    instance types of an experiment share one factor (the xlarge then
+    fits the same workload in about half the VMs, as in Figures 2b/3b).
     """
     if target_vms <= 0:
         raise ValueError("target_vms must be positive")
-    plan = reference_plan or paper_plan("c3.large")
-    if reference_tau is None:
-        reference_tau = float(max(PAPER_TAUS))
-    if reference_tau == float("inf"):
-        volume = all_pairs_bytes(workload)
-    else:
-        volume = selected_volume_bytes(workload, reference_tau)
+    plan = paper_plan("c3.large")
+    volume = selected_volume_bytes(workload, float(max(PAPER_TAUS)))
     if volume <= 0:
         raise ValueError("workload carries no traffic")
     fraction = volume / (plan.capacity_bytes * target_vms)

@@ -39,7 +39,7 @@ from .slo import COUNTERS
 
 __all__ = ["CHECKPOINT_VERSION", "load_checkpoint", "save_checkpoint"]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(
@@ -107,8 +107,8 @@ def load_checkpoint(
             )
         members = _VerifiedMembers(data, path)
         reprovisioner = IncrementalReprovisioner.restore(members, plan)
-        workload = reprovisioner.problem.workload
-        queue = ChurnIngestQueue.restore(members, workload.num_topics)
+        workload = reprovisioner.workload
+        queue = ChurnIngestQueue.restore(members, workload)
         counters = {name: int(members["serve_" + name]) for name in COUNTERS}
         churn = json.loads(bytes(members["churn_state"]).decode("utf-8"))
     churn_model = None

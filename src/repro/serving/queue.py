@@ -16,6 +16,16 @@ suite pin the whole serving path against the ``reprovision-loop``
 referee across *randomized* fragment splits: however the stream is
 chopped, the sealed delta -- and hence the placement surgery -- is
 identical.
+
+The queue holds operations only.  A seal's re-priced topics are the
+churn source's record; the reprovisioner re-prices from the rates it
+holds, so a batch handed back after a raised step needs nothing but its
+operations to be applied in full.  Ids follow one rule
+(:func:`~repro.dynamic.churn.id_array`): integers in ``[0, count)``.  A
+fragment knows no counts and checks only that they are non-negative;
+the service checks a fragment against the run's counts before queueing
+it (:func:`check_ids`), and :meth:`ChurnIngestQueue.restore` checks
+the saved churn against the workload the run resumes at.
 """
 
 from __future__ import annotations
@@ -25,8 +35,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.segsearch import sorted_unique
-from ..dynamic.churn import WorkloadDelta, frozen_int64
+from ..dynamic.churn import WorkloadDelta, id_array
 
 __all__ = ["ChurnFragment", "ChurnIngestQueue", "split_delta"]
 
@@ -46,8 +55,8 @@ _FIELDS = (
 class ChurnFragment:
     """A contiguous slice of one epoch's churn-operation stream.
 
-    Ids must be non-negative: a ``ValueError`` names the first field
-    that holds a negative one.
+    Ids must be non-negative integers: a ``ValueError`` names the first
+    field that holds another value.
     """
 
     unsubscribed_topics: np.ndarray
@@ -57,10 +66,7 @@ class ChurnFragment:
 
     def __post_init__(self) -> None:
         for name in _FIELDS:
-            ids = frozen_int64(getattr(self, name))
-            if ids.size and ids.min() < 0:
-                raise ValueError(f"{name} must hold non-negative ids")
-            object.__setattr__(self, name, ids)
+            object.__setattr__(self, name, id_array(name, getattr(self, name)))
         if self.unsubscribed_topics.size != self.unsubscribed_subscribers.size:
             raise ValueError("unsubscribed pair arrays must be parallel")
         if self.subscribed_topics.size != self.subscribed_subscribers.size:
@@ -72,15 +78,17 @@ class ChurnFragment:
         return int(self.unsubscribed_topics.size + self.subscribed_topics.size)
 
 
-def topic_ids(name: str, ids, num_topics: int) -> np.ndarray:
-    """``ids`` as int64, checked to be topic ids in ``[0, num_topics)``.
+def check_ids(fragment: ChurnFragment, workload) -> None:
+    """Check that ``fragment`` names only ``workload``'s subscribers and topics.
 
-    A ``ValueError`` names ``name`` when one is not.
+    A ``ValueError`` names the first field holding an id past
+    ``workload``'s counts; an object other than a fragment raises
+    ``TypeError``, as :meth:`ChurnIngestQueue.offer` does.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and not (0 <= ids.min() and ids.max() < num_topics):
-        raise ValueError(f"{name} must be topic ids in [0, {num_topics})")
-    return ids
+    if not isinstance(fragment, ChurnFragment):
+        raise TypeError("offer() takes a ChurnFragment")
+    for name in _FIELDS:
+        id_array(name, getattr(fragment, name), workload)
 
 
 def split_delta(
@@ -121,8 +129,6 @@ class ChurnIngestQueue:
     def __init__(self) -> None:
         self._fragments: List[ChurnFragment] = []
         self._depth = 0
-        # Re-priced topics of an unsealed batch, owed to the next seal.
-        self._changed = _EMPTY
 
     @property
     def depth(self) -> int:
@@ -149,17 +155,13 @@ class ChurnIngestQueue:
         """Drain the queue into one exact :class:`WorkloadDelta`.
 
         ``workload`` is the epoch's resulting workload and
-        ``changed_topics`` its re-priced topic ids (rate drift applies
-        at the epoch boundary, not per fragment).  After an
-        :meth:`unseal`, the delta also carries the handed-back batch:
-        its operations lead, and its re-priced topics join
-        ``changed_topics`` (sorted, distinct).
+        ``changed_topics`` its re-priced topic ids as the churn source
+        records them (rate drift applies at the epoch boundary, not per
+        fragment).  After an :meth:`unseal`, the handed-back batch's
+        operations lead.  The delta is built before the queue drains, so
+        an id ``workload`` lacks raises ``ValueError`` (naming the
+        field) and leaves the queue as it was.
         """
-        if self._changed.size:
-            changed_topics = sorted_unique(
-                np.concatenate((self._changed, np.asarray(changed_topics, np.int64)))
-            )
-            self._changed = _EMPTY
         pending = self._pending()
         delta = WorkloadDelta(
             workload,
@@ -177,41 +179,44 @@ class ChurnIngestQueue:
         """Hand back a sealed delta whose step raised, to be sealed again.
 
         Its operations return to the head of the queue as one fragment,
-        ahead of anything offered since, and its re-priced topics are
-        owed to the next seal.  A step that raised changed nothing, so
-        the next seal must carry this batch or its subscribers are
-        never re-selected.
+        ahead of anything offered since.  A step that raised changed
+        nothing, so the next seal must carry this batch or its
+        subscribers are never re-selected.  Its re-priced topics need no
+        keeping: the reprovisioner still holds the rates from before the
+        batch, and the next step re-prices every topic whose rate
+        differs from them.
         """
         self._fragments.insert(
             0, ChurnFragment(*(getattr(delta, name) for name in _FIELDS))
         )
         self._depth += self._fragments[0].num_ops
-        self._changed = delta.changed_topics
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """The queue's members, as a checkpoint writes them.
 
         The buffered operations' four arrays in arrival order, each as
-        ``pending_<field>``, and the re-priced topics owed to the next
-        seal, ``pending_changed_topics``.
+        ``pending_<field>``.
         """
         pending = self._pending()
-        members = {"pending_" + name: getattr(pending, name) for name in _FIELDS}
-        members["pending_changed_topics"] = self._changed
-        return members
+        return {"pending_" + name: getattr(pending, name) for name in _FIELDS}
 
     @classmethod
-    def restore(cls, members, num_topics: int) -> "ChurnIngestQueue":
-        """A queue holding a :meth:`snapshot`'s churn and owed topics.
+    def restore(cls, members, workload) -> "ChurnIngestQueue":
+        """A queue holding a :meth:`snapshot`'s churn.
 
         ``members`` maps the snapshot's names to arrays.  The churn is
         queued as one fragment, as :meth:`unseal` re-queues a batch, so
         the next seal drains exactly what the saved queue would have.
-        The owed topics must be topic ids of the ``num_topics``-topic
-        workload the run resumes at.
+        Its ids must be those of ``workload``, the one the run resumes
+        at: a ``ValueError`` names the first member holding another.
         """
         queue = cls()
-        queue.offer(ChurnFragment(*(members["pending_" + name] for name in _FIELDS)))
-        name = "pending_changed_topics"
-        queue._changed = frozen_int64(topic_ids(name, members[name], num_topics))
+        queue.offer(
+            ChurnFragment(
+                *(
+                    id_array("pending_" + name, members["pending_" + name], workload)
+                    for name in _FIELDS
+                )
+            )
+        )
         return queue

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 from ..core import MCSSProblem
 from ..dynamic.reprovision import EpochReport, IncrementalReprovisioner
 from .checkpoint import load_checkpoint, save_checkpoint
-from .queue import ChurnFragment, ChurnIngestQueue, split_delta, topic_ids
+from .queue import ChurnFragment, ChurnIngestQueue, check_ids, split_delta
 from .slo import ServingMetrics
 
 __all__ = [
@@ -170,7 +170,13 @@ class MicroEpochService:
 
     # ---- ingestion ---------------------------------------------------
     def offer(self, fragment: ChurnFragment) -> None:
-        """Buffer one churn fragment for the next micro-epoch."""
+        """Buffer one churn fragment for the next micro-epoch.
+
+        Its ids must be the run's: an id past the workload's subscriber
+        or topic count raises ``ValueError`` naming the field, and
+        nothing is queued.
+        """
+        check_ids(fragment, self._reprovisioner.workload)
         self._queue.offer(fragment)
 
     def ingest_delta(self, delta, cuts: Sequence[int] = ()) -> None:
@@ -187,24 +193,25 @@ class MicroEpochService:
     def run_micro_epoch(self, workload, changed_topics) -> MicroEpochReport:
         """Seal the buffered churn into one delta and step the placement.
 
-        ``workload`` is the epoch's resulting workload and
-        ``changed_topics`` its re-priced topics (both from the churn
-        source; rate drift applies at the seal, not per fragment).  A
-        re-priced topic outside ``workload`` raises a ``ValueError``
-        before the seal, leaving the queue and the epoch as they were.
-        If the step raises (:class:`~repro.dynamic.InfeasibleEpochError`,
-        or the cadence audit's ``ValueError``), the placement is
-        unchanged and the sealed batch goes back to the queue, changed
-        topics included, so the next call carries it; the error
+        ``workload`` is the epoch's resulting workload, with the run's
+        ids, and ``changed_topics`` its re-priced topics as the churn
+        source records them (rate drift applies at the seal, not per
+        fragment).  They count toward ``ops``; the step itself re-prices
+        every topic whose rate differs from the one it holds.  An id
+        outside ``workload`` raises ``ValueError`` at the seal, leaving
+        the queue and the epoch as they were.  If the step raises
+        (:class:`~repro.dynamic.InfeasibleEpochError`, a workload with
+        other counts than the run's, or the cadence audit's
+        ``ValueError``), the placement is unchanged and the sealed batch
+        goes back to the queue, so the next call carries it; the error
         propagates.
         """
-        changed = topic_ids("changed_topics", changed_topics, workload.num_topics)
         batch_ops = self._queue.depth
-        delta = self._queue.seal_epoch(workload, changed)
+        delta = self._queue.seal_epoch(workload, changed_topics)
         t0 = self._clock()
         try:
             report = self._reprovisioner.step(delta)
-        except ValueError:  # InfeasibleEpochError, or the cadence audit
+        except ValueError:  # InfeasibleEpochError, other counts, or the cadence audit
             self._queue.unseal(delta)
             raise
         seconds = self._clock() - t0
@@ -275,10 +282,9 @@ class MicroEpochService:
 
         Everything the service held resumes bit-exactly: the
         reprovisioner (and with it the micro-epoch count), the churn
-        offered and not yet applied with the re-priced topics owed to
-        the next seal, and the serving counters (zero in a checkpoint
-        written without them).  ``config``'s solve parameters must be
-        the checkpoint's (see :meth:`from_reprovisioner`).  Latency
+        offered and not yet applied, and the serving counters (zero in a
+        checkpoint written without them).  ``config``'s solve parameters
+        must be the checkpoint's (see :meth:`from_reprovisioner`).  Latency
         samples are wall-clock and start fresh -- quantiles describe the
         current process, not the dead one.
         """

@@ -37,7 +37,7 @@ class TestChurnModel:
     def test_delta_reports_changes(self, workload):
         model = ChurnModel(workload, ChurnConfig(0.05, 0.05, 0.1), seed=1)
         delta = model.step()
-        assert delta.subscribed or delta.unsubscribed
+        assert delta.subscribed_topics.size or delta.unsubscribed_topics.size
         assert delta.rate_changed_topics
         assert delta.workload is model.workload
 
@@ -61,22 +61,27 @@ class TestChurnModel:
     def test_no_churn_is_identity(self, workload):
         model = ChurnModel(workload, ChurnConfig(0.0, 0.0, 0.0), seed=4)
         delta = model.step()
-        assert not delta.subscribed
-        assert not delta.unsubscribed
+        assert not delta.subscribed_topics.size
+        assert not delta.unsubscribed_topics.size
         assert not delta.rate_changed_topics
         assert delta.workload.num_pairs == workload.num_pairs
 
     def test_deterministic(self, workload):
         a = ChurnModel(workload, seed=7).step()
         b = ChurnModel(workload, seed=7).step()
-        assert a.subscribed == b.subscribed
-        assert a.unsubscribed == b.unsubscribed
+        for name in (
+            "subscribed_topics",
+            "subscribed_subscribers",
+            "unsubscribed_topics",
+            "unsubscribed_subscribers",
+        ):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_touched_subscribers(self, workload):
         model = ChurnModel(workload, ChurnConfig(0.05, 0.05, 0.0), seed=5)
         delta = model.step()
         touched = delta.touched_subscribers
-        for _t, v in delta.subscribed:
+        for v in delta.subscribed_subscribers.tolist():
             assert v in touched
 
     def test_invalid_config(self):
@@ -112,13 +117,35 @@ class TestIncrementalReprovisioner:
             epoch = reprov.step(model.step())
             assert epoch.drift <= 1.10 + 1e-6
 
-    def test_plain_workload_accepted(self, problem):
+    def test_bare_workload_rejected(self, problem):
         reprov = IncrementalReprovisioner(problem)
-        model = ChurnModel(problem.workload, seed=10)
-        new_workload = model.step().workload
-        epoch = reprov.step(new_workload)
-        assert validate_placement(reprov.problem, reprov.placement()).ok
-        assert epoch.epoch == 1
+        with pytest.raises(TypeError, match="WorkloadDelta"):
+            reprov.step(ChurnModel(problem.workload, seed=10).step().workload)
+        assert reprov.epoch == 0
+
+    @pytest.mark.parametrize(
+        "extra_subscribers, extra_topics", [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    )
+    def test_other_id_range_rejected(self, problem, extra_subscribers, extra_topics):
+        # The run's ids are fixed: a subscriber who leaves keeps its id
+        # with an empty row, and no step grows the range.
+        reprov = IncrementalReprovisioner(problem)
+        before = reprov.snapshot()
+        w = problem.workload  # 120 subscribers, 40 topics
+        n = w.num_subscribers + extra_subscribers
+        topics = w.num_topics + extra_topics
+        rates = np.resize(w.event_rates, topics)
+        interests = [
+            [t for t in w.interest(v).tolist() if t < topics]
+            if v < w.num_subscribers
+            else []
+            for v in range(n)
+        ]
+        other = Workload(rates, interests, message_size_bytes=w.message_size_bytes)
+        expected = f"{n} subscribers and {topics} topics, but the run has 120 and 40$"
+        with pytest.raises(ValueError, match=expected):
+            reprov.step(WorkloadDelta.from_pairs(other, [], [], []))
+        TestInfeasibleEpoch._assert_same_snapshot(reprov.snapshot(), before)
 
     def test_incremental_moves_fewer_pairs_than_rebuild(self, problem):
         # The point of incrementality: per-epoch movement is a small
@@ -188,14 +215,22 @@ class TestInfeasibleEpoch:
         assert "epoch 11" in str(err) and f"topic {hottest}" in str(err)
         self._assert_same_snapshot(reprov.snapshot(), before)
 
-        # A feasible next workload steps from epoch 10, exactly as a
-        # reprovisioner that never saw the failed epoch does.
+        # The same churn on a feasible workload steps from epoch 10,
+        # exactly as a reprovisioner that never saw the failed epoch
+        # does.
         fits = np.minimum(rates, np.floor(capacity / (2.0 * msg)))
-        feasible = Workload.from_csr(
-            fits,
-            delta.workload.interest_indptr,
-            delta.workload.interest_topics,
-            message_size_bytes=msg,
+        feasible = WorkloadDelta(
+            Workload.from_csr(
+                fits,
+                delta.workload.interest_indptr,
+                delta.workload.interest_topics,
+                message_size_bytes=msg,
+            ),
+            delta.subscribed_topics,
+            delta.subscribed_subscribers,
+            delta.unsubscribed_topics,
+            delta.unsubscribed_subscribers,
+            delta.changed_topics,
         )
         report = reprov.step(feasible)
         assert report.epoch == 11 and report == replace(
@@ -218,23 +253,14 @@ class TestInfeasibleEpoch:
             message_size_bytes=workload.message_size_bytes,
         )
         with pytest.raises(InfeasibleEpochError, match="epoch 1 .* topic 3"):
-            reprov.step(spiked)
+            reprov.step(WorkloadDelta.from_pairs(spiked, [], [], [3]))
         self._assert_same_snapshot(reprov.snapshot(), before)
-        assert reprov.step(workload).epoch == 1
+        assert reprov.step(WorkloadDelta.from_pairs(workload, [], [], [])).epoch == 1
 
 
 class TestWorkloadDelta:
     def test_array_and_tuple_views_agree(self, workload):
         delta = ChurnModel(workload, ChurnConfig(0.1, 0.1, 0.1), seed=21).step()
-        assert delta.subscribed == tuple(
-            zip(delta.subscribed_topics.tolist(), delta.subscribed_subscribers.tolist())
-        )
-        assert delta.unsubscribed == tuple(
-            zip(
-                delta.unsubscribed_topics.tolist(),
-                delta.unsubscribed_subscribers.tolist(),
-            )
-        )
         assert set(delta.rate_changed_topics) == set(delta.changed_topics.tolist())
         touched = delta.touched_array()
         assert np.array_equal(touched, np.unique(touched))
@@ -244,8 +270,10 @@ class TestWorkloadDelta:
         delta = WorkloadDelta.from_pairs(
             workload, [(1, 2), (0, 3)], [(2, 4)], [0, 5]
         )
-        assert delta.subscribed == ((1, 2), (0, 3))
-        assert delta.unsubscribed == ((2, 4),)
+        assert delta.subscribed_topics.tolist() == [1, 0]
+        assert delta.subscribed_subscribers.tolist() == [2, 3]
+        assert delta.unsubscribed_topics.tolist() == [2]
+        assert delta.unsubscribed_subscribers.tolist() == [4]
         assert delta.rate_changed_topics == (0, 5)
         assert delta.touched_subscribers == {2, 3, 4}
 
@@ -258,7 +286,7 @@ class TestWorkloadDelta:
         delta = WorkloadDelta(workload, topics, subs, empty.copy(), empty.copy(), empty.copy())
         assert not delta.subscribed_topics.flags.writeable
         topics[0] = 7  # must not raise
-        assert delta.subscribed == ((1, 2),)
+        assert delta.subscribed_topics.tolist() == [1]
 
     def test_mismatched_arrays_rejected(self, workload):
         with pytest.raises(ValueError):
@@ -268,6 +296,32 @@ class TestWorkloadDelta:
                 np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                 np.array([], dtype=np.int64),
             )
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "subscribed_topics",
+            "subscribed_subscribers",
+            "unsubscribed_topics",
+            "unsubscribed_subscribers",
+            "changed_topics",
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["past-the-end", -1, 0.5])
+    def test_ids_its_workload_lacks_rejected(self, workload, field, bad):
+        ids = {
+            "subscribed_topics": [1],
+            "subscribed_subscribers": [2],
+            "unsubscribed_topics": [3],
+            "unsubscribed_subscribers": [4],
+            "changed_topics": [5],
+        }
+        bound = 40 if field.endswith("_topics") else 120
+        ids[field] = [bound if bad == "past-the-end" else bad]
+        with pytest.raises(
+            ValueError, match=rf"^{field} must hold integer ids in \[0, {bound}\)"
+        ):
+            WorkloadDelta(workload, **ids)
 
     def test_mismatched_unsubscribed_arrays_rejected(self, workload):
         empty = np.array([], dtype=np.int64)
@@ -370,25 +424,6 @@ class TestCadenceAudit:
             else:
                 assert after[key] == value, key
 
-    def test_bare_workload_drops_departed_subscribers(self):
-        # A bare workload that ends before the table's last subscriber:
-        # their pairs leave, so the held selection stays GSP's and the
-        # fresh re-pack costs what a from-scratch solve does.
-        from repro.solver import MCSSSolver
-
-        workload = zipf_workload(40, 120, mean_interest=6.0, seed=9)
-        problem = MCSSProblem(workload, 50, make_unit_plan(4.5e7))
-        reprov = IncrementalReprovisioner(
-            problem, rebuild_threshold=10.0, fresh_solve_every=1
-        )
-        held = reprov.selection().num_pairs
-        shrunk = workload.restrict_subscribers(range(100))
-        report = reprov.step(shrunk)
-        assert max(v for _t, v in reprov.selection()) < 100
-        assert report.pairs_removed == held - reprov.selection().num_pairs
-        assert report.fresh_cost == MCSSSolver.paper().solve(reprov.problem).cost
-        assert validate_placement(reprov.problem, reprov.placement()).ok
-
 
 class TestLoopReferees:
     """The churn-loop / reprovision-loop referees stay executable specs."""
@@ -396,7 +431,7 @@ class TestLoopReferees:
     def test_loop_churn_smoke(self, workload):
         model = LoopChurnModel(workload, ChurnConfig(0.05, 0.05, 0.1), seed=41)
         delta = model.step()
-        assert delta.subscribed or delta.unsubscribed
+        assert delta.subscribed_topics.size or delta.unsubscribed_topics.size
         assert delta.workload is model.workload
 
     def test_loop_reprovisioner_rejects_threshold_below_one(self, problem):

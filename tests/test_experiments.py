@@ -30,7 +30,6 @@ from repro.bounds import lower_bound
 from repro.core import MCSSProblem, Workload
 from repro.dynamic import IncrementalReprovisioner
 from repro.experiments import run_serving_experiment
-from repro.experiments.config import all_pairs_bytes
 from repro.pricing import paper_plan
 from repro.serving.checkpoint import save_checkpoint
 from repro.serving import ServingConfig
@@ -66,16 +65,6 @@ class TestConfig:
         with pytest.raises(KeyError):
             make_trace("facebook", SMALL)
 
-    def test_calibration_hits_target_all_pairs(self, small_zipf):
-        plan = paper_plan("c3.large")
-        fraction = calibrate_fraction(
-            small_zipf, target_vms=20, reference_tau=float("inf")
-        )
-        scaled = plan.scaled(fraction)
-        implied = all_pairs_bytes(small_zipf) / scaled.capacity_bytes
-        # Either the target is met or the feasibility floor took over.
-        assert implied <= 20 * 1.01
-
     def test_calibration_default_uses_selection_volume(self, small_zipf):
         from repro.experiments.config import selected_volume_bytes
 
@@ -86,7 +75,11 @@ class TestConfig:
         assert implied <= 20 * 1.01
         # Selection volume <= all-pairs volume, so the scaled capacity
         # is smaller (a tighter, more interesting instance).
-        assert volume <= all_pairs_bytes(small_zipf) * (1 + 1e-9)
+        audience = small_zipf.audience_sizes()
+        all_pairs = float(
+            (small_zipf.event_rates * (audience + 1))[audience > 0].sum()
+        )
+        assert volume <= all_pairs * small_zipf.message_size_bytes * (1 + 1e-9)
 
     def test_calibration_floor_keeps_feasible(self, small_zipf):
         fraction = calibrate_fraction(small_zipf, target_vms=10_000)
@@ -100,9 +93,8 @@ class TestConfig:
 
     def test_trafficless_workload_rejected(self):
         silent = Workload([5.0, 3.0], [[], []])
-        for reference_tau in (None, float("inf")):
-            with pytest.raises(ValueError, match="no traffic"):
-                calibrate_fraction(silent, 10, reference_tau=reference_tau)
+        with pytest.raises(ValueError, match="no traffic"):
+            calibrate_fraction(silent, 10)
 
     def test_paper_axes(self):
         assert PAPER_TAUS == (10, 100, 1000)

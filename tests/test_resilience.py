@@ -124,7 +124,6 @@ class TestCheckpointIntegrity:
         [
             "used_bytes",
             "pending_subscribed_topics",
-            "pending_changed_topics",
             "serve_ops",
             "churn_state",
             "digest_epoch",
@@ -140,7 +139,8 @@ class TestCheckpointIntegrity:
         with pytest.raises(TraceCorruptionError, match=f"member '{member}'"):
             load_checkpoint(path, plan)
 
-    @pytest.mark.parametrize("version", [1, 99])  # 1: before the queue was saved
+    # 1: before the queue was saved; 2: with the owed re-priced topics.
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version_rejected(self, tmp_path, version):
         reprovisioner, plan, _ = self._reprovisioner()
         path = str(tmp_path / "run.npz")
@@ -271,20 +271,41 @@ class TestCheckpointIntegrity:
         with pytest.raises(ValueError, match="pair_subscribers/pair_topics"):
             IncrementalReprovisioner.restore(snap, plan)
 
-    @pytest.mark.parametrize("bad", [-1, 30])  # 30: one past the last topic
-    def test_out_of_range_owed_topic_rejected_on_load(self, tmp_path, bad):
-        # A member rewritten with a matching digest: the owed topics are
-        # range-checked against the restored workload, as the pair ids are.
-        reprovisioner, plan, _ = self._reprovisioner()
+    @pytest.mark.parametrize(
+        "member",
+        [
+            "pending_unsubscribed_topics",
+            "pending_unsubscribed_subscribers",
+            "pending_subscribed_topics",
+            "pending_subscribed_subscribers",
+        ],
+    )
+    def test_out_of_range_pending_id_rejected_on_load(self, tmp_path, member):
+        # Members rewritten with matching digests: the queued churn is
+        # checked against the restored workload (30 topics, 80
+        # subscribers), as the pair ids are.  One id past the end would
+        # make every later seal raise.
+        reprovisioner, plan, workload = self._reprovisioner()
         path = str(tmp_path / "run.npz")
         save_checkpoint(path, reprovisioner)
         data = dict(np.load(path))
-        owed = np.array([bad], dtype=np.int64)
-        data["pending_changed_topics"] = owed
-        data["digest_pending_changed_topics"] = np.uint32(member_digest(owed))
+        bound = (
+            workload.num_topics
+            if member.endswith("_topics")
+            else workload.num_subscribers
+        )
+        for name in (
+            "pending_unsubscribed_topics",
+            "pending_unsubscribed_subscribers",
+            "pending_subscribed_topics",
+            "pending_subscribed_subscribers",
+        ):
+            ids = np.array([bound if name == member else 0], dtype=np.int64)
+            data[name] = ids
+            data["digest_" + name] = np.uint32(member_digest(ids))
         np.savez(path, **data)
         with pytest.raises(
-            ValueError, match=r"^pending_changed_topics must be topic ids in \[0, 30\)"
+            ValueError, match=rf"^{member} must hold integer ids in \[0, {bound}\)"
         ):
             load_checkpoint(path, plan)
 

@@ -18,9 +18,10 @@ assertions):
   continues bit-exactly (placements, costs, report fields, serving
   counters, queued churn), mirroring ``TestCheckpointResumeEquivalence``.
 * **The serving API as a state machine** -- ``ServingMachine`` mixes
-  fragment offers, plain, empty and raising micro-epochs and
-  checkpoint/resume, against its own model of the queue and the
-  ``reprovision-loop`` referee.
+  fragment offers, refused out-of-range fragments, plain, empty,
+  raising and unnamed-re-pricing micro-epochs and checkpoint/resume,
+  against its own model of the queue and the ``reprovision-loop``
+  referee.
 
 The end-to-end referee pin (randomized splits vs ``reprovision-loop``)
 lives in ``tests/test_vectorized_equivalence.py``.
@@ -42,6 +43,7 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.bounds import lower_bound, subscriber_bound_terms, terms_lower_bound
@@ -145,19 +147,22 @@ class TestQueueReassembly:
         assert sealed.unsubscribed_topics.size == 0
 
     def test_unsealed_batch_leads_the_next_seal(self):
-        first, _rng = random_delta(5)
-        second, _rng = random_delta(6)
+        # Two epochs of one churn model, so both batches' ids are ids of
+        # the second workload.
+        rng = np.random.default_rng(5)
+        model = ChurnModel(edgy_workload(rng), CHURN, seed=5)
+        first, second = model.step(), model.step()
         queue = ChurnIngestQueue()
         for fragment in split_delta(first, [3]):
             queue.offer(fragment)
-        sealed = queue.seal_epoch(first.workload, [4, 1])
+        sealed = queue.seal_epoch(first.workload, first.changed_topics)
         queue.offer(split_delta(second)[0])
         queue.unseal(sealed)
         assert queue.depth == (
             sum(f.num_ops for f in split_delta(first))
             + sum(f.num_ops for f in split_delta(second))
         )
-        merged = queue.seal_epoch(second.workload, [1, 0])
+        merged = queue.seal_epoch(second.workload, second.changed_topics)
         for name in (
             "subscribed_topics",
             "subscribed_subscribers",
@@ -169,11 +174,8 @@ class TestQueueReassembly:
                 np.concatenate((getattr(first, name), getattr(second, name))),
                 err_msg=name,
             )
-        assert merged.changed_topics.tolist() == [0, 1, 4]
         assert merged.workload is second.workload
         assert queue.depth == 0
-        # Owed topics are paid once: the seal after that is plain.
-        assert queue.seal_epoch(second.workload, [7]).changed_topics.tolist() == [7]
 
     def test_out_of_range_cuts_rejected(self):
         delta, _rng = random_delta(7)
@@ -288,9 +290,9 @@ class TestEpochStateMaintenance:
         num_vms = snap["num_vms"]
         np.testing.assert_array_equal(np.lexsort((p_t, p_v)), np.arange(p_v.size))
         # Each subscriber's rows start at its offset.
-        ids = max(workload.num_subscribers, int(p_v[-1]) + 1 if p_v.size else 0)
         np.testing.assert_array_equal(
-            reprov._first, np.searchsorted(p_v, np.arange(ids + 1))
+            reprov._first,
+            np.searchsorted(p_v, np.arange(workload.num_subscribers + 1)),
         )
         # Every VM holds a pair: emptied VMs were closed and renumbered.
         assert np.array_equal(np.unique(p_vm), np.arange(num_vms))
@@ -319,11 +321,9 @@ class TestEpochStateMaintenance:
         assert running == lower_bound(problem).total_usd
 
     @staticmethod
-    def _emptied_vm_delta(reprov):
-        """Every subscriber with a pair on VM 0 drops all its interests."""
+    def _emptied_delta(reprov, leaving):
+        """The subscribers ``leaving`` drop all their interests."""
         workload = reprov.problem.workload
-        snap = reprov.snapshot()
-        leaving = np.unique(snap["pair_subscribers"][snap["pair_vms"] == 0])
         indptr = workload.interest_indptr
         gone = np.zeros(workload.num_subscribers, dtype=bool)
         gone[leaving] = True
@@ -344,29 +344,13 @@ class TestEpochStateMaintenance:
             np.empty(0, dtype=np.int64),
         )
 
-    @staticmethod
-    def _vanished_delta(reprov, count):
-        """The last ``count`` subscribers leave the workload."""
-        workload = reprov.problem.workload
-        n = workload.num_subscribers
-        evolved = workload.restrict_subscribers(range(n - count))
-        leaving = workload.pair_subscribers() >= n - count
-        return WorkloadDelta(
-            evolved,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            workload.interest_topics[leaving],
-            workload.pair_subscribers()[leaving],
-            np.empty(0, dtype=np.int64),
-        )
-
     @pytest.mark.parametrize("sigma", [0.0, 0.2])
     @pytest.mark.parametrize("fresh_every", [1, 3])
     @pytest.mark.parametrize("seed", range(3))
     def test_live_state_matches_recomputation(self, seed, fresh_every, sigma):
-        # Random churn plus an epoch that empties a VM and one where
-        # subscribers leave the workload, at both fresh-solve cadences;
-        # the state is checked after every step.
+        # Random churn plus an epoch that empties a VM and one where the
+        # last subscribers leave (their interest rows emptied), at both
+        # fresh-solve cadences; the state is checked after every step.
         problem = stress_problem(300)
         reprov = IncrementalReprovisioner(
             problem, rebuild_threshold=1.05, fresh_solve_every=fresh_every
@@ -376,9 +360,13 @@ class TestEpochStateMaintenance:
         moved = closed = 0
         for epoch in range(1, 8):
             if epoch == 3:
-                delta = self._emptied_vm_delta(reprov)
+                snap = reprov.snapshot()
+                on_vm0 = snap["pair_subscribers"][snap["pair_vms"] == 0]
+                delta = self._emptied_delta(reprov, on_vm0)
             elif epoch == 5:
-                delta = self._vanished_delta(reprov, int(rng.integers(1, 20)))
+                n = reprov.problem.workload.num_subscribers
+                count = int(rng.integers(1, 20))
+                delta = self._emptied_delta(reprov, np.arange(n - count, n))
             else:
                 model = ChurnModel(
                     reprov.problem.workload,
@@ -708,6 +696,94 @@ class TestMicroEpochService:
         micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
         assert (micro.report.epoch, micro.batch_ops) == (1, depth)
 
+    @pytest.mark.parametrize(
+        "arrays, field",
+        [
+            # One id past the end, field by field (50 topics, 2000
+            # subscribers).
+            (([50], [0], [], []), "unsubscribed_topics"),
+            (([0], [2000], [], []), "unsubscribed_subscribers"),
+            (([], [], [50], [0]), "subscribed_topics"),
+            (([], [], [0], [2000]), "subscribed_subscribers"),
+            # Each of these stepped an epoch, counted one op in serve.ops
+            # and changed nothing; the fractional ids were read as topic
+            # 1 and subscriber 2.
+            (([], [], [10**6], [0]), "subscribed_topics"),
+            (([], [], [3], [10**6]), "subscribed_subscribers"),
+            (([10**6], [5], [], []), "unsubscribed_topics"),
+            (([], [], [1.7], [2.9]), "subscribed_topics"),
+        ],
+    )
+    def test_offer_refuses_ids_the_run_lacks(self, arrays, field):
+        service, delta = self._small_service()
+        with pytest.raises(ValueError, match=f"^{field} must hold"):
+            service.offer(ChurnFragment(*arrays))
+        assert (service.queue_depth, service.micro_epochs) == (0, 0)
+        service.ingest_delta(delta)
+        micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
+        assert (micro.report.epoch, micro.batch_ops) == (1, 122)
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            # An op names topic 49: the seal refuses it and drains nothing.
+            (-1, r"^subscribed_topics must hold integer ids in \[0, 49\)"),
+            # The ids fit: the step refuses the count and the seal's
+            # batch goes back to the queue.
+            (1, "has 2000 subscribers and 51 topics, but the run has 2000 and 50"),
+        ],
+        ids=["a-topic-short", "a-topic-more"],
+    )
+    def test_workload_with_other_topics_keeps_the_batch(self, extra, error):
+        # A topic short, the step raised a bare IndexError after the
+        # seal, which run_micro_epoch did not hand back: the 122 ops
+        # were lost.
+        service, delta = self._small_service()
+        service.ingest_delta(delta)
+        assert service.queue_depth == 122
+        w = delta.workload
+        topics = w.num_topics + extra
+        kept = w.interest_topics < topics
+        sizes = np.bincount(w.pair_subscribers()[kept], minlength=w.num_subscribers)
+        other = Workload.from_csr(
+            np.resize(w.event_rates, topics),
+            np.concatenate([[0], np.cumsum(sizes)]),
+            w.interest_topics[kept],
+            message_size_bytes=w.message_size_bytes,
+        )
+        with pytest.raises(ValueError, match=error):
+            service.run_micro_epoch(other, [])
+        assert (service.queue_depth, service.micro_epochs) == (122, 0)
+        micro = service.run_micro_epoch(delta.workload, delta.changed_topics)
+        assert (micro.report.epoch, micro.batch_ops, service.queue_depth) == (1, 122, 0)
+
+    def test_seals_that_name_no_changed_topics_stay_gsp(self):
+        # Sealing drifting deltas with changed_topics=[] left 30, 8, 34,
+        # 3, 22, 45 and 94 subscribers unsatisfied over micro-epochs 1-7;
+        # from micro-epoch 8 every call raised at the cadence audit and
+        # the handed-back backlog grew.  The step re-prices from the
+        # rates it holds.
+        workload = zipf_workload(100, 3000, mean_interest=8.0, seed=5)
+        rates = workload.event_rates
+        msg = workload.message_size_bytes
+        capacity = max(2.5 * float(rates.max()), float(rates.sum()) / 8.0) * msg
+        plan = replace(paper_plan(), capacity_bytes_override=capacity)
+        service = MicroEpochService(MCSSProblem(workload, 100.0, plan))
+        model = ChurnModel(workload, ChurnConfig(0.01, 0.01, 0.05), seed=3)
+        audits = 0
+        for epoch in range(1, 15):
+            delta = model.step()
+            service.ingest_delta(delta)
+            micro = service.run_micro_epoch(delta.workload, [])
+            assert (micro.report.epoch, service.queue_depth) == (epoch, 0)
+            audits += micro.report.fresh_solved
+            problem = MCSSProblem(delta.workload, 100.0, plan)
+            assert service.reprovisioner.selection() == GreedySelectPairs().select(
+                problem
+            )
+            assert validate_placement(problem, service.placement()).ok
+        assert audits >= 1  # the cadence epoch audited the held selection
+
 
 class TestServingCheckpointResume:
     """Kill-mid-serve == never-killed, bit for bit (+ carried counters)."""
@@ -925,13 +1001,16 @@ class ServingMachine(RuleBasedStateMachine):
     """The serving API against a model of its queue and the referee.
 
     A small service at ``fresh_solve_every=1`` takes whole churn deltas
-    cut at random positions, runs micro-epochs (plain, empty, or on a
-    spiked workload whose step raises), and is checkpointed and resumed
-    into a new service.  The machine keeps its own model of the queue:
-    the fragments offered and not yet applied, and the re-priced topics
-    owed to the next seal.  After every micro-epoch that steps, the
-    ``reprovision-loop`` referee steps the delta that seal must have
-    built, and the placements must agree.
+    cut at random positions, runs micro-epochs (plain, empty, sealed
+    without naming the re-priced topics, or on a spiked workload whose
+    step raises), refuses fragments naming an id past the run's, and is
+    checkpointed and resumed into a new service.  The machine models the
+    queue as the fragments offered and not yet applied.  After every
+    micro-epoch that steps, the ``reprovision-loop`` referee steps the
+    delta that seal must have built, naming every topic re-priced since
+    the last step that did not raise (the referee trusts its list; the
+    service re-prices from the rates it holds), and the placements must
+    agree.
     """
 
     def __init__(self):
@@ -954,11 +1033,9 @@ class ServingMachine(RuleBasedStateMachine):
         self.model = ChurnModel(workload, CHURN, seed=seed)
         self.workload = workload  # the last offered delta's workload
         self.pending = []  # fragments offered and not yet applied
-        self.owed = np.empty(0, dtype=np.int64)  # from a raised seal
-        self.changed = np.empty(0, dtype=np.int64)  # of deltas since
+        self.changed = np.empty(0, dtype=np.int64)  # since the last step
 
-    @rule(cuts=st.lists(st.integers(0, 1000), max_size=4))
-    def offer(self, cuts):
+    def _offer(self, cuts):
         delta = self.model.step()
         num_ops = delta.subscribed_topics.size + delta.unsubscribed_topics.size
         fragments = split_delta(delta, [c % (num_ops + 1) for c in cuts])
@@ -968,6 +1045,25 @@ class ServingMachine(RuleBasedStateMachine):
         self.workload = delta.workload
         self.changed = np.union1d(self.changed, delta.changed_topics)
 
+    @rule(cuts=st.lists(st.integers(0, 1000), max_size=4))
+    def offer(self, cuts):
+        self._offer(cuts)
+
+    @rule(field=st.sampled_from([f.name for f in fields(ChurnFragment)]))
+    def offer_out_of_range(self, field):
+        workload = self.workload
+        arrays = {f.name: np.array([0]) for f in fields(ChurnFragment)}
+        past_end = (
+            workload.num_topics
+            if field.endswith("_topics")
+            else workload.num_subscribers
+        )
+        arrays[field] = np.array([past_end])
+        depth = self.service.queue_depth
+        with pytest.raises(ValueError, match=f"^{field} must hold integer ids"):
+            self.service.offer(ChurnFragment(**arrays))
+        assert self.service.queue_depth == depth
+
     @rule()
     def micro_epoch(self):
         self._step(self.changed)
@@ -975,6 +1071,11 @@ class ServingMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.pending and not self.changed.size)
     @rule()
     def empty_micro_epoch(self):
+        self._step([])
+
+    @rule(cuts=st.lists(st.integers(0, 1000), max_size=4))
+    def micro_epoch_without_changed_topics(self, cuts):
+        self._offer(cuts)
         self._step([])
 
     @rule()
@@ -990,13 +1091,10 @@ class ServingMachine(RuleBasedStateMachine):
             workload.interest_topics,
             message_size_bytes=workload.message_size_bytes,
         )
-        changed = np.union1d(self.changed, [hot])
         epoch = self.service.micro_epochs
         with pytest.raises(InfeasibleEpochError):
-            self.service.run_micro_epoch(spiked, changed)
+            self.service.run_micro_epoch(spiked, np.union1d(self.changed, [hot]))
         assert self.service.micro_epochs == epoch
-        self.owed = np.union1d(self.owed, changed)
-        self.changed = np.empty(0, dtype=np.int64)
 
     @rule()
     def checkpoint_and_resume(self):
@@ -1017,8 +1115,6 @@ class ServingMachine(RuleBasedStateMachine):
 
     def _step(self, changed):
         micro = self.service.run_micro_epoch(self.workload, changed)
-        if self.owed.size:
-            changed = np.union1d(self.owed, changed)
 
         def pending(name):
             arrays = [getattr(f, name) for f in self.pending]
@@ -1030,21 +1126,27 @@ class ServingMachine(RuleBasedStateMachine):
             pending("subscribed_subscribers"),
             pending("unsubscribed_topics"),
             pending("unsubscribed_subscribers"),
-            changed,
+            self.changed,
         )
-        assert micro.batch_ops == sum(f.num_ops for f in self.pending)
-        assert micro.ops == (
-            sealed.subscribed_topics.size
-            + sealed.unsubscribed_topics.size
-            + sealed.changed_topics.size
-        )
+        batch_ops = sum(f.num_ops for f in self.pending)
+        assert micro.batch_ops == batch_ops
+        assert micro.ops == batch_ops + len(changed)
         self.loop.step(sealed)
         assert diff_placements(self.service.placement(), self.loop.placement()) is None
         self.pending = []
-        self.owed = self.changed = np.empty(0, dtype=np.int64)
+        self.changed = np.empty(0, dtype=np.int64)
 
 
 ServingMachine.TestCase.settings = settings(
     max_examples=50, stateful_step_count=20, deadline=None
 )
 TestServingMachine = ServingMachine.TestCase
+
+
+@pytest.mark.slow
+def test_serving_machine_long_run():
+    """The same machine over longer and more runs (the weekly slow suite)."""
+    run_state_machine_as_test(
+        ServingMachine,
+        settings=settings(max_examples=300, stateful_step_count=30, deadline=None),
+    )
